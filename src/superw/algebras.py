@@ -254,6 +254,14 @@ def load_algebra(spec: str) -> LieSuperData:
     return _from_json(raw)
 
 
+def _field(entry, key, where):
+    """entry[key], or an AlgebraError naming the missing field."""
+    try:
+        return entry[key]
+    except (KeyError, TypeError):
+        raise AlgebraError("%s missing required field %r" % (where, key)) from None
+
+
 def _from_json(raw) -> LieSuperData:
     try:
         name = raw["name"]
@@ -263,8 +271,10 @@ def _from_json(raw) -> LieSuperData:
     except (KeyError, TypeError) as exc:
         raise AlgebraError("algebra file missing required field: %s" % exc)
 
-    names = tuple(b["name"] for b in basis)
-    parities = tuple(int(b["parity"]) for b in basis)
+    names = tuple(_field(b, "name", "%s: basis entry %d" % (name, k))
+                  for k, b in enumerate(basis))
+    parities = tuple(int(_field(b, "parity", "%s: basis entry %d" % (name, k)))
+                     for k, b in enumerate(basis))
     if len(set(names)) != len(names):
         raise AlgebraError("%s: duplicate basis names" % name)
     if any(p not in (EVEN, ODD) for p in parities):
@@ -272,8 +282,9 @@ def _from_json(raw) -> LieSuperData:
     n = len(names)
 
     table = {}
-    for ent in brackets:
-        i, j = int(ent["i"]), int(ent["j"])
+    for k, ent in enumerate(brackets):
+        where = "%s: bracket entry %d" % (name, k)
+        i, j = int(_field(ent, "i", where)), int(_field(ent, "j", where))
         if not (0 <= i < n and 0 <= j < n):
             raise AlgebraError("%s: bracket indices (%d,%d) out of range" % (name, i, j))
         if i > j:
@@ -282,14 +293,15 @@ def _from_json(raw) -> LieSuperData:
             )
         if (i, j) in table:
             raise AlgebraError("%s: duplicate bracket entry (%d,%d)" % (name, i, j))
-        table[(i, j)] = tuple(_rat(c) for c in ent["coeffs"])
+        table[(i, j)] = tuple(_rat(c) for c in _field(ent, "coeffs", where))
 
     fm = tuple(tuple(_rat(c) for c in row) for row in form)
 
     zero = (Fraction(0),) * n
     if "sl2_triple" in raw and raw["sl2_triple"] is not None:
         t = raw["sl2_triple"]
-        triple = tuple(tuple(_rat(c) for c in t[w]) for w in ("e", "h", "f"))
+        triple = tuple(tuple(_rat(c) for c in _field(t, w, "%s: sl2_triple" % name))
+                       for w in ("e", "h", "f"))
     else:
         triple = (zero, zero, zero)
 

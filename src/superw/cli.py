@@ -406,6 +406,17 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
+def _nonneg_int(text):
+    """argparse type for --order and --guard: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="superw",
@@ -416,8 +427,9 @@ def main(argv=None):
     def common(p, order_required=True):
         p.add_argument("--algebra", required=True,
                        help="catalog name or path to a JSON file")
-        p.add_argument("--order", type=int, required=order_required, default=None)
-        p.add_argument("--guard", type=int, default=4)
+        p.add_argument("--order", type=_nonneg_int, required=order_required,
+                       default=None)
+        p.add_argument("--guard", type=_nonneg_int, default=4)
         p.add_argument("--alt-lagrangian", action="store_true")
         p.add_argument("--out", default=None)
 
@@ -435,7 +447,7 @@ def main(argv=None):
                    default="both")
 
     p = sub.add_parser("suite", help="run the property-check battery")
-    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--order", type=_nonneg_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 

@@ -1,8 +1,10 @@
 """Small exact linear algebra over the rationals.
 
-Everything here operates on lists of lists of Fraction and is meant for the
-modest systems that show up when matching coefficients degree by degree;
-nothing is optimized beyond plain Gaussian elimination.
+The public functions take and return dense lists of lists; every entry they
+return is a Fraction.  Row reduction runs on sparse rows (dict col ->
+Fraction) because the coefficient-matching systems are mostly zeros: each
+elimination step touches only the nonzero entries of the rows that contain
+the pivot column.  Arithmetic stays exact throughout.
 """
 
 from __future__ import annotations
@@ -22,30 +24,81 @@ def rational_sqrt(q):
     return None
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+def sparse_row(row):
+    """A dense row as a dict col -> Fraction over its nonzero entries."""
+    return {c: x if type(x) is Fraction else Fraction(x)
+            for c, x in enumerate(row) if x}
+
+
+def _eliminate(row, col, prow):
+    """row -= row[col] * prow, in place; prow has a 1 in column col."""
+    f = row[col]
+    for k, v in prow.items():
+        x = row.get(k)
+        if x is None:
+            row[k] = -f * v
+        else:
+            x -= f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _reduce(rows):
+    """Sparse Gauss-Jordan elimination on rows given as dicts col -> Fraction.
+
+    Works on the rows in place and returns (pivot_rows, pivot_columns): the
+    nonzero rows of the reduced row echelon form, in pivot order.  Columns
+    are visited left to right; among the rows still unused that are nonzero
+    in a column, the one with fewest entries becomes the pivot (the RREF is
+    unique, so the choice only affects fill-in), and the column is cleared
+    only from the rows that contain it.  All work is in the rows' supports.
+    """
+    rest = [r for r in rows if r]
+    done, pivots = [], []
+    for c in sorted({k for r in rest for k in r}):
+        if not rest:
             break
-    return m, pivots
+        hits = [r for r in rest if c in r]
+        if not hits:
+            continue
+        p = min(hits, key=len)
+        inv = 1 / p[c]
+        if inv != 1:
+            for k in p:
+                p[k] *= inv
+        for r in hits:
+            if r is not p:
+                _eliminate(r, c, p)
+        for r in done:
+            if c in r:
+                _eliminate(r, c, p)
+        rest = [r for r in rest if r and r is not p]
+        done.append(p)
+        pivots.append(c)
+    return done, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
+
+    ``new_rows`` has one dense row of Fraction per input row: the pivot rows
+    in pivot order, then the zero rows.  The input is not modified.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    done, pivots = _reduce([sparse_row(r) for r in rows])
+    zero = Fraction(0)
+    out = []
+    for p in done:
+        row = [zero] * ncols
+        for k, v in p.items():
+            row[k] = v
+        out.append(row)
+    out.extend([zero] * ncols for _ in range(len(rows) - len(done)))
+    return out, pivots
 
 
 def nullspace(rows, ncols=None):
@@ -54,14 +107,7 @@ def nullspace(rows, ncols=None):
         if not rows:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    m, pivots = rref(rows)
+    m, pivots = rref(rows) if rows else ([], [])
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -69,7 +115,8 @@ def nullspace(rows, ncols=None):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            if m[r][fc]:
+                v[pc] = -m[r][fc]
         basis.append(v)
     return basis
 
@@ -82,11 +129,7 @@ def solve(rows, rhs):
     if not rows:
         return None if any(rhs) else []
     ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    for r in range(len(m)):
-        if m[r][-1] and not any(m[r][:-1]):
-            return None
+    m, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
     if pivots and pivots[-1] == ncols:
         return None
     x = [Fraction(0)] * ncols

@@ -30,7 +30,7 @@ from .algebras import (
     dynkin_grading,
 )
 from .darboux import equivariant_darboux
-from .linalg import expand_filtered, nullspace, rref, solve
+from .linalg import expand_filtered, nullspace, rref, solve, sparse_row
 from .poisson import (
     BracketTable,
     PoissonAlgebra,
@@ -220,18 +220,19 @@ def _coords(series_list):
 
 
 def _row_reduce_basis(rows):
-    red, piv = rref([list(r) for r in rows])
-    return [red[k] for k in range(len(piv))], piv
+    """Echelon basis of the row span: sparse rows (dict col -> Fraction), pivots."""
+    red, piv = rref(rows)
+    return [sparse_row(red[k]) for k in range(len(piv))], piv
 
 
 def _in_span(basis_rows, pivots, vec):
-    """Reduce vec against an echelonized basis; return the remainder."""
+    """Reduce vec against an echelonized sparse basis; return the remainder."""
     v = list(vec)
     for row, p in zip(basis_rows, pivots):
         if v[p]:
             c = v[p] / row[p]
-            for k in range(len(v)):
-                v[k] -= c * row[k]
+            for k, x in row.items():
+                v[k] -= c * x
     return v
 
 
@@ -362,7 +363,7 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
                             snew = snew + cseries.get(m, alg.series({m: Fraction(1)})) * c
                     snew = snew * (Fraction(1) / rem[lead])
                     gens.append((w, p, snew))
-                    basis.append([c / rem[lead] for c in rem])
+                    basis.append({k: c / rem[lead] for k, c in enumerate(rem) if c})
                     piv.append(lead)
                     ordered = sorted(range(len(piv)), key=lambda k: piv[k])
                     basis = [basis[k] for k in ordered]

@@ -94,6 +94,29 @@ def test_bad_json(tmp_path):
         load_algebra(write_json(tmp_path, {"name": "x"}))
 
 
+def test_missing_basis_parity_rejected(tmp_path):
+    bad = copy.deepcopy(SL2)
+    del bad["basis"][1]["parity"]
+    with pytest.raises(AlgebraError, match="basis entry 1 missing required field 'parity'"):
+        load_algebra(write_json(tmp_path, bad))
+
+
+def test_missing_triple_field_rejected(tmp_path):
+    bad = copy.deepcopy(SL2)
+    del bad["sl2_triple"]["h"]
+    with pytest.raises(AlgebraError, match="sl2_triple missing required field 'h'"):
+        load_algebra(write_json(tmp_path, bad))
+
+
+def test_missing_entry_fields_rejected(tmp_path):
+    for section, k, key in (("basis", 0, "name"), ("brackets", 2, "i"),
+                            ("brackets", 0, "j"), ("brackets", 1, "coeffs")):
+        bad = copy.deepcopy(SL2)
+        del bad[section][k][key]
+        with pytest.raises(AlgebraError, match="missing required field '%s'" % key):
+            load_algebra(write_json(tmp_path, bad))
+
+
 def test_jacobi_violation_rejected(tmp_path):
     bad = copy.deepcopy(SL2)
     bad["brackets"][0]["coeffs"] = ["-1", "0", "0"]  # [e,h] = -e breaks Jacobi

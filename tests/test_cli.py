@@ -70,29 +70,36 @@ def test_unknown_algebra_fails_with_error_json(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["walgebra", "--algebra", "sl2"])  # --order is required
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["walgebra", "--algebra", "sl2", "--order", "2",
-              "--method", "bogus"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for argv in (
+        [],
+        ["walgebra", "--algebra", "sl2"],  # --order is required
+        ["walgebra", "--algebra", "sl2", "--order", "2", "--method", "bogus"],
+        ["walgebra", "--algebra", "sl21", "--order", "-1"],
+        ["darboux", "--algebra", "sl2", "--order", "-1"],
+        ["suite", "--order", "-1"],
+        ["walgebra", "--algebra", "sl2", "--order", "2", "--guard", "-1"],
+        ["darboux", "--algebra", "sl2", "--order", "2", "--guard", "-3"],
+        ["walgebra", "--algebra", "sl2", "--order", "two"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "usage:" in capsys.readouterr().err, argv
 
 
 def test_invalid_algebra_file_exits_one(tmp_path, capsys):
     bad = json.loads(json.dumps(CATALOG_SL2))
     bad["brackets"][2]["coeffs"] = ["0", "0", "2"]  # breaks Jacobi
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    code, out = run_main(capsys, "check", "--algebra", str(path))
-    assert code == 1
-    assert json.loads(out)["ok"] is False
+    no_parity = json.loads(json.dumps(CATALOG_SL2))
+    del no_parity["basis"][0]["parity"]
+    no_h = json.loads(json.dumps(CATALOG_SL2))
+    del no_h["sl2_triple"]["h"]
+    for raw in (bad, no_parity, no_h):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, out = run_main(capsys, "check", "--algebra", str(path))
+        assert code == 1
+        assert json.loads(out)["ok"] is False
 
 
 def test_algebra_from_file_path(tmp_path, capsys):

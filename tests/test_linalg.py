@@ -7,6 +7,117 @@ from superw.linalg import expand_filtered, nullspace, rational_sqrt, rref, solve
 from superw.supercore import EVEN, Algebra, Variable
 
 
+def _dense_rref_reference(rows):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _dense_nullspace_reference(m, pivots, ncols):
+    """The kernel basis read off a dense RREF ``(m, pivots)``."""
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _dense_solve_reference(rows, rhs):
+    ncols = len(rows[0])
+    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    m, pivots = _dense_rref_reference(aug)
+    for r in range(len(m)):
+        if m[r][-1] and not any(m[r][:-1]):
+            return None
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][-1]
+    return x
+
+
+def _random_entry(rng):
+    """A nonzero entry: an int or a Fraction, so inputs mix both types."""
+    num = rng.choice([-3, -2, -1, 1, 1, 2, 3, 5])
+    if rng.random() < 0.5:
+        return num
+    return Fraction(num, rng.choice([1, 2, 3, 7]))
+
+
+def _sparse_matrix(rng, nrows, ncols, density):
+    return [[_random_entry(rng) if rng.random() < density else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _oracle_cases():
+    """Seeded (matrix, check_solve) cases for the dense-reference comparison.
+
+    The dense reference needs seconds on the largest matrices, so on those
+    solve is checked by substituting back instead of against the reference.
+    """
+    rng = random.Random(20180610)
+    cases = []
+    # large and sparse, shaped like the Whittaker invariance systems
+    cases.append((_sparse_matrix(rng, 300, 110, 0.02), False))
+    cases.append((_sparse_matrix(rng, 110, 60, 0.05), False))
+    for nrows, ncols, density in ((60, 110, 0.03), (150, 40, 0.03)):
+        cases.append((_sparse_matrix(rng, nrows, ncols, density), True))
+    # wide, tall and square, sparse to dense
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 16), rng.randrange(1, 16)
+        density = rng.choice((0.05, 0.2, 0.6, 1.0))
+        cases.append((_sparse_matrix(rng, nrows, ncols, density), True))
+    # rank-deficient: products through a narrow inner dimension
+    for _ in range(20):
+        nrows, ncols, k = rng.randrange(2, 30), rng.randrange(2, 30), rng.randrange(1, 4)
+        b = _sparse_matrix(rng, nrows, k, 0.7)
+        c = _sparse_matrix(rng, k, ncols, 0.7)
+        cases.append(([[sum((Fraction(b[i][t]) * c[t][j] for t in range(k)), Fraction(0))
+                        for j in range(ncols)] for i in range(nrows)], True))
+    # zero rows and zero columns spliced into a random matrix
+    for _ in range(10):
+        m = _sparse_matrix(rng, rng.randrange(2, 15), rng.randrange(2, 15), 0.4)
+        for _ in range(3):
+            m.insert(rng.randrange(len(m) + 1), [0] * len(m[0]))
+            col = rng.randrange(len(m[0]) + 1)
+            for row in m:
+                row.insert(col, 0)
+        cases.append((m, True))
+    # all-zero matrices, including a single row and a single column
+    for m in ([[0] * 5 for _ in range(4)], [[0, 0, 0]], [[0], [0]], [[Fraction(0)] * 3]):
+        cases.append((m, True))
+    return rng, cases
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert rational_sqrt(0) == 0
@@ -89,6 +200,36 @@ def test_nullspace_spans_all_solutions():
     stacked = [list(v) for v in basis] + [probe]
     _, piv = rref(stacked)
     assert len(piv) == 2
+
+
+def test_rref_nullspace_solve_match_dense_reference():
+    rng, cases = _oracle_cases()
+    for a, check_solve in cases:
+        ncols = len(a[0])
+        before = [list(r) for r in a]
+
+        got, piv = rref(a)
+        want, want_piv = _dense_rref_reference(a)
+        assert (got, piv) == (want, want_piv)
+        assert len(got) == len(a) and _all_fractions(got)
+
+        basis = nullspace(a)
+        assert basis == _dense_nullspace_reference(want, want_piv, ncols)
+        assert _all_fractions(basis)
+
+        x0 = [_random_entry(rng) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+        consistent = [sum((Fraction(v) * w for v, w in zip(r, x0)), Fraction(0)) for r in a]
+        arbitrary = [_random_entry(rng) if rng.random() < 0.3 else 0 for _ in a]
+        sol = solve(a, consistent)
+        assert sol is not None and _all_fractions([sol])
+        assert [sum((Fraction(v) * w for v, w in zip(r, sol)), Fraction(0))
+                for r in a] == consistent
+        if check_solve:
+            for rhs in (consistent, arbitrary):
+                assert solve(a, rhs) == _dense_solve_reference(a, rhs)
+
+        assert a == before
+        assert all(type(x) is type(y) for r, s in zip(a, before) for x, y in zip(r, s))
 
 
 def _poly_universe():
