@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, determinism, truncation stability."""
+import hashlib
 import json
 import shutil
 import subprocess
@@ -137,15 +138,33 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(text)["kind"] == "check"
 
 
-def test_darboux_reruns_byte_identical(capsys):
-    outs = []
-    for _ in range(2):
-        code, out = run_main(capsys, "darboux", "--algebra", "osp12",
-                             "--order", "3")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    rep = json.loads(outs[0])
+# SHA-256 of the darboux report (stdout, UTF-8) per case.  Reports are
+# byte-identical across runs, so a changed digest means a changed chart
+# coefficient.
+DARBOUX_DIGESTS = {
+    ("sl2", "4", False):
+        "7e40dacda1eceaa7018f03d6e55318201327f51f9d2e6291b2176284c6e7ecff",
+    ("gl11", "4", False):
+        "ddd8c607a21cab4bf0957c7a418cef3eabd530d7a92967d7a3635832f48d22db",
+    ("sl21", "4", False):
+        "38d22476827679891457d7db140c2a3355b0b53f4e4d481da57bf15635871ed2",
+    ("osp12", "3", False):
+        "2f4e9fe57e3a8028bae56fa7f25ed48cd108af85fed97c506cc9a0b0b7615b1f",
+    ("sl21", "4", True):
+        "870bdf5b57980917f7d6ca3c428a6115deeab0a85409d252ccb8d577808fca6a",
+}
+
+
+@pytest.mark.parametrize("name,order,alt", sorted(DARBOUX_DIGESTS))
+def test_darboux_reruns_byte_identical(capsys, name, order, alt):
+    argv = ["darboux", "--algebra", name, "--order", order]
+    if alt:
+        argv.append("--alt-lagrangian")
+    code, out = run_main(capsys, *argv)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == DARBOUX_DIGESTS[(name, order, alt)]
+    rep = json.loads(out)
     assert rep["classical"]["ok"] and rep["quantum"]["ok"]
 
 
