@@ -4,13 +4,15 @@ Everything is computed with exact rational arithmetic.  The main entry points:
 
 - :mod:`superw.supercore` -- supercommutative polynomials and series
 - :mod:`superw.poisson` -- Poisson superalgebras from bracket tables
-- :mod:`superw.darboux` -- classical normal-form charts
-- :mod:`superw.starprod` -- star products, quantum charts, Rees constructions
+- :mod:`superw.darboux` -- the normal-form chart engine and its classical
+  (Poisson) backend
+- :mod:`superw.starprod` -- star products, the quantum (star) chart backend,
+  Rees constructions
 - :mod:`superw.wslice` -- W-superalgebras two ways, and their comparison
 - :mod:`superw.cli` -- the ``superw`` command
 """
 
-from .supercore import EVEN, ODD, Algebra, Series, Variable, inv_sqrt_series
+from .supercore import EVEN, ODD, Algebra, Series, Variable
 
 __all__ = [
     "EVEN",
@@ -18,7 +20,6 @@ __all__ = [
     "Algebra",
     "Series",
     "Variable",
-    "inv_sqrt_series",
 ]
 
 __version__ = "0.1.0"

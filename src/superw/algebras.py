@@ -42,10 +42,11 @@ class AlgebraError(ValueError):
 
 
 def _rat(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, (str, int)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise AlgebraError("rational entries must be strings or integers, got %r" % (x,))
 
 
@@ -262,6 +263,16 @@ def _field(entry, key, where):
         raise AlgebraError("%s missing required field %r" % (where, key)) from None
 
 
+def _int_field(entry, key, where):
+    """entry[key] as an int, or an AlgebraError naming the field."""
+    value = _field(entry, key, where)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise AlgebraError(
+            "%s field %r must be an integer, got %r" % (where, key, value)) from None
+
+
 def _from_json(raw) -> LieSuperData:
     try:
         name = raw["name"]
@@ -273,7 +284,7 @@ def _from_json(raw) -> LieSuperData:
 
     names = tuple(_field(b, "name", "%s: basis entry %d" % (name, k))
                   for k, b in enumerate(basis))
-    parities = tuple(int(_field(b, "parity", "%s: basis entry %d" % (name, k)))
+    parities = tuple(_int_field(b, "parity", "%s: basis entry %d" % (name, k))
                      for k, b in enumerate(basis))
     if len(set(names)) != len(names):
         raise AlgebraError("%s: duplicate basis names" % name)
@@ -284,7 +295,7 @@ def _from_json(raw) -> LieSuperData:
     table = {}
     for k, ent in enumerate(brackets):
         where = "%s: bracket entry %d" % (name, k)
-        i, j = int(_field(ent, "i", where)), int(_field(ent, "j", where))
+        i, j = _int_field(ent, "i", where), _int_field(ent, "j", where)
         if not (0 <= i < n and 0 <= j < n):
             raise AlgebraError("%s: bracket indices (%d,%d) out of range" % (name, i, j))
         if i > j:
@@ -318,12 +329,6 @@ class GradingData:
     weights: tuple  # grade + 2, the filtration weight per basis vector
     ge_basis: tuple  # (grade, parity, coefficient vector) per centralizer direction
     good: bool
-
-    def ge_dims(self):
-        out = {}
-        for g, p, _ in self.ge_basis:
-            out[(g, p)] = out.get((g, p), 0) + 1
-        return out
 
     def ge_weight_signature(self):
         """Sorted (weight, parity) pairs of the centralizer basis."""
@@ -427,9 +432,6 @@ class ChiData:
     l_indices: tuple  # chosen isotropic subset of g1_indices
     m_indices: tuple  # degree <= -2 indices plus l_indices, ascending
     theta_index: int | None  # leftover self-paired odd direction, if any
-
-    def chi_of(self, vec):
-        return sum((a * c for a, c in zip(vec, self.chi)), Fraction(0))
 
 
 def build_chi(data: LieSuperData, grading: GradingData, alt: bool = False) -> ChiData:

@@ -1,4 +1,4 @@
-"""Formal Darboux charts for Poisson superalgebras around a point.
+"""Formal Darboux charts around a point, classical and quantum, from one engine.
 
 Starting from the linear normal form of the constant part of the bracket,
 each chart pair is corrected order by order until its bracket relations are
@@ -6,15 +6,28 @@ exactly the flat ones through the requested order, and the remaining
 directions are projected onto the centralizer of the chart.  Intermediate
 work runs at a slightly higher cap (``order + guard``); the final
 certificates are recomputed with exact arithmetic.
+
+The engine runs with one of two bracket backends.  A backend supplies the
+product, the residual bracket, division by the unit, and the unit itself:
+:class:`PoissonBackend` is the Poisson bracket with unit 1, and
+:class:`superw.starprod.StarBackend` is the star commutator with unit
+``hbar^2``, so that ``[,]/hbar^2`` takes the place of ``{,}``.  Only the even
+correction and the odd self-normalization are different algorithms in the
+two cases; each backend implements those two itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .poisson import linear_split
-from .supercore import EVEN, ODD, Series, inv_sqrt_series
+from .supercore import EVEN, Series
+
+# passes before an even projection or an odd-pair flattening gives up
+PROJECT_PASSES = 10
+FLATTEN_PASSES = 30
 
 
 class DarbouxError(Exception):
@@ -31,177 +44,223 @@ def _exact(s):
     return Series(s.alg, s.terms, None)
 
 
-# -- even pairs --------------------------------------------------------
+class PoissonBackend:
+    """The classical bracket backend: the product ``*``, ``{,}`` and unit 1.
 
-
-def even_correct(P, f, g, cap, certify):
-    """Correct g so that {f, g} = 1 through the certification order.
-
-    f is even and untouched; g must already satisfy {f,g} = 1 + (higher).
-    Each pass subtracts sum_i (-1)^i/i! g^i ad_f^(i-1)(t) for the current
-    defect t, which kills t exactly and leaves a remainder of at least
-    twice its order.
+    ``bracket`` works at the cap ``order + guard``; ``exact_bracket`` is the
+    untruncated one the certificates use.
     """
-    f = f.truncate(cap)
-    g = g.truncate(cap)
-    t = P.bracket(f, g, order=cap) - 1
-    if t.constant_term():
-        raise DarbouxError("even pair is not normalized at the point")
-    prev = -1
-    while not clean_mod(t, certify):
-        d = t.eff_deg()
-        if d <= prev:
-            raise DarbouxError(f"even correction stalled at order {d}")
-        prev = d
-        delta = P.alg.zero(cap)
-        u = t
-        gp = P.alg.one(cap)
-        coef = Fraction(1)
-        for i in range(1, cap + 1):
-            gp = gp * g
-            if gp.is_zero():
-                break
-            coef *= Fraction(-1, i)
-            delta = delta + gp * u * coef
-            u = P.bracket(f, u, order=cap)
-        g = g + delta
-        t = P.bracket(f, g, order=cap) - 1
-    return g
+
+    kind = "classical"
+
+    def __init__(self, P, order, guard):
+        self.P = P
+        self.alg = P.alg
+        self.order = order
+        self.guard = guard
+        self.cap = order + guard
+        self.unit = P.alg.one()
+        self._bracket = P.bracket
+
+    def mul(self, a, b):
+        return a * b
+
+    def bracket(self, a, b):
+        return self._bracket(a, b, order=self.cap)
+
+    def exact_bracket(self, a, b):
+        return self._bracket(a, b, order=None)
+
+    def div(self, r):
+        """Divide by the unit."""
+        return r
+
+    def even_correct(self, f, g):
+        """Correct g so that {f, g} = 1 through the certification order.
+
+        f is even and untouched; g must already satisfy {f,g} = 1 + (higher).
+        Each pass subtracts sum_i (-1)^i/i! g^i ad_f^(i-1)(t) for the current
+        defect t, which kills t exactly and leaves a remainder of at least
+        twice its order.
+        """
+        cap = self.cap
+        f = f.truncate(cap)
+        g = g.truncate(cap)
+        t = self.bracket(f, g) - 1
+        if t.constant_term():
+            raise DarbouxError("even pair is not normalized at the point")
+        prev = -1
+        while not clean_mod(t, self.order):
+            d = t.eff_deg()
+            if d <= prev:
+                raise DarbouxError(f"even correction stalled at residual order {d}")
+            prev = d
+            delta = self.alg.zero(cap)
+            u = t
+            gp = self.alg.one(cap)
+            coef = Fraction(1)
+            for i in range(1, cap + 1):
+                gp = gp * g
+                if gp.is_zero():
+                    break
+                coef *= Fraction(-1, i)
+                delta = delta + gp * u * coef
+                u = self.bracket(f, u)
+            g = g + delta
+            t = self.bracket(f, g) - 1
+        return g
+
+    def odd_self_normalize(self, th):
+        """Scale an odd element with {th, th} = 1 + (higher) to {th, th} = 1.
+
+        The defect t commutes with th (a consequence of the graded Jacobi
+        identity), so multiplying by (1+t)^(-1/2) works in one step.
+        """
+        th = th.truncate(self.cap)
+        t = self.bracket(th, th) - 1
+        if t.constant_term():
+            raise DarbouxError("odd direction is not unit-paired at the point")
+        if t.is_zero():
+            return th
+        out = inv_sqrt_series(self, t) * th
+        if not clean_mod(self.bracket(out, out) - 1, self.order):
+            raise DarbouxError("odd self-normalization failed")
+        return out
 
 
-def even_project(P, f, g, a, cap, certify, max_passes=10):
-    """Part of ``a`` Poisson-commuting with an even chart pair.
+def inv_sqrt_series(B, t):
+    """(1+t)^(-1/2) through the cap of B, with powers in B's product.
 
-    One pass applies sum (-1)^j/(i!j!) f^i g^j ad_g^i ad_f^j; with exact
-    flat relations this is a projector, so a few passes push the residual
-    brackets beyond the certification order.
+    t must be even with deg(t) >= 1.  Example: for t = x this starts
+    1 - x/2 + 3*x^2/8 - ...
     """
+    if t.parity() not in (None, EVEN):
+        raise ValueError("inv_sqrt_series needs an even argument")
+    out = B.alg.one(B.cap)
+    if t.is_zero():
+        return out
+    d = t.eff_deg()
+    if d < 1:
+        raise ValueError("inv_sqrt_series needs deg(t) >= 1")
+    power = B.alg.one(B.cap)
+    coef = Fraction(1)
+    k = 0
+    while (k + 1) * d <= B.cap:
+        k += 1
+        power = B.mul(power, t)
+        if power.is_zero():
+            break
+        coef *= Fraction(-(2 * k - 1), 2 * k)  # binom(-1/2, k) ratio
+        out = out + power * coef
+    return out
+
+
+# -- projectors and the odd-pair flattening, for either backend ---------
+
+
+def even_project(B, f, g, a):
+    """Part of ``a`` commuting with an even chart pair.
+
+    One pass applies sum (-1)^j/(i!j!) f^i g^j D_g^i D_f^j, where D_x is the
+    bracket with x divided by the unit; with exact flat relations this is a
+    projector, so a few passes push the residual brackets beyond the
+    certification order.
+    """
+    cap, order = B.cap, B.order
     a = a.truncate(cap)
     prev = -1
-    for attempt in range(max_passes):
-        rf, rg = P.bracket(f, a, order=cap), P.bracket(g, a, order=cap)
-        if clean_mod(rf, certify) and clean_mod(rg, certify):
+    for attempt in range(PROJECT_PASSES):
+        rf, rg = B.bracket(f, a), B.bracket(g, a)
+        if clean_mod(rf, order) and clean_mod(rg, order):
             return a
-        if attempt == max_passes - 1:
+        if attempt == PROJECT_PASSES - 1:
             break
         d = min(x for x in (rf.eff_deg(), rg.eff_deg()) if x is not None)
         if d <= prev:
-            raise DarbouxError(f"even projection stalled at order {d}")
+            raise DarbouxError(f"even projection stalled at residual order {d}")
         prev = d
-        out = P.alg.zero(cap)
+        out = B.alg.zero(cap)
         u = a
-        gj = P.alg.one(cap)
+        gj = B.alg.one(cap)
         for j in range(cap + 1):
             if j:
-                gj = gj * g
+                gj = B.mul(gj, g)
                 if gj.is_zero():
                     break
-                u = P.bracket(f, u, order=cap)
+                u = B.div(B.bracket(f, u))
             v = u
             fi_gj = gj
             for i in range(cap + 1 - j):
                 if i:
-                    fi_gj = fi_gj * f
+                    fi_gj = B.mul(f, fi_gj)
                     if fi_gj.is_zero():
                         break
-                    v = P.bracket(g, v, order=cap)
-                c = Fraction((-1) ** j, _fact(i) * _fact(j))
-                out = out + fi_gj * v * c
+                    v = B.div(B.bracket(g, v))
+                c = Fraction((-1) ** j, factorial(i) * factorial(j))
+                out = out + B.mul(fi_gj, v) * c
         a = out
-    raise DarbouxError("even projection did not converge")
+    raise DarbouxError(f"even projection did not converge in {PROJECT_PASSES} passes")
 
 
-_FACT = [1]
-
-
-def _fact(n):
-    while len(_FACT) <= n:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[n]
-
-
-# -- odd self-paired directions ---------------------------------------
-
-
-def odd_self_normalize(P, th, cap, certify):
-    """Scale an odd element with {th, th} = 1 + (higher) to {th, th} = 1.
-
-    The defect t commutes with th (a consequence of the graded Jacobi
-    identity), so multiplying by (1+t)^(-1/2) works in one step.
-    """
-    th = th.truncate(cap)
-    t = P.bracket(th, th, order=cap) - 1
-    if t.constant_term():
-        raise DarbouxError("odd direction is not unit-paired at the point")
-    if t.is_zero():
-        return th
-    out = inv_sqrt_series(t, cap) * th
-    r = P.bracket(out, out, order=cap) - 1
-    if not clean_mod(r, certify):
-        raise DarbouxError("odd self-normalization failed")
-    return out
-
-
-def odd_self_project(P, th, a, cap, certify):
+def odd_self_project(B, th, a):
     """Split a = b0 + th*b1 with both parts commuting with th."""
-    a = a.truncate(cap)
-    b1 = P.bracket(th, a, order=cap)
-    b0 = a - th * b1
-    for r in (P.bracket(th, b0, order=cap), P.bracket(th, b1, order=cap)):
-        if not clean_mod(r, certify):
+    a = a.truncate(B.cap)
+    b1 = B.div(B.bracket(th, a))
+    b0 = a - B.mul(th, b1)
+    for r in (B.bracket(th, b0), B.bracket(th, b1)):
+        if not clean_mod(r, B.order):
             raise DarbouxError("odd projection residual too large")
     return b0, b1
 
 
-# -- odd flat pairs ----------------------------------------------------
-
-
-def odd_pair_flatten(P, f, g, cap, certify, max_passes=30):
-    """Normalize an odd pair to {f,f} = {g,g} = 0, {f,g} = 1.
+def odd_pair_flatten(B, f, g):
+    """Normalize an odd pair to {f,f} = {g,g} = 0, {f,g} = 1 (in units).
 
     Alternates self-bracket corrections (f -= g{f,f}/2 and the mirror move)
     with a joint rescale by (1 + ({f,g}-1))^(-1/2), which is central once
     the self-brackets vanish.
     """
+    cap, order = B.cap, B.order
     f = f.truncate(cap)
     g = g.truncate(cap)
     prev = -1
-    for _ in range(max_passes):
-        aa = P.bracket(f, f, order=cap)
-        bb = P.bracket(g, g, order=cap)
-        q = P.bracket(f, g, order=cap) - 1
+    for _ in range(FLATTEN_PASSES):
+        aa = B.bracket(f, f)
+        bb = B.bracket(g, g)
+        q = B.bracket(f, g) - B.unit
         if q.constant_term():
             raise DarbouxError("odd pair is not normalized at the point")
         degs = [x for x in (aa.eff_deg(), bb.eff_deg(), q.eff_deg()) if x is not None]
-        if not degs or min(degs) > certify:
+        if not degs or min(degs) > order:
             return f, g
         d = min(degs)
         if d <= prev:
-            raise DarbouxError(f"odd pair normalization stalled at order {d}")
+            raise DarbouxError(f"odd pair normalization stalled at residual order {d}")
         prev = d
-        if not clean_mod(aa, certify):
-            f = f - g * aa * Fraction(1, 2)
-        bb = P.bracket(g, g, order=cap)
-        if not clean_mod(bb, certify):
-            g = g - f * bb * Fraction(1, 2)
-        q = P.bracket(f, g, order=cap) - 1
-        if not clean_mod(q, certify):
-            s = inv_sqrt_series(q, cap)
-            f = s * f
-            g = s * g
-    raise DarbouxError("odd pair normalization did not converge")
+        if not clean_mod(aa, order):
+            f = f - B.mul(g, B.div(aa)) * Fraction(1, 2)
+        bb = B.bracket(g, g)
+        if not clean_mod(bb, order):
+            g = g - B.mul(f, B.div(bb)) * Fraction(1, 2)
+        q = B.bracket(f, g) - B.unit
+        if not clean_mod(q, order):
+            s = inv_sqrt_series(B, B.div(q))
+            f = B.mul(f, s)
+            g = B.mul(g, s)
+    raise DarbouxError(
+        f"odd pair normalization did not converge in {FLATTEN_PASSES} passes")
 
 
-def odd_pair_project(P, f, g, a, cap, certify):
+def odd_pair_project(B, f, g, a):
     """Split a over a flat odd pair: a = b00 + f b10 + g b01 + fg b11."""
-    a = a.truncate(cap)
-    adf = P.bracket(f, a, order=cap)
-    b11 = -P.bracket(g, adf, order=cap)
-    b01 = adf + f * b11
-    b10 = P.bracket(g, a, order=cap) - g * b11
-    b00 = a - f * b10 - g * b01 - f * g * b11
+    a = a.truncate(B.cap)
+    adf = B.div(B.bracket(f, a))
+    b11 = -B.div(B.bracket(g, adf))
+    b01 = adf + B.mul(f, b11)
+    b10 = B.div(B.bracket(g, a)) - B.mul(g, b11)
+    b00 = a - B.mul(f, b10) - B.mul(g, b01) - B.mul(B.mul(f, g), b11)
     for x, b in ((f, b00), (g, b00), (f, b11), (g, b11)):
-        if not clean_mod(P.bracket(x, b, order=cap), certify):
+        if not clean_mod(B.bracket(x, b), B.order):
             raise DarbouxError("odd pair projection residual too large")
     return b00, b10, b01, b11
 
@@ -221,7 +280,7 @@ class ChartEntry:
 
 @dataclass
 class Chart:
-    poisson: object
+    backend: object
     order: int
     cap: int
     entries: list = field(default_factory=list)
@@ -234,163 +293,120 @@ class Chart:
         return out
 
     def project(self, a):
-        """Project onto the Poisson centralizer of all chart variables."""
-        P = self.poisson
+        """Project onto the centralizer of all chart variables."""
+        B = self.backend
         for e in self.entries:
             if e.kind == "even":
-                a = even_project(P, e.a, e.b, a, self.cap, self.order)
+                a = even_project(B, e.a, e.b, a)
             elif e.kind == "odd":
-                a = odd_pair_project(P, e.a, e.b, a, self.cap, self.order)[0]
+                a = odd_pair_project(B, e.a, e.b, a)[0]
             else:
-                a = odd_self_project(P, e.a, a, self.cap, self.order)[0]
+                a = odd_self_project(B, e.a, a)[0]
         return a
 
     def expected_bracket(self, i, j):
         """The flat-model bracket of chart variables number i and j."""
         vs = []
         for k, e in enumerate(self.entries):
-            for pos, v in enumerate(e.variables()):
-                vs.append((k, e.kind, pos, v))
-        ki, kindi, pi, _ = vs[i]
-        kj, kindj, pj, _ = vs[j]
+            for pos in range(len(e.variables())):
+                vs.append((k, e.kind, pos))
+        ki, kindi, pi = vs[i]
+        kj, _, pj = vs[j]
         if ki != kj:
-            return self.poisson.alg.zero()
-        if kindi == "self":
-            one = i == j
-        else:
-            one = pi != pj
-        return self.poisson.alg.one() if one else self.poisson.alg.zero()
+            return self.backend.alg.zero()
+        one = i == j if kindi == "self" else pi != pj
+        return self.backend.unit if one else self.backend.alg.zero()
 
     def verify(self):
         """Exact residual certificates through the report order."""
-        P = self.poisson
-        vs = [_exact(v) for v in self.chart_vars()]
-        failures = []
-        worst = None
-        for i in range(len(vs)):
-            for j in range(i, len(vs)):
-                r = P.bracket(vs[i], vs[j]) - self.expected_bracket(i, j)
-                d = r.eff_deg()
-                if d is not None:
-                    worst = d if worst is None else min(worst, d)
-                if not clean_mod(r, self.order):
-                    failures.append(("chart", i, j, d))
-        for k, c in enumerate(self.center_gens):
-            ce = _exact(c)
-            for i, v in enumerate(vs):
-                r = P.bracket(v, ce)
-                d = r.eff_deg()
-                if d is not None:
-                    worst = d if worst is None else min(worst, d)
-                if not clean_mod(r, self.order):
-                    failures.append(("center", i, k, d))
-        homogeneous = all(
-            v.is_weight_homogeneous() for v in vs + list(self.center_gens)
-        )
-        return {
-            "order": self.order,
-            "chart_variables": len(vs),
-            "center_generators": len(self.center_gens),
-            "residual_floor": worst,
-            "weight_homogeneous": homogeneous,
-            "failures": failures,
-            "ok": not failures,
-        }
+        return certify(self)
 
 
-def equivariant_darboux(P, order, seeds=None, vectors=None, alt=False, guard=4,
-                        subspace=None):
+def certify(chart):
+    """Exact residual certificates of a chart through its report order."""
+    B = chart.backend
+    vs = [_exact(v) for v in chart.chart_vars()]
+    failures = []
+    worst = None
+    for i in range(len(vs)):
+        for j in range(i, len(vs)):
+            r = B.exact_bracket(vs[i], vs[j]) - chart.expected_bracket(i, j)
+            d = r.eff_deg()
+            if d is not None:
+                worst = d if worst is None else min(worst, d)
+            if not clean_mod(r, chart.order):
+                failures.append(("chart", i, j, d))
+    for k, c in enumerate(chart.center_gens):
+        ce = _exact(c)
+        for i, v in enumerate(vs):
+            r = B.exact_bracket(v, ce)
+            d = r.eff_deg()
+            if d is not None:
+                worst = d if worst is None else min(worst, d)
+            if not clean_mod(r, chart.order):
+                failures.append(("center", i, k, d))
+    homogeneous = all(
+        v.is_weight_homogeneous() for v in vs + list(chart.center_gens)
+    )
+    return {
+        "order": chart.order,
+        "chart_variables": len(vs),
+        "center_generators": len(chart.center_gens),
+        "residual_floor": worst,
+        "weight_homogeneous": homogeneous,
+        "failures": failures,
+        "ok": not failures,
+    }
+
+
+def build_chart(cls, B, seeds, centers):
+    """Run the engine: normalize each seed entry against the entries before
+    it, project the center seeds, and certify.
+
+    ``seeds`` lists (kind, seed variables) in chart order; the result is a
+    ``cls`` chart over the backend ``B``.  A failure names the backend, the
+    entry and the cap.
+    """
+    chart = cls(B, B.order, B.cap)
+    where = None
+    try:
+        for kind, vs in seeds:
+            where = f"{kind} entry {len(chart.entries)}"
+            vs = [chart.project(v.truncate(B.cap)) for v in vs]
+            if kind == "even":
+                vs = (vs[0], B.even_correct(*vs))
+            elif kind == "odd":
+                vs = odd_pair_flatten(B, *vs)
+            else:
+                vs = (B.odd_self_normalize(*vs),)
+            chart.entries.append(ChartEntry(kind, *vs))
+        for k, w in enumerate(centers):
+            where = f"center generator {k}"
+            chart.center_gens.append(chart.project(w.truncate(B.cap)))
+    except DarbouxError as exc:
+        raise DarbouxError(
+            f"{B.kind} chart, {where}, cap {B.cap} = order {B.order} + "
+            f"guard {B.guard}: {exc}") from None
+    report = chart.verify()
+    if not report["ok"]:
+        raise DarbouxError(f"{B.kind} chart failed certification: {report['failures']}")
+    return chart
+
+
+def equivariant_darboux(P, order, seeds=None, guard=4, plan=None):
     """Build a Darboux chart: even pairs, then odd pairs, then odd square
     roots; everything left over is projected into the centralizer.
 
     With ``seeds`` the chart is built only around those directions and the
     rest of the space becomes centralizer generators; without seeds the
-    whole constant symplectic part is flattened.  A precomputed
-    ``subspace`` (see :func:`superw.poisson.find_symplectic_subspace`)
-    bypasses the internal linear splitting.
+    whole constant symplectic part is flattened.  A precomputed ``plan``
+    (a :func:`superw.poisson.linear_split` result) replaces the internal
+    linear splitting.
     """
-    cap = order + guard
-    if subspace is not None:
-        plan = subspace.split
-    else:
-        if vectors is None:
-            vectors = [P.alg.gen(v.name) for v in P.alg.variables if not v.hbar]
-        plan = linear_split(P, vectors, seeds=seeds, alt=alt)
-    chart = Chart(P, order, cap)
-
-    for u, v in plan.even_pairs:
-        f = chart.project(u.truncate(cap))
-        g = chart.project(v.truncate(cap))
-        g = even_correct(P, f, g, cap, order)
-        chart.entries.append(ChartEntry("even", f, g))
-    for u, v in plan.odd_pairs:
-        f = chart.project(u.truncate(cap))
-        g = chart.project(v.truncate(cap))
-        f, g = odd_pair_flatten(P, f, g, cap, order)
-        chart.entries.append(ChartEntry("odd", f, g))
-    for u in plan.selfs:
-        th = chart.project(u.truncate(cap))
-        th = odd_self_normalize(P, th, cap, order)
-        chart.entries.append(ChartEntry("self", th))
-    chart.center_gens = [chart.project(w.truncate(cap)) for w in plan.radical]
-
-    report = chart.verify()
-    if not report["ok"]:
-        raise DarbouxError(f"chart failed certification: {report['failures']}")
-    return chart
-
-
-# -- convenience wrappers around the machinery above --------------------
-
-
-def even_split_project(P, a, f, g, order, guard=4):
-    """Project a into the joint kernel of {f, .} and {g, .} for a flat even
-    pair ({f, g} = 1)."""
-    return even_project(P, f, g, a, order + guard, order)
-
-
-def even_decompose(P, a, f, g, order, guard=4):
-    """Coefficients of a over the flat even pair: a = sum g^i f^j b_ij with
-    every b_ij killed by ad f and ad g.
-
-    The (i, j) coefficient is extracted by i applications of ad f (which
-    peels a factor g each time), j applications of ad g (which peels an f at
-    the cost of a sign), and a final projection.
-    """
-    cap = order + guard
-    out = {}
-    adg = a.truncate(cap)
-    j = 0
-    while not adg.is_zero() and j <= cap:
-        u = adg
-        i = 0
-        while not u.is_zero() and i <= cap:
-            b = even_project(P, f, g, u, cap, order)
-            b = b * Fraction((-1) ** j, _fact(i) * _fact(j))
-            if not b.is_zero():
-                out[(i, j)] = b
-            u = P.bracket(f, u, order=cap)
-            i += 1
-        adg = P.bracket(g, adg, order=cap)
-        j += 1
-    return out
-
-
-def odd_normalize(P, f, order, g=None, guard=4):
-    """Produce a single odd direction with constant self-bracket.
-
-    Case 1 (no ``g``): rescale f so that {f, f} = 1 exactly.  Case 2: f, g
-    is an odd pair with isotropic self-brackets; the pair is flattened and
-    the diagonal f + g is returned, with self-bracket 2 (kept rational
-    rather than normalized through sqrt(2)).
-    """
-    cap = order + guard
-    if g is None:
-        return odd_self_normalize(P, f, cap, order)
-    f2, g2 = odd_pair_flatten(P, f, g, cap, order)
-    return f2 + g2
-
-
-def odd_split_project(P, a, h, order, guard=4):
-    """Split a = b0 + h*b1 along a normalized odd direction ({h,h} = 1)."""
-    return odd_self_project(P, h, a, order + guard, order)
+    if plan is None:
+        vectors = [P.alg.gen(v.name) for v in P.alg.variables if not v.hbar]
+        plan = linear_split(P, vectors, seeds=seeds)
+    entries = ([("even", p) for p in plan.even_pairs]
+               + [("odd", p) for p in plan.odd_pairs]
+               + [("self", (u,)) for u in plan.selfs])
+    return build_chart(Chart, PoissonBackend(P, order, guard), entries, plan.radical)

@@ -158,9 +158,6 @@ class PoissonAlgebra:
                             del acc[m]
         return Series(alg, acc, order)
 
-    def ad(self, f):
-        return lambda g: self.bracket(f, g)
-
     # -- consistency checks -------------------------------------------
 
     def jacobiator(self, a, b, c):
@@ -237,12 +234,9 @@ class SymplecticSplit:
     selfs: list = field(default_factory=list)
     radical: list = field(default_factory=list)
 
-    def chart_size(self):
-        return 2 * len(self.even_pairs) + 2 * len(self.odd_pairs) + len(self.selfs)
 
-
-def linear_split(poisson, vectors, seeds=None, alt=False, point=None):
-    """Darboux normal form of the pairing <u,v> = {u,v}(point) on a list of
+def linear_split(poisson, vectors, seeds=None, alt=False):
+    """Darboux normal form of the pairing <u,v> = {u,v}(0) on a list of
     linear elements.
 
     With ``seeds`` given, pairs are formed only for the seed vectors (each
@@ -254,7 +248,7 @@ def linear_split(poisson, vectors, seeds=None, alt=False, point=None):
     """
 
     def pair(u, v):
-        return evaluate(poisson.bracket(u, v), point)
+        return evaluate(poisson.bracket(u, v))
 
     work = []
     for v in vectors:
@@ -346,57 +340,3 @@ def linear_split(poisson, vectors, seeds=None, alt=False, point=None):
         out.selfs = selfs
         out.radical = radical
     return out
-
-
-@dataclass
-class PoissonBivector:
-    """Constant part of the bracket on linear coordinates at a point."""
-
-    poisson: object
-    point: dict
-    names: list
-    parities: list
-    matrix: list
-
-    def rank(self):
-        from .linalg import rref
-
-        rows = [list(r) for r in self.matrix]
-        _, pivots = rref(rows)
-        return len(pivots)
-
-
-def bivector_at(P, point=None):
-    """Pairwise generator brackets evaluated at a point, as a matrix."""
-    gens = [P.alg.gen(v.name) for v in P.alg.variables if not v.hbar]
-    mat = [[evaluate(P.bracket(u, v), point) for v in gens] for u in gens]
-    return PoissonBivector(
-        poisson=P,
-        point=dict(point or {}),
-        names=[v.name for v in P.alg.variables if not v.hbar],
-        parities=[v.parity for v in P.alg.variables if not v.hbar],
-        matrix=mat,
-    )
-
-
-@dataclass
-class SymplecticSubspace:
-    """A maximal constant-symplectic coordinate family at a point."""
-
-    split: SymplecticSplit
-    point: dict
-
-    def dims(self):
-        ev = 2 * len(self.split.even_pairs)
-        od = 2 * len(self.split.odd_pairs) + len(self.split.selfs)
-        return (ev, od)
-
-
-def find_symplectic_subspace(pv, seeds=None, alt=False):
-    """Split the constant pairing of a bivector into Darboux pairs, odd
-    square roots and radical; pivots are chosen lowest-index-first (or
-    highest with ``alt``)."""
-    P = pv.poisson
-    vectors = [P.alg.gen(n) for n in pv.names]
-    split = linear_split(P, vectors, seeds=seeds, alt=alt, point=pv.point)
-    return SymplecticSubspace(split=split, point=dict(pv.point))

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 EVEN = 0
 ODD = 1
+
+_ZERO = Fraction(0)  # the coefficient of an absent monomial; Fraction is immutable
 
 
 @dataclass(frozen=True)
@@ -164,10 +165,10 @@ class Series:
         return not self.terms
 
     def coeff(self, mono):
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(mono, _ZERO)
 
     def constant_term(self):
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), _ZERO)
 
     def deg(self):
         """Minimal adic order over the support (None for the zero element)."""
@@ -439,40 +440,3 @@ class Series:
                 parts.append(f"{c}*{ms(m)}")
         s = " + ".join(parts).replace("+ -", "- ")
         return s
-
-
-def inv_sqrt_series(t, order=None):
-    """(1+t)^(-1/2) as a truncated series; t must be even with deg(t) >= 1.
-
-    Example: for t = x this starts 1 - x/2 + 3*x^2/8 - ...
-    """
-    if t.parity() not in (None, EVEN):
-        raise ValueError("inv_sqrt_series needs an even argument")
-    if not t.is_zero() and t.eff_deg() < 1:
-        raise ValueError("inv_sqrt_series needs deg(t) >= 1")
-    cap = t.order if order is None else (order if t.order is None else min(order, t.order))
-    if cap is None:
-        raise ValueError("unbounded inv_sqrt_series; give an order")
-    out = t.alg.one(cap)
-    if t.is_zero():
-        return out
-    power = t.alg.one(cap)
-    coef = Fraction(1)
-    d = t.eff_deg()
-    k = 0
-    while (k + 1) * d <= cap:
-        k += 1
-        power = power * t
-        coef = coef * Fraction(-(2 * k - 1), 2 * k)   # binom(-1/2, k) ratio
-        out = out + power * coef
-        if power.is_zero():
-            break
-    return out
-
-
-def binomial_minus_half(k):
-    """Binomial coefficient C(-1/2, k) as an exact rational (test oracle)."""
-    num = Fraction(1)
-    for i in range(k):
-        num *= Fraction(-1, 2) - i
-    return num / factorial(k)

@@ -31,19 +31,9 @@ from .algebras import (
 )
 from .darboux import equivariant_darboux
 from .linalg import expand_filtered, nullspace, rref, solve, sparse_row
-from .poisson import (
-    BracketTable,
-    PoissonAlgebra,
-    SymplecticSubspace,
-    linear_split,
-)
+from .poisson import BracketTable, PoissonAlgebra, linear_split
 from .supercore import EVEN, ODD, Algebra, Series, Variable
-from .starprod import (
-    StarAlgebra,
-    filtration_dims,
-    quantum_darboux,
-    specialize_hbar,
-)
+from .starprod import StarAlgebra, filtration_dims, quantum_darboux
 
 __all__ = [
     "SliceContext",
@@ -304,12 +294,6 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
     gens = []
     new_counts = {}
 
-    def reduced_product(factors):
-        acc = alg.one()
-        for f in reversed(factors):
-            acc = reduce_mod_chi(ctx, ctx.ustar.star(f, acc))
-        return acc
-
     def product_values(wlimit):
         vals = [alg.one()]
 
@@ -463,7 +447,7 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = 4,
             # the chart only pins corrections through effective order
             # ``order``; heavier generators are not certified yet
             continue
-        lift = specialize_hbar(g, 1)
+        lift = g.set_hbar(1)
         red = reduce_mod_chi(ctx, lift)
         par = red.parity()
         if par == "mixed":
@@ -750,7 +734,7 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2, guard: int = 4,
         acc = alg.one()
         for idx in reversed(range(len(factors))):
             s, _, _ = factors[idx]
-            sv = specialize_hbar(s, 1)
+            sv = s.set_hbar(1)
             for _ in range(exps[idx]):
                 acc = ctx.ustar.star(sv, acc)
         uvals[exps] = acc
@@ -871,9 +855,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = 4,
     plan = linear_split(ctx.poisson, vectors, seeds=even_seeds)
     plan.radical = plan.selfs + plan.radical
     plan.selfs = []
-    classical0 = equivariant_darboux(
-        ctx.poisson, order, guard=guard,
-        subspace=SymplecticSubspace(split=plan, point={}))
+    classical0 = equivariant_darboux(ctx.poisson, order, guard=guard, plan=plan)
     qc0 = quantum_darboux(ctx.star, ctx.poisson, order, guard=guard,
                           classical=classical0)
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -114,6 +115,22 @@ def test_missing_entry_fields_rejected(tmp_path):
         bad = copy.deepcopy(SL2)
         del bad[section][k][key]
         with pytest.raises(AlgebraError, match="missing required field '%s'" % key):
+            load_algebra(write_json(tmp_path, bad))
+
+
+def test_mistyped_fields_rejected(tmp_path):
+    cases = (
+        (("basis", 1, "parity"), "a", "basis entry 1 field 'parity' must be an integer"),
+        (("basis", 0, "parity"), [0], "basis entry 0 field 'parity' must be an integer"),
+        (("brackets", 0, "i"), "x", "bracket entry 0 field 'i' must be an integer"),
+        (("brackets", 2, "j"), None, "bracket entry 2 field 'j' must be an integer"),
+        (("brackets", 1, "coeffs"), ["0", "one", "0"], "rational entries"),
+        (("brackets", 1, "coeffs"), ["0", "1/0", "0"], "rational entries"),
+    )
+    for (section, k, key), value, message in cases:
+        bad = copy.deepcopy(SL2)
+        bad[section][k][key] = value
+        with pytest.raises(AlgebraError, match=re.escape(message)):
             load_algebra(write_json(tmp_path, bad))
 
 

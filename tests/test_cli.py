@@ -95,7 +95,11 @@ def test_invalid_algebra_file_exits_one(tmp_path, capsys):
     del no_parity["basis"][0]["parity"]
     no_h = json.loads(json.dumps(CATALOG_SL2))
     del no_h["sl2_triple"]["h"]
-    for raw in (bad, no_parity, no_h):
+    text_parity = json.loads(json.dumps(CATALOG_SL2))
+    text_parity["basis"][0]["parity"] = "a"
+    text_index = json.loads(json.dumps(CATALOG_SL2))
+    text_index["brackets"][1]["i"] = "x"
+    for raw in (bad, no_parity, no_h, text_parity, text_index):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         code, out = run_main(capsys, "check", "--algebra", str(path))
@@ -166,6 +170,18 @@ def test_darboux_reruns_byte_identical(capsys, name, order, alt):
     assert digest == DARBOUX_DIGESTS[(name, order, alt)]
     rep = json.loads(out)
     assert rep["classical"]["ok"] and rep["quantum"]["ok"]
+
+
+def test_darboux_stall_names_entry_and_guard(capsys):
+    code, out = run_main(capsys, "darboux", "--algebra", "sl2", "--order", "0",
+                         "--guard", "0")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    # the report certifies two orders deeper, so the cap is 2 = 2 + 0
+    assert rep["error"].startswith(
+        "classical chart, even entry 0, cap 2 = order 2 + guard 0: ")
+    assert "stalled" in rep["error"]
 
 
 def test_walgebra_report_structure(capsys):

@@ -7,24 +7,15 @@ import pytest
 
 from superw.algebras import load_algebra
 from superw.darboux import (
-    Chart,
     ChartEntry,
     DarbouxError,
+    PoissonBackend,
     equivariant_darboux,
-    even_correct,
-    even_decompose,
-    even_split_project,
-    odd_normalize,
+    even_project,
     odd_pair_flatten,
-    odd_self_normalize,
-    odd_split_project,
+    odd_self_project,
 )
-from superw.poisson import (
-    BracketTable,
-    PoissonAlgebra,
-    bivector_at,
-    find_symplectic_subspace,
-)
+from superw.poisson import BracketTable, PoissonAlgebra, linear_split
 from superw.supercore import EVEN, ODD, Algebra, Variable
 from superw.wslice import slice_setup
 
@@ -58,7 +49,8 @@ def test_even_correct_geometric_series():
     alg, P = curved_pair()
     x, y = alg.gen("x"), alg.gen("y")
     order, cap = 5, 9  # certification order plus guard, as the chart builder does
-    g = even_correct(P, x.truncate(cap), y.truncate(cap), cap, order)
+    g = PoissonBackend(P, order, cap - order).even_correct(x.truncate(cap),
+                                                           y.truncate(cap))
     # {x, y*s(x)} = (1+x) s(x), so s must be the alternating geometric series
     s = alg.one() - x + x * x - x ** 3 + x ** 4
     assert g.truncate(order) == (y * s).truncate(order)
@@ -69,15 +61,15 @@ def test_even_correct_rejects_unnormalized():
     alg, P = curved_pair()
     with pytest.raises(DarbouxError):
         # constant bracket 2 instead of 1
-        even_correct(P, alg.gen("x"), 2 * alg.gen("y"), 9, 5)
+        PoissonBackend(P, 5, 4).even_correct(alg.gen("x"), 2 * alg.gen("y"))
 
 
 def test_even_project_kills_brackets():
     alg, P = curved_pair()
     x, y, z = alg.gen("x"), alg.gen("y"), alg.gen("z")
-    cap = 6
-    f = x.truncate(cap)
-    g = even_correct(P, f, y.truncate(cap), cap, 2)
+    B = PoissonBackend(P, 2, 4)
+    f = x.truncate(B.cap)
+    g = B.even_correct(f, y.truncate(B.cap))
     rng = random.Random(3)
     for _ in range(10):
         a = alg.zero()
@@ -87,33 +79,12 @@ def test_even_project_kills_brackets():
                 for _ in range(rng.randrange(0, 3)):
                     t = t * v
             a = a + t
-        p = even_split_project(P, a, f, g, 2)
+        p = even_project(B, f, g, a)
         assert P.bracket(f, p, order=2).is_zero()
         assert P.bracket(g, p, order=2).is_zero()
         # projecting twice changes nothing through the certified order
-        again = even_split_project(P, p, f, g, 2)
+        again = even_project(B, f, g, p)
         assert (again - p).truncate(2).is_zero()
-
-
-def test_even_decompose_roundtrip():
-    alg, P = curved_pair()
-    x, y, z = alg.gen("x"), alg.gen("y"), alg.gen("z")
-    cap = 8
-    order = 4
-    f = x.truncate(cap)
-    g = even_correct(P, f, y.truncate(cap), cap, order)
-    a = z * f * f + f * g
-    coeffs = even_decompose(P, a, f, g, order)
-    # a = sum g^i f^j b_ij
-    rebuilt = alg.zero(cap)
-    for (i, j), b in coeffs.items():
-        rebuilt = rebuilt + g ** i * f ** j * b
-    assert (rebuilt - a).truncate(order).is_zero()
-    assert coeffs[(0, 2)].truncate(order) == z.truncate(order)
-    assert coeffs[(1, 1)].truncate(order) == alg.one(order)
-    for b in coeffs.values():
-        assert P.bracket(f, b, order=order).is_zero()
-        assert P.bracket(g, b, order=order).is_zero()
 
 
 def test_odd_self_normalize():
@@ -124,7 +95,8 @@ def test_odd_self_normalize():
     t = BracketTable(alg, {(0, 0): alg.one() + alg.gen("x")})
     P = PoissonAlgebra(alg, t)
     order, cap = 4, 8
-    th = odd_self_normalize(P, alg.gen("th").truncate(cap), cap, order)
+    th = PoissonBackend(P, order, cap - order).odd_self_normalize(
+        alg.gen("th").truncate(cap))
     assert (P.bracket(th, th, order=cap) - 1).truncate(order).is_zero()
     # the (1+x)^(-1/2) scaling shows up in the x-coefficient
     mono = ((0, 1), (1, 1))
@@ -134,19 +106,11 @@ def test_odd_self_normalize():
 def test_odd_pair_flatten():
     alg, P = curved_odd()
     order, cap = 4, 8
-    f, g = odd_pair_flatten(P, alg.gen("t1").truncate(cap),
-                            alg.gen("t2").truncate(cap), cap, order)
+    f, g = odd_pair_flatten(PoissonBackend(P, order, cap - order),
+                            alg.gen("t1").truncate(cap), alg.gen("t2").truncate(cap))
     assert P.bracket(f, f, order=cap).truncate(order).is_zero()
     assert P.bracket(g, g, order=cap).truncate(order).is_zero()
     assert (P.bracket(f, g, order=cap) - 1).truncate(order).is_zero()
-
-
-def test_odd_normalize_diagonal_keeps_two():
-    alg, P = curved_odd()
-    h = odd_normalize(P, alg.gen("t1"), 4, g=alg.gen("t2"))
-    # diagonal of a flat pair: {h,h} = 2, rational on purpose
-    br = P.bracket(h, h, order=4)
-    assert br == alg.const(2).truncate(br.order)
 
 
 def test_odd_split_project():
@@ -158,7 +122,7 @@ def test_odd_split_project():
     P = PoissonAlgebra(alg, t)
     th, x = alg.gen("th"), alg.gen("x")
     a = x + th * x * 3
-    b0, b1 = odd_split_project(P, a, th, 4)
+    b0, b1 = odd_self_project(PoissonBackend(P, 4, 4), th, a)
     assert b0.truncate(4) == x.truncate(4)
     assert b1.truncate(4) == (3 * x).truncate(4)
     assert (b0 + th * b1 - a).truncate(4).is_zero()
@@ -197,10 +161,12 @@ def test_full_flatten_unseeded_sl2():
 def test_chart_via_subspace():
     ctx = slice_setup(load_algebra("osp12"))
     P = ctx.poisson
-    sub = find_symplectic_subspace(bivector_at(P))
-    chart = equivariant_darboux(P, 3, subspace=sub)
+    plan = linear_split(P, [P.alg.gen(v.name) for v in P.alg.variables
+                            if not v.hbar])
+    chart = equivariant_darboux(P, 3, plan=plan)
     assert chart.verify()["ok"]
-    assert sub.dims() == (2, 1)
+    dims = (2 * len(plan.even_pairs), 2 * len(plan.odd_pairs) + len(plan.selfs))
+    assert dims == (2, 1)
 
 
 def test_verify_flags_corruption():

@@ -9,9 +9,7 @@ from superw.algebras import load_algebra
 from superw.poisson import (
     BracketTable,
     PoissonAlgebra,
-    bivector_at,
     evaluate,
-    find_symplectic_subspace,
     linear_split,
 )
 from superw.supercore import EVEN, ODD, Algebra, Variable
@@ -251,15 +249,6 @@ def test_linear_split_mixed_parity_rejected():
     P = PoissonAlgebra(alg, BracketTable(alg, {(0, 1): alg.one()}))
     with pytest.raises(ValueError):
         linear_split(P, [alg.gen("p") + alg.gen("t1")])
-
-
-def test_bivector_and_subspace():
-    for name, rank, dims in (("sl2", 2, (2, 0)), ("osp12", 3, (2, 1))):
-        P = get_ctx(name).poisson
-        pv = bivector_at(P)
-        assert pv.rank() == rank
-        sub = find_symplectic_subspace(pv)
-        assert sub.dims() == dims
 
 
 def test_alt_split_picks_other_partner():

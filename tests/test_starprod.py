@@ -6,24 +6,15 @@ from fractions import Fraction
 import pytest
 
 from superw.algebras import load_algebra
-from superw.darboux import DarbouxError, equivariant_darboux
-from superw.poisson import BracketTable, PoissonAlgebra
+from superw.darboux import equivariant_darboux, inv_sqrt_series
 from superw.starprod import (
-    StarAlgebra,
-    cx_finite_part,
-    dehomogenize,
+    StarBackend,
     filtration_dims,
-    graded_leading,
-    hbar_saturate,
-    homogenize,
     quantum_darboux,
     rees_inverse,
     rees_map,
-    specialize_hbar,
-    star_commutator,
-    star_mul,
 )
-from superw.supercore import EVEN, ODD, Algebra, Series, Variable
+from superw.supercore import EVEN, ODD, Series
 from superw.wslice import slice_setup
 
 ALGEBRAS = ("sl2", "gl11", "osp12", "sl21")
@@ -111,15 +102,6 @@ def test_unit_mode_requires_exact_input():
     assert out.order is None
 
 
-def test_star_convenience_wrappers():
-    ctx = get_ctx("sl2")
-    S = ctx.star
-    alg = S.alg
-    a, b = (alg.gen(v.name) for v in list(alg.variables)[:2])
-    assert star_mul(S, a, b) == S.star(a, b)
-    assert star_commutator(S, a, b) == S.commutator(a, b)
-
-
 def test_quantum_chart_catalog():
     for name in ALGEBRAS:
         ctx = get_ctx(name)
@@ -168,43 +150,16 @@ def test_flat_commutation_relations():
         assert S.commutator(g, ce, order=4).truncate(4).is_zero()
 
 
-def test_homogenize_basic():
-    ctx = get_ctx("sl2")
-    alg = ctx.alg
-    a = rand_series(random.Random(1), alg, nterms=4)
-    top = max(a.weights())
-    ha = homogenize(a, top)
-    assert ha.is_weight_homogeneous()
-    assert ha.weights() == [top]
-    assert dehomogenize(ha) == a
-    with pytest.raises(ValueError):
-        homogenize(a, top - 1)
-    with pytest.raises(ValueError):
-        homogenize(ha, top + 5)  # already carries hbar
-
-
-def test_homogenize_multiplicative_for_star():
-    rng = random.Random(9)
-    ctx = get_ctx("osp12")
-    S, alg = ctx.star, ctx.alg
-    for _ in range(10):
-        a = rand_series(rng, alg, nterms=3)
-        b = rand_series(rng, alg, nterms=3)
-        if a.is_zero() or b.is_zero():
-            continue
-        p, q = max(a.weights()), max(b.weights())
-        prod = S.star(homogenize(a, p), homogenize(b, q))
-        # the filtered product is homogeneous of the expected level ...
-        assert prod.weights() in ([], [p + q])
-        # ... matches the plain product after forgetting the filtration ...
-        assert dehomogenize(prod) == dehomogenize(S.star(a, b))
-        # ... and its symbol is the product of the top-weight symbols
-        tops = graded_leading(prod)
-        ta = alg.series({m: c for m, c in a.terms.items()
-                         if alg.mono_weight(m) == p})
-        tb = alg.series({m: c for m, c in b.terms.items()
-                         if alg.mono_weight(m) == q})
-        assert tops == ta * tb
+def test_inv_sqrt_series_with_star_product():
+    # the chart engine's (1+rho)^(-1/2) on the quantum backend: every power
+    # of rho star-commutes with rho, so r*r*(1+rho) = 1 through the cap
+    ctx = get_ctx("sl21")
+    B = StarBackend(ctx.star, ctx.poisson, 5, 0)
+    x, y = (ctx.alg.gen(v.name) for v in ctx.alg.variables[:2])
+    rho = (x * y + y + x.mul_hbar(1)).truncate(B.cap)
+    r = inv_sqrt_series(B, rho)
+    assert B.mul(B.mul(r, r), B.alg.one() + rho) == B.alg.one()
+    assert B.mul(r, rho) == B.mul(rho, r)
 
 
 def test_rees_roundtrip_random():
@@ -234,29 +189,6 @@ def test_rees_multiplicative_for_plain_product_only():
     y = alg.gen(names[0])
     assert not (S.star(x, y) - x * y).is_zero()
     assert rees_map(S.star(x, y)) != S.star(rees_map(x), rees_map(y))
-
-
-def test_specialize_hbar():
-    ctx = get_ctx("sl2")
-    alg = ctx.alg
-    a = alg.gen("e").mul_hbar(2) + alg.gen("h")
-    assert specialize_hbar(a, 0) == alg.gen("h")
-    assert specialize_hbar(a, 1) == alg.gen("e") + alg.gen("h")
-    with pytest.raises(ValueError):
-        specialize_hbar(a, 2)
-
-
-def test_cx_finite_part():
-    ctx = get_ctx("sl2")
-    alg = ctx.alg
-    e, h = alg.gen("e"), alg.gen("h")
-    s = e + h * h + e * e  # weights 4, 4, 8
-    assert cx_finite_part(s, 4) == e + h * h
-    assert cx_finite_part(s, 3).is_zero()
-    low = [v for v in alg.variables if v.weight == 0]
-    if low:
-        with pytest.raises(ValueError):
-            cx_finite_part(alg.gen(low[0].name), 4)
 
 
 def test_filtration_dims_brute_force():
@@ -293,28 +225,3 @@ def test_filtration_dims_brute_force():
         assert got == want
     with pytest.raises(ValueError):
         filtration_dims([0], [], 3)
-
-
-def _plain_star(nvars=1):
-    vs = [Variable(i, f"x{i}", EVEN, weight=1) for i in range(nvars)]
-    vs.append(Variable(9, "hb", EVEN, weight=1, adic=False, hbar=True))
-    alg = Algebra(vs)
-    table = BracketTable(alg, {})
-    return alg, StarAlgebra(alg, table, hbar_mode="h2")
-
-
-def test_hbar_saturate_adjoins_quotient():
-    alg, S = _plain_star()
-    x = alg.gen("x0")
-    out = hbar_saturate(S, [x.mul_hbar(1)], 3)
-    assert len(out) == 2
-    assert out[0] == x.mul_hbar(1)
-    assert out[1] == x
-
-
-def test_hbar_saturate_stable_case():
-    alg, S = _plain_star()
-    x = alg.gen("x0")
-    assert hbar_saturate(S, [x], 3) == [x]
-    with pytest.raises(ValueError):
-        hbar_saturate(S, [x.truncate(2)], 3)
