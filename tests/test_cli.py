@@ -184,6 +184,34 @@ def test_darboux_stall_names_entry_and_guard(capsys):
     assert "stalled" in rep["error"]
 
 
+# SHA-256 of the walgebra report (default --method both) per case: pins the
+# generators, dimension tables and product coefficients of both routes.
+WALGEBRA_DIGESTS = {
+    ("sl2", "6", False):
+        "a58022287b34ee1ab56f37a740430e3d3963cff2a8a8695ac0c2f4c94fdaa6bf",
+    ("gl11", "6", False):
+        "f623f20250b2bd39ef06b3e652dcdd38702f224cd1576f42b0aa7c28bd9809b2",
+    ("osp12", "5", False):
+        "a3276290f3df3eb8187f5c892e1ed4494fe9bae8cf74b772cff5cad8850034ff",
+    ("sl21", "5", False):
+        "1e1ab41c94db64d2a1e8f0844585433caf12426577a2f31ccb66d97c11b8ad1a",
+    ("sl21", "4", True):
+        "90acf1ebc1a7322030324aee81b2ef831dd421f4694459111d113959daabcd55",
+}
+
+
+@pytest.mark.parametrize("name,order,alt", sorted(WALGEBRA_DIGESTS))
+def test_walgebra_reruns_byte_identical(capsys, name, order, alt):
+    argv = ["walgebra", "--algebra", name, "--order", order]
+    if alt:
+        argv.append("--alt-lagrangian")
+    code, out = run_main(capsys, *argv)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == WALGEBRA_DIGESTS[(name, order, alt)]
+    assert json.loads(out)["compare"]["ok"] is True
+
+
 def test_walgebra_report_structure(capsys):
     code, out = run_main(capsys, "walgebra", "--algebra", "sl2", "--order",
                          "4", "--method", "both")
