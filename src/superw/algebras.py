@@ -264,13 +264,12 @@ def _field(entry, key, where):
 
 
 def _int_field(entry, key, where):
-    """entry[key] as an int, or an AlgebraError naming the field."""
+    """entry[key], a JSON integer, or an AlgebraError naming the field."""
     value = _field(entry, key, where)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
+    if type(value) is not int:  # bool is an int subclass; floats would truncate
         raise AlgebraError(
-            "%s field %r must be an integer, got %r" % (where, key, value)) from None
+            "%s field %r must be an integer, got %r" % (where, key, value))
+    return value
 
 
 def _from_json(raw) -> LieSuperData:

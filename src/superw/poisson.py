@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algebras import AlgebraError
 from .linalg import rational_sqrt
 from .supercore import EVEN, ODD, Series
 
@@ -282,12 +283,12 @@ def linear_split(poisson, vectors, seeds=None, alt=False):
             if odd and pair(u, u):
                 out.selfs.append(u)
             elif queue is not None:
-                raise ValueError("seed vector has no symplectic partner")
+                raise AlgebraError("seed vector has no symplectic partner")
             else:
                 out.radical.append(u)
             continue
         if pair(u, u):
-            raise ValueError("cannot seed a pair with a non-isotropic vector")
+            raise AlgebraError("cannot seed a pair with a non-isotropic vector")
         k = hits[-1] if alt else hits[0]
         v = work.pop(k) * (Fraction(1) / row[k])
         if odd:
@@ -317,7 +318,7 @@ def linear_split(poisson, vectors, seeds=None, alt=False):
                     continue
                 r = rational_sqrt(Fraction(1) / c)
                 if r is None:
-                    raise ValueError("self-pairing is not a rational square")
+                    raise AlgebraError("self-pairing is not a rational square")
                 out.selfs.append(w * r)
             else:
                 rest.append(w)
@@ -333,7 +334,7 @@ def linear_split(poisson, vectors, seeds=None, alt=False):
                 if c:
                     r = rational_sqrt(Fraction(1) / c)
                     if r is None:
-                        raise ValueError("self-pairing is not a rational square")
+                        raise AlgebraError("self-pairing is not a rational square")
                     selfs.append(w * r)
                     continue
             radical.append(w)

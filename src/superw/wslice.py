@@ -16,7 +16,6 @@ comparisons meaningful.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -167,37 +166,75 @@ def reduce_mod_mk(ctx: SliceContext, s: Series, k: int) -> Series:
     return ctx.alg.series(kept, s.order)
 
 
+def pbw_words(weights, parities, wlimit, amax=None):
+    """Sorted exponent tuples over factors of the given weights and parities.
+
+    A word has total weight sum(e * w) <= wlimit, odd exponents <= 1 and, when
+    ``amax`` is given, total exponent sum(e) <= amax.  Without ``amax`` a
+    weight-0 factor only takes exponent 0.
+    """
+    words = [((), 0, 0)] if wlimit >= 0 else []
+    for w, p in zip(weights, parities):
+        grown = []
+        for word, wt, a in words:
+            e = 0
+            while wt + e * w <= wlimit and (amax is None or a + e <= amax):
+                grown.append((word + (e,), wt + e * w, a + e))
+                e += 1
+                if (p == ODD and e > 1) or (w == 0 and amax is None):
+                    break
+        words = grown
+    return sorted(word for word, _, _ in words)
+
+
+def word_table(factors, mul, unit):
+    """Memoized values of PBW words in ``factors`` under the product ``mul``.
+
+    value(e) = mul(f_i, value(e - delta_i)) with i the first nonzero exponent,
+    so each word costs one product on top of a shorter word.  Keys drop
+    trailing zero exponents: ``factors`` may grow without invalidating a word.
+    """
+    memo = {(): unit}
+
+    def value(exps):
+        n = len(exps)
+        while n and not exps[n - 1]:
+            n -= 1
+        key = tuple(exps[:n])
+        if key not in memo:
+            i = next(k for k, e in enumerate(key) if e)
+            memo[key] = mul(factors[i], value(key[:i] + (key[i] - 1,) + key[i + 1:]))
+        return memo[key]
+
+    return value
+
+
+def _hbar_padded(value, weights, parities, wlimit, amax=None):
+    """Words of weight <= wlimit, each times hbar to the power of its weight
+    deficit so that every candidate has weight wlimit: (words, values)."""
+    words = pbw_words(weights, parities, wlimit, amax)
+    return words, [value(e).mul_hbar(wlimit - sum(x * w for x, w in zip(e, weights)))
+                   for e in words]
+
+
+def _quotient_mul(ctx):
+    """The exact enveloping product, reduced to the quotient."""
+    return lambda a, b: reduce_mod_chi(ctx, ctx.ustar.star(a, b))
+
+
+def _m_invariant(ctx, series):
+    """Whether every shift generator annihilates every series in the quotient."""
+    qmul, mg = _quotient_mul(ctx), ctx.m_gens()
+    return all(qmul(m, s).is_zero() for s in series for m in mg)
+
+
 def _monomials(alg, ids, wmax, amax=None):
     """All normal monomials over ``ids`` with weight <= wmax (and total
-    exponent <= amax when given), in a deterministic order."""
+    exponent <= amax when given), sorted by (weight, monomial)."""
     ids = sorted(ids)
-    out = []
-
-    def rec(pos, mono, w, a):
-        if pos == len(ids):
-            out.append(tuple(mono))
-            return
-        i = ids[pos]
-        v = alg.by_id[i]
-        e = 0
-        while True:
-            if e:
-                mono.append((i, e))
-            rec(pos + 1, mono, w + e * v.weight, a + e)
-            if e:
-                mono.pop()
-            e += 1
-            if v.parity == ODD and e > 1:
-                break
-            if w + e * v.weight > wmax:
-                break
-            if amax is not None and a + e > amax:
-                break
-            if v.weight == 0 and amax is None:
-                raise ValueError("weight-0 variable needs an exponent bound")
-        return
-
-    rec(0, [], 0, 0)
+    vs = [alg.by_id[i] for i in ids]
+    words = pbw_words([v.weight for v in vs], [v.parity for v in vs], wmax, amax)
+    out = [tuple((i, e) for i, e in zip(ids, word) if e) for word in words]
     out.sort(key=lambda m: (alg.mono_weight(m), m))
     return out
 
@@ -260,9 +297,9 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
     cands = _monomials(alg, ctx.complement_ids, n_max)
     cseries = {m: alg.series({m: Fraction(1)}) for m in cands}
     mg = ctx.m_gens()
-    images = {}  # candidate mono -> list of reduced image Series (one per shift gen)
-    for m in cands:
-        images[m] = [reduce_mod_chi(ctx, ctx.ustar.star(g, cseries[m])) for g in mg]
+    qmul = _quotient_mul(ctx)
+    # candidate mono -> list of reduced image Series (one per shift gen)
+    images = {m: [qmul(g, cseries[m]) for g in mg] for m in cands}
 
     def invariants(n, parity=None):
         sub = [m for m in cands if alg.mono_weight(m) <= n
@@ -292,38 +329,13 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
 
     # weight-by-weight generator extraction against products of earlier gens
     gens = []
+    gseries = []
+    word_value = word_table(gseries, qmul, alg.one())
     new_counts = {}
 
-    def product_values(wlimit):
-        vals = [alg.one()]
-
-        def rec(start, w, acc):
-            for gi in range(start, len(gens)):
-                gw, gp, gs = gens[gi]
-                if w + gw > wlimit:
-                    continue
-                if gp == ODD:
-                    # odd generators square into lower terms; words keep exp <= 1
-                    nxt = reduce_mod_chi(ctx, ctx.ustar.star(acc, gs))
-                    vals.append(nxt)
-                    rec(gi + 1, w + gw, nxt)
-                else:
-                    nxt = reduce_mod_chi(ctx, ctx.ustar.star(acc, gs))
-                    ww = w + gw
-                    while ww <= wlimit:
-                        vals.append(nxt)
-                        rec(gi + 1, ww, nxt)
-                        ww += gw
-                        if ww <= wlimit:
-                            nxt = reduce_mod_chi(ctx, ctx.ustar.star(nxt, gs))
-                        else:
-                            break
-
-        rec(0, 0, alg.one())
-        return vals
-
     for w in range(n_max + 1):
-        prods = product_values(w)
+        prods = [word_value(e) for e in pbw_words([g[0] for g in gens],
+                                            [g[1] for g in gens], w)]
         monos, prows = _coords(prods + [cseries[m] for m in cands
                                         if alg.mono_weight(m) <= w])
         span_rows = prows[: len(prods)]
@@ -347,6 +359,7 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
                             snew = snew + cseries.get(m, alg.series({m: Fraction(1)})) * c
                     snew = snew * (Fraction(1) / rem[lead])
                     gens.append((w, p, snew))
+                    gseries.append(snew)
                     basis.append({k: c / rem[lead] for k, c in enumerate(rem) if c})
                     piv.append(lead)
                     ordered = sorted(range(len(piv)), key=lambda k: piv[k])
@@ -457,51 +470,16 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = 4,
     gens = [(w, p, red) for w, p, red, _ in raw]
     lifts = [lift for _, _, _, lift in raw]
 
-    invariance_ok = True
-    for _, _, red in gens:
-        for mgen in ctx.m_gens():
-            if not reduce_mod_chi(ctx, ctx.ustar.star(mgen, red)).is_zero():
-                invariance_ok = False
+    invariance_ok = _m_invariant(ctx, [red for _, _, red in gens])
 
-    # word values: PBW words in the reduced generators, memoized
-    values = {(): alg.one()}
-
-    def word_value(exps):
-        if not any(exps):
-            return alg.one()
-        if exps in values:
-            return values[exps]
-        i = next(k for k, e in enumerate(exps) if e)
-        prev = tuple(e - (1 if k == i else 0) for k, e in enumerate(exps))
-        v = reduce_mod_chi(ctx, ctx.ustar.star(gens[i][2], word_value(prev)))
-        values[exps] = v
-        return v
-
-    def words_up_to(wlimit):
-        out = []
-
-        def rec(pos, w, acc):
-            if pos == len(gens):
-                out.append(tuple(acc))
-                return
-            gw, gp, _ = gens[pos]
-            e = 0
-            while w + e * gw <= wlimit:
-                acc.append(e)
-                rec(pos + 1, w + e * gw, acc)
-                acc.pop()
-                e += 1
-                if gp == ODD and e > 1:
-                    break
-                if gw == 0:
-                    break
-        rec(0, 0, [])
-        return sorted(out)
+    # PBW words in the reduced generators
+    weights = [w for w, _, _ in gens]
+    parities = [p for _, p, _ in gens]
+    word_value = word_table([red for _, _, red in gens], _quotient_mul(ctx), alg.one())
 
     dims = []
     for n in range(order + 1):
-        vals = [word_value(e) for e in words_up_to(n)]
-        _, rows = _coords(vals)
+        _, rows = _coords([word_value(e) for e in pbw_words(weights, parities, n)])
         _, piv = rref(rows)
         dims.append(len(piv))
 
@@ -514,10 +492,9 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = 4,
 
     def basis_for(wlimit):
         if wlimit not in basis_cache:
-            ws = words_up_to(wlimit)
-            vals = [word_value(e) for e in ws]
-            monos, rows = _coords(vals)
-            cols = [[rows[k][m] for k in range(len(vals))]
+            ws = pbw_words(weights, parities, wlimit)
+            monos, rows = _coords([word_value(e) for e in ws])
+            cols = [[rows[k][m] for k in range(len(ws))]
                     for m in range(len(monos))]
             basis_cache[wlimit] = (ws, monos, cols)
         return basis_cache[wlimit]
@@ -528,7 +505,7 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = 4,
             if wprod > order:
                 continue
             ws, monos, cols = basis_for(wprod)
-            p = reduce_mod_chi(ctx, ctx.ustar.star(gens[i][2], gens[j][2]))
+            p = word_value(tuple((k == i) + (k == j) for k in range(len(gens))))
             mset = set(monos)
             if any(m not in mset for m in p.terms):
                 products_ok = False
@@ -595,11 +572,7 @@ def compare_realizations(ctx: SliceContext, n_max: int, guard: int = 4,
 
     counts_equal = sig(wh.gens) == sig(sgens)
 
-    invariance_ok = True
-    for _, _, s in sgens:
-        for mgen in ctx.m_gens():
-            if not reduce_mod_chi(ctx, ctx.ustar.star(mgen, s)).is_zero():
-                invariance_ok = False
+    invariance_ok = _m_invariant(ctx, [s for _, _, s in sgens])
 
     span_ok = True
     blocks_ok = True
@@ -682,84 +655,28 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2, guard: int = 4,
                              guard=guard)
     cap = qc.cap
 
-    vgens = []
-    for e in qc.entries:
-        if e.kind in ("even", "odd"):
-            vgens.append(e.a)
-            vgens.append(e.b)
-    wgens = _chart_wgens(qc)
-    factors = [(s, _gen_weight(s), s.parity()) for s in vgens + wgens]
-
-    # all exponent tuples over the factors with weight <= wtarget and a crude
-    # eff bound (each factor contributes at least 1 to the adic degree); the
-    # weight deficit is later matched by a power of hbar
-    def factor_words(wtarget):
-        out = []
-
-        def rec(pos, w, a, acc):
-            if pos == len(factors):
-                out.append(tuple(acc))
-                return
-            _, fw, fp = factors[pos]
-            e = 0
-            while w + e * fw <= wtarget and a + e <= cap:
-                acc.append(e)
-                rec(pos + 1, w + e * fw, a + e, acc)
-                acc.pop()
-                e += 1
-                if fp == ODD and e > 1:
-                    break
-                if fw == 0 and e > cap:
-                    break
-        rec(0, 0, 0, [])
-        return sorted(out)
-
-    hvals = {}  # exps -> chart word at working order
-    uvals = {}  # exps -> exact unit-product of hbar=1 lifts
-
-    def chart_word(exps):
-        if exps in hvals:
-            return hvals[exps]
-        acc = alg.one(cap)
-        for idx in reversed(range(len(factors))):
-            s, _, _ = factors[idx]
-            for _ in range(exps[idx]):
-                acc = ctx.star.star(s, acc, order=cap)
-        hvals[exps] = acc
-        return acc
-
-    def unit_word(exps):
-        if exps in uvals:
-            return uvals[exps]
-        acc = alg.one()
-        for idx in reversed(range(len(factors))):
-            s, _, _ = factors[idx]
-            sv = s.set_hbar(1)
-            for _ in range(exps[idx]):
-                acc = ctx.ustar.star(sv, acc)
-        uvals[exps] = acc
-        return acc
+    factors = [v for e in qc.entries if e.kind in ("even", "odd")
+               for v in (e.a, e.b)] + _chart_wgens(qc)
+    weights = [_gen_weight(f) for f in factors]
+    parities = [f.parity() for f in factors]
+    # chart words at working order; the hbar = 1 lifts multiply exactly
+    chart_word = word_table(factors, lambda a, b: ctx.star.star(a, b, order=cap),
+                            alg.one(cap))
+    unit_word = word_table([f.set_hbar(1) for f in factors], ctx.ustar.star,
+                           alg.one())
 
     targets = _monomials(alg, [v.ident for v in alg.variables if not v.hbar],
                          n_max, amax=n_max)
     coeff_failures = []
     recon_failures = []
-    words_by_weight = {}
+    # weight -> (words, hbar-padded chart words); amax = cap because every
+    # factor adds at least 1 to the adic degree
+    families = {}
     for m in targets:
         W = alg.mono_weight(m)
-        if W not in words_by_weight:
-            words_by_weight[W] = factor_words(W)
-        words = words_by_weight[W]
-        cands = []
-        keys = []
-        for exps in words:
-            wsum = sum(e * factors[i][1] for i, e in enumerate(exps))
-            s = W - wsum
-            if s < 0:
-                continue
-            val = chart_word(exps).mul_hbar(s) if s else chart_word(exps)
-            cands.append(val)
-            keys.append((exps, s))
+        if W not in families:
+            families[W] = _hbar_padded(chart_word, weights, parities, W, amax=cap)
+        words, cands = families[W]
         target = alg.series({m: Fraction(1)}, cap)
         coeffs = expand_filtered(target, cands, cap)
         if coeffs is None:
@@ -767,7 +684,7 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2, guard: int = 4,
             continue
         # reconstruction at hbar = 1, modulo k-fold shift products
         acc = alg.series({m: Fraction(1)})
-        for (exps, s), c in zip(keys, coeffs):
+        for exps, c in zip(words, coeffs):
             if c:
                 acc = acc - unit_word(exps) * c
         if not reduce_mod_mk(ctx, acc, k).is_zero():
@@ -875,46 +792,14 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = 4,
     dims = filtration_dims(ev, od, order)
 
     # (a) word independence through the working order
-    def words(gens, wlimit):
-        out = []
-
-        def rec(pos, w, acc):
-            if pos == len(gens):
-                out.append(tuple(acc))
-                return
-            g = gens[pos]
-            gw = _gen_weight(g)
-            gp = g.parity()
-            e = 0
-            while w + e * gw <= wlimit and (gp == EVEN or e <= 1):
-                acc.append(e)
-                rec(pos + 1, w + e * gw, acc)
-                acc.pop()
-                e += 1
-                if gw == 0:
-                    break
-        rec(0, 0, [])
-        return sorted(out)
-
-    def word_val(gens, exps):
-        acc = alg.one(cap)
-        for idx in reversed(range(len(gens))):
-            for _ in range(exps[idx]):
-                acc = ctx.star.star(gens[idx], acc, order=cap)
-        return acc
-
-    aword_cache = {}
-
-    def aword(exps):
-        if exps not in aword_cache:
-            aword_cache[exps] = word_val(agens, exps)
-        return aword_cache[exps]
-
+    aweights = [_gen_weight(g) for g in agens]
+    aparities = [g.parity() for g in agens]
+    aword = word_table(agens, lambda a, b: ctx.star.star(a, b, order=cap),
+                       alg.one(cap))
     rank_ok = True
     for n in range(order + 1):
-        ws = [e for e in words(agens, n)]
-        vals = [aword(e) for e in ws]
-        _, rows = _coords(vals)
+        ws = pbw_words(aweights, aparities, n)
+        _, rows = _coords([aword(e) for e in ws])
         _, piv = rref(rows)
         if len(piv) != len(ws) or len(ws) != dims[n]:
             rank_ok = False
@@ -957,22 +842,13 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = 4,
 
     # closure: products of the centralizer generators expand over its words
     closure_ok = True
-    prod_pairs = []
     for i in range(len(agens)):
         for j in range(i, len(agens)):
-            prod_pairs.append((i, j))
-    for i, j in prod_pairs:
-        p = ctx.star.star(agens[i], agens[j], order=cap)
-        W = _gen_weight(agens[i]) + _gen_weight(agens[j])
-        cands = []
-        for exps in words(agens, W):
-            wsum = sum(e * _gen_weight(agens[k]) for k, e in enumerate(exps))
-            s = W - wsum
-            if s < 0:
-                continue
-            cands.append(aword(exps).mul_hbar(s) if s else aword(exps))
-        if expand_filtered(p, cands, cap) is None:
-            closure_ok = False
+            p = aword(tuple((k == i) + (k == j) for k in range(len(agens))))
+            _, cands = _hbar_padded(aword, aweights, aparities,
+                                    aweights[i] + aweights[j])
+            if expand_filtered(p, cands, cap) is None:
+                closure_ok = False
 
     # (c) flat odd coordinates + full W generators span the same thing
     clgens = []

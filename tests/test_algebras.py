@@ -124,6 +124,10 @@ def test_mistyped_fields_rejected(tmp_path):
         (("basis", 0, "parity"), [0], "basis entry 0 field 'parity' must be an integer"),
         (("brackets", 0, "i"), "x", "bracket entry 0 field 'i' must be an integer"),
         (("brackets", 2, "j"), None, "bracket entry 2 field 'j' must be an integer"),
+        (("basis", 0, "parity"), 0.5, "basis entry 0 field 'parity' must be an integer"),
+        (("basis", 2, "parity"), True, "basis entry 2 field 'parity' must be an integer"),
+        (("brackets", 0, "i"), 0.7, "bracket entry 0 field 'i' must be an integer"),
+        (("brackets", 1, "j"), True, "bracket entry 1 field 'j' must be an integer"),
         (("brackets", 1, "coeffs"), ["0", "one", "0"], "rational entries"),
         (("brackets", 1, "coeffs"), ["0", "1/0", "0"], "rational entries"),
     )

@@ -4,6 +4,8 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -105,6 +107,24 @@ def test_invalid_algebra_file_exits_one(tmp_path, capsys):
         code, out = run_main(capsys, "check", "--algebra", str(path))
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+
+def test_irrational_self_pairing_exits_one(tmp_path, capsys):
+    # doubling the form keeps it invariant, but the odd self-paired vector
+    # would then need a square root of 1/2
+    raw = json.loads(resources.files("superw").joinpath(
+        "catalog", "osp12.json").read_text(encoding="utf-8"))
+    raw["form"] = [[str(2 * Fraction(c)) for c in row] for row in raw["form"]]
+    path = tmp_path / "osp12x2.json"
+    path.write_text(json.dumps(raw))
+    code, _ = run_main(capsys, "check", "--algebra", str(path))
+    assert code == 0
+    for command in ("darboux", "walgebra"):
+        code, out = run_main(capsys, command, "--algebra", str(path), "--order", "2")
+        assert code == 1, command
+        rep = json.loads(out)
+        assert rep["ok"] is False
+        assert rep["error"] == "self-pairing is not a rational square"
 
 
 def test_algebra_from_file_path(tmp_path, capsys):

@@ -5,25 +5,28 @@ below were computed once by enumerating normal monomials weight by weight
 and solving the invariance conditions in exact rational arithmetic; the
 tests require byte-exact agreement.
 """
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from superw.algebras import load_algebra
-from superw.starprod import filtration_dims
+from superw.starprod import filtration_dims, quantum_darboux
 from superw.supercore import EVEN, ODD
 from superw.wslice import (
     clifford_factorization,
     compare_realizations,
     extract_even_subalgebra,
     m_degree,
+    pbw_words,
     reduce_mod_chi,
     reduce_mod_mk,
     slice_setup,
     slice_walgebra,
     splitting_check,
     whittaker_walgebra,
+    word_table,
 )
 
 # name -> (order, dims, generator (weight, parity) signature)
@@ -242,3 +245,69 @@ def test_alternate_lagrangian_same_tables():
     sb = _slice("osp12", 4, alt=True)
     assert sa.dims == sb.dims
     assert _sig(sa.gens) == _sig(sb.gens)
+
+
+def _brute_words(weights, parities, wlimit, amax=None):
+    top = max(wlimit, amax or 0)
+    out = []
+    for exps in itertools.product(range(top + 1), repeat=len(weights)):
+        if sum(e * w for e, w in zip(exps, weights)) > wlimit:
+            continue
+        if any(e > 1 for e, p in zip(exps, parities) if p == ODD):
+            continue
+        if amax is not None and sum(exps) > amax:
+            continue
+        if amax is None and any(e for e, w in zip(exps, weights) if w == 0):
+            continue
+        out.append(exps)
+    return out
+
+
+def test_pbw_words_match_brute_force():
+    cases = (
+        ((1, 2, 3, 1), (EVEN, ODD, EVEN, ODD), 6, None),  # mixed parities
+        ((0, 2, 1), (EVEN, EVEN, ODD), 5, None),  # weight 0 without amax
+        ((0, 2, 1), (EVEN, EVEN, ODD), 5, 3),  # weight 0 bounded by amax
+        ((1, 1, 2, 1), (EVEN, EVEN, EVEN, ODD), 6, 2),  # amax cuts words short
+        ((0, 1), (ODD, EVEN), 3, 3),
+        ((2, 3), (EVEN, EVEN), 0, None),
+    )
+    for weights, parities, wlimit, amax in cases:
+        got = pbw_words(weights, parities, wlimit, amax)
+        assert got == _brute_words(weights, parities, wlimit, amax), (weights, amax)
+        assert got == sorted(set(got))
+    assert pbw_words((0, 1), (EVEN, EVEN), 2) == [(0, 0), (0, 1), (0, 2)]
+    assert pbw_words((1,), (EVEN,), -1) == []
+
+
+def test_word_table_matches_naive_products_once_each():
+    ctx = _ctx("sl21")
+    qc = quantum_darboux(ctx.star, ctx.poisson, 4, seeds=ctx.m_gens())
+    factors = [v for e in qc.entries if e.kind in ("even", "odd")
+               for v in (e.a, e.b)]
+    factors += list(qc.center_gens) + [e.a for e in qc.entries if e.kind == "self"]
+    weights = [s.weights()[0] for s in factors]
+    parities = [s.parity() for s in factors]
+    words = pbw_words(weights, parities, 4, amax=4)
+    assert 0 in weights and len(words) == 73
+
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return ctx.star.star(a, b, order=qc.cap)
+
+    grown = factors[:3]
+    value = word_table(grown, mul, ctx.alg.one(qc.cap))
+    short = [e[:3] for e in words if not any(e[3:])]
+    for e in short:
+        value(e)
+    grown.extend(factors[3:])  # earlier words stay valid as the list grows
+    for e in words + words:
+        naive = ctx.alg.one(qc.cap)
+        for f, x in zip(factors, e):
+            for _ in range(x):
+                naive = ctx.star.star(naive, f, order=qc.cap)
+        assert (value(e) - naive).is_zero(), e
+    # one product per nonempty word, however often and in whatever order asked
+    assert len(calls) == len(words) - 1
