@@ -330,11 +330,11 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
     # weight-by-weight generator extraction against products of earlier gens
     gens = []
     gseries = []
-    word_value = word_table(gseries, qmul, alg.one())
+    gen_words = word_table(gseries, qmul, alg.one())
     new_counts = {}
 
     for w in range(n_max + 1):
-        prods = [word_value(e) for e in pbw_words([g[0] for g in gens],
+        prods = [gen_words(e) for e in pbw_words([g[0] for g in gens],
                                             [g[1] for g in gens], w)]
         monos, prows = _coords(prods + [cseries[m] for m in cands
                                         if alg.mono_weight(m) <= w])
@@ -475,11 +475,11 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = 4,
     # PBW words in the reduced generators
     weights = [w for w, _, _ in gens]
     parities = [p for _, p, _ in gens]
-    word_value = word_table([red for _, _, red in gens], _quotient_mul(ctx), alg.one())
+    gen_words = word_table([red for _, _, red in gens], _quotient_mul(ctx), alg.one())
 
     dims = []
     for n in range(order + 1):
-        _, rows = _coords([word_value(e) for e in pbw_words(weights, parities, n)])
+        _, rows = _coords([gen_words(e) for e in pbw_words(weights, parities, n)])
         _, piv = rref(rows)
         dims.append(len(piv))
 
@@ -493,7 +493,7 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = 4,
     def basis_for(wlimit):
         if wlimit not in basis_cache:
             ws = pbw_words(weights, parities, wlimit)
-            monos, rows = _coords([word_value(e) for e in ws])
+            monos, rows = _coords([gen_words(e) for e in ws])
             cols = [[rows[k][m] for k in range(len(ws))]
                     for m in range(len(monos))]
             basis_cache[wlimit] = (ws, monos, cols)
@@ -505,7 +505,7 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = 4,
             if wprod > order:
                 continue
             ws, monos, cols = basis_for(wprod)
-            p = word_value(tuple((k == i) + (k == j) for k in range(len(gens))))
+            p = gen_words(tuple((k == i) + (k == j) for k in range(len(gens))))
             mset = set(monos)
             if any(m not in mset for m in p.terms):
                 products_ok = False
@@ -660,9 +660,9 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2, guard: int = 4,
     weights = [_gen_weight(f) for f in factors]
     parities = [f.parity() for f in factors]
     # chart words at working order; the hbar = 1 lifts multiply exactly
-    chart_word = word_table(factors, lambda a, b: ctx.star.star(a, b, order=cap),
+    chart_words = word_table(factors, lambda a, b: ctx.star.star(a, b, order=cap),
                             alg.one(cap))
-    unit_word = word_table([f.set_hbar(1) for f in factors], ctx.ustar.star,
+    lift_words = word_table([f.set_hbar(1) for f in factors], ctx.ustar.star,
                            alg.one())
 
     targets = _monomials(alg, [v.ident for v in alg.variables if not v.hbar],
@@ -675,7 +675,7 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2, guard: int = 4,
     for m in targets:
         W = alg.mono_weight(m)
         if W not in families:
-            families[W] = _hbar_padded(chart_word, weights, parities, W, amax=cap)
+            families[W] = _hbar_padded(chart_words, weights, parities, W, amax=cap)
         words, cands = families[W]
         target = alg.series({m: Fraction(1)}, cap)
         coeffs = expand_filtered(target, cands, cap)
@@ -686,7 +686,7 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2, guard: int = 4,
         acc = alg.series({m: Fraction(1)})
         for exps, c in zip(words, coeffs):
             if c:
-                acc = acc - unit_word(exps) * c
+                acc = acc - lift_words(exps) * c
         if not reduce_mod_mk(ctx, acc, k).is_zero():
             recon_failures.append(alg.mono_str(m))
 
@@ -794,12 +794,12 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = 4,
     # (a) word independence through the working order
     aweights = [_gen_weight(g) for g in agens]
     aparities = [g.parity() for g in agens]
-    aword = word_table(agens, lambda a, b: ctx.star.star(a, b, order=cap),
+    agen_words = word_table(agens, lambda a, b: ctx.star.star(a, b, order=cap),
                        alg.one(cap))
     rank_ok = True
     for n in range(order + 1):
         ws = pbw_words(aweights, aparities, n)
-        _, rows = _coords([aword(e) for e in ws])
+        _, rows = _coords([agen_words(e) for e in ws])
         _, piv = rref(rows)
         if len(piv) != len(ws) or len(ws) != dims[n]:
             rank_ok = False
@@ -844,8 +844,8 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = 4,
     closure_ok = True
     for i in range(len(agens)):
         for j in range(i, len(agens)):
-            p = aword(tuple((k == i) + (k == j) for k in range(len(agens))))
-            _, cands = _hbar_padded(aword, aweights, aparities,
+            p = agen_words(tuple((k == i) + (k == j) for k in range(len(agens))))
+            _, cands = _hbar_padded(agen_words, aweights, aparities,
                                     aweights[i] + aweights[j])
             if expand_filtered(p, cands, cap) is None:
                 closure_ok = False
