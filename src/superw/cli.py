@@ -372,7 +372,7 @@ def _suite_checks(order, seed):
 
         if order >= 2:
             wh = whittaker_walgebra(ctx, order)
-            sl = slice_walgebra(ctx, order)
+            sl = slice_walgebra(ctx, order, qc=qc)
             cm = compare_realizations(ctx, order, slice_result=sl,
                                       whittaker_result=wh)
             add("whittaker_vs_slice:%s" % name, cm.ok,

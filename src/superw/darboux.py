@@ -48,7 +48,10 @@ class PoissonBackend:
     """The classical bracket backend: the product ``*``, ``{,}`` and unit 1.
 
     ``bracket`` works at the cap ``order + guard``; ``exact_bracket`` is the
-    untruncated one the certificates use.
+    untruncated one the certificates use.  Charts are certified through at
+    least order 1: at order 0 an odd pair may stop flattening with a residual
+    of order 1, and projecting through that pair loses the two orders of
+    ``BracketTable.drop``, which leaves a constant residual behind.
     """
 
     kind = "classical"
@@ -56,9 +59,9 @@ class PoissonBackend:
     def __init__(self, P, order, guard):
         self.P = P
         self.alg = P.alg
-        self.order = order
+        self.order = max(order, 1)
         self.guard = guard
-        self.cap = order + guard
+        self.cap = self.order + guard
         self.unit = P.alg.one()
         self._bracket = P.bracket
 

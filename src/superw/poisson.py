@@ -202,30 +202,6 @@ class PoissonAlgebra:
         return self.table.check_weights(self.bracket_weight)
 
 
-def evaluate(s, point=None):
-    """Evaluate a polynomial at a point (missing coordinates are zero).
-
-    Odd variables cannot carry a nonzero value, so any monomial containing
-    one evaluates to zero.
-    """
-    point = point or {}
-    alg = s.alg
-    for i, v in point.items():
-        if alg.by_id[i].parity == ODD and v:
-            raise ValueError("odd coordinates must vanish at a point")
-    total = Fraction(0)
-    for m, c in s.terms.items():
-        val = c
-        for i, e in m:
-            x = Fraction(point.get(i, 0))
-            if not x:
-                val = Fraction(0)
-                break
-            val *= x ** e
-        total += val
-    return total
-
-
 @dataclass
 class SymplecticSplit:
     """Linear-level normal form of the constant part of the bracket."""
@@ -236,7 +212,7 @@ class SymplecticSplit:
     radical: list = field(default_factory=list)
 
 
-def linear_split(poisson, vectors, seeds=None, alt=False):
+def linear_split(poisson, vectors, seeds=None):
     """Darboux normal form of the pairing <u,v> = {u,v}(0) on a list of
     linear elements.
 
@@ -244,12 +220,12 @@ def linear_split(poisson, vectors, seeds=None, alt=False):
     seed must find a partner among the rest, and seeds must be isotropic);
     everything left over is orthogonalized against the pairs and classified
     as self-paired (odd, nonzero self-pairing, scaled to pairing 1) or
-    radical.  Without seeds every vector is processed in order.  ``alt``
-    switches the partner pivot from the first available to the last.
+    radical.  Without seeds every vector is processed in order, and each
+    takes the first available partner.
     """
 
     def pair(u, v):
-        return evaluate(poisson.bracket(u, v))
+        return poisson.bracket(u, v).constant_term()
 
     work = []
     for v in vectors:
@@ -289,7 +265,7 @@ def linear_split(poisson, vectors, seeds=None, alt=False):
             continue
         if pair(u, u):
             raise AlgebraError("cannot seed a pair with a non-isotropic vector")
-        k = hits[-1] if alt else hits[0]
+        k = hits[0]
         v = work.pop(k) * (Fraction(1) / row[k])
         if odd:
             v = v - u * (pair(v, v) / 2)

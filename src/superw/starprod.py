@@ -161,24 +161,6 @@ class StarAlgebra:
                 out = t if out is None else out + t
         return self.alg.zero() if out is None else out
 
-    def dop(self, x, a, order="auto"):
-        """Commutator with x divided by hbar^2 (h2 mode only)."""
-        return self.commutator(x, a, order).divide_hbar(2)
-
-    def check_associativity(self):
-        """(x*y)*z == x*(y*z) on all generator triples; returns violations."""
-        gens = [self.alg.gen(v.name) for v in self.alg.variables if not v.hbar]
-        bad = []
-        n = len(gens)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.star(self.star(gens[i], gens[j]), gens[k])
-                    rhs = self.star(gens[i], self.star(gens[j], gens[k]))
-                    if lhs != rhs:
-                        bad.append((i, j, k, lhs - rhs))
-        return bad
-
 
 def _parity_parts(s):
     p = s.parity()

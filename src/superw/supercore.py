@@ -47,7 +47,6 @@ class Algebra:
         self.by_name = {v.name: v for v in vs}
         self._parity = {v.ident: v.parity for v in vs}
         self._weight = {v.ident: v.weight for v in vs}
-        self._adic = {v.ident: (1 if v.adic else 0) for v in vs}
         # completion-order unit: adic variables and hbar count 1, others 0
         self._eff = {v.ident: (1 if (v.adic or v.hbar) else 0) for v in vs}
         hs = [v for v in vs if v.hbar]
@@ -73,16 +72,6 @@ class Algebra:
         v = self.by_name[name]
         return Series(self, {((v.ident, 1),): Fraction(1)}, order)
 
-    def linear(self, coeffs, order=None):
-        """Linear combination of generators from a {name_or_id: coeff} dict."""
-        terms = {}
-        for key, c in coeffs.items():
-            v = self.by_name[key] if isinstance(key, str) else self.by_id[key]
-            c = Fraction(c)
-            if c:
-                terms[((v.ident, 1),)] = c
-        return Series(self, terms, order)
-
     # -- monomial helpers ---------------------------------------------
 
     def mono_parity(self, m):
@@ -94,9 +83,6 @@ class Algebra:
 
     def mono_weight(self, m):
         return sum(self._weight[i] * e for i, e in m)
-
-    def mono_adic(self, m):
-        return sum(e for i, e in m if self._adic[i])
 
     def mono_eff(self, m):
         return sum(e for i, e in m if self._eff[i])
@@ -170,13 +156,6 @@ class Series:
     def constant_term(self):
         return self.terms.get((), _ZERO)
 
-    def deg(self):
-        """Minimal adic order over the support (None for the zero element)."""
-        if not self.terms:
-            return None
-        adic = self.alg.mono_adic
-        return min(adic(m) for m in self.terms)
-
     def eff_deg(self):
         if not self.terms:
             return None
@@ -192,14 +171,6 @@ class Series:
 
     def weights(self):
         return sorted({self.alg.mono_weight(m) for m in self.terms})
-
-    def weight_components(self):
-        """Decomposition into weight-homogeneous pieces, as {weight: Series}."""
-        out = {}
-        wt = self.alg.mono_weight
-        for m, c in self.terms.items():
-            out.setdefault(wt(m), {})[m] = c
-        return {w: Series(self.alg, t, self.order) for w, t in sorted(out.items())}
 
     def is_weight_homogeneous(self):
         return len(self.weights()) <= 1
@@ -333,20 +304,9 @@ class Series:
         new = order if self.order is None else min(order, self.order)
         return Series(self.alg, self.terms, new)
 
-    def drop_below_eff(self, d):
-        eff = self.alg.mono_eff
-        return Series(self.alg, {m: c for m, c in self.terms.items() if eff(m) >= d},
-                      self.order)
-
     def eff_component(self, d):
         eff = self.alg.mono_eff
         return Series(self.alg, {m: c for m, c in self.terms.items() if eff(m) == d},
-                      self.order)
-
-    def adic_filter(self, n):
-        """Terms of adic order <= n (used when emitting order-n reports)."""
-        adic = self.alg.mono_adic
-        return Series(self.alg, {m: c for m, c in self.terms.items() if adic(m) <= n},
                       self.order)
 
     # -- hbar utilities -----------------------------------------------
@@ -356,13 +316,6 @@ class Series:
         if h is None:
             raise ValueError("universe has no hbar variable")
         return h
-
-    def hbar_exp(self, m):
-        h = self.alg.hbar_id
-        for i, e in m:
-            if i == h:
-                return e
-        return 0
 
     def mul_hbar(self, k):
         if k == 0:

@@ -16,6 +16,7 @@ comparisons meaningful.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .algebras import (
     dynkin_grading,
 )
 from .darboux import equivariant_darboux
-from .linalg import expand_filtered, nullspace, rref, solve, sparse_row
+from .linalg import expand_filtered, nullspace, rref, solve
 from .poisson import BracketTable, PoissonAlgebra, linear_split
 from .supercore import EVEN, ODD, Algebra, Series, Variable
 from .starprod import StarAlgebra, filtration_dims, quantum_darboux
@@ -75,9 +76,6 @@ class SliceContext:
 
     def even_m_gens(self):
         return [g for g in self.m_gens() if g.parity() == EVEN]
-
-    def gen_of(self, orig_index):
-        return self.alg.gen(self.data.names[orig_index])
 
 
 def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
@@ -239,28 +237,66 @@ def _monomials(alg, ids, wmax, amax=None):
     return out
 
 
-def _coords(series_list):
-    """Dense coordinate rows over the union of support monomials."""
-    monos = sorted({m for s in series_list for m in s.terms})
-    rows = [[s.coeff(m) for m in monos] for s in series_list]
-    return monos, rows
+def _words_by_weight(weights, parities, n_max):
+    """The PBW words of weight <= n_max, listed by exact weight."""
+    out = [[] for _ in range(n_max + 1)]
+    for e in pbw_words(weights, parities, n_max):
+        out[sum(x * w for x, w in zip(e, weights))].append(e)
+    return out
 
 
-def _row_reduce_basis(rows):
-    """Echelon basis of the row span: sparse rows (dict col -> Fraction), pivots."""
-    red, piv = rref(rows)
-    return [sparse_row(red[k]) for k in range(len(piv))], piv
+class _Span:
+    """A growing echelon basis of series, rows keyed by monomial.
+
+    Each row is a dict monomial -> Fraction whose smallest monomial, its
+    pivot, has coefficient 1.  A series is reduced against the rows in pivot
+    order; the remainder has no pivot in its support, so it depends only on
+    the span and the monomial order, not on the order the rows came in.
+    """
+
+    def __init__(self, series=()):
+        self.rows = {}  # pivot -> row
+        self.pivots = []  # sorted
+        for s in series:
+            self.add(s)
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def add(self, s):
+        """Reduce s; keep a nonzero remainder as a new row and return it
+        (scaled to 1 on its pivot), or return {} when s lies in the span."""
+        v = dict(s.terms)
+        for p in self.pivots:
+            c = v.get(p)
+            if c:
+                for m, x in self.rows[p].items():
+                    y = v.get(m, 0) - c * x
+                    if y:
+                        v[m] = y
+                    else:
+                        del v[m]
+        if v:
+            p = min(v)
+            inv = 1 / v[p]
+            v = self.rows[p] = {m: x * inv for m, x in v.items()}
+            insort(self.pivots, p)
+        return v
 
 
-def _in_span(basis_rows, pivots, vec):
-    """Reduce vec against an echelonized sparse basis; return the remainder."""
-    v = list(vec)
-    for row, p in zip(basis_rows, pivots):
-        if v[p]:
-            c = v[p] / row[p]
-            for k, x in row.items():
-                v[k] -= c * x
-    return v
+def _filtered_ranks(value, weights, parities, n_max):
+    """Entry n is the rank of the words of weight <= n under ``value``."""
+    span, ranks = _Span(), []
+    for words in _words_by_weight(weights, parities, n_max):
+        for e in words:
+            span.add(value(e))
+        ranks.append(len(span))
+    return ranks
+
+
+def _invariants(alg, sub, null):
+    """Kernel vectors over the candidate monomials ``sub``, as series."""
+    return [alg.series(dict(zip(sub, v))) for v in null]
 
 
 @dataclass
@@ -294,77 +330,45 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
                 "spaces would be infinite" % (ctx.data.name, alg.by_id[i].name)
             )
 
-    cands = _monomials(alg, ctx.complement_ids, n_max)
-    cseries = {m: alg.series({m: Fraction(1)}) for m in cands}
-    mg = ctx.m_gens()
+    # one kernel per parity over all candidates, sorted by (weight, monomial):
+    # the RREF of a column prefix is the prefix of the RREF, and a kernel
+    # vector's last nonzero entry is its free column, so the invariants of
+    # weight <= n are the kernel vectors that vanish past the first k columns
     qmul = _quotient_mul(ctx)
-    # candidate mono -> list of reduced image Series (one per shift gen)
-    images = {m: [qmul(g, cseries[m]) for g in mg] for m in cands}
-
-    def invariants(n, parity=None):
-        sub = [m for m in cands if alg.mono_weight(m) <= n
-               and (parity is None or alg.mono_parity(m) == parity)]
-        if not sub:
-            return [], []
-        imonos = sorted({mm for m in sub for im in images[m] for mm in im.terms})
+    cands = _monomials(alg, ctx.complement_ids, n_max)
+    invariant_bases = {n: {} for n in range(n_max + 1)}
+    for p in (EVEN, ODD):
+        sub = [m for m in cands if alg.mono_parity(m) == p]
         rows = []
-        for g_idx in range(len(mg)):
-            for mm in imonos:
-                rows.append([images[m][g_idx].coeff(mm) for m in sub])
-        if not rows:
-            rows = [[Fraction(0)] * len(sub)]
-        return sub, nullspace(rows, len(sub))
+        for g in ctx.m_gens():
+            images = [qmul(g, alg.series({m: Fraction(1)})) for m in sub]
+            for mm in sorted({mm for im in images for mm in im.terms}):
+                rows.append([im.coeff(mm) for im in images])
+        null = nullspace(rows, len(sub))
+        wts = [alg.mono_weight(m) for m in sub]
+        for n in range(n_max + 1):
+            k = sum(1 for x in wts if x <= n)
+            invariant_bases[n][p] = (sub[:k], [v[:k] for v in null if not any(v[k:])])
+    dims = [sum(len(invariant_bases[n][p][1]) for p in (EVEN, ODD))
+            for n in range(n_max + 1)]
 
-    dims = []
-    invariant_bases = {}
-    for n in range(n_max + 1):
-        total = 0
-        per_parity = {}
-        for p in (EVEN, ODD):
-            sub, null = invariants(n, p)
-            per_parity[p] = (sub, null)
-            total += len(null)
-        dims.append(total)
-        invariant_bases[n] = per_parity
-
-    # weight-by-weight generator extraction against products of earlier gens
+    # weight by weight, a nonzero remainder against the products of earlier
+    # generators is a new generator
     gens = []
     gseries = []
     gen_words = word_table(gseries, qmul, alg.one())
     new_counts = {}
-
+    span = _Span()
     for w in range(n_max + 1):
-        prods = [gen_words(e) for e in pbw_words([g[0] for g in gens],
-                                            [g[1] for g in gens], w)]
-        monos, prows = _coords(prods + [cseries[m] for m in cands
-                                        if alg.mono_weight(m) <= w])
-        span_rows = prows[: len(prods)]
-        basis, piv = _row_reduce_basis(span_rows)
+        for e in _words_by_weight([g[0] for g in gens], [g[1] for g in gens], w)[w]:
+            span.add(gen_words(e))
         count = [0, 0]
         for p in (EVEN, ODD):
-            sub, null = invariant_bases[w][p]
-            for vec in null:
-                s = alg.zero()
-                for m, c in zip(sub, vec):
-                    if c:
-                        s = s + cseries[m] * c
-                coords = [s.coeff(m) for m in monos]
-                rem = _in_span(basis, piv, coords)
-                if any(rem):
-                    # normalize on the leading surviving coordinate
-                    lead = next(k for k, c in enumerate(rem) if c)
-                    snew = alg.zero()
-                    for m, c in zip(monos, rem):
-                        if c:
-                            snew = snew + cseries.get(m, alg.series({m: Fraction(1)})) * c
-                    snew = snew * (Fraction(1) / rem[lead])
-                    gens.append((w, p, snew))
-                    gseries.append(snew)
-                    basis.append({k: c / rem[lead] for k, c in enumerate(rem) if c})
-                    piv.append(lead)
-                    ordered = sorted(range(len(piv)), key=lambda k: piv[k])
-                    basis = [basis[k] for k in ordered]
-                    piv = [piv[k] for k in ordered]
+            for s in _invariants(alg, *invariant_bases[w][p]):
+                row = span.add(s)
+                if row:
+                    gseries.append(alg.series(row))
+                    gens.append((w, p, gseries[-1]))
                     count[p] += 1
         if any(count):
             new_counts[w] = count
@@ -477,11 +481,7 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = 4,
     parities = [p for _, p, _ in gens]
     gen_words = word_table([red for _, _, red in gens], _quotient_mul(ctx), alg.one())
 
-    dims = []
-    for n in range(order + 1):
-        _, rows = _coords([gen_words(e) for e in pbw_words(weights, parities, n)])
-        _, piv = rref(rows)
-        dims.append(len(piv))
+    dims = _filtered_ranks(gen_words, weights, parities, order)
 
     # products gen_i * gen_j, reported only inside the certified filtration
     # range; the solve basis is the minimal word set of the product's weight,
@@ -493,9 +493,9 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = 4,
     def basis_for(wlimit):
         if wlimit not in basis_cache:
             ws = pbw_words(weights, parities, wlimit)
-            monos, rows = _coords([gen_words(e) for e in ws])
-            cols = [[rows[k][m] for k in range(len(ws))]
-                    for m in range(len(monos))]
+            vals = [gen_words(e) for e in ws]
+            monos = sorted({m for v in vals for m in v.terms})
+            cols = [[v.coeff(m) for v in vals] for m in monos]
             basis_cache[wlimit] = (ws, monos, cols)
         return basis_cache[wlimit]
 
@@ -584,33 +584,14 @@ def compare_realizations(ctx: SliceContext, n_max: int, guard: int = 4,
             span_ok = False
             continue
         for p, s in items:
-            sub, null = wh.invariant_bases[w][p]
-            if not null:
+            # membership in the solved invariant space of its weight
+            if _Span(_invariants(alg, *wh.invariant_bases[w][p])).add(s):
                 span_ok = False
-                continue
-            pos = {m: k for k, m in enumerate(sub)}
-            if any(m not in pos for m in s.terms):
-                span_ok = False
-                continue
-            # membership: s as a combination of the solved invariant vectors
-            rows = [[vec[pos[m]] for vec in null] for m in sub]
-            rhs = [s.coeff(m) for m in sub]
-            if solve(rows, rhs) is None:
-                span_ok = False
-        # leading block: lower invariants plus this weight's slice generators
-        prev = []
-        if w > 0:
-            for p in (EVEN, ODD):
-                sub, null = wh.invariant_bases[w - 1][p]
-                for vec in null:
-                    t = alg.series({m: c for m, c in zip(sub, vec) if c})
-                    prev.append(t)
-        stack = prev + [s for _, s in items]
-        monos = sorted({m for t in stack for m in t.terms})
-        rows_all = [[t.coeff(m) for m in monos] for t in stack]
-        _, piv_all = rref([list(r) for r in rows_all])
-        _, piv_prev = rref([list(r) for r in rows_all[: len(prev)]])
-        gained = len(piv_all) - len(piv_prev)
+        # leading block: each of this weight's slice generators must add to
+        # the span of the lower invariants
+        lower = _Span(t for p in (EVEN, ODD) if w > 0
+                      for t in _invariants(alg, *wh.invariant_bases[w - 1][p]))
+        gained = sum(1 for _, s in items if lower.add(s))
         want = wh.new_counts.get(w, [0, 0])
         if gained != len(items) or gained != sum(want):
             blocks_ok = False
@@ -749,7 +730,7 @@ class CliffordResult:
 
 
 def clifford_factorization(ctx: SliceContext, order: int, guard: int = 4,
-                           qc=None, sub_compare_order: int = 4) -> CliffordResult:
+                           qc=None) -> CliffordResult:
     """Factor the even-flattened centralizer through Clifford and W parts.
 
     Flattening only the even shift directions leaves every odd direction as a
@@ -796,13 +777,8 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = 4,
     aparities = [g.parity() for g in agens]
     agen_words = word_table(agens, lambda a, b: ctx.star.star(a, b, order=cap),
                        alg.one(cap))
-    rank_ok = True
-    for n in range(order + 1):
-        ws = pbw_words(aweights, aparities, n)
-        _, rows = _coords([agen_words(e) for e in ws])
-        _, piv = rref(rows)
-        if len(piv) != len(ws) or len(ws) != dims[n]:
-            rank_ok = False
+    rank_ok = (_filtered_ranks(agen_words, aweights, aparities, order) == dims ==
+               [len(pbw_words(aweights, aparities, n)) for n in range(order + 1)])
 
     # (b) the even-part W-algebra sits inside through the identical even chart
     even_entries = [e for e in qc0.entries if e.kind == "even"]
@@ -837,7 +813,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = 4,
                 if not (a - b).is_zero():
                     standalone_match = False
 
-    sub_cmp = compare_realizations(sub_ctx, sub_compare_order, guard)
+    sub_cmp = compare_realizations(sub_ctx, 4, guard)
     sub_compare_ok = sub_cmp.ok
 
     # closure: products of the centralizer generators expand over its words

@@ -253,6 +253,29 @@ def test_walgebra_single_method(capsys):
     assert rep["whittaker"]["dims"] == [1, 1, 5]
 
 
+@pytest.mark.parametrize("name", ["sl2", "gl11", "osp12", "sl21"])
+@pytest.mark.parametrize("method", ["both", "slice"])
+def test_walgebra_order_zero(capsys, name, method):
+    # at order 0 the charts are still certified through order 1, so sl21's
+    # odd pair projection leaves no constant residual
+    code, out = run_main(capsys, "walgebra", "--algebra", name, "--order", "0",
+                         "--method", method)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ok"] is True
+    assert rep["slice"]["dims"] == [1]
+    if method == "both":
+        assert rep["whittaker"]["dims"] == [1]
+
+
+def test_suite_order_zero(capsys):
+    code, out = run_main(capsys, "suite", "--order", "0")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ok"] is True
+    assert "classical_chart:sl21" in [c["name"] for c in rep["checks"]]
+
+
 def test_truncated_rerun_matches_lower_order():
     # the stability contract: run two orders higher, cut back, compare bytes
     for kind, name, order in (("walgebra", "sl2", 4), ("darboux", "osp12", 2)):

@@ -1,4 +1,4 @@
-"""Poisson structure from bracket tables: axioms, splits, evaluation."""
+"""Poisson structure from bracket tables: axioms and linear splits."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,6 @@ from superw.algebras import load_algebra
 from superw.poisson import (
     BracketTable,
     PoissonAlgebra,
-    evaluate,
     linear_split,
 )
 from superw.supercore import EVEN, ODD, Algebra, Variable
@@ -165,18 +164,6 @@ def test_bracket_interval_discipline():
     assert P.bracket(ea, eb).order is None
 
 
-def test_evaluate():
-    alg = _toy_universe()
-    p, q, t1 = alg.gen("p"), alg.gen("q"), alg.gen("t1")
-    s = 2 * p * p * q + q - 3
-    assert evaluate(s, {0: 1, 1: 2}) == 2 * 2 + 2 - 3
-    assert evaluate(s) == -3
-    # odd monomials die at any point
-    assert evaluate(t1 * q, {1: 5}) == 0
-    with pytest.raises(ValueError):
-        evaluate(s, {2: 1})
-
-
 # -- linear splits ------------------------------------------------------
 
 
@@ -190,7 +177,7 @@ def test_linear_split_sl2():
     assert len(sp.radical) == 1
     # the pairing of each flat pair is exactly one at the base point
     u, v = sp.even_pairs[0]
-    assert evaluate(P.bracket(u, v)) == 1
+    assert P.bracket(u, v).constant_term() == 1
 
 
 def test_linear_split_osp12():
@@ -202,7 +189,7 @@ def test_linear_split_osp12():
     assert len(sp.selfs) == 1
     assert len(sp.radical) == 2
     th = sp.selfs[0]
-    assert evaluate(P.bracket(th, th)) == 1
+    assert P.bracket(th, th).constant_term() == 1
 
 
 def test_linear_split_seeded():
@@ -251,15 +238,15 @@ def test_linear_split_mixed_parity_rejected():
         linear_split(P, [alg.gen("p") + alg.gen("t1")])
 
 
-def test_alt_split_picks_other_partner():
-    # two candidate partners: alt switches which one is consumed
+def test_split_takes_first_partner():
+    # two candidate partners: the first one is consumed, the other is
+    # orthogonalized against the pair and ends in the radical
     alg = Algebra([
         Variable(0, "u", EVEN), Variable(1, "v1", EVEN), Variable(2, "v2", EVEN),
     ])
     t = BracketTable(alg, {(0, 1): alg.one(), (0, 2): alg.one()})
     P = PoissonAlgebra(alg, t)
     gens = [alg.gen("u"), alg.gen("v1"), alg.gen("v2")]
-    lo = linear_split(P, gens)
-    hi = linear_split(P, gens, alt=True)
-    assert lo.even_pairs[0][1] == alg.gen("v1")
-    assert hi.even_pairs[0][1] == alg.gen("v2")
+    sp = linear_split(P, gens)
+    assert sp.even_pairs == [(alg.gen("u"), alg.gen("v1"))]
+    assert sp.radical == [alg.gen("v2") - alg.gen("v1")]

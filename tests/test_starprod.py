@@ -44,9 +44,14 @@ def rand_series(rng, alg, nterms=3, parity=None, order=None):
 
 
 def test_generator_associativity_catalog():
+    # (x*y)*z == x*(y*z) exactly on every triple of generators
     for name in ALGEBRAS:
         S = get_ctx(name).star
-        assert S.check_associativity() == []
+        gens = [S.alg.gen(v.name) for v in S.alg.variables if not v.hbar]
+        for x in gens:
+            for y in gens:
+                for z in gens:
+                    assert S.star(S.star(x, y), z) == S.star(x, S.star(y, z))
 
 
 def test_associativity_random():
@@ -87,7 +92,7 @@ def test_dop_matches_bracket_for_linear_elements():
     for x in gens:
         for y in gens:
             # for generators the star commutator has no higher corrections
-            assert S.dop(x, y) == P.bracket(x, y).mul_hbar(0)
+            assert S.commutator(x, y).divide_hbar(2) == P.bracket(x, y)
 
 
 def test_unit_mode_requires_exact_input():

@@ -113,9 +113,6 @@ def test_parity_and_weight_bookkeeping():
     assert (x * x * th).weights() == [5]
     s = x + y * y  # both weight 2
     assert s.is_weight_homogeneous()
-    comps = (x + th * xi).weight_components()
-    assert sorted(comps) == [2, 4]
-    assert comps[2] == x and comps[4] == th * xi
 
 
 def test_weight_multiplicativity_random():
@@ -218,8 +215,6 @@ def test_eff_component_and_filters():
     assert s.eff_component(1) == x
     assert s.eff_component(2) == x * y
     assert s.eff_component(3) == y.mul_hbar(2)
-    assert s.drop_below_eff(2) == x * y + y.mul_hbar(2)
-    assert s.adic_filter(1) == x + y.mul_hbar(2)
 
 
 def series_backend(alg, cap):

@@ -6,15 +6,20 @@ and solving the invariance conditions in exact rational arithmetic; the
 tests require byte-exact agreement.
 """
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from superw.algebras import load_algebra
+from superw.linalg import nullspace, rref
 from superw.starprod import filtration_dims, quantum_darboux
 from superw.supercore import EVEN, ODD
 from superw.wslice import (
+    _filtered_ranks,
+    _monomials,
+    _Span,
     clifford_factorization,
     compare_realizations,
     extract_even_subalgebra,
@@ -311,3 +316,126 @@ def test_word_table_matches_naive_products_once_each():
         assert (value(e) - naive).is_zero(), e
     # one product per nonempty word, however often and in whatever order asked
     assert len(calls) == len(words) - 1
+
+
+# -- oracles for the incremental echelon ------------------------------------
+
+
+def _rows_over(series, monos):
+    return [[s.coeff(m) for m in monos] for s in series]
+
+
+def _reference_whittaker(ctx, n_max):
+    """The per-weight solve the incremental one replaces: a fresh nullspace
+    per weight and parity, and a fresh rref of the generator products at
+    every weight.  Returns (invariant_bases, dims, gens)."""
+    alg = ctx.alg
+    cands = _monomials(alg, ctx.complement_ids, n_max)
+    mg = ctx.m_gens()
+
+    def qmul(a, b):
+        return reduce_mod_chi(ctx, ctx.ustar.star(a, b))
+
+    images = {m: [qmul(g, alg.series({m: Fraction(1)})) for g in mg] for m in cands}
+    bases, dims = {}, []
+    for n in range(n_max + 1):
+        bases[n] = {}
+        for p in (EVEN, ODD):
+            sub = [m for m in cands
+                   if alg.mono_weight(m) <= n and alg.mono_parity(m) == p]
+            imonos = sorted({mm for m in sub for im in images[m] for mm in im.terms})
+            rows = [[images[m][g].coeff(mm) for m in sub]
+                    for g in range(len(mg)) for mm in imonos]
+            null = nullspace(rows or [[Fraction(0)] * len(sub)], len(sub)) if sub else []
+            bases[n][p] = (sub, null)
+        dims.append(sum(len(bases[n][p][1]) for p in (EVEN, ODD)))
+
+    gens = []
+    for w in range(n_max + 1):
+        prods = []
+        for e in pbw_words([g[0] for g in gens], [g[1] for g in gens], w):
+            s = alg.one()  # the word multiplied out in full, reduced once
+            for (_, _, g), x in zip(gens, e):
+                for _ in range(x):
+                    s = ctx.ustar.star(s, g)
+            prods.append(reduce_mod_chi(ctx, s))
+        monos = sorted({m for s in prods for m in s.terms}
+                       | {m for m in cands if alg.mono_weight(m) <= w})
+        red, piv = rref(_rows_over(prods, monos)) if prods else ([], [])
+        basis = [dict(enumerate(red[k])) for k in range(len(piv))]
+        for p in (EVEN, ODD):
+            sub, null = bases[w][p]
+            for vec in null:
+                s = alg.series(dict(zip(sub, vec)))
+                rem = [s.coeff(m) for m in monos]
+                for row, q in sorted(zip(basis, piv), key=lambda t: t[1]):
+                    if rem[q]:
+                        c = rem[q]
+                        rem = [a - c * row[k] for k, a in enumerate(rem)]
+                if any(rem):
+                    lead = next(k for k, c in enumerate(rem) if c)
+                    row = {k: c / rem[lead] for k, c in enumerate(rem)}
+                    gens.append((w, p, alg.series({monos[k]: c for k, c in row.items()})))
+                    basis.append(row)
+                    piv.append(lead)
+    return bases, dims, gens
+
+
+@pytest.mark.parametrize("name,order,alt", [
+    ("sl2", 8, False), ("osp12", 6, False), ("sl21", 6, False),
+    ("osp12", 6, True), ("sl21", 6, True),
+])
+def test_whittaker_matches_per_weight_reference(name, order, alt):
+    wh = _whittaker(name, order, alt)
+    bases, dims, gens = _reference_whittaker(_ctx(name, alt), order)
+    assert wh.invariant_bases == bases
+    assert wh.dims == dims == FROZEN[name][1][: order + 1]
+    assert wh.gens == gens
+
+
+@pytest.mark.parametrize("name,order", [("sl2", 8), ("osp12", 6), ("sl21", 6)])
+def test_filtered_ranks_match_per_weight_rref(name, order):
+    ctx = _ctx(name)
+    gens = _slice(name, order).gens
+    weights, parities = [w for w, _, _ in gens], [p for _, p, _ in gens]
+    value = word_table([s for _, _, s in gens],
+                       lambda a, b: reduce_mod_chi(ctx, ctx.ustar.star(a, b)),
+                       ctx.alg.one())
+    want = []
+    for n in range(order + 1):
+        vals = [value(e) for e in pbw_words(weights, parities, n)]
+        want.append(len(rref(_rows_over(vals, sorted({m for v in vals for m in v.terms})))[1]))
+    assert _filtered_ranks(value, weights, parities, order) == want == FROZEN[name][1][: order + 1]
+
+
+def test_span_remainders_ignore_insertion_order_and_match_rref():
+    ctx = _ctx("sl21")
+    alg = ctx.alg
+    rng = random.Random(11)
+    monos = _monomials(alg, ctx.complement_ids, 4)[:10]
+
+    def rand():
+        return alg.series({m: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                           for m in rng.sample(monos, 4)})
+
+    vecs = [rand() for _ in range(6)]
+    vecs += [vecs[0] + vecs[1] * 2, vecs[2] - vecs[3] * Fraction(1, 3)]
+    probes = [rand() for _ in range(6)] + [vecs[4] - vecs[5], alg.zero()]
+    cols = sorted(monos)
+    red, piv = rref(_rows_over(vecs, cols))
+    for probe in probes:
+        rem = [probe.coeff(m) for m in cols]
+        for k, q in enumerate(piv):
+            c = rem[q]
+            rem = [a - c * b for a, b in zip(rem, red[k])]
+        want = {cols[k]: c for k, c in enumerate(rem) if c}
+        if want:
+            lead = want[min(want)]
+            want = {m: c / lead for m, c in want.items()}
+        for _ in range(5):
+            rng.shuffle(vecs)
+            span = _Span(vecs)
+            assert len(span) == len(piv) == 6
+            assert sorted(span.rows) == [cols[q] for q in piv]
+            assert span.add(probe) == want
+    assert not _Span(vecs).add(vecs[4] - vecs[5])
