@@ -406,15 +406,18 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
-def _nonneg_int(text):
-    """argparse type for --order and --guard: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
-    return value
+def _int_at_least(low):
+    """argparse type: an integer >= low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "expected an integer, got %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+    return parse
 
 
 def main(argv=None):
@@ -427,9 +430,11 @@ def main(argv=None):
     def common(p, order_required=True):
         p.add_argument("--algebra", required=True,
                        help="catalog name or path to a JSON file")
-        p.add_argument("--order", type=_nonneg_int, required=order_required,
+        p.add_argument("--order", type=_int_at_least(0), required=order_required,
                        default=None)
-        p.add_argument("--guard", type=_nonneg_int, default=4)
+        # below guard 2 the even correction stalls (guard 0), or projecting
+        # through an odd pair loses the two orders of BracketTable.drop (1)
+        p.add_argument("--guard", type=_int_at_least(2), default=4)
         p.add_argument("--alt-lagrangian", action="store_true")
         p.add_argument("--out", default=None)
 
@@ -447,7 +452,7 @@ def main(argv=None):
                    default="both")
 
     p = sub.add_parser("suite", help="run the property-check battery")
-    p.add_argument("--order", type=_nonneg_int, default=2)
+    p.add_argument("--order", type=_int_at_least(0), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 

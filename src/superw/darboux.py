@@ -4,8 +4,9 @@ Starting from the linear normal form of the constant part of the bracket,
 each chart pair is corrected order by order until its bracket relations are
 exactly the flat ones through the requested order, and the remaining
 directions are projected onto the centralizer of the chart.  Intermediate
-work runs at a slightly higher cap (``order + guard``); the final
-certificates are recomputed with exact arithmetic.
+work runs at a slightly higher cap (``order + guard``).  The certificates
+compute each bracket at the certified order, so they are exact through it:
+a monomial pair is skipped only when all of its terms lie above that order.
 
 The engine runs with one of two bracket backends.  A backend supplies the
 product, the residual bracket, division by the unit, and the unit itself:
@@ -40,18 +41,15 @@ def clean_mod(s, level):
     return d is None or d > level
 
 
-def _exact(s):
-    return Series(s.alg, s.terms, None)
-
-
 class PoissonBackend:
     """The classical bracket backend: the product ``*``, ``{,}`` and unit 1.
 
-    ``bracket`` works at the cap ``order + guard``; ``exact_bracket`` is the
-    untruncated one the certificates use.  Charts are certified through at
-    least order 1: at order 0 an odd pair may stop flattening with a residual
-    of order 1, and projecting through that pair loses the two orders of
-    ``BracketTable.drop``, which leaves a constant residual behind.
+    ``bracket`` is exact through the cap ``order + guard`` or through the
+    order it is given (the certified one, for certificates).  Charts are
+    certified through at least order 1: at order 0 an odd pair may stop
+    flattening with a residual of order 1, and projecting through that pair
+    loses the two orders of ``BracketTable.drop``, which leaves a constant
+    residual behind.
     """
 
     kind = "classical"
@@ -68,11 +66,9 @@ class PoissonBackend:
     def mul(self, a, b):
         return a * b
 
-    def bracket(self, a, b):
-        return self._bracket(a, b, order=self.cap)
-
-    def exact_bracket(self, a, b):
-        return self._bracket(a, b, order=None)
+    def bracket(self, a, b, order=None):
+        """The bracket, exact through ``order`` (default: the cap)."""
+        return self._bracket(a, b, order=self.cap if order is None else order)
 
     def div(self, r):
         """Divide by the unit."""
@@ -328,34 +324,26 @@ class Chart:
 def certify(chart):
     """Exact residual certificates of a chart through its report order."""
     B = chart.backend
-    vs = [_exact(v) for v in chart.chart_vars()]
+    order = chart.order
+    vs = chart.chart_vars()
     failures = []
-    worst = None
     for i in range(len(vs)):
         for j in range(i, len(vs)):
-            r = B.exact_bracket(vs[i], vs[j]) - chart.expected_bracket(i, j)
-            d = r.eff_deg()
-            if d is not None:
-                worst = d if worst is None else min(worst, d)
-            if not clean_mod(r, chart.order):
-                failures.append(("chart", i, j, d))
+            r = B.bracket(vs[i], vs[j], order) - chart.expected_bracket(i, j)
+            if not clean_mod(r, order):
+                failures.append(("chart", i, j, r.eff_deg()))
     for k, c in enumerate(chart.center_gens):
-        ce = _exact(c)
         for i, v in enumerate(vs):
-            r = B.exact_bracket(v, ce)
-            d = r.eff_deg()
-            if d is not None:
-                worst = d if worst is None else min(worst, d)
-            if not clean_mod(r, chart.order):
-                failures.append(("center", i, k, d))
+            r = B.bracket(v, c, order)
+            if not clean_mod(r, order):
+                failures.append(("center", i, k, r.eff_deg()))
     homogeneous = all(
         v.is_weight_homogeneous() for v in vs + list(chart.center_gens)
     )
     return {
-        "order": chart.order,
+        "order": order,
         "chart_variables": len(vs),
         "center_generators": len(chart.center_gens),
-        "residual_floor": worst,
         "weight_homogeneous": homogeneous,
         "failures": failures,
         "ok": not failures,

@@ -119,9 +119,11 @@ class PoissonAlgebra:
         """Poisson bracket of two series.
 
         By default the result order is the interval-safe one: the joint
-        input order lowered by the table drop.  Normalization loops that
-        work with committed polynomials at a fixed cap pass ``order=cap``
-        instead (their claims are certified exactly afterwards).
+        input order lowered by the table drop.  An explicit ``order`` treats
+        the inputs as polynomials and gives their bracket exactly through
+        that order: a monomial pair is skipped only when the table drop
+        cannot bring its terms down to it.  The normalization loops pass
+        their cap, and the chart certificates the certified order.
         """
         if f.alg is not self.alg or g.alg is not self.alg:
             raise ValueError("series from a different universe")

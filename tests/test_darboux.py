@@ -1,6 +1,7 @@
 """Classical normalization: pair flattening, projections, full charts."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from superw.darboux import (
     odd_self_project,
 )
 from superw.poisson import BracketTable, PoissonAlgebra, linear_split
-from superw.supercore import EVEN, ODD, Algebra, Variable
+from superw.starprod import quantum_darboux
+from superw.supercore import EVEN, ODD, Algebra, Series, Variable
 from superw.wslice import slice_setup
 
 ALGEBRAS = ("sl2", "gl11", "osp12", "sl21")
@@ -198,3 +200,92 @@ def test_projection_consistency_random():
         p = chart.project(a.truncate(chart.cap))
         for v in chart.chart_vars():
             assert P.bracket(v, p, order=chart.order).is_zero()
+
+
+# -- the truncated certificate against an untruncated reference ---------
+
+
+def _untruncated_residuals(chart):
+    """(tag, i, j, residual) for every certified pair, with every bracket
+    computed in full, so that no monomial pair is skipped."""
+    B = chart.backend
+    full = B.S.commutator if B.kind == "quantum" else B.P.bracket
+    vs = [Series(v.alg, v.terms) for v in chart.chart_vars()]
+    out = []
+    for i in range(len(vs)):
+        for j in range(i, len(vs)):
+            r = full(vs[i], vs[j], order=None) - chart.expected_bracket(i, j)
+            out.append(("chart", i, j, r))
+    for k, c in enumerate(chart.center_gens):
+        c = Series(c.alg, c.terms)
+        for i, v in enumerate(vs):
+            out.append(("center", i, k, full(v, c, order=None)))
+    return out
+
+
+def _reference(residuals, level):
+    """The (ok, failures) of the untruncated residuals read through level."""
+    failures = [(tag, i, j, r.eff_deg()) for tag, i, j, r in residuals
+                if r.eff_deg() is not None and r.eff_deg() <= level]
+    return not failures, failures
+
+
+def _certificate(chart, level):
+    rep = replace(chart, order=level).verify()
+    return rep["ok"], rep["failures"]
+
+
+def _charts(ctx, order):
+    seeds = ctx.m_gens()
+    cc = equivariant_darboux(ctx.poisson, order, seeds=seeds)
+    qc = quantum_darboux(ctx.star, ctx.poisson, order, seeds=seeds, classical=cc)
+    return cc, qc
+
+
+@pytest.mark.parametrize("alt", (False, True))
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_truncated_certificate_matches_untruncated(name, alt):
+    # one level past the chart order some charts do have residuals, so the
+    # failure tuples (eff_deg included) are compared on nonempty lists too
+    ctx = slice_setup(load_algebra(name), alt=alt)
+    for order in range(7):
+        for chart in _charts(ctx, order):
+            residuals = _untruncated_residuals(chart)
+            for level in (chart.order, chart.order + 1):
+                assert _certificate(chart, level) == _reference(residuals, level), (
+                    order, chart.backend.kind, level)
+
+
+@pytest.mark.parametrize("name", ("sl2", "osp12", "sl21"))
+def test_planted_fault_at_the_order_boundary(name):
+    # hbar is central for both brackets, so multiplying a chart variable by
+    # 1 + hbar^p adds exactly hbar^p times the unit to the brackets where
+    # the flat model has the unit: a residual at completion order p plus the
+    # order of the unit (0 classically, 2 for hbar^2)
+    ctx = slice_setup(load_algebra(name))
+    order = 3
+    alg = ctx.poisson.alg
+    hbar = alg.gen(alg.by_id[alg.hbar_id].name)
+    for chart in _charts(ctx, order):
+        lift = chart.backend.unit.eff_deg()
+        i = 0
+        for k, e in enumerate(chart.entries):
+            partner = i if e.kind == "self" else i + 1
+            for p, ok in ((order - lift, False), (order + 1 - lift, True)):
+                entries = list(chart.entries)
+                entries[k] = ChartEntry(e.kind, e.a + e.a * hbar ** p, e.b)
+                bad = replace(chart, entries=entries)
+                got = _certificate(bad, order)
+                assert got == _reference(_untruncated_residuals(bad), order)
+                assert got == (ok, [] if ok else [("chart", i, partner, order)])
+            if e.kind == "even" and chart.center_gens:
+                # a center generator picking up hbar^p times the partner of
+                # e.a fails exactly against e.a
+                for p, ok in ((order - lift, False), (order + 1 - lift, True)):
+                    centers = list(chart.center_gens)
+                    centers[0] = centers[0] + e.b * hbar ** p
+                    bad = replace(chart, center_gens=centers)
+                    got = _certificate(bad, order)
+                    assert got == _reference(_untruncated_residuals(bad), order)
+                    assert got == (ok, [] if ok else [("center", i, 0, order)])
+            i += len(e.variables())

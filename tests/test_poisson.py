@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superw.algebras import load_algebra
+from superw.cli import _random_series
 from superw.poisson import (
     BracketTable,
     PoissonAlgebra,
@@ -250,3 +251,21 @@ def test_split_takes_first_partner():
     sp = linear_split(P, gens)
     assert sp.even_pairs == [(alg.gen("u"), alg.gen("v1"))]
     assert sp.radical == [alg.gen("v2") - alg.gen("v1")]
+
+
+def test_bracket_at_an_order_truncates_the_exact_result():
+    # an explicit order skips a monomial pair only when the table drop
+    # cannot bring its bracket down to the order
+    rng = random.Random(31)
+    for name in ALGEBRAS:
+        P = get_ctx(name).poisson
+        odd = any(v.parity == ODD for v in P.alg.variables)
+        parities = (None, EVEN, ODD) if odd else (None, EVEN)
+        for _ in range(4):
+            a, b = (_random_series(rng, P.alg, 6, 4, 5,
+                                   parity=rng.choice(parities),
+                                   with_hbar=True) for _ in range(2))
+            exact = P.bracket(a, b, order=None)
+            for n in range(7):
+                got = P.bracket(a, b, order=n)
+                assert got == exact.truncate(n) and got.order == n, (name, n)

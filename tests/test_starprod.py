@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superw.algebras import load_algebra
+from superw.cli import _random_series
 from superw.darboux import equivariant_darboux, inv_sqrt_series
 from superw.starprod import (
     StarBackend,
@@ -230,3 +231,22 @@ def test_filtration_dims_brute_force():
         assert got == want
     with pytest.raises(ValueError):
         filtration_dims([0], [], 3)
+
+
+def test_star_and_commutator_at_an_order_truncate_the_exact_result():
+    # an explicit order skips only monomial pairs whose star product lies
+    # entirely above it, so nothing at or below the order may change
+    rng = random.Random(29)
+    for name in ALGEBRAS:
+        S = get_ctx(name).star
+        odd = any(v.parity == ODD for v in S.alg.variables)
+        parities = (None, EVEN, ODD) if odd else (None, EVEN)
+        for _ in range(4):
+            a, b = (_random_series(rng, S.alg, 6, 4, 5,
+                                   parity=rng.choice(parities),
+                                   with_hbar=True) for _ in range(2))
+            star, comm = S.star(a, b, order=None), S.commutator(a, b, order=None)
+            for n in range(7):
+                got = S.star(a, b, order=n)
+                assert got == star.truncate(n) and got.order == n, (name, n)
+                assert S.commutator(a, b, order=n) == comm.truncate(n), (name, n)
