@@ -42,7 +42,7 @@ class AlgebraError(ValueError):
 
 
 def _rat(x):
-    if isinstance(x, (str, int)):
+    if isinstance(x, str) or type(x) is int:  # bool is an int subclass
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -214,37 +214,57 @@ def _catalog_dir():
 
 
 def catalog_names():
-    """Names resolvable without a path, honoring the SUPERW_CATALOG override."""
+    """Names resolvable without a path, honoring the SUPERW_CATALOG override.
+
+    An override naming a directory that cannot be listed or holds no
+    ``.json`` file raises AlgebraError naming the directory.
+    """
     env = _catalog_dir()
-    if env:
-        try:
-            return tuple(sorted(
-                f[:-5] for f in os.listdir(env) if f.endswith(".json")
-            ))
-        except OSError:
-            return ()
-    return BUNDLED
+    if not env:
+        return BUNDLED
+    try:
+        names = tuple(sorted(f[:-5] for f in os.listdir(env) if f.endswith(".json")))
+    except OSError as exc:
+        raise AlgebraError("cannot list catalog %s: %s" % (env, exc.strerror)) from None
+    if not names:
+        raise AlgebraError("catalog %s holds no .json algebra file" % env)
+    return names
+
+
+def _read_json(path):
+    """The JSON object in the file at ``path``.
+
+    An unreadable file, bytes that are not UTF-8, malformed JSON or a top
+    level that is not an object raise AlgebraError naming the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise AlgebraError("cannot read algebra file %s: %s" % (path, exc)) from None
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise AlgebraError("%s is not UTF-8 text: %s" % (path, exc)) from None
+    except (ValueError, RecursionError) as exc:
+        raise AlgebraError("%s is not valid JSON: %s" % (path, exc)) from None
+    if not isinstance(raw, dict):
+        raise AlgebraError("%s must hold a JSON object, got %s"
+                           % (path, type(raw).__name__))
+    return raw
 
 
 def load_algebra(spec: str) -> LieSuperData:
     """Load and validate an algebra from a file path or a catalog name."""
     if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise AlgebraError("cannot read algebra file %s: %s" % (spec, exc))
-        except json.JSONDecodeError as exc:
-            raise AlgebraError("%s is not valid JSON: %s" % (spec, exc))
+        raw = _read_json(spec)
     else:
         env = _catalog_dir()
         if env:
             path = os.path.join(env, spec + ".json")
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    raw = json.load(fh)
-            except OSError as exc:
-                raise AlgebraError("catalog %s has no algebra %r: %s" % (env, spec, exc))
+            if not os.path.isfile(path):
+                raise AlgebraError("catalog %s has no algebra %r" % (env, spec))
+            raw = _read_json(path)
         else:
             if spec not in BUNDLED:
                 raise AlgebraError(
@@ -272,6 +292,22 @@ def _int_field(entry, key, where):
     return value
 
 
+def _str_field(entry, key, where):
+    """entry[key], a JSON string, or an AlgebraError naming the field."""
+    value = _field(entry, key, where)
+    if not isinstance(value, str):
+        raise AlgebraError(
+            "%s field %r must be a string, got %r" % (where, key, value))
+    return value
+
+
+def _array(value, what):
+    """value, a JSON array, or an AlgebraError naming it."""
+    if not isinstance(value, list):
+        raise AlgebraError("%s must be an array, got %s" % (what, type(value).__name__))
+    return value
+
+
 def _from_json(raw) -> LieSuperData:
     try:
         name = raw["name"]
@@ -280,8 +316,13 @@ def _from_json(raw) -> LieSuperData:
         form = raw["form"]
     except (KeyError, TypeError) as exc:
         raise AlgebraError("algebra file missing required field: %s" % exc)
+    if not isinstance(name, str):
+        raise AlgebraError("algebra field 'name' must be a string, got %r" % (name,))
+    basis = _array(basis, "%s: basis" % name)
+    brackets = _array(brackets, "%s: brackets" % name)
+    form = _array(form, "%s: form" % name)
 
-    names = tuple(_field(b, "name", "%s: basis entry %d" % (name, k))
+    names = tuple(_str_field(b, "name", "%s: basis entry %d" % (name, k))
                   for k, b in enumerate(basis))
     parities = tuple(_int_field(b, "parity", "%s: basis entry %d" % (name, k))
                      for k, b in enumerate(basis))
@@ -303,15 +344,20 @@ def _from_json(raw) -> LieSuperData:
             )
         if (i, j) in table:
             raise AlgebraError("%s: duplicate bracket entry (%d,%d)" % (name, i, j))
-        table[(i, j)] = tuple(_rat(c) for c in _field(ent, "coeffs", where))
+        coeffs = _array(_field(ent, "coeffs", where), "%s field 'coeffs'" % where)
+        table[(i, j)] = tuple(_rat(c) for c in coeffs)
 
-    fm = tuple(tuple(_rat(c) for c in row) for row in form)
+    fm = tuple(tuple(_rat(c) for c in _array(row, "%s: form row %d" % (name, k)))
+               for k, row in enumerate(form))
 
     zero = (Fraction(0),) * n
     if "sl2_triple" in raw and raw["sl2_triple"] is not None:
         t = raw["sl2_triple"]
-        triple = tuple(tuple(_rat(c) for c in _field(t, w, "%s: sl2_triple" % name))
-                       for w in ("e", "h", "f"))
+        where = "%s: sl2_triple" % name
+        triple = tuple(
+            tuple(_rat(c) for c in _array(_field(t, w, where),
+                                          "%s field %r" % (where, w)))
+            for w in ("e", "h", "f"))
     else:
         triple = (zero, zero, zero)
 

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .algebras import AlgebraError, build_chi, catalog_names, dynkin_grading, load_algebra
-from .darboux import DarbouxError, equivariant_darboux
+from .darboux import DEFAULT_GUARD, DarbouxError, equivariant_darboux
 from .starprod import quantum_darboux, rees_inverse, rees_map
 from .supercore import EVEN, ODD
 from .wslice import (
@@ -205,10 +205,11 @@ def build_report(kind, **kw):
     if kind == "check":
         return check_report(kw["algebra"], kw.get("alt", False))
     if kind == "darboux":
-        return darboux_report(kw["algebra"], kw["order"], kw.get("guard", 4),
-                              kw.get("alt", False))
+        return darboux_report(kw["algebra"], kw["order"],
+                              kw.get("guard", DEFAULT_GUARD), kw.get("alt", False))
     if kind == "walgebra":
-        return walgebra_report(kw["algebra"], kw["order"], kw.get("guard", 4),
+        return walgebra_report(kw["algebra"], kw["order"],
+                               kw.get("guard", DEFAULT_GUARD),
                                kw.get("method", "both"), kw.get("alt", False))
     raise ValueError("unknown report kind %r" % kind)
 
@@ -406,6 +407,21 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
+def _out_path(path):
+    """argparse type: a path that opens for writing.
+
+    Checking at parse time makes an unwritable ``--out`` a usage error before
+    any computation; the check creates a missing file but truncates nothing.
+    """
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            "cannot write %s: %s" % (path, exc.strerror)) from None
+    return path
+
+
 def _int_at_least(low):
     """argparse type: an integer >= low."""
     def parse(text):
@@ -434,14 +450,14 @@ def main(argv=None):
                        default=None)
         # below guard 2 the even correction stalls (guard 0), or projecting
         # through an odd pair loses the two orders of BracketTable.drop (1)
-        p.add_argument("--guard", type=_int_at_least(2), default=4)
+        p.add_argument("--guard", type=_int_at_least(2), default=DEFAULT_GUARD)
         p.add_argument("--alt-lagrangian", action="store_true")
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", type=_out_path, default=None)
 
     p = sub.add_parser("check", help="validate an algebra and its grading")
     p.add_argument("--algebra", required=True)
     p.add_argument("--alt-lagrangian", action="store_true")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
 
     p = sub.add_parser("darboux", help="classical and quantum charts")
     common(p)
@@ -454,7 +470,7 @@ def main(argv=None):
     p = sub.add_parser("suite", help="run the property-check battery")
     p.add_argument("--order", type=_int_at_least(0), default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
 
     args = parser.parse_args(argv)
 

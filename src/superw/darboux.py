@@ -8,13 +8,15 @@ work runs at a slightly higher cap (``order + guard``).  The certificates
 compute each bracket at the certified order, so they are exact through it:
 a monomial pair is skipped only when all of its terms lie above that order.
 
-The engine runs with one of two bracket backends.  A backend supplies the
-product, the residual bracket, division by the unit, and the unit itself:
+The engine is one algorithm run with one of two bracket backends.  A
+backend supplies only the product, the residual bracket, the ``hbar`` power
+of its unit and the split of a series into ``hbar`` levels:
 :class:`PoissonBackend` is the Poisson bracket with unit 1, and
 :class:`superw.starprod.StarBackend` is the star commutator with unit
-``hbar^2``, so that ``[,]/hbar^2`` takes the place of ``{,}``.  Only the even
-correction and the odd self-normalization are different algorithms in the
-two cases; each backend implements those two itself.
+``hbar^2``, so that ``[,]/hbar^2`` takes the place of ``{,}``.  The even
+correction removes the defect ``hbar``-level by ``hbar``-level (a classical
+chart has the one level 0), and the odd self-normalization is the same
+iteration for both.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .supercore import EVEN, Series
 # passes before an even projection or an odd-pair flattening gives up
 PROJECT_PASSES = 10
 FLATTEN_PASSES = 30
+# orders past the certified one at which the correction loops work
+DEFAULT_GUARD = 4
 
 
 class DarbouxError(Exception):
@@ -44,6 +48,9 @@ def clean_mod(s, level):
 class PoissonBackend:
     """The classical bracket backend: the product ``*``, ``{,}`` and unit 1.
 
+    The unit ``hbar^unit_level`` and the division ``div`` by it follow from
+    the class attribute ``unit_level`` (0 here, 2 for the star commutator).
+
     ``bracket`` is exact through the cap ``order + guard`` or through the
     order it is given (the certified one, for certificates).  Charts are
     certified through at least order 1: at order 0 an odd pair may stop
@@ -53,6 +60,7 @@ class PoissonBackend:
     """
 
     kind = "classical"
+    unit_level = 0
 
     def __init__(self, P, order, guard):
         self.P = P
@@ -60,7 +68,7 @@ class PoissonBackend:
         self.order = max(order, 1)
         self.guard = guard
         self.cap = self.order + guard
-        self.unit = P.alg.one()
+        self.unit = P.alg.one().mul_hbar(self.unit_level)
         self._bracket = P.bracket
 
     def mul(self, a, b):
@@ -72,59 +80,82 @@ class PoissonBackend:
 
     def div(self, r):
         """Divide by the unit."""
-        return r
+        return r.divide_hbar(self.unit_level)
 
-    def even_correct(self, f, g):
-        """Correct g so that {f, g} = 1 through the certification order.
+    def levels(self, r):
+        """{s: hbar-free coefficient of hbar^s} of r; all of r is level 0 in
+        a universe without hbar."""
+        return r.hbar_levels() if self.alg.hbar_id is not None else {0: r}
 
-        f is even and untouched; g must already satisfy {f,g} = 1 + (higher).
-        Each pass subtracts sum_i (-1)^i/i! g^i ad_f^(i-1)(t) for the current
-        defect t, which kills t exactly and leaves a remainder of at least
-        twice its order.
-        """
-        cap = self.cap
-        f = f.truncate(cap)
-        g = g.truncate(cap)
-        t = self.bracket(f, g) - 1
-        if t.constant_term():
+
+# -- the two normalizations, for either backend ---------------------------
+
+
+def even_correct(B, f, g):
+    """Correct g so that the bracket of f and g is the unit through the
+    certification order.
+
+    f is even and untouched; g must already pair with f to the unit at the
+    point.  Each pass takes the lowest hbar-level s of the defect, r_s, and
+    solves the classical equation {f0, X} = -r_s by the telescoping
+    primitive X = -sum (-1)^k/(k+1)! g0^(k+1) ad_f0^k(r_s), where f0 and g0
+    are the hbar-free parts of f and of the current g; it then adds
+    hbar^(s - unit_level) X to g.  Classically (one level) this kills the
+    defect and leaves a remainder of at least twice its order.
+    """
+    cap, alg = B.cap, B.alg
+    f = f.truncate(cap)
+    g = g.truncate(cap)
+    f0 = B.levels(f).get(0, alg.zero(cap))
+    r = B.bracket(f, g) - B.unit
+    prev = None
+    while not clean_mod(r, B.order):
+        levels = B.levels(r)
+        s = min(lv for lv, comp in levels.items() if not comp.is_zero())
+        rs = levels[s]
+        if s < B.unit_level or (s == B.unit_level and rs.constant_term()):
             raise DarbouxError("even pair is not normalized at the point")
-        prev = -1
-        while not clean_mod(t, self.order):
-            d = t.eff_deg()
-            if d <= prev:
-                raise DarbouxError(f"even correction stalled at residual order {d}")
-            prev = d
-            delta = self.alg.zero(cap)
-            u = t
-            gp = self.alg.one(cap)
-            coef = Fraction(1)
-            for i in range(1, cap + 1):
-                gp = gp * g
-                if gp.is_zero():
-                    break
-                coef *= Fraction(-1, i)
-                delta = delta + gp * u * coef
-                u = self.bracket(f, u)
-            g = g + delta
-            t = self.bracket(f, g) - 1
-        return g
+        key = (s, rs.eff_deg())
+        if prev is not None and key <= prev:
+            raise DarbouxError(
+                f"even correction stalled at hbar^{s}, residual order {key[1]}")
+        prev = key
+        g0 = B.levels(g).get(0, alg.zero(cap))
+        x = alg.zero(cap)
+        u = rs
+        gp = alg.one(cap)
+        coef = Fraction(-1)
+        for k in range(cap + 1):
+            gp = gp * g0
+            if gp.is_zero():
+                break
+            x = x + gp * u * coef
+            u = B.P.bracket(f0, u, order=cap)
+            coef *= Fraction(-1, k + 2)
+        g = g + x.mul_hbar(s - B.unit_level).truncate(cap)
+        r = B.bracket(f, g) - B.unit
+    return g
 
-    def odd_self_normalize(self, th):
-        """Scale an odd element with {th, th} = 1 + (higher) to {th, th} = 1.
 
-        The defect t commutes with th (a consequence of the graded Jacobi
-        identity), so multiplying by (1+t)^(-1/2) works in one step.
-        """
-        th = th.truncate(self.cap)
-        t = self.bracket(th, th) - 1
-        if t.constant_term():
-            raise DarbouxError("odd direction is not unit-paired at the point")
-        if t.is_zero():
+def odd_self_normalize(B, th):
+    """Scale an odd element so that its self-bracket is the unit through the
+    certification order.
+
+    Each pass replaces th by th - th*rho/2, where rho is the defect divided
+    by the unit; classically this is Newton's step for (1+rho)^(-1/2).
+    """
+    th = th.truncate(B.cap)
+    prev = -1
+    while True:
+        r = B.bracket(th, th) - B.unit
+        if clean_mod(r, B.order):
             return th
-        out = inv_sqrt_series(self, t) * th
-        if not clean_mod(self.bracket(out, out) - 1, self.order):
-            raise DarbouxError("odd self-normalization failed")
-        return out
+        d = r.eff_deg()
+        if d <= prev:
+            raise DarbouxError(
+                f"odd self-normalization stalled at residual order {d}")
+        prev = d
+        th = th - B.mul(th, B.div(r)) * Fraction(1, 2)
 
 
 def inv_sqrt_series(B, t):
@@ -365,11 +396,11 @@ def build_chart(cls, B, seeds, centers):
             where = f"{kind} entry {len(chart.entries)}"
             vs = [chart.project(v.truncate(B.cap)) for v in vs]
             if kind == "even":
-                vs = (vs[0], B.even_correct(*vs))
+                vs = (vs[0], even_correct(B, *vs))
             elif kind == "odd":
                 vs = odd_pair_flatten(B, *vs)
             else:
-                vs = (B.odd_self_normalize(*vs),)
+                vs = (odd_self_normalize(B, *vs),)
             chart.entries.append(ChartEntry(kind, *vs))
         for k, w in enumerate(centers):
             where = f"center generator {k}"
@@ -384,7 +415,7 @@ def build_chart(cls, B, seeds, centers):
     return chart
 
 
-def equivariant_darboux(P, order, seeds=None, guard=4, plan=None):
+def equivariant_darboux(P, order, seeds=None, guard=DEFAULT_GUARD, plan=None):
     """Build a Darboux chart: even pairs, then odd pairs, then odd square
     roots; everything left over is projected into the centralizer.
 

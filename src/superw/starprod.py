@@ -9,10 +9,8 @@ never loses low-order terms.
 
 The second half of the module is the quantum backend of the chart engine in
 :mod:`superw.darboux`: the star product, the star commutator and the unit
-``hbar^2``, with the two steps that are different algorithms at the quantum
-level (the even correction, removed ``hbar``-level by ``hbar``-level, and the
-iterative odd self-normalization).  Then come the Rees map and the
-filtration dimension count.
+``hbar^2``; the engine runs the same algorithm as for the classical chart.
+Then come the Rees map and the filtration dimension count.
 """
 
 from __future__ import annotations
@@ -20,12 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .darboux import (
+    DEFAULT_GUARD,
     Chart,
     DarbouxError,
     PoissonBackend,
     build_chart,
     certify,
-    clean_mod,
     equivariant_darboux,
 )
 from .supercore import EVEN, ODD, Series
@@ -182,83 +180,20 @@ class StarBackend(PoissonBackend):
     The product is the star product at the cap, the residual bracket is the
     star commutator, and the unit is ``hbar^2``: a commutator is ``hbar^2``
     times a bracket, so dividing by the unit gives the derivation that
-    replaces the Poisson bracket.  The classical bracket ``P`` is still
-    needed, because the even correction solves a classical equation at each
-    ``hbar`` level.
+    replaces the Poisson bracket.  The even correction and the odd
+    self-normalization are the engine's, as for the classical backend.
     """
 
     kind = "quantum"
+    unit_level = 2
 
     def __init__(self, S, P, order, guard):
         super().__init__(P, order, guard)
         self.S = S
-        self.unit = S.alg.one().mul_hbar(2)
         self._bracket = S.commutator
 
     def mul(self, a, b):
         return self.S.star(a, b, order=self.cap)
-
-    def div(self, r):
-        return r.divide_hbar(2)
-
-    def even_correct(self, f, g):
-        """Correct g so the star commutator [f, g] is exactly hbar^2.
-
-        The defect is removed hbar-level by hbar-level; each level reduces to a
-        classical equation {f0, X} = -r solved by the telescoping primitive
-        X = -sum (-1)^k/(k+1)! g0^(k+1) ad_f0^k(r).
-        """
-        cap, alg = self.cap, self.alg
-        f = f.truncate(cap)
-        g = g.truncate(cap)
-        f0 = f.hbar_levels().get(0, alg.zero(cap))
-        g0 = g.hbar_levels().get(0, alg.zero(cap))
-        r = self.bracket(f, g) - self.unit
-        prev = None
-        while not clean_mod(r, self.order):
-            levels = r.hbar_levels()
-            s = min(lv for lv, comp in levels.items() if not comp.is_zero())
-            if s < 2:
-                raise DarbouxError("commutator defect below hbar^2")
-            rs = levels[s]
-            key = (s, rs.eff_deg())
-            if prev is not None and key <= prev:
-                raise DarbouxError(
-                    f"even correction stalled at hbar^{s}, residual order {key[1]}")
-            prev = key
-            x = alg.zero(cap)
-            u = rs
-            gp = alg.one(cap)
-            coef = Fraction(-1)
-            for k in range(cap + 1):
-                gp = gp * g0
-                if gp.is_zero():
-                    break
-                x = x + gp * u * coef
-                u = self.P.bracket(f0, u, order=cap)
-                coef *= Fraction(-1, k + 2)
-            g = g + x.mul_hbar(s - 2).truncate(cap)
-            r = self.bracket(f, g) - self.unit
-        return g
-
-    def odd_self_normalize(self, th):
-        """Scale an odd element so that [th, th] = 2 th*th is exactly hbar^2.
-
-        Each pass replaces th by th - th*rho/2, where rho is the defect
-        divided by hbar^2.
-        """
-        th = th.truncate(self.cap)
-        prev = -1
-        while True:
-            r = self.bracket(th, th) - self.unit
-            if clean_mod(r, self.order):
-                return th
-            d = r.eff_deg()
-            if d <= prev:
-                raise DarbouxError(
-                    f"odd self-normalization stalled at residual order {d}")
-            prev = d
-            th = th - self.mul(th, self.div(r)) * Fraction(1, 2)
 
 
 class QuantumChart(Chart):
@@ -270,7 +205,7 @@ class QuantumChart(Chart):
         return certify(self)
 
 
-def quantum_darboux(S, P, order, seeds=None, guard=4, classical=None):
+def quantum_darboux(S, P, order, seeds=None, guard=DEFAULT_GUARD, classical=None):
     """Quantum Darboux chart: the classical chart is built first, then each
     entry is reprojected and renormalized at the star level in the same
     order, and the leftover directions become quantum centralizer

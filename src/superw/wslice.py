@@ -29,7 +29,7 @@ from .algebras import (
     build_chi,
     dynkin_grading,
 )
-from .darboux import equivariant_darboux
+from .darboux import DEFAULT_GUARD, equivariant_darboux
 from .linalg import expand_filtered, nullspace, rref, solve
 from .poisson import BracketTable, PoissonAlgebra, linear_split
 from .supercore import EVEN, ODD, Algebra, Series, Variable
@@ -440,7 +440,7 @@ def _gen_weight(s):
     return ws[0]
 
 
-def slice_walgebra(ctx: SliceContext, order: int, guard: int = 4,
+def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
                    qc=None) -> SliceResult:
     """W-algebra via the quantum chart around the shift directions.
 
@@ -540,7 +540,7 @@ class CompareResult:
     slice: SliceResult
 
 
-def compare_realizations(ctx: SliceContext, n_max: int, guard: int = 4,
+def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUARD,
                          perturb=None, slice_result=None,
                          whittaker_result=None) -> CompareResult:
     """Cross-validate the two routes over the same quotient.
@@ -619,8 +619,8 @@ class SplitResult:
     recon_failures: list
 
 
-def splitting_check(ctx: SliceContext, n_max: int, k: int = 2, guard: int = 4,
-                    qc=None) -> SplitResult:
+def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
+                    guard: int = DEFAULT_GUARD, qc=None) -> SplitResult:
     """Certify the tensor-splitting of the shifted enveloping algebra.
 
     Every normal monomial of weight and total degree at most ``n_max`` is
@@ -729,7 +729,7 @@ class CliffordResult:
     detail: dict
 
 
-def clifford_factorization(ctx: SliceContext, order: int, guard: int = 4,
+def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
                            qc=None) -> CliffordResult:
     """Factor the even-flattened centralizer through Clifford and W parts.
 

@@ -2,11 +2,15 @@
 
 import copy
 import json
+import random
 import re
+from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from superw.algebras import (
+    BUNDLED,
     AlgebraError,
     build_chi,
     catalog_names,
@@ -130,6 +134,7 @@ def test_mistyped_fields_rejected(tmp_path):
         (("brackets", 1, "j"), True, "bracket entry 1 field 'j' must be an integer"),
         (("brackets", 1, "coeffs"), ["0", "one", "0"], "rational entries"),
         (("brackets", 1, "coeffs"), ["0", "1/0", "0"], "rational entries"),
+        (("brackets", 1, "coeffs"), [0, True, 0], "rational entries"),
     )
     for (section, k, key), value, message in cases:
         bad = copy.deepcopy(SL2)
@@ -265,3 +270,119 @@ def test_pair_bracket_swap_sign():
             lhs = data.pair_bracket(i, j)
             rhs = tuple(-sgn * c for c in data.pair_bracket(j, i))
             assert lhs == rhs
+
+
+# -- seeded loader fuzzing ---------------------------------------------
+
+
+def _bundled_raw(name):
+    return json.loads(resources.files("superw").joinpath(
+        "catalog", name + ".json").read_text(encoding="utf-8"))
+
+
+def _slots(doc, path=()):
+    """The key path of every value below doc, in document order."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _slots(value, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+RETYPES = (0, 1, -1, 2.5, True, None, "x", "1/2", "", [], ["0"], {}, {"i": 0})
+RATIONAL_NOISE = ("1/0", "one", "", " 2 ", "3/-4", "1e3", "nan", "0x10", "½")
+
+
+def _relabel(raw, perm):
+    """raw with basis vector k renamed perm[k]: the same algebra."""
+    n = len(raw["basis"])
+    par = [b["parity"] for b in raw["basis"]]
+    out = copy.deepcopy(raw)
+
+    def vec(v):
+        w = [None] * n
+        for k, c in enumerate(v):
+            w[perm[k]] = c
+        return w
+
+    out["basis"] = vec(raw["basis"])
+    out["brackets"] = []
+    for ent in raw["brackets"]:
+        i, j, coeffs = perm[ent["i"]], perm[ent["j"]], vec(ent["coeffs"])
+        if i > j:
+            # [x_j, x_i] = -(-1)^(|i||j|) [x_i, x_j]
+            sgn = 1 if par[ent["i"]] and par[ent["j"]] else -1
+            i, j = j, i
+            coeffs = [str(sgn * Fraction(c)) for c in coeffs]
+        out["brackets"].append({"i": i, "j": j, "coeffs": coeffs})
+    out["form"] = vec([vec(row) for row in raw["form"]])
+    if raw.get("sl2_triple"):
+        out["sl2_triple"] = {w: vec(v) for w, v in raw["sl2_triple"].items()}
+    return out
+
+
+def _mutants(raw, rng):
+    """Seeded (label, mutant) pairs for one catalog document; a mutant is a
+    document or, for byte-level damage, the bytes of one."""
+    text = json.dumps(raw).encode("utf-8")
+    for _ in range(25):
+        doc = copy.deepcopy(raw)
+        path = rng.choice(list(_slots(doc)))
+        del _parent(doc, path)[path[-1]]
+        yield "drop %r" % (path,), doc
+        doc = copy.deepcopy(raw)
+        path = rng.choice(list(_slots(doc)))
+        value = rng.choice(RETYPES)
+        _parent(doc, path)[path[-1]] = value
+        yield "retype %r to %r" % (path, value), doc
+        doc = copy.deepcopy(raw)
+        path = rng.choice([p for p in _slots(doc)
+                           if isinstance(_parent(doc, p)[p[-1]], str)
+                           and p[-1] != "name"])
+        old = _parent(doc, path)[path[-1]]
+        if rng.random() < 0.5:
+            new = str(Fraction(old) + Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        else:
+            new = rng.choice(RATIONAL_NOISE)
+        _parent(doc, path)[path[-1]] = new
+        yield "perturb %r from %r to %r" % (path, old, new), doc
+        doc = copy.deepcopy(raw)
+        rng.shuffle(doc["basis"])
+        yield "shuffle the basis alone", doc
+        cut = rng.randrange(len(text))
+        yield "truncate at byte %d" % cut, text[:cut]
+        at = rng.randrange(len(text) + 1)
+        junk = rng.choice((b"\xff", b"\xc3\x28", b"\x80\x80", b"\xfe\xff"))
+        yield "insert %r at byte %d" % (junk, at), text[:at] + junk + text[at:]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_loader_fuzz_loads_or_raises_algebra_error(tmp_path, name):
+    raw = _bundled_raw(name)
+    rng = random.Random(name)
+    path = tmp_path / "mutant.json"
+    outcomes = set()
+    for label, mutant in _mutants(raw, rng):
+        path.write_bytes(mutant if isinstance(mutant, bytes)
+                         else json.dumps(mutant).encode("utf-8"))
+        try:
+            load_algebra(str(path))
+            outcomes.add("loaded")
+        except AlgebraError as exc:
+            assert str(exc), label
+            outcomes.add("rejected")
+    assert outcomes == {"loaded", "rejected"}
+    # a consistent relabelling of the basis is the same algebra
+    for _ in range(3):
+        perm = list(range(len(raw["basis"])))
+        rng.shuffle(perm)
+        path.write_text(json.dumps(_relabel(raw, perm)))
+        data = load_algebra(str(path))
+        assert sorted(data.names) == sorted(b["name"] for b in raw["basis"])
+        assert sorted(data.parities) == sorted(b["parity"] for b in raw["basis"])

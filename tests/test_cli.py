@@ -75,7 +75,7 @@ def test_unknown_algebra_fails_with_error_json(capsys):
     assert "nope" in rep["error"]
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     for argv in (
         [],
         ["walgebra", "--algebra", "sl2"],  # --order is required
@@ -90,6 +90,12 @@ def test_usage_errors_exit_two(capsys):
         ["walgebra", "--algebra", "sl2", "--order", "2", "--guard", "0"],
         ["walgebra", "--algebra", "sl21", "--order", "2", "--guard", "1"],
         ["walgebra", "--algebra", "sl2", "--order", "two"],
+        # an unwritable --out is refused before any computation
+        ["check", "--algebra", "sl2", "--out", "/nonexistent/x.json"],
+        ["darboux", "--algebra", "sl21", "--order", "6", "--out", str(tmp_path)],
+        ["walgebra", "--algebra", "sl21", "--order", "6", "--out",
+         str(tmp_path / "missing" / "x.json")],
+        ["suite", "--order", "4", "--out", str(tmp_path)],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -97,7 +103,7 @@ def test_usage_errors_exit_two(capsys):
         assert "usage:" in capsys.readouterr().err, argv
 
 
-def test_invalid_algebra_file_exits_one(tmp_path, capsys):
+def test_invalid_algebra_file_exits_one(tmp_path, capsys, monkeypatch):
     bad = json.loads(json.dumps(CATALOG_SL2))
     bad["brackets"][2]["coeffs"] = ["0", "0", "2"]  # breaks Jacobi
     no_parity = json.loads(json.dumps(CATALOG_SL2))
@@ -114,6 +120,37 @@ def test_invalid_algebra_file_exits_one(tmp_path, capsys):
         code, out = run_main(capsys, "check", "--algebra", str(path))
         assert code == 1
         assert json.loads(out)["ok"] is False
+    # the error names the file, or the field that is not an array
+    cases = [(json.dumps(CATALOG_SL2).encode("utf-8").replace(b'"h"', b'"\xff"'),
+              "bad.json is not UTF-8 text"),
+             (b"[1, 2]", "bad.json must hold a JSON object, got list")]
+    for field in ("basis", "brackets", "form"):
+        raw = dict(CATALOG_SL2, **{field: 3})
+        cases.append((json.dumps(raw).encode("utf-8"),
+                      "sl2x: %s must be an array, got int" % field))
+    raw = json.loads(json.dumps(CATALOG_SL2))
+    raw["form"][1] = 2
+    cases.append((json.dumps(raw).encode("utf-8"),
+                  "sl2x: form row 1 must be an array, got int"))
+    raw = json.loads(json.dumps(CATALOG_SL2))
+    raw["brackets"][2]["coeffs"] = 0
+    cases.append((json.dumps(raw).encode("utf-8"),
+                  "sl2x: bracket entry 2 field 'coeffs' must be an array, got int"))
+    for data, message in cases:
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out = run_main(capsys, "check", "--algebra", str(path))
+        assert code == 1, message
+        rep = json.loads(out)
+        assert rep["ok"] is False and message in rep["error"], rep
+    # a malformed file under SUPERW_CATALOG
+    cat = tmp_path / "cat"
+    cat.mkdir()
+    (cat / "broken.json").write_text("{not json")
+    monkeypatch.setenv("SUPERW_CATALOG", str(cat))
+    code, out = run_main(capsys, "check", "--algebra", "broken")
+    assert code == 1
+    assert "broken.json is not valid JSON" in json.loads(out)["error"]
 
 
 def test_irrational_self_pairing_exits_one(tmp_path, capsys):
@@ -156,6 +193,20 @@ def test_env_catalog_replaces_bundled(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SUPERW_CATALOG")
     code, _ = run_main(capsys, "check", "--algebra", "sl2")
     assert code == 0
+
+
+@pytest.mark.parametrize("make", ["missing", "empty"])
+def test_suite_with_empty_catalog_exits_one(tmp_path, capsys, monkeypatch, make):
+    cat = tmp_path / "cat"
+    if make == "empty":
+        cat.mkdir()
+        (cat / "notes.txt").write_text("not an algebra")
+    monkeypatch.setenv("SUPERW_CATALOG", str(cat))
+    code, out = run_main(capsys, "suite", "--order", "0")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert str(cat) in rep["error"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -6,14 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from superw import darboux
 from superw.algebras import load_algebra
 from superw.darboux import (
     ChartEntry,
     DarbouxError,
     PoissonBackend,
+    clean_mod,
     equivariant_darboux,
+    even_correct,
     even_project,
+    inv_sqrt_series,
     odd_pair_flatten,
+    odd_self_normalize,
     odd_self_project,
 )
 from superw.poisson import BracketTable, PoissonAlgebra, linear_split
@@ -51,8 +56,8 @@ def test_even_correct_geometric_series():
     alg, P = curved_pair()
     x, y = alg.gen("x"), alg.gen("y")
     order, cap = 5, 9  # certification order plus guard, as the chart builder does
-    g = PoissonBackend(P, order, cap - order).even_correct(x.truncate(cap),
-                                                           y.truncate(cap))
+    g = even_correct(PoissonBackend(P, order, cap - order), x.truncate(cap),
+                     y.truncate(cap))
     # {x, y*s(x)} = (1+x) s(x), so s must be the alternating geometric series
     s = alg.one() - x + x * x - x ** 3 + x ** 4
     assert g.truncate(order) == (y * s).truncate(order)
@@ -63,7 +68,7 @@ def test_even_correct_rejects_unnormalized():
     alg, P = curved_pair()
     with pytest.raises(DarbouxError):
         # constant bracket 2 instead of 1
-        PoissonBackend(P, 5, 4).even_correct(alg.gen("x"), 2 * alg.gen("y"))
+        even_correct(PoissonBackend(P, 5, 4), alg.gen("x"), 2 * alg.gen("y"))
 
 
 def test_even_project_kills_brackets():
@@ -71,7 +76,7 @@ def test_even_project_kills_brackets():
     x, y, z = alg.gen("x"), alg.gen("y"), alg.gen("z")
     B = PoissonBackend(P, 2, 4)
     f = x.truncate(B.cap)
-    g = B.even_correct(f, y.truncate(B.cap))
+    g = even_correct(B, f, y.truncate(B.cap))
     rng = random.Random(3)
     for _ in range(10):
         a = alg.zero()
@@ -97,8 +102,8 @@ def test_odd_self_normalize():
     t = BracketTable(alg, {(0, 0): alg.one() + alg.gen("x")})
     P = PoissonAlgebra(alg, t)
     order, cap = 4, 8
-    th = PoissonBackend(P, order, cap - order).odd_self_normalize(
-        alg.gen("th").truncate(cap))
+    th = odd_self_normalize(PoissonBackend(P, order, cap - order),
+                            alg.gen("th").truncate(cap))
     assert (P.bracket(th, th, order=cap) - 1).truncate(order).is_zero()
     # the (1+x)^(-1/2) scaling shows up in the x-coefficient
     mono = ((0, 1), (1, 1))
@@ -289,3 +294,173 @@ def test_planted_fault_at_the_order_boundary(name):
                     assert got == _reference(_untruncated_residuals(bad), order)
                     assert got == (ok, [] if ok else [("center", i, 0, order)])
             i += len(e.variables())
+
+
+# -- the engine's normalizations against the per-backend originals ------
+#
+# Before the even correction and the odd self-normalization moved into the
+# engine, each backend carried its own.  They are kept here verbatim (with
+# ``self`` the backend) as references for the engine functions.
+
+
+def _classical_even_correct(self, f, g):
+    """Correct g so that {f, g} = 1 through the certification order.
+
+    f is even and untouched; g must already satisfy {f,g} = 1 + (higher).
+    Each pass subtracts sum_i (-1)^i/i! g^i ad_f^(i-1)(t) for the current
+    defect t, which kills t exactly and leaves a remainder of at least
+    twice its order.
+    """
+    cap = self.cap
+    f = f.truncate(cap)
+    g = g.truncate(cap)
+    t = self.bracket(f, g) - 1
+    if t.constant_term():
+        raise DarbouxError("even pair is not normalized at the point")
+    prev = -1
+    while not clean_mod(t, self.order):
+        d = t.eff_deg()
+        if d <= prev:
+            raise DarbouxError(f"even correction stalled at residual order {d}")
+        prev = d
+        delta = self.alg.zero(cap)
+        u = t
+        gp = self.alg.one(cap)
+        coef = Fraction(1)
+        for i in range(1, cap + 1):
+            gp = gp * g
+            if gp.is_zero():
+                break
+            coef *= Fraction(-1, i)
+            delta = delta + gp * u * coef
+            u = self.bracket(f, u)
+        g = g + delta
+        t = self.bracket(f, g) - 1
+    return g
+
+
+def _classical_odd_self_normalize(self, th):
+    """Scale an odd element with {th, th} = 1 + (higher) to {th, th} = 1.
+
+    The defect t commutes with th (a consequence of the graded Jacobi
+    identity), so multiplying by (1+t)^(-1/2) works in one step.
+    """
+    th = th.truncate(self.cap)
+    t = self.bracket(th, th) - 1
+    if t.constant_term():
+        raise DarbouxError("odd direction is not unit-paired at the point")
+    if t.is_zero():
+        return th
+    out = inv_sqrt_series(self, t) * th
+    if not clean_mod(self.bracket(out, out) - 1, self.order):
+        raise DarbouxError("odd self-normalization failed")
+    return out
+
+
+def _quantum_even_correct(self, f, g):
+    """Correct g so the star commutator [f, g] is exactly hbar^2.
+
+    The defect is removed hbar-level by hbar-level; each level reduces to a
+    classical equation {f0, X} = -r solved by the telescoping primitive
+    X = -sum (-1)^k/(k+1)! g0^(k+1) ad_f0^k(r).
+    """
+    cap, alg = self.cap, self.alg
+    f = f.truncate(cap)
+    g = g.truncate(cap)
+    f0 = f.hbar_levels().get(0, alg.zero(cap))
+    g0 = g.hbar_levels().get(0, alg.zero(cap))
+    r = self.bracket(f, g) - self.unit
+    prev = None
+    while not clean_mod(r, self.order):
+        levels = r.hbar_levels()
+        s = min(lv for lv, comp in levels.items() if not comp.is_zero())
+        if s < 2:
+            raise DarbouxError("commutator defect below hbar^2")
+        rs = levels[s]
+        key = (s, rs.eff_deg())
+        if prev is not None and key <= prev:
+            raise DarbouxError(
+                f"even correction stalled at hbar^{s}, residual order {key[1]}")
+        prev = key
+        x = alg.zero(cap)
+        u = rs
+        gp = alg.one(cap)
+        coef = Fraction(-1)
+        for k in range(cap + 1):
+            gp = gp * g0
+            if gp.is_zero():
+                break
+            x = x + gp * u * coef
+            u = self.P.bracket(f0, u, order=cap)
+            coef *= Fraction(-1, k + 2)
+        g = g + x.mul_hbar(s - 2).truncate(cap)
+        r = self.bracket(f, g) - self.unit
+    return g
+
+
+def _quantum_odd_self_normalize(self, th):
+    """Scale an odd element so that [th, th] = 2 th*th is exactly hbar^2.
+
+    Each pass replaces th by th - th*rho/2, where rho is the defect
+    divided by hbar^2.
+    """
+    th = th.truncate(self.cap)
+    prev = -1
+    while True:
+        r = self.bracket(th, th) - self.unit
+        if clean_mod(r, self.order):
+            return th
+        d = r.eff_deg()
+        if d <= prev:
+            raise DarbouxError(
+                f"odd self-normalization stalled at residual order {d}")
+        prev = d
+        th = th - self.mul(th, self.div(r)) * Fraction(1, 2)
+
+
+def _same_terms(a, b):
+    """Equal term for term (the cap a series carries is not compared)."""
+    return a.terms == b.terms
+
+
+@pytest.mark.parametrize("alt", (False, True))
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_engine_normalizations_match_backend_references(name, alt, monkeypatch):
+    calls = []
+
+    def recording(fn):
+        def run(B, *vs):
+            out = fn(B, *vs)
+            calls.append((fn, B, vs, out))
+            return out
+        return run
+
+    monkeypatch.setattr(darboux, "even_correct", recording(even_correct))
+    monkeypatch.setattr(darboux, "odd_self_normalize",
+                        recording(odd_self_normalize))
+    ctx = slice_setup(load_algebra(name), alt=alt)
+    for order in range(7):
+        _charts(ctx, order)
+    # gl11 has no triple, so no shift directions and no chart entries
+    assert {fn.__name__ for fn, *_ in calls} == {
+        "sl2": {"even_correct"},
+        "gl11": set(),
+        "osp12": {"even_correct", "odd_self_normalize"},
+        "sl21": {"even_correct"},
+    }[name]
+    for fn, B, vs, out in calls:
+        where = (B.kind, B.order, fn.__name__)
+        if fn is even_correct:
+            ref = (_quantum_even_correct if B.kind == "quantum"
+                   else _classical_even_correct)
+            assert _same_terms(out, ref(B, *vs)), where
+            continue
+        # the chart's self entries arrive normalized; scaling by the central
+        # 1 + hbar^2 makes both normalizations do work
+        hbar = B.alg.gen(B.alg.by_id[B.alg.hbar_id].name)
+        scaled = vs[0] + vs[0] * hbar ** 2
+        for th, got in ((vs[0], out), (scaled, odd_self_normalize(B, scaled))):
+            assert _same_terms(got, _quantum_odd_self_normalize(B, th)), where
+            if B.kind == "classical":
+                one_shot = _classical_odd_self_normalize(B, th)
+                assert (got - one_shot).truncate(B.order).is_zero(), where
