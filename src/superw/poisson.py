@@ -2,7 +2,10 @@
 
 The bracket of two generators is an arbitrary polynomial; everything else
 follows from the graded Leibniz rule.  Brackets of monomials are memoized,
-so repeated normalization passes stay cheap.
+so repeated normalization passes stay cheap.  The memo holds each bracket as
+integer numerators over one denominator, the denominators of the table
+entries, so ``bracket`` accumulates Python ints and makes one ``Fraction``
+per output monomial instead of one per multiply-add.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 
 from .algebras import AlgebraError
 from .linalg import rational_sqrt
-from .supercore import EVEN, ODD, Series
+from .supercore import EVEN, ODD, add_numerators, merge_numerators, numerators, series_over
 
 
 class BracketTable:
@@ -76,40 +79,47 @@ class PoissonAlgebra:
         self.bracket_weight = bracket_weight
         self._memo = {}
 
-    # -- the bracket on monomials (exact) -----------------------------
+    # -- the bracket on monomials -------------------------------------
 
     def mono_bracket(self, ma, mb):
+        """Bracket of two normal monomials as ``(nums, den)``: integer
+        numerators over one denominator (memoized)."""
         memo = self._memo
         out = memo.get((ma, mb))
         if out is not None:
             return out
         alg = self.alg
+        mul = alg.mono_mul
         if not ma or not mb:
-            out = alg.zero()
+            out = {}, 1
         elif len(ma) == 1 and ma[0][1] == 1:
             i = ma[0][0]
             if len(mb) == 1 and mb[0][1] == 1:
-                out = self.table.entry(i, mb[0][0])
+                out = numerators(self.table.entry(i, mb[0][0]).terms)
             else:
                 # split mb = y * rest and apply the Leibniz rule on the right
                 j, e = mb[0]
                 y = ((j, 1),)
                 rest = mb[1:] if e == 1 else ((j, e - 1),) + mb[1:]
-                head = self.mono_bracket(ma, y) * alg.series({rest: Fraction(1)})
-                tail = alg.series({y: Fraction(1)}) * self.mono_bracket(ma, rest)
-                if alg.by_id[i].parity and alg.by_id[j].parity:
-                    tail = -tail
-                out = head + tail
+                sign = -1 if alg.by_id[i].parity and alg.by_id[j].parity else 1
+                groups = {}
+                hn, hd = self.mono_bracket(ma, y)
+                _add_products(groups, hn, hd, lambda n: mul(n, rest), 1)
+                tn, td = self.mono_bracket(ma, rest)
+                _add_products(groups, tn, td, lambda n: mul(y, n), sign)
+                out = merge_numerators(groups)
         else:
             # split ma = x * rest and apply the Leibniz rule on the left
             i, e = ma[0]
             x = ((i, 1),)
             rest = ma[1:] if e == 1 else ((i, e - 1),) + ma[1:]
-            head = alg.series({x: Fraction(1)}) * self.mono_bracket(rest, mb)
-            tail = self.mono_bracket(x, mb) * alg.series({rest: Fraction(1)})
-            if alg.mono_parity(rest) and alg.mono_parity(mb):
-                tail = -tail
-            out = head + tail
+            sign = -1 if alg.mono_parity(rest) and alg.mono_parity(mb) else 1
+            groups = {}
+            hn, hd = self.mono_bracket(rest, mb)
+            _add_products(groups, hn, hd, lambda n: mul(x, n), 1)
+            tn, td = self.mono_bracket(x, mb)
+            _add_products(groups, tn, td, lambda n: mul(n, rest), sign)
+            out = merge_numerators(groups)
         memo[(ma, mb)] = out
         return out
 
@@ -139,27 +149,22 @@ class PoissonAlgebra:
                 order -= drop
         alg = self.alg
         eff = alg.mono_eff
-        acc = {}
-        for ma, ca in f.terms.items():
-            ea = eff(ma)
-            for mb, cb in g.terms.items():
-                if order is not None and ea + eff(mb) - drop > order:
+        mono_bracket = self.mono_bracket
+        fn, fd = numerators(f.terms)
+        gn, gd = numerators(g.terms)
+        g_items = [(mb, cb, eff(mb)) for mb, cb in gn.items()]
+        # products grouped by the denominator of their bracket
+        groups = {}
+        for ma, ca in fn.items():
+            budget = None if order is None else order + drop - eff(ma)
+            for mb, cb, eb in g_items:
+                if budget is not None and eb > budget:
                     continue
-                br = self.mono_bracket(ma, mb)
-                if not br.terms:
-                    continue
-                c = ca * cb
-                for m, v in br.terms.items():
-                    w = acc.get(m)
-                    if w is None:
-                        acc[m] = c * v
-                    else:
-                        w += c * v
-                        if w:
-                            acc[m] = w
-                        else:
-                            del acc[m]
-        return Series(alg, acc, order)
+                bn, bd = mono_bracket(ma, mb)
+                if bn:
+                    add_numerators(groups, bn, bd, ca * cb)
+        nums, den = merge_numerators(groups, fd * gd)
+        return series_over(alg, nums, den, order)
 
     # -- consistency checks -------------------------------------------
 
@@ -202,6 +207,19 @@ class PoissonAlgebra:
         if self.bracket_weight is None:
             return []
         return self.table.check_weights(self.bracket_weight)
+
+
+def _add_products(groups, nums, den, times, sign):
+    """Add sign * times(n) * nums[n], a numerator dict over den, to the
+    group of den; times(n) is a signed monomial product or None."""
+    acc = groups.get(den)
+    if acc is None:
+        acc = groups[den] = {}
+    for n, v in nums.items():
+        r = times(n)
+        if r is not None:
+            m, s = r
+            acc[m] = acc.get(m, 0) + s * sign * v
 
 
 @dataclass

@@ -7,6 +7,13 @@ i.e. the enveloping-algebra product with hbar set to 1).  In h2 mode every
 rewrite conserves or raises the completion order, so truncated arithmetic
 never loses low-order terms.
 
+Normal forms of generator insertions and of monomial products are memoized
+as integer numerators over one denominator.  Nearly all of them are integer
+(the denominators come only from the table entries and the halving of an
+odd square), so ``star`` multiplies and adds Python ints, grouped by that
+denominator, and makes one ``Fraction`` per output monomial at the end
+instead of one per multiply-add.
+
 The second half of the module is the quantum backend of the chart engine in
 :mod:`superw.darboux`: the star product, the star commutator and the unit
 ``hbar^2``; the engine runs the same algorithm as for the classical chart.
@@ -26,7 +33,15 @@ from .darboux import (
     certify,
     equivariant_darboux,
 )
-from .supercore import EVEN, ODD, Series
+from .supercore import (
+    EVEN,
+    ODD,
+    Series,
+    add_numerators,
+    merge_numerators,
+    numerators,
+    series_over,
+)
 
 
 class StarAlgebra:
@@ -42,6 +57,9 @@ class StarAlgebra:
         self._word_memo = {}
 
     # -- normal ordering ----------------------------------------------
+    #
+    # Normal forms are ``(nums, den)``: integer numerators keyed by monomial
+    # over one denominator (see :func:`superw.supercore.numerators`).
 
     def _entry_term(self, i, j):
         """hbar^2 c_ij (or c_ij in unit mode) as an exact Series."""
@@ -51,66 +69,72 @@ class StarAlgebra:
         return c
 
     def _insert(self, m, x):
-        """Normal form of (normal monomial m) * (generator x), exact."""
+        """Normal form of (normal monomial m) * (generator x) (memoized)."""
         memo = self._insert_memo
         out = memo.get((m, x))
         if out is not None:
             return out
         alg = self.alg
         if not m:
-            out = alg.series({((x, 1),): Fraction(1)})
+            out = {((x, 1),): 1}, 1
         else:
             j, e = m[-1]
             if j < x:
-                out = alg.series({m + ((x, 1),): Fraction(1)})
+                out = {m + ((x, 1),): 1}, 1
             elif j == x:
                 if alg.by_id[x].parity == EVEN:
-                    out = alg.series({m[:-1] + ((j, e + 1),): Fraction(1)})
+                    out = {m[:-1] + ((j, e + 1),): 1}, 1
                 else:
-                    rest = m[:-1]
-                    out = self._word_mul(rest, self._entry_term(x, x)) * Fraction(1, 2)
+                    nums, den = self._word_mul(m[:-1], self._entry_term(x, x))
+                    out = merge_numerators({den: nums}, 2)
             else:
                 rest = m[:-1] if e == 1 else m[:-1] + ((j, e - 1),)
-                swapped = self.alg.zero()
-                for n, c in self._insert(rest, x).terms.items():
-                    swapped = swapped + self._insert(n, j) * c
+                nums, den = self._insert(rest, x)
                 if alg.by_id[j].parity and alg.by_id[x].parity:
-                    swapped = -swapped
-                out = swapped + self._word_mul(rest, self._entry_term(j, x))
+                    nums = {n: -c for n, c in nums.items()}
+                groups = self._spread(nums, j)
+                ent, ed = self._word_mul(rest, self._entry_term(j, x))
+                # the swapped terms are over den; bring the entry term there
+                add_numerators(groups, ent, ed, den)
+                out = merge_numerators(groups, den)
         memo[(m, x)] = out
         return out
 
+    def _spread(self, nums, x):
+        """Integer numerator groups of sum_n nums[n] * (n * generator x)."""
+        insert = self._insert
+        groups = {}
+        for n, c in nums.items():
+            ins, d = insert(n, x)
+            add_numerators(groups, ins, d, c)
+        return groups
+
     def _word_mul(self, m, s):
-        """Normal form of (normal monomial m) * (polynomial s), exact."""
-        if s.is_zero():
-            return s
-        acc = {}
-        for mono, c in s.terms.items():
-            w = self._word(m, mono)
-            for n, v in w.terms.items():
-                acc[n] = acc.get(n, Fraction(0)) + c * v
-        return Series(self.alg, acc)
+        """Normal form of (normal monomial m) * (polynomial s)."""
+        sn, sd = numerators(s.terms)
+        groups = {}
+        for mono, c in sn.items():
+            wn, wd = self._word(m, mono)
+            add_numerators(groups, wn, wd, c)
+        return merge_numerators(groups, sd)
 
     def _word(self, ma, mb):
-        """Normal form of ma * mb for normal monomials, exact (memoized)."""
+        """Normal form of ma * mb for normal monomials (memoized)."""
         if not mb:
-            return self.alg.series({ma: Fraction(1)})
+            return {ma: 1}, 1
         if not ma:
-            return self.alg.series({mb: Fraction(1)})
+            return {mb: 1}, 1
         memo = self._word_memo
         out = memo.get((ma, mb))
         if out is not None:
             return out
-        cur = self.alg.series({ma: Fraction(1)})
+        out = {ma: 1}, 1
         for i, e in mb:
             for _ in range(e):
-                acc = {}
-                for n, c in cur.terms.items():
-                    for n2, v in self._insert(n, i).terms.items():
-                        acc[n2] = acc.get(n2, Fraction(0)) + c * v
-                cur = Series(self.alg, acc)
-        memo[(ma, mb)] = cur
-        return cur
+                nums, den = out
+                out = merge_numerators(self._spread(nums, i), den)
+        memo[(ma, mb)] = out
+        return out
 
     # -- products and commutators -------------------------------------
 
@@ -128,25 +152,21 @@ class StarAlgebra:
             raise ValueError("unit mode is exact; truncated input makes no sense")
         alg = self.alg
         eff = alg.mono_eff
-        acc = {}
-        for ma, ca in f.terms.items():
-            ea = eff(ma)
-            for mb, cb in g.terms.items():
-                if order is not None and ea + eff(mb) > order:
+        word = self._word
+        fn, fd = numerators(f.terms)
+        gn, gd = numerators(g.terms)
+        g_items = [(mb, cb, eff(mb)) for mb, cb in gn.items()]
+        # products grouped by the denominator of their word (nearly always 1)
+        groups = {}
+        for ma, ca in fn.items():
+            budget = None if order is None else order - eff(ma)
+            for mb, cb, eb in g_items:
+                if budget is not None and eb > budget:
                     continue
-                w = self._word(ma, mb)
-                c = ca * cb
-                for m, v in w.terms.items():
-                    t = acc.get(m)
-                    if t is None:
-                        acc[m] = c * v
-                    else:
-                        t += c * v
-                        if t:
-                            acc[m] = t
-                        else:
-                            del acc[m]
-        return Series(alg, acc, order)
+                wn, wd = word(ma, mb)
+                add_numerators(groups, wn, wd, ca * cb)
+        nums, den = merge_numerators(groups, fd * gd)
+        return series_over(alg, nums, den, order)
 
     def commutator(self, f, g, order="auto"):
         """Graded commutator f*g -+ g*f, split over parity components."""

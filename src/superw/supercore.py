@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 EVEN = 0
 ODD = 1
@@ -49,6 +50,10 @@ class Algebra:
         self._weight = {v.ident: v.weight for v in vs}
         # completion-order unit: adic variables and hbar count 1, others 0
         self._eff = {v.ident: (1 if (v.adic or v.hbar) else 0) for v in vs}
+        # per-monomial caches: the product kernels ask for the same
+        # monomials' completion order and parity over and over
+        self._mono_eff = {}
+        self._mono_parity = {}
         hs = [v for v in vs if v.hbar]
         if len(hs) > 1:
             raise ValueError("at most one hbar variable")
@@ -75,17 +80,23 @@ class Algebra:
     # -- monomial helpers ---------------------------------------------
 
     def mono_parity(self, m):
-        p = 0
-        for i, e in m:
-            if self._parity[i]:
-                p ^= e & 1
+        p = self._mono_parity.get(m)
+        if p is None:
+            p = 0
+            for i, e in m:
+                if self._parity[i]:
+                    p ^= e & 1
+            self._mono_parity[m] = p
         return p
 
     def mono_weight(self, m):
         return sum(self._weight[i] * e for i, e in m)
 
     def mono_eff(self, m):
-        return sum(e for i, e in m if self._eff[i])
+        d = self._mono_eff.get(m)
+        if d is None:
+            d = self._mono_eff[m] = sum(e for i, e in m if self._eff[i])
+        return d
 
     def mono_mul(self, a, b):
         """Product of two canonical monomials -> (monomial, sign) or None.
@@ -393,3 +404,72 @@ class Series:
                 parts.append(f"{c}*{ms(m)}")
         s = " + ".join(parts).replace("+ -", "- ")
         return s
+
+
+# -- integer numerators ---------------------------------------------------
+#
+# The product kernels of poisson and starprod hold their memoized values as
+# integer numerators over one denominator and make one Fraction per output
+# monomial, not one per multiply-add.  Only the public Fraction API is used.
+
+
+def numerators(terms):
+    """Exact coefficients as ``(nums, den)``: integer numerators over their
+    least common denominator, so that ``terms[m] == nums[m] / den``."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1:
+            den = lcm(den, d)
+    if den == 1:
+        return {m: c.numerator for m, c in terms.items()}, 1
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def add_numerators(groups, nums, den, c=1):
+    """Add ``c * nums``, a numerator dict over ``den``, to the group of
+    ``den`` in ``groups`` (a dict ``{den: nums}``)."""
+    acc = groups.get(den)
+    if acc is None:
+        acc = groups[den] = {}
+    for m, v in nums.items():
+        acc[m] = acc.get(m, 0) + c * v
+
+
+def merge_numerators(groups, scale=1):
+    """Sum numerator groups ``{d: nums}``, each standing for ``nums / d``,
+    and divide by ``scale``.
+
+    Returns ``(nums, den)`` in lowest terms, with zero numerators dropped.
+    """
+    if len(groups) == 1:
+        ((d, nums),) = groups.items()
+    elif groups:
+        d = lcm(*groups)
+        nums = {}
+        for gd, part in groups.items():
+            k = d // gd
+            for m, v in part.items():
+                nums[m] = nums.get(m, 0) + v * k
+    else:
+        return {}, 1
+    nums = {m: v for m, v in nums.items() if v}
+    den = d * scale
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: v // g for m, v in nums.items()}
+            den //= g
+    return nums, den
+
+
+def series_over(alg, nums, den, order=None):
+    """The Series ``nums / den``; terms above ``order`` get no Fraction."""
+    if order is not None:
+        eff = alg.mono_eff
+        nums = {m: v for m, v in nums.items() if eff(m) <= order}
+    if den == 1:
+        terms = {m: Fraction(v) for m, v in nums.items()}
+    else:
+        terms = {m: Fraction(v, den) for m, v in nums.items()}
+    return Series(alg, terms, order)

@@ -1,0 +1,140 @@
+"""Generated gl(m|n) algebras as oracles for the whole pipeline.
+
+The generator writes a catalog file for gl(m|n) in the basis E_ij with the
+supertrace form and a given sl(2)-triple; the tests load it by path, so the
+command line gains no capability.  The oracle is the PBW theorem for finite
+W-superalgebras, gr W = S(g^e) (with one more odd generator when
+dim g(-1)_1 is odd), with the g^e signature read off the Jordan blocks of e
+(Jantzen, *Nilpotent orbits in representation theory*, 2004, for the even
+case), independently of the package's own grading.
+"""
+
+import json
+
+import pytest
+
+from superw.cli import main
+
+
+def gl_json(m, n, triple):
+    """Catalog entry of gl(m|n); ``triple`` maps "e", "h", "f" to
+    ``{(i, j): coefficient}`` over the 0-based matrix units E_(i+1)(j+1)."""
+    par = [0] * m + [1] * n
+    idx = [(i, j) for i in range(m + n) for j in range(m + n)]
+    pos = {ij: k for k, ij in enumerate(idx)}
+
+    def parity(i, j):
+        return (par[i] + par[j]) % 2
+
+    brackets = []
+    for a, (i, j) in enumerate(idx):
+        for b in range(a, len(idx)):
+            k, l = idx[b]
+            # [E_ij, E_kl] = d_jk E_il - (-1)^(|E_ij||E_kl|) d_li E_kj
+            row = [0] * len(idx)
+            if j == k:
+                row[pos[(i, l)]] += 1
+            if l == i:
+                row[pos[(k, j)]] -= (-1) ** (parity(i, j) * parity(k, l))
+            if any(row):
+                brackets.append({"i": a, "j": b, "coeffs": [str(c) for c in row]})
+    # str(E_ij E_kl) = d_jk d_il (-1)^p(i)
+    form = [[str((-1) ** par[i] if (j == k and i == l) else 0) for (k, l) in idx]
+            for (i, j) in idx]
+
+    def vector(coeffs):
+        v = [0] * len(idx)
+        for ij, c in coeffs.items():
+            v[pos[ij]] += c
+        return [str(c) for c in v]
+
+    return {
+        "name": "gl%d%d" % (m, n),
+        "basis": [{"name": "E%d%d" % (i + 1, j + 1), "parity": parity(i, j)}
+                  for i, j in idx],
+        "brackets": brackets,
+        "form": form,
+        "sl2_triple": {w: vector(triple[w]) for w in ("e", "h", "f")},
+    }
+
+
+def centralizer_signature(blocks):
+    """Filtration weights (ad h-degree + 2) of g^e for e with Jordan blocks
+    ``[(size, parity), ...]``, split by parity, and dim g(-1)_1.
+
+    An ordered pair of blocks of sizes d_a and d_b gives min(d_a, d_b)
+    vectors of ad h-degrees |d_a - d_b|, |d_a - d_b| + 2, ..., d_a + d_b - 2,
+    of parity p_a + p_b.  All of gl(m|n) is the d_a * d_b weight differences
+    of the two blocks' h-strings.
+    """
+    weights = ([], [])
+    odd_minus_one = 0
+    for da, pa in blocks:
+        for db, pb in blocks:
+            p = (pa + pb) % 2
+            for deg in range(abs(da - db), da + db - 1, 2):
+                weights[p].append(deg + 2)
+            if p:
+                odd_minus_one += sum(
+                    1 for s in range(da) for t in range(db)
+                    if (da - 1 - 2 * s) - (db - 1 - 2 * t) == -1)
+    return sorted(weights[0]), sorted(weights[1]), odd_minus_one
+
+
+def pbw_dims(even, odd, n_max):
+    """Cumulative dimensions, by filtration weight, of the symmetric
+    superalgebra on generators of the given weights."""
+    graded = [1] + [0] * n_max
+    for w in even:
+        for n in range(w, n_max + 1):
+            graded[n] += graded[n - w]
+    for w in odd:
+        for n in range(n_max, w - 1, -1):
+            graded[n] += graded[n - w]
+    return [sum(graded[:n + 1]) for n in range(n_max + 1)]
+
+
+def run_walgebra(tmp_path, capsys, data):
+    path = tmp_path / ("%s.json" % data["name"])
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["walgebra", "--algebra", str(path), "--order", "6",
+                 "--method", "both"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+# e = E12 in the even block: Jordan blocks (size, parity) and W dims at order 6
+E12_CASES = [
+    (2, 1, [(2, 0), (1, 1)], [1, 1, 3, 5, 9, 13, 20]),
+    (2, 2, [(2, 0), (1, 1), (1, 1)], [1, 1, 6, 10, 26, 46, 92]),
+    (3, 1, [(2, 0), (1, 0), (1, 1)], [1, 1, 6, 10, 24, 44, 82]),
+]
+
+
+@pytest.mark.parametrize("m, n, blocks, want", E12_CASES)
+def test_walgebra_is_the_pbw_count_of_the_centralizer(tmp_path, capsys, m, n, blocks,
+                                                      want):
+    data = gl_json(m, n, {"e": {(0, 1): 1}, "h": {(0, 0): 1, (1, 1): -1},
+                          "f": {(1, 0): 1}})
+    code, report = run_walgebra(tmp_path, capsys, data)
+    assert code == 0 and report["ok"] is True
+    assert report["compare"]["ok"] is True
+    even, odd, odd_minus_one = centralizer_signature(blocks)
+    assert odd_minus_one % 2 == 0  # no extra odd generator
+    assert pbw_dims(even, odd, 6) == want
+    assert report["whittaker"]["dims"] == want
+    assert report["slice"]["dims"] == want
+
+
+def test_gl21_centralizer_signature():
+    # by hand: g^e of E12 in gl(2|1) is spanned by E11 + E22, E12, E33 (even) and
+    # E13, E32 (odd); g(-1)_1 is spanned by E23 and E31
+    assert centralizer_signature([(2, 0), (1, 1)]) == ([2, 2, 4], [3, 3], 2)
+
+
+def test_gl31_principal_nilpotent_has_negative_weights(tmp_path, capsys):
+    data = gl_json(3, 1, {"e": {(0, 1): 1, (1, 2): 1},
+                          "h": {(0, 0): 2, (2, 2): -2},
+                          "f": {(1, 0): 2, (2, 1): 2}})
+    code, report = run_walgebra(tmp_path, capsys, data)
+    assert code == 1
+    assert report == {"error": "gl31: negative filtration weight on E31", "ok": False}
