@@ -289,6 +289,33 @@ def test_walgebra_reruns_byte_identical(capsys, name, order, alt):
     assert json.loads(out)["compare"]["ok"] is True
 
 
+# SHA-256 of the report per command line, at the orders and subcommands the
+# cases above leave out.  The last three equal the benchmark's reference
+# digests (perfbench/workloads.GOLDEN_SHA256), so a plain test run checks
+# them too.
+ARGV_DIGESTS = {
+    ("darboux", "--algebra", "sl21", "--order", "8"):
+        "658fb8dedeb74d3d67c6a571cdaf4e6fe4bf167024bb881eb32774f20d1d901d",
+    ("darboux", "--algebra", "osp12", "--order", "8"):
+        "1ae434ae2a0df10cb873a9f2af3ac85b179acc7ae1f989ee680e22485a87b505",
+    ("walgebra", "--algebra", "sl2", "--order", "12"):
+        "ae8b4ce3fc51d2ea7ab9d85ad4a051a41e8682a5123fe006afdb1b8508636fea",
+    ("walgebra", "--algebra", "sl21", "--order", "10"):
+        "8926dae9042db6f1345d3a1ae5ef13d953f6d5f4f087c9ac318ae7aeade95b52",
+    ("walgebra", "--algebra", "sl21", "--order", "12", "--method", "whittaker"):
+        "53784c3f5fcd07cdceaf69fec5ce13c18283426527f21f9df836d99316a5e71f",
+    ("suite", "--order", "4", "--seed", "0"):
+        "d76fc882d092c626b5e8a656e71393b8cdc2d4ff1c6888f3119f042b7ae53eef",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ARGV_DIGESTS), ids=" ".join)
+def test_report_digest_by_argv(capsys, argv):
+    code, out = run_main(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ARGV_DIGESTS[argv]
+
+
 def test_walgebra_report_structure(capsys):
     code, out = run_main(capsys, "walgebra", "--algebra", "sl2", "--order",
                          "4", "--method", "both")
