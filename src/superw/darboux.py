@@ -3,10 +3,12 @@
 Starting from the linear normal form of the constant part of the bracket,
 each chart pair is corrected order by order until its bracket relations are
 exactly the flat ones through the requested order, and the remaining
-directions are projected onto the centralizer of the chart.  Intermediate
-work runs at a slightly higher cap (``order + guard``).  The certificates
-compute each bracket at the certified order, so they are exact through it:
-a monomial pair is skipped only when all of its terms lie above that order.
+directions are projected onto the centralizer of the chart (an even pair's
+pass is two one-variable Taylor sums, the exact factoring of a double sum,
+see :func:`even_project`).  Intermediate work runs at a slightly higher cap
+(``order + guard``).  The certificates compute each bracket at the
+certified order, so they are exact through it: a monomial pair is skipped
+only when all of its terms lie above that order.
 
 The engine is one algorithm run with one of two bracket backends.  A
 backend supplies only the product, the residual bracket, the ``hbar`` power
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .poisson import linear_split
 from .supercore import EVEN, Series
@@ -188,11 +189,29 @@ def inv_sqrt_series(B, t):
 # -- projectors and the odd-pair flattening, for either backend ---------
 
 
+def _taylor(B, x, y, a, sign):
+    """sum_k sign^k/k! x^k D_y^k a, D_y the bracket with y over the unit."""
+    out = u = a
+    xk = B.alg.one(B.cap)
+    for k in range(1, B.cap + 1):
+        u = B.div(B.bracket(y, u)) * Fraction(sign, k)
+        if u.is_zero():
+            break
+        xk = B.mul(xk, x)
+        if xk.is_zero():
+            break
+        out = out + B.mul(xk, u)
+    return out
+
+
 def even_project(B, f, g, a):
     """Part of ``a`` commuting with an even chart pair.
 
     One pass applies sum (-1)^j/(i!j!) f^i g^j D_g^i D_f^j, where D_x is the
-    bracket with x divided by the unit; with exact flat relations this is a
+    bracket with x divided by the unit, as two one-variable Taylor sums:
+    a <- sum (-1)^k/k! g^k D_f^k a, then a <- sum 1/k! f^k D_g^k a.  This is
+    exact: D_g is a derivation of the product and D_g(g) = 0 (g is even), so
+    D_g^i (g^j w) = g^j D_g^i w.  With exact flat relations the pass is a
     projector, so a few passes push the residual brackets beyond the
     certification order.
     """
@@ -209,26 +228,7 @@ def even_project(B, f, g, a):
         if d <= prev:
             raise DarbouxError(f"even projection stalled at residual order {d}")
         prev = d
-        out = B.alg.zero(cap)
-        u = a
-        gj = B.alg.one(cap)
-        for j in range(cap + 1):
-            if j:
-                gj = B.mul(gj, g)
-                if gj.is_zero():
-                    break
-                u = B.div(B.bracket(f, u))
-            v = u
-            fi_gj = gj
-            for i in range(cap + 1 - j):
-                if i:
-                    fi_gj = B.mul(f, fi_gj)
-                    if fi_gj.is_zero():
-                        break
-                    v = B.div(B.bracket(g, v))
-                c = Fraction((-1) ** j, factorial(i) * factorial(j))
-                out = out + B.mul(fi_gj, v) * c
-        a = out
+        a = _taylor(B, f, g, _taylor(B, g, f, a, -1), 1)
     raise DarbouxError(f"even projection did not converge in {PROJECT_PASSES} passes")
 
 

@@ -12,7 +12,9 @@ as integer numerators over one denominator.  Nearly all of them are integer
 (the denominators come only from the table entries and the halving of an
 odd square), so ``star`` multiplies and adds Python ints, grouped by that
 denominator, and makes one ``Fraction`` per output monomial at the end
-instead of one per multiply-add.
+instead of one per multiply-add.  A monomial product ma * mb is the memoized
+prefix product ma * mb', mb without its last factor x, times x: the same
+steps as normal-ordering mb factor by factor, so each prefix is done once.
 
 The second half of the module is the quantum backend of the chart engine in
 :mod:`superw.darboux`: the star product, the star commutator and the unit
@@ -119,7 +121,8 @@ class StarAlgebra:
         return merge_numerators(groups, sd)
 
     def _word(self, ma, mb):
-        """Normal form of ma * mb for normal monomials (memoized)."""
+        """Normal form of ma * mb for normal monomials, as (ma * mb') * x
+        with x the last factor of mb (memoized, prefixes included)."""
         if not mb:
             return {ma: 1}, 1
         if not ma:
@@ -128,12 +131,9 @@ class StarAlgebra:
         out = memo.get((ma, mb))
         if out is not None:
             return out
-        out = {ma: 1}, 1
-        for i, e in mb:
-            for _ in range(e):
-                nums, den = out
-                out = merge_numerators(self._spread(nums, i), den)
-        memo[(ma, mb)] = out
+        x, e = mb[-1]
+        nums, den = self._word(ma, mb[:-1] if e == 1 else mb[:-1] + ((x, e - 1),))
+        out = memo[(ma, mb)] = merge_numerators(self._spread(nums, x), den)
         return out
 
     # -- products and commutators -------------------------------------

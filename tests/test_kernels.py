@@ -406,3 +406,27 @@ def test_kernels_use_only_the_public_fraction_api():
         tree = ast.parse(inspect.getsource(mod))
         used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         assert not used & private, (mod.__name__, used & private)
+
+
+@pytest.mark.parametrize("mode", ["h2", "unit"])
+@pytest.mark.parametrize("name", ["sl2", "sl21"])
+def test_star_words_with_shared_prefixes(contexts, name, mode):
+    # f^k * e^j h^i for j <= k <= 6 in shuffled order (f comes after e and h
+    # in the universe, so every e and h is swapped past f^k): the right words
+    # are long powers whose prefixes other products have memoized, and every
+    # memoized prefix product must equal the reference word
+    ctx = contexts[name]
+    alg, table = ctx.alg, ctx.poisson.table
+    S, R = StarAlgebra(alg, table, mode), _ReferenceStar(alg, table, mode)
+    e, h, f = (alg.gen(x) for x in ("e", "h", "f"))
+    pairs = [(f ** k, e ** j * h ** i)
+             for k in range(1, 7) for j in range(k + 1) for i in range(2)]
+    random.Random("prefix:%s:%s" % (name, mode)).shuffle(pairs)
+    for a, b in pairs:
+        assert_same(S.star(a, b), R.star(a, b))
+        assert_same(S.star(b, a), R.star(b, a))
+    assert_integer_memo(S._word_memo)
+    assert max(sum(x for _, x in mb) for _, mb in S._word_memo) == 7
+    for (ma, mb), (nums, den) in S._word_memo.items():
+        want = R._word(ma, mb).terms
+        assert {m: Fraction(v, den) for m, v in nums.items()} == want

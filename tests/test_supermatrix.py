@@ -9,11 +9,14 @@ dim g(-1)_1 is odd), with the g^e signature read off the Jordan blocks of e
 case), independently of the package's own grading.
 """
 
+import itertools
 import json
 
 import pytest
 
-from superw.cli import main
+from superw.algebras import load_algebra
+from superw.cli import build_report, main, truncate_report
+from superw.wslice import slice_setup, splitting_check
 
 
 def gl_json(m, n, triple):
@@ -110,11 +113,14 @@ E12_CASES = [
 ]
 
 
+# e = E12, h = E11 - E22, f = E21
+E12_TRIPLE = {"e": {(0, 1): 1}, "h": {(0, 0): 1, (1, 1): -1}, "f": {(1, 0): 1}}
+
+
 @pytest.mark.parametrize("m, n, blocks, want", E12_CASES)
 def test_walgebra_is_the_pbw_count_of_the_centralizer(tmp_path, capsys, m, n, blocks,
                                                       want):
-    data = gl_json(m, n, {"e": {(0, 1): 1}, "h": {(0, 0): 1, (1, 1): -1},
-                          "f": {(1, 0): 1}})
+    data = gl_json(m, n, E12_TRIPLE)
     code, report = run_walgebra(tmp_path, capsys, data)
     assert code == 0 and report["ok"] is True
     assert report["compare"]["ok"] is True
@@ -138,3 +144,52 @@ def test_gl31_principal_nilpotent_has_negative_weights(tmp_path, capsys):
     code, report = run_walgebra(tmp_path, capsys, data)
     assert code == 1
     assert report == {"error": "gl31: negative filtration weight on E31", "ok": False}
+
+
+# -- gl(2|1) with e = E12 through the rest of the pipeline -----------------
+
+
+@pytest.fixture(scope="module")
+def gl21_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("gl21") / "gl21.json"
+    path.write_text(json.dumps(gl_json(2, 1, E12_TRIPLE)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["darboux", "walgebra"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_gl21_order_ladder(gl21_path, kind, n):
+    low = build_report(kind, algebra=gl21_path, order=n)
+    high = build_report(kind, algebra=gl21_path, order=n + 2)
+    assert json.dumps(truncate_report(high, n), sort_keys=True) == json.dumps(
+        low, sort_keys=True)
+
+
+def test_gl21_alt_lagrangian_keeps_dimension_tables(gl21_path):
+    # g(-1)_1 is spanned by E23 and E31, so the Lagrangian is a real choice
+    base = build_report("walgebra", algebra=gl21_path, order=6)
+    alt = build_report("walgebra", algebra=gl21_path, order=6, alt=True)
+    assert alt["ok"] is True and alt["compare"]["ok"] is True
+    for route in ("whittaker", "slice"):
+        assert alt[route]["dims"] == base[route]["dims"] == E12_CASES[0][3]
+
+
+def gl_weights(m, n, h):
+    """(filtration weight, parity) of each E_ij: the ad h-degree
+    h_i - h_j of E_ij for diagonal h, plus 2."""
+    par = [0] * m + [1] * n
+    return [(h[i] - h[j] + 2, (par[i] + par[j]) % 2)
+            for i in range(m + n) for j in range(m + n)]
+
+
+def test_gl21_splitting_check_counts_every_monomial(gl21_path):
+    n_max = 4
+    weights = gl_weights(2, 1, (1, -1, 0))
+    # normal monomials of weight and degree <= n_max, odd exponents <= 1
+    ranges = [range(2) if p else range(n_max + 1) for _, p in weights]
+    want = sum(1 for exps in itertools.product(*ranges)
+               if sum(exps) <= n_max
+               and sum(e * w for e, (w, _) in zip(exps, weights)) <= n_max)
+    res = splitting_check(slice_setup(load_algebra(gl21_path)), n_max)
+    assert res.ok, (res.coeff_failures, res.recon_failures)
+    assert res.checked == want == 94
