@@ -114,6 +114,14 @@ def _basis_vec(n, i):
     return tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
 
 
+def _sparse_brackets(data):
+    """[x_i, x_j] for every ordered pair, as ad[i][j] = [(k, c), ...] over
+    its nonzero coefficients."""
+    n = data.dim
+    return [[[(k, c) for k, c in enumerate(data.pair_bracket(i, j)) if c]
+             for j in range(n)] for i in range(n)]
+
+
 def _validate(data: LieSuperData):
     n = data.dim
     par = data.parities
@@ -137,18 +145,22 @@ def _validate(data: LieSuperData):
                 % (data.name, data.names[i], data.names[i], data.names[i])
             )
 
-    # graded Jacobi on all basis triples
+    # graded Jacobi on all basis triples, through sparse structure constants
+    ad = _sparse_brackets(data)
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
                 s1 = -1 if (par[i] and par[k]) else 1
                 s2 = -1 if (par[j] and par[i]) else 1
                 s3 = -1 if (par[k] and par[j]) else 1
-                t1 = data.bracket_vec(_basis_vec(n, i), data.pair_bracket(j, k))
-                t2 = data.bracket_vec(_basis_vec(n, j), data.pair_bracket(k, i))
-                t3 = data.bracket_vec(_basis_vec(n, k), data.pair_bracket(i, j))
-                tot = [s1 * a + s2 * b + s3 * c for a, b, c in zip(t1, t2, t3)]
-                if any(tot):
+                tot = {}
+                for s, a, inner in ((s1, i, ad[j][k]), (s2, j, ad[k][i]),
+                                    (s3, k, ad[i][j])):
+                    outer = ad[a]
+                    for m, c in inner:
+                        for t, d in outer[m]:
+                            tot[t] = tot.get(t, 0) + s * c * d
+                if any(tot.values()):
                     raise AlgebraError(
                         "%s: Jacobi identity violated on (%s, %s, %s)"
                         % (data.name, data.names[i], data.names[j], data.names[k])
@@ -176,13 +188,17 @@ def _validate(data: LieSuperData):
         raise AlgebraError("%s: form is degenerate (rank %d < %d)" % (data.name, len(piv), n))
 
     # invariance ([x,y], z) = (x, [y,z]) on basis triples
+    form_rows = [[(k, f) for k, f in enumerate(row) if f] for row in F]
     for i in range(n):
+        Fi = F[i]
         for j in range(n):
-            bij = data.pair_bracket(i, j)
+            lhs = {}
+            for m, c in ad[i][j]:
+                for k, f in form_rows[m]:
+                    lhs[k] = lhs.get(k, 0) + c * f
+            adj = ad[j]
             for k in range(n):
-                lhs = data.form_value(bij, _basis_vec(n, k))
-                rhs = data.form_value(_basis_vec(n, i), data.pair_bracket(j, k))
-                if lhs != rhs:
+                if lhs.get(k, 0) != sum(Fi[m] * c for m, c in adj[k]):
                     raise AlgebraError(
                         "%s: form invariance violated on (%s, %s, %s)"
                         % (data.name, data.names[i], data.names[j], data.names[k])

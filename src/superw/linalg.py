@@ -1,16 +1,24 @@
 """Small exact linear algebra over the rationals.
 
-The public functions take and return dense lists of lists; every entry they
-return is a Fraction.  Row reduction runs on sparse rows (dict col ->
-Fraction) because the coefficient-matching systems are mostly zeros: each
-elimination step touches only the nonzero entries of the rows that contain
-the pivot column.  Arithmetic stays exact throughout.
+The public functions take dense lists of lists with int or Fraction entries
+and return dense lists of lists of Fraction.  Rows are integers inside: row
+reduction keeps each row as a sparse primitive integer row (dict col -> int,
+scaled by the lcm of its denominators and divided by its content) and
+clears column c of a row r against the pivot row s by cross-multiplication,
+r <- (p/g) r - (q/g) s with p = s[c], q = r[c] and g = gcd(p, q), after
+which r is divided by its content again.  This is Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968) with content division in place of his
+exact division by the previous pivot.  The coefficient-matching systems are
+mostly zeros, so each step touches only the nonzero entries of the rows
+holding the pivot column.  Fractions appear only at the boundary: one per
+entry of the result, when each pivot row is divided by its pivot.
+Arithmetic stays exact throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 def rational_sqrt(q):
@@ -24,36 +32,54 @@ def rational_sqrt(q):
     return None
 
 
-def sparse_row(row):
-    """A dense row as a dict col -> Fraction over its nonzero entries."""
-    return {c: x if type(x) is Fraction else Fraction(x)
-            for c, x in enumerate(row) if x}
+def _divide_content(row):
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
+def _integer_row(row):
+    """A dense row of ints and Fractions as a primitive integer row: a dict
+    col -> int over its nonzero entries, with no common factor."""
+    row = {c: x for c, x in enumerate(row) if x}
+    den = lcm(*(x.denominator for x in row.values()))
+    row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    _divide_content(row)
+    return row
 
 
 def _eliminate(row, col, prow):
-    """row -= row[col] * prow, in place; prow has a 1 in column col."""
-    f = row[col]
+    """Clear column col of row against prow, in place, in integers:
+    row <- (p/g) row - (q/g) prow with p = prow[col], q = row[col] and
+    g = gcd(p, q), then row is divided by its content."""
+    p, q = prow[col], row[col]
+    g = gcd(p, q)
+    a, b = p // g, q // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
     for k, v in prow.items():
-        x = row.get(k)
-        if x is None:
-            row[k] = -f * v
+        x = row.get(k, 0) - b * v
+        if x:
+            row[k] = x
         else:
-            x -= f * v
-            if x:
-                row[k] = x
-            else:
-                del row[k]
+            del row[k]
+    _divide_content(row)
 
 
 def _reduce(rows):
-    """Sparse Gauss-Jordan elimination on rows given as dicts col -> Fraction.
+    """Sparse fraction-free Gauss-Jordan elimination on integer rows.
 
-    Works on the rows in place and returns (pivot_rows, pivot_columns): the
-    nonzero rows of the reduced row echelon form, in pivot order.  Columns
-    are visited left to right; among the rows still unused that are nonzero
-    in a column, the one with fewest entries becomes the pivot (the RREF is
-    unique, so the choice only affects fill-in), and the column is cleared
-    only from the rows that contain it.  All work is in the rows' supports.
+    Works on the rows (dicts col -> int) in place and returns
+    (pivot_rows, pivot_columns): the nonzero rows of the reduced row echelon
+    form, each up to the scalar that makes its pivot 1, in pivot order.
+    Columns are visited left to right; among the rows still unused that are
+    nonzero in a column, the one with fewest entries becomes the pivot (the
+    RREF is unique, so the choice only affects fill-in), and the column is
+    cleared only from the rows that contain it, finished pivot rows
+    included.  All work is in the rows' supports.
     """
     rest = [r for r in rows if r]
     done, pivots = [], []
@@ -64,10 +90,6 @@ def _reduce(rows):
         if not hits:
             continue
         p = min(hits, key=len)
-        inv = 1 / p[c]
-        if inv != 1:
-            for k in p:
-                p[k] *= inv
         for r in hits:
             if r is not p:
                 _eliminate(r, c, p)
@@ -89,13 +111,14 @@ def rref(rows):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    done, pivots = _reduce([sparse_row(r) for r in rows])
+    done, pivots = _reduce([_integer_row(r) for r in rows])
     zero = Fraction(0)
     out = []
-    for p in done:
+    for p, c in zip(done, pivots):
+        pv = p[c]
         row = [zero] * ncols
         for k, v in p.items():
-            row[k] = v
+            row[k] = Fraction(v, pv)
         out.append(row)
     out.extend([zero] * ncols for _ in range(len(rows) - len(done)))
     return out, pivots

@@ -71,35 +71,48 @@ class StarAlgebra:
         return c
 
     def _insert(self, m, x):
-        """Normal form of (normal monomial m) * (generator x) (memoized)."""
+        """Normal form of (normal monomial m) * (generator x) (memoized).
+
+        With m = rest * j and j > x this is (rest * x) * j, sign-swapped, plus
+        rest times the entry term.  The descent over m runs in a loop down to
+        the longest memoized or directly known prefix, and the normal forms
+        are built back up from there, so a long m needs no deep recursion.
+        """
         memo = self._insert_memo
         out = memo.get((m, x))
         if out is not None:
             return out
         alg = self.alg
-        if not m:
-            out = {((x, 1),): 1}, 1
-        else:
+        chain = []  # (word, its prefix) for m and the prefixes built on the way up
+        while m and m[-1][0] > x:
             j, e = m[-1]
-            if j < x:
+            rest = m[:-1] if e == 1 else m[:-1] + ((j, e - 1),)
+            chain.append((m, rest))
+            m = rest
+            out = memo.get((m, x))
+            if out is not None:
+                break
+        else:  # m is empty or ends in a generator up to x
+            if not m:
+                out = {((x, 1),): 1}, 1
+            elif m[-1][0] < x:
                 out = {m + ((x, 1),): 1}, 1
-            elif j == x:
-                if alg.by_id[x].parity == EVEN:
-                    out = {m[:-1] + ((j, e + 1),): 1}, 1
-                else:
-                    nums, den = self._word_mul(m[:-1], self._entry_term(x, x))
-                    out = merge_numerators({den: nums}, 2)
+            elif alg.by_id[x].parity == EVEN:
+                out = {m[:-1] + ((x, m[-1][1] + 1),): 1}, 1
             else:
-                rest = m[:-1] if e == 1 else m[:-1] + ((j, e - 1),)
-                nums, den = self._insert(rest, x)
-                if alg.by_id[j].parity and alg.by_id[x].parity:
-                    nums = {n: -c for n, c in nums.items()}
-                groups = self._spread(nums, j)
-                ent, ed = self._word_mul(rest, self._entry_term(j, x))
-                # the swapped terms are over den; bring the entry term there
-                add_numerators(groups, ent, ed, den)
-                out = merge_numerators(groups, den)
-        memo[(m, x)] = out
+                nums, den = self._word_mul(m[:-1], self._entry_term(x, x))
+                out = merge_numerators({den: nums}, 2)
+            memo[(m, x)] = out
+        for m, rest in reversed(chain):
+            j = m[-1][0]
+            nums, den = out
+            if alg.by_id[j].parity and alg.by_id[x].parity:
+                nums = {n: -c for n, c in nums.items()}
+            groups = self._spread(nums, j)
+            ent, ed = self._word_mul(rest, self._entry_term(j, x))
+            # the swapped terms are over den; bring the entry term there
+            add_numerators(groups, ent, ed, den)
+            out = memo[(m, x)] = merge_numerators(groups, den)
         return out
 
     def _spread(self, nums, x):
@@ -122,7 +135,11 @@ class StarAlgebra:
 
     def _word(self, ma, mb):
         """Normal form of ma * mb for normal monomials, as (ma * mb') * x
-        with x the last factor of mb (memoized, prefixes included)."""
+        with x the last factor of mb (memoized, prefixes included).
+
+        The prefixes mb' are walked down in a loop to the longest memoized
+        one and the products built back up from it, without recursion.
+        """
         if not mb:
             return {ma: 1}, 1
         if not ma:
@@ -131,9 +148,15 @@ class StarAlgebra:
         out = memo.get((ma, mb))
         if out is not None:
             return out
-        x, e = mb[-1]
-        nums, den = self._word(ma, mb[:-1] if e == 1 else mb[:-1] + ((x, e - 1),))
-        out = memo[(ma, mb)] = merge_numerators(self._spread(nums, x), den)
+        chain = []  # mb and its prefixes whose product is built on the way up
+        while out is None:
+            chain.append(mb)
+            x, e = mb[-1]
+            mb = mb[:-1] if e == 1 else mb[:-1] + ((x, e - 1),)
+            out = memo.get((ma, mb)) if mb else ({ma: 1}, 1)
+        for mb in reversed(chain):
+            nums, den = out
+            out = memo[(ma, mb)] = merge_numerators(self._spread(nums, mb[-1][0]), den)
         return out
 
     # -- products and commutators -------------------------------------

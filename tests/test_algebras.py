@@ -9,15 +9,20 @@ from importlib import resources
 
 import pytest
 
+from superw import algebras
 from superw.algebras import (
     BUNDLED,
     AlgebraError,
+    _basis_vec,
+    _from_json,
     build_chi,
     catalog_names,
     dynkin_grading,
     load_algebra,
 )
+from superw.linalg import rref
 from superw.supercore import EVEN, ODD
+from test_supermatrix import E12_CASES, E12_TRIPLE, gl_json
 
 SL2 = {
     "name": "sl2x",
@@ -42,6 +47,128 @@ SL2 = {
         "f": ["0", "0", "1"],
     },
 }
+
+
+# -- the dense validation, kept verbatim as an oracle ----------------------
+#
+# ``algebras._validate`` checks Jacobi and invariance through sparse
+# structure constants.  This is the dense version it replaced, which builds
+# full coefficient vectors for every basis triple.
+
+
+def _dense_validate(data):
+    n = data.dim
+    par = data.parities
+
+    for (i, j), row in data.table.items():
+        if len(row) != n:
+            raise AlgebraError(
+                "%s: bracket (%d,%d) has %d coefficients for a %d-dimensional algebra"
+                % (data.name, i, j, len(row), n)
+            )
+        want = (par[i] + par[j]) % 2
+        for k, c in enumerate(row):
+            if c and par[k] != want:
+                raise AlgebraError(
+                    "%s: parity violated in [%s,%s]: component %s has parity %d, expected %d"
+                    % (data.name, data.names[i], data.names[j], data.names[k], par[k], want)
+                )
+        if i == j and par[i] == EVEN and any(row):
+            raise AlgebraError(
+                "%s: super-antisymmetry violated: [%s,%s] must vanish for even %s"
+                % (data.name, data.names[i], data.names[i], data.names[i])
+            )
+
+    # graded Jacobi on all basis triples
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                s1 = -1 if (par[i] and par[k]) else 1
+                s2 = -1 if (par[j] and par[i]) else 1
+                s3 = -1 if (par[k] and par[j]) else 1
+                t1 = data.bracket_vec(_basis_vec(n, i), data.pair_bracket(j, k))
+                t2 = data.bracket_vec(_basis_vec(n, j), data.pair_bracket(k, i))
+                t3 = data.bracket_vec(_basis_vec(n, k), data.pair_bracket(i, j))
+                tot = [s1 * a + s2 * b + s3 * c for a, b, c in zip(t1, t2, t3)]
+                if any(tot):
+                    raise AlgebraError(
+                        "%s: Jacobi identity violated on (%s, %s, %s)"
+                        % (data.name, data.names[i], data.names[j], data.names[k])
+                    )
+
+    F = data.form
+    if len(F) != n or any(len(r) != n for r in F):
+        raise AlgebraError("%s: form must be a %d x %d matrix" % (data.name, n, n))
+    for i in range(n):
+        for j in range(n):
+            if par[i] != par[j] and F[i][j]:
+                raise AlgebraError(
+                    "%s: form is not even: (%s, %s) != 0 across parities"
+                    % (data.name, data.names[i], data.names[j])
+                )
+            sgn = -1 if (par[i] and par[j]) else 1
+            if F[j][i] != sgn * F[i][j]:
+                raise AlgebraError(
+                    "%s: form symmetry violated at (%s, %s)"
+                    % (data.name, data.names[i], data.names[j])
+                )
+    rows = [list(r) for r in F]
+    _, piv = rref(rows)
+    if len(piv) != n:
+        raise AlgebraError("%s: form is degenerate (rank %d < %d)" % (data.name, len(piv), n))
+
+    # invariance ([x,y], z) = (x, [y,z]) on basis triples
+    for i in range(n):
+        for j in range(n):
+            bij = data.pair_bracket(i, j)
+            for k in range(n):
+                lhs = data.form_value(bij, _basis_vec(n, k))
+                rhs = data.form_value(_basis_vec(n, i), data.pair_bracket(j, k))
+                if lhs != rhs:
+                    raise AlgebraError(
+                        "%s: form invariance violated on (%s, %s, %s)"
+                        % (data.name, data.names[i], data.names[j], data.names[k])
+                    )
+
+    ev, hv, fv = data.triple
+    for vec, which in ((ev, "e"), (hv, "h"), (fv, "f")):
+        if len(vec) != n:
+            raise AlgebraError("%s: triple vector %s has wrong length" % (data.name, which))
+        for k, c in enumerate(vec):
+            if c and par[k] != EVEN:
+                raise AlgebraError(
+                    "%s: triple vector %s has an odd component" % (data.name, which)
+                )
+    if data.has_triple():
+        if data.bracket_vec(ev, fv) != hv:
+            raise AlgebraError("%s: triple relation [e,f] = h fails" % data.name)
+        if data.bracket_vec(hv, ev) != tuple(2 * c for c in ev):
+            raise AlgebraError("%s: triple relation [h,e] = 2e fails" % data.name)
+        if data.bracket_vec(hv, fv) != tuple(-2 * c for c in fv):
+            raise AlgebraError("%s: triple relation [h,f] = -2f fails" % data.name)
+
+
+def _both_validators(verdicts):
+    """A stand-in for ``algebras._validate`` that runs the dense oracle and
+    the real validator, requires the same verdict and message from both,
+    appends that verdict (None when the algebra is valid) to ``verdicts`` and
+    then acts like the real validator."""
+    real = algebras._validate
+
+    def validate(data):
+        got = []
+        for check in (_dense_validate, real):
+            try:
+                check(data)
+                got.append(None)
+            except AlgebraError as exc:
+                got.append(str(exc))
+        assert got[0] == got[1], data.name
+        verdicts.append(got[1])
+        if got[1] is not None:
+            raise AlgebraError(got[1])
+
+    return validate
 
 
 def write_json(tmp_path, payload, fname="alg.json"):
@@ -363,7 +490,10 @@ def _mutants(raw, rng):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_loader_fuzz_loads_or_raises_algebra_error(tmp_path, name):
+def test_loader_fuzz_loads_or_raises_algebra_error(tmp_path, monkeypatch, name):
+    # every mutant that reaches validation is judged by the dense oracle too
+    verdicts = []
+    monkeypatch.setattr(algebras, "_validate", _both_validators(verdicts))
     raw = _bundled_raw(name)
     rng = random.Random(name)
     path = tmp_path / "mutant.json"
@@ -386,3 +516,68 @@ def test_loader_fuzz_loads_or_raises_algebra_error(tmp_path, name):
         data = load_algebra(str(path))
         assert sorted(data.names) == sorted(b["name"] for b in raw["basis"])
         assert sorted(data.parities) == sorted(b["parity"] for b in raw["basis"])
+    assert None in verdicts and any(verdicts)
+
+
+def _sl2_pair():
+    """sl2 + sl2, the second copy on basis indices 3, 4, 5: its brackets
+    take part only in the late basis triples."""
+    def shift(vec, at):
+        out = ["0"] * 6
+        out[at:at + 3] = vec
+        return out
+
+    doc = {"name": "sl2pair", "basis": [], "brackets": [], "form": []}
+    for at, tag in ((0, ""), (3, "2")):
+        doc["basis"] += [{"name": b["name"] + tag, "parity": 0} for b in SL2["basis"]]
+        doc["brackets"] += [{"i": b["i"] + at, "j": b["j"] + at,
+                             "coeffs": shift(b["coeffs"], at)} for b in SL2["brackets"]]
+        doc["form"] += [shift(row, at) for row in SL2["form"]]
+    doc["sl2_triple"] = {w: shift(v, 0) for w, v in SL2["sl2_triple"].items()}
+    return doc
+
+
+def _late_jacobi_fault():
+    doc = _sl2_pair()
+    # [h2, f2] = -3 f2: Jacobi fails on (e2, h2, f2) and on no earlier triple
+    doc["brackets"][5]["coeffs"][5] = "-3"
+    return doc
+
+
+def _odd_square_fault():
+    doc = _bundled_raw("osp12")
+    # [xm, xm] doubled: the first triple to fail repeats an odd index
+    entry = next(b for b in doc["brackets"] if b["i"] == b["j"] == 3)
+    entry["coeffs"] = [str(2 * Fraction(c)) for c in entry["coeffs"]]
+    return doc
+
+
+def _invariance_fault():
+    doc = copy.deepcopy(SL2)
+    doc["form"][1][1] = "3"  # still symmetric and nondegenerate
+    return doc
+
+
+GL31_PRINCIPAL = {"e": {(0, 1): 1, (1, 2): 1}, "h": {(0, 0): 2, (2, 2): -2},
+                  "f": {(1, 0): 2, (2, 1): 2}}
+
+
+@pytest.mark.parametrize("doc, want", [
+    (_sl2_pair(), None),
+    (_late_jacobi_fault(), "sl2pair: Jacobi identity violated on (e2, h2, f2)"),
+    (_odd_square_fault(), "osp12: Jacobi identity violated on (e, xm, xm)"),
+    (_invariance_fault(), "sl2x: form invariance violated on (e, f, h)"),
+] + [(gl_json(m, n, E12_TRIPLE), None) for m, n, _, _ in E12_CASES] + [
+    (gl_json(3, 1, GL31_PRINCIPAL), None),
+], ids=["sl2pair", "late-jacobi", "odd-square", "invariance", "gl21", "gl22", "gl31",
+        "gl31-principal"])
+def test_sparse_validation_matches_dense_oracle(monkeypatch, doc, want):
+    verdicts = []
+    monkeypatch.setattr(algebras, "_validate", _both_validators(verdicts))
+    if want is None:
+        assert _from_json(doc).dim == len(doc["basis"])
+    else:
+        with pytest.raises(AlgebraError) as exc:
+            _from_json(doc)
+        assert str(exc.value) == want
+    assert verdicts == [want]

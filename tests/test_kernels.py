@@ -9,6 +9,7 @@ below are the earlier kernels, kept verbatim as oracles: they accumulate one
 import ast
 import inspect
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -430,3 +431,43 @@ def test_star_words_with_shared_prefixes(contexts, name, mode):
     for (ma, mb), (nums, den) in S._word_memo.items():
         want = R._word(ma, mb).terms
         assert {m: Fraction(v, den) for m, v in nums.items()} == want
+
+
+def _word_series(word):
+    nums, den = word
+    return {m: Fraction(v, den) for m, v in nums.items()}
+
+
+def test_star_words_of_1500_factors_run_without_deep_recursion(contexts):
+    # closed forms in sl2's h2 star algebra, where [a, b] = hb^2 {a, b} with
+    # {f, e} = -h, {h, e} = 2e and the shifted {f, h} = 2 + 2f:
+    #   f * e^n = e^n f - n hb^2 e^(n-1) h - n(n-1) hb^4 e^(n-1)
+    #   f^n * e = e f^n - n hb^2 h f^(n-1) - n(n-1) hb^4 (f^(n-1) + f^(n-2))
+    ctx = contexts["sl2"]
+    alg, table = ctx.alg, ctx.poisson.table
+    e, h, f, hb = (alg.gen(x) for x in ("e", "h", "f", "hb"))
+
+    def f_times_e_power(n):
+        return e ** n * f - n * e ** (n - 1) * h * hb ** 2 \
+            - n * (n - 1) * e ** (n - 1) * hb ** 4
+
+    def f_power_times_e(n):
+        out = e * f ** n - n * h * f ** (n - 1) * hb ** 2
+        if n > 1:
+            out = out - n * (n - 1) * (f ** (n - 1) + f ** (n - 2)) * hb ** 4
+        return out
+
+    R = _ReferenceStar(alg, table)
+    for n in range(1, 41):
+        assert R.star(f, e ** n) == f_times_e_power(n)
+        assert R.star(f ** n, e) == f_power_times_e(n)
+    ei, fi = alg.by_name["e"].ident, alg.by_name["f"].ident
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default
+    try:
+        long_right = StarAlgebra(alg, table)._word(((fi, 1),), ((ei, 1500),))
+        long_left = StarAlgebra(alg, table)._word(((fi, 1500),), ((ei, 1),))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _word_series(long_right) == f_times_e_power(1500).terms
+    assert _word_series(long_left) == f_power_times_e(1500).terms

@@ -3,8 +3,12 @@
 import random
 from fractions import Fraction
 
+from superw import linalg, wslice
+from superw.algebras import load_algebra
 from superw.linalg import expand_filtered, nullspace, rational_sqrt, rref, solve
 from superw.supercore import EVEN, Algebra, Variable
+
+PRIME30 = 100000000000000000000000000319  # the least prime above 10**29
 
 
 def _dense_rref_reference(rows):
@@ -53,6 +57,117 @@ def _dense_solve_reference(rows, rhs):
     for r in range(len(m)):
         if m[r][-1] and not any(m[r][:-1]):
             return None
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][-1]
+    return x
+
+
+# -- the sparse Fraction elimination, kept verbatim as an oracle ---------
+#
+# ``linalg`` reduces primitive integer rows and makes Fractions only at the
+# end.  The functions below are the Fraction elimination it replaced, which
+# holds every pivot row scaled to a leading 1 and eliminates in Fractions.
+
+
+def _fraction_sparse_row(row):
+    """A dense row as a dict col -> Fraction over its nonzero entries."""
+    return {c: x if type(x) is Fraction else Fraction(x)
+            for c, x in enumerate(row) if x}
+
+
+def _fraction_eliminate(row, col, prow):
+    """row -= row[col] * prow, in place; prow has a 1 in column col."""
+    f = row[col]
+    for k, v in prow.items():
+        x = row.get(k)
+        if x is None:
+            row[k] = -f * v
+        else:
+            x -= f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _fraction_reduce(rows):
+    """Sparse Gauss-Jordan elimination on rows given as dicts col -> Fraction.
+
+    Works on the rows in place and returns (pivot_rows, pivot_columns): the
+    nonzero rows of the reduced row echelon form, in pivot order.  Columns
+    are visited left to right; among the rows still unused that are nonzero
+    in a column, the one with fewest entries becomes the pivot (the RREF is
+    unique, so the choice only affects fill-in), and the column is cleared
+    only from the rows that contain it.  All work is in the rows' supports.
+    """
+    rest = [r for r in rows if r]
+    done, pivots = [], []
+    for c in sorted({k for r in rest for k in r}):
+        if not rest:
+            break
+        hits = [r for r in rest if c in r]
+        if not hits:
+            continue
+        p = min(hits, key=len)
+        inv = 1 / p[c]
+        if inv != 1:
+            for k in p:
+                p[k] *= inv
+        for r in hits:
+            if r is not p:
+                _fraction_eliminate(r, c, p)
+        for r in done:
+            if c in r:
+                _fraction_eliminate(r, c, p)
+        rest = [r for r in rest if r and r is not p]
+        done.append(p)
+        pivots.append(c)
+    return done, pivots
+
+
+def _fraction_rref(rows):
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    done, pivots = _fraction_reduce([_fraction_sparse_row(r) for r in rows])
+    zero = Fraction(0)
+    out = []
+    for p in done:
+        row = [zero] * ncols
+        for k, v in p.items():
+            row[k] = v
+        out.append(row)
+    out.extend([zero] * ncols for _ in range(len(rows) - len(done)))
+    return out, pivots
+
+
+def _fraction_nullspace(rows, ncols=None):
+    if ncols is None:
+        if not rows:
+            raise ValueError("need ncols for an empty matrix")
+        ncols = len(rows[0])
+    m, pivots = _fraction_rref(rows) if rows else ([], [])
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            if m[r][fc]:
+                v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _fraction_solve(rows, rhs):
+    if not rows:
+        return None if any(rhs) else []
+    ncols = len(rows[0])
+    m, pivots = _fraction_rref([list(r) + [b] for r, b in zip(rows, rhs)])
     if pivots and pivots[-1] == ncols:
         return None
     x = [Fraction(0)] * ncols
@@ -230,6 +345,97 @@ def test_rref_nullspace_solve_match_dense_reference():
 
         assert a == before
         assert all(type(x) is type(y) for r, s in zip(a, before) for x, y in zip(r, s))
+
+
+def _assert_same_as_fraction_elimination(rows, ncols, rhs_list):
+    """rref, nullspace and solve equal the Fraction oracle exactly, with
+    Fraction entries everywhere, and leave their input untouched."""
+    before = [list(r) for r in rows]
+    got = rref(rows)
+    assert got == _fraction_rref(rows)
+    assert _all_fractions(got[0])
+    basis = nullspace(rows, ncols)
+    assert basis == _fraction_nullspace(rows, ncols) and _all_fractions(basis)
+    for rhs in rhs_list:
+        x = solve(rows, rhs)
+        assert x == _fraction_solve(rows, rhs)
+        assert x is None or _all_fractions([x])
+    assert rows == before
+    assert all(type(x) is type(y) for r, s in zip(rows, before) for x, y in zip(r, s))
+
+
+def _big_entry(rng):
+    """A nonzero int or Fraction, its denominator up to a 30-digit prime."""
+    num = rng.choice((-1, 1)) * rng.randrange(1, 10 ** rng.choice((1, 3, 12)))
+    den = rng.choice((1, 2, 3, 7, 9, 49, PRIME30, PRIME30 * 6))
+    return num if den == 1 and rng.random() < 0.5 else Fraction(num, den)
+
+
+def _awkward_matrices(rng):
+    """Seeded sparse matrices with big denominators and zero, duplicate and
+    dependent rows, and the empty and 1x1 corners."""
+    yield [], 3
+    for x in (0, 1, -4, Fraction(0), Fraction(5, PRIME30)):
+        yield [[x]], 1
+    yield [[0], [0], [Fraction(-2, 3)]], 1
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 14), rng.randrange(1, 14)
+        density = rng.choice((0.1, 0.3, 0.7))
+        m = [[_big_entry(rng) if rng.random() < density else 0
+              for _ in range(ncols)] for _ in range(nrows)]
+        for _ in range(rng.randrange(4)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                new = [0] * ncols
+            elif kind == 1:
+                new = list(rng.choice(m))
+            else:  # a combination of two rows, so the rank drops
+                a, b = rng.choice(m), rng.choice(m)
+                s, t = _big_entry(rng), _big_entry(rng)
+                new = [s * x + t * y for x, y in zip(a, b)]
+            m.insert(rng.randrange(len(m) + 1), new)
+        yield m, ncols
+
+
+def test_integer_rows_match_fraction_elimination_on_awkward_matrices():
+    rng = random.Random(19680701)
+    for rows, ncols in _awkward_matrices(rng):
+        rhs_list = [[_big_entry(rng) if rng.random() < 0.5 else 0 for _ in rows]]
+        if rows:
+            x0 = [_big_entry(rng) for _ in range(ncols)]
+            rhs_list.append([sum((Fraction(v) * w for v, w in zip(r, x0)), Fraction(0))
+                             for r in rows])
+        _assert_same_as_fraction_elimination(rows, ncols, rhs_list)
+
+
+def test_integer_rows_match_fraction_elimination_on_pipeline_systems(monkeypatch):
+    # the sl21 Whittaker kernels at order 12 and every coefficient system of
+    # splitting_check(sl21, 4), recorded as the pipeline solves them
+    kernels, systems = [], []
+
+    def recording_nullspace(rows, ncols=None, _nullspace=nullspace):
+        kernels.append(([list(r) for r in rows], ncols))
+        return _nullspace(rows, ncols)
+
+    def recording_solve(rows, rhs, _solve=solve):
+        systems.append(([list(r) for r in rows], list(rhs)))
+        return _solve(rows, rhs)
+
+    for mod in (linalg, wslice):
+        monkeypatch.setattr(mod, "nullspace", recording_nullspace)
+        monkeypatch.setattr(mod, "solve", recording_solve)
+    wslice.whittaker_walgebra(wslice.slice_setup(load_algebra("sl21")), 12)
+    whittaker_kernels = kernels[:]
+    assert wslice.splitting_check(wslice.slice_setup(load_algebra("sl21")), 4).ok
+    assert len(whittaker_kernels) == 2 and len(systems) > 500
+    for rows, ncols in whittaker_kernels:
+        _assert_same_as_fraction_elimination(rows, ncols, [])
+    seen = set()
+    for rows, rhs in systems:
+        key = repr((rows, rhs))
+        if key not in seen:
+            seen.add(key)
+            _assert_same_as_fraction_elimination(rows, len(rows[0]) if rows else 0, [rhs])
 
 
 def _poly_universe():
