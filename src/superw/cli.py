@@ -280,7 +280,7 @@ def _random_series(rng, alg, wmax, amax, nterms, parity=None, with_hbar=False):
             mono[i] = mono.get(i, 0) + 1
             w += v.weight
             a += 1
-        m = tuple(sorted(mono.items()))
+        m = alg.monomial(mono)
         if parity is not None and alg.mono_parity(m) != parity:
             continue
         c = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))

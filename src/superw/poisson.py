@@ -92,34 +92,32 @@ class PoissonAlgebra:
         mul = alg.mono_mul
         if not ma or not mb:
             out = {}, 1
-        elif len(ma) == 1 and ma[0][1] == 1:
-            i = ma[0][0]
-            if len(mb) == 1 and mb[0][1] == 1:
-                out = numerators(self.table.entry(i, mb[0][0]).terms)
-            else:
-                # split mb = y * rest and apply the Leibniz rule on the right
-                j, e = mb[0]
-                y = ((j, 1),)
-                rest = mb[1:] if e == 1 else ((j, e - 1),) + mb[1:]
-                sign = -1 if alg.by_id[i].parity and alg.by_id[j].parity else 1
-                groups = {}
-                hn, hd = self.mono_bracket(ma, y)
-                _add_products(groups, hn, hd, lambda n: mul(n, rest), 1)
-                tn, td = self.mono_bracket(ma, rest)
-                _add_products(groups, tn, td, lambda n: mul(y, n), sign)
-                out = merge_numerators(groups)
         else:
-            # split ma = x * rest and apply the Leibniz rule on the left
-            i, e = ma[0]
-            x = ((i, 1),)
-            rest = ma[1:] if e == 1 else ((i, e - 1),) + ma[1:]
-            sign = -1 if alg.mono_parity(rest) and alg.mono_parity(mb) else 1
-            groups = {}
-            hn, hd = self.mono_bracket(rest, mb)
-            _add_products(groups, hn, hd, lambda n: mul(x, n), 1)
-            tn, td = self.mono_bracket(x, mb)
-            _add_products(groups, tn, td, lambda n: mul(n, rest), sign)
-            out = merge_numerators(groups)
+            i, rest = alg.split_first(ma)
+            if not rest:
+                j, rest = alg.split_first(mb)
+                if not rest:
+                    out = numerators(self.table.entry(i, j).terms)
+                else:
+                    # split mb = y * rest and apply the Leibniz rule on the right
+                    y = alg.gen_mono[j]
+                    sign = -1 if alg.by_id[i].parity and alg.by_id[j].parity else 1
+                    groups = {}
+                    hn, hd = self.mono_bracket(ma, y)
+                    _add_products(groups, hn, hd, lambda n: mul(n, rest), 1)
+                    tn, td = self.mono_bracket(ma, rest)
+                    _add_products(groups, tn, td, lambda n: mul(y, n), sign)
+                    out = merge_numerators(groups)
+            else:
+                # split ma = x * rest and apply the Leibniz rule on the left
+                x = alg.gen_mono[i]
+                sign = -1 if alg.mono_parity(rest) and alg.mono_parity(mb) else 1
+                groups = {}
+                hn, hd = self.mono_bracket(rest, mb)
+                _add_products(groups, hn, hd, lambda n: mul(x, n), 1)
+                tn, td = self.mono_bracket(x, mb)
+                _add_products(groups, tn, td, lambda n: mul(n, rest), sign)
+                out = merge_numerators(groups)
         memo[(ma, mb)] = out
         return out
 
@@ -139,12 +137,7 @@ class PoissonAlgebra:
             raise ValueError("series from a different universe")
         drop = self.table.drop
         if order == "auto":
-            if f.order is None:
-                order = g.order
-            elif g.order is None:
-                order = f.order
-            else:
-                order = min(f.order, g.order)
+            order = f._join_order(g)
             if order is not None:
                 order -= drop
         alg = self.alg

@@ -24,8 +24,6 @@ Then come the Rees map and the filtration dimension count.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .darboux import (
     DEFAULT_GUARD,
     Chart,
@@ -83,28 +81,25 @@ class StarAlgebra:
         if out is not None:
             return out
         alg = self.alg
-        chain = []  # (word, its prefix) for m and the prefixes built on the way up
-        while m and m[-1][0] > x:
-            j, e = m[-1]
-            rest = m[:-1] if e == 1 else m[:-1] + ((j, e - 1),)
-            chain.append((m, rest))
+        chain = []  # (word, its last generator, its prefix) on the way down
+        while m:
+            j, rest = alg.split_last(m)
+            if j <= x:
+                break
+            chain.append((m, j, rest))
             m = rest
             out = memo.get((m, x))
             if out is not None:
                 break
-        else:  # m is empty or ends in a generator up to x
-            if not m:
-                out = {((x, 1),): 1}, 1
-            elif m[-1][0] < x:
-                out = {m + ((x, 1),): 1}, 1
-            elif alg.by_id[x].parity == EVEN:
-                out = {m[:-1] + ((x, m[-1][1] + 1),): 1}, 1
-            else:
-                nums, den = self._word_mul(m[:-1], self._entry_term(x, x))
+        if out is None:  # m is empty or ends in a generator up to x
+            n = alg.times_last(m, x)
+            if n is not None:
+                out = {n: 1}, 1
+            else:  # x is odd and ends m: x * x is half the entry term
+                nums, den = self._word_mul(rest, self._entry_term(x, x))
                 out = merge_numerators({den: nums}, 2)
             memo[(m, x)] = out
-        for m, rest in reversed(chain):
-            j = m[-1][0]
+        for m, j, rest in reversed(chain):
             nums, den = out
             if alg.by_id[j].parity and alg.by_id[x].parity:
                 nums = {n: -c for n, c in nums.items()}
@@ -148,15 +143,16 @@ class StarAlgebra:
         out = memo.get((ma, mb))
         if out is not None:
             return out
-        chain = []  # mb and its prefixes whose product is built on the way up
+        split_last = self.alg.split_last
+        chain = []  # (mb, its last factor) for mb and its prefixes built on the way up
         while out is None:
-            chain.append(mb)
-            x, e = mb[-1]
-            mb = mb[:-1] if e == 1 else mb[:-1] + ((x, e - 1),)
+            x, rest = split_last(mb)
+            chain.append((mb, x))
+            mb = rest
             out = memo.get((ma, mb)) if mb else ({ma: 1}, 1)
-        for mb in reversed(chain):
+        for mb, x in reversed(chain):
             nums, den = out
-            out = memo[(ma, mb)] = merge_numerators(self._spread(nums, mb[-1][0]), den)
+            out = memo[(ma, mb)] = merge_numerators(self._spread(nums, x), den)
         return out
 
     # -- products and commutators -------------------------------------
@@ -165,12 +161,7 @@ class StarAlgebra:
         if f.alg is not self.alg or g.alg is not self.alg:
             raise ValueError("series from a different universe")
         if order == "auto":
-            if f.order is None:
-                order = g.order
-            elif g.order is None:
-                order = f.order
-            else:
-                order = min(f.order, g.order)
+            order = f._join_order(g)
         if self.hbar_mode == "unit" and order is not None:
             raise ValueError("unit mode is exact; truncated input makes no sense")
         alg = self.alg
@@ -267,9 +258,9 @@ def quantum_darboux(S, P, order, seeds=None, guard=DEFAULT_GUARD, classical=None
         for c, q in zip(ce.variables(), qe.variables()):
             d = q - c.truncate(qc.cap)
             for m in d.terms:
-                adeg = sum(e for i, e in m if not alg.by_id[i].hbar)
-                if adeg == 0 or (adeg == 1 and not any(
-                        alg.by_id[i].hbar for i, _ in m)):
+                rest, k = alg.split_hbar(m)
+                adeg = alg.mono_degree(rest)
+                if adeg == 0 or (adeg == 1 and not k):
                     raise DarbouxError(
                         "quantum correction drifted the linear part: "
                         f"{alg.mono_str(m)}")
@@ -313,43 +304,30 @@ def rees_map(s):
     isomorphism on top-weight symbols (the star corrections change the
     hbar-tag, which is exactly what the filtered story predicts).
     """
-    alg = s.alg
-    h = alg.hbar_id
-    if h is None:
-        raise ValueError("universe has no hbar variable")
-    out = {}
-    for m, c in s.terms.items():
-        w = sum(alg.by_id[i].weight * e for i, e in m if i != h)
-        if w < 0:
-            raise ValueError("negative-weight monomial has no Rees image")
-        if w:
-            mono = dict(m)
-            mono[h] = mono.get(h, 0) + w
-            mono = tuple(sorted(mono.items()))
-        else:
-            mono = m
-        out[mono] = out.get(mono, Fraction(0)) + c
-    return Series(alg, out, s.order)
+    return _rees_shift(s, 1)
 
 
 def rees_inverse(s):
     """Strip the weight-tag hbar powers put on by :func:`rees_map`."""
+    return _rees_shift(s, -1)
+
+
+def _rees_shift(s, sign):
+    """Move each monomial's hbar exponent by sign times its variable weight.
+
+    The shift is injective on monomials, so no two terms meet.
+    """
     alg = s.alg
-    h = alg.hbar_id
-    if h is None:
+    if alg.hbar_id is None:
         raise ValueError("universe has no hbar variable")
     out = {}
     for m, c in s.terms.items():
-        w = sum(alg.by_id[i].weight * e for i, e in m if i != h)
-        k = dict(m).get(h, 0)
-        if k < w:
+        rest, k = alg.split_hbar(m)
+        w = alg.mono_weight(rest)
+        if sign > 0 and w < 0:
+            raise ValueError("negative-weight monomial has no Rees image")
+        if k + sign * w < 0:
             raise ValueError(
                 f"{alg.mono_str(m)} is not in the Rees image (needs hbar^{w})")
-        mono = dict(m)
-        if k == w:
-            mono.pop(h, None)
-        else:
-            mono[h] = k - w
-        mono = tuple(sorted(mono.items()))
-        out[mono] = out.get(mono, Fraction(0)) + c
+        out[alg.join_hbar(rest, k + sign * w)] = c
     return Series(alg, out, s.order)

@@ -35,7 +35,15 @@ class Variable:
 
 
 class Algebra:
-    """A universe of graded variables; the parent of every Series."""
+    """A universe of graded variables; the parent of every Series.
+
+    A monomial is a tuple of ``(id, exponent)`` pairs sorted by id, with
+    every exponent positive and odd exponents equal to one; the empty tuple
+    is the unit.  The hbar variable, if any, has the largest id, so it is
+    the last pair of any monomial that carries it.  Only this module reads
+    or builds that format: other modules use the methods under "monomial
+    helpers", so the representation can change in one place.
+    """
 
     def __init__(self, variables):
         vs = sorted(variables, key=lambda v: v.ident)
@@ -57,7 +65,11 @@ class Algebra:
         hs = [v for v in vs if v.hbar]
         if len(hs) > 1:
             raise ValueError("at most one hbar variable")
+        if hs and hs[0] is not vs[-1]:
+            raise ValueError("hbar must have the largest variable id")
         self.hbar_id = hs[0].ident if hs else None
+        # the monomial of each single generator
+        self.gen_mono = {v.ident: ((v.ident, 1),) for v in vs}
 
     # -- constructors -------------------------------------------------
 
@@ -74,10 +86,56 @@ class Algebra:
         return Series(self, {(): Fraction(c)}, order)
 
     def gen(self, name, order=None):
-        v = self.by_name[name]
-        return Series(self, {((v.ident, 1),): Fraction(1)}, order)
+        return Series(self, {self.gen_mono[self.by_name[name].ident]: Fraction(1)}, order)
 
     # -- monomial helpers ---------------------------------------------
+
+    def monomial(self, exps):
+        """The monomial with exponents ``{id: exponent}``; zeros are dropped."""
+        return tuple(sorted((i, e) for i, e in exps.items() if e))
+
+    def mono_vars(self, m):
+        """The exponents of m as ``{id: exponent}``, the inverse of
+        :meth:`monomial`."""
+        return dict(m)
+
+    def mono_degree(self, m, ids=None):
+        """Total exponent of m, counting only the variables in ``ids`` if given."""
+        if ids is None:
+            return sum(e for _, e in m)
+        return sum(e for i, e in m if i in ids)
+
+    def split_first(self, m):
+        """``(i, rest)`` with m = x_i * rest and i the smallest id in m (m not the unit)."""
+        i, e = m[0]
+        return i, (m[1:] if e == 1 else ((i, e - 1),) + m[1:])
+
+    def split_last(self, m):
+        """``(i, rest)`` with m = rest * x_i and i the largest id in m (m not the unit)."""
+        i, e = m[-1]
+        return i, (m[:-1] if e == 1 else m[:-1] + ((i, e - 1),))
+
+    def times_last(self, m, x):
+        """m times generator x, for x at least every id in m; None when x is
+        odd and ends m (an odd square vanishes)."""
+        if not m:
+            return self.gen_mono[x]
+        i, e = m[-1]
+        if i < x:
+            return m + self.gen_mono[x]
+        if self._parity[x]:
+            return None
+        return m[:-1] + ((x, e + 1),)
+
+    def split_hbar(self, m):
+        """``(rest, k)`` with m = rest * hbar^k and rest free of hbar."""
+        if m and m[-1][0] == self.hbar_id:
+            return m[:-1], m[-1][1]
+        return m, 0
+
+    def join_hbar(self, rest, k):
+        """rest * hbar^k for an hbar-free rest and k >= 0."""
+        return rest + ((self.hbar_id, k),) if k else rest
 
     def mono_parity(self, m):
         p = self._mono_parity.get(m)
@@ -228,46 +286,27 @@ class Series:
         alg = self.alg
         mul = alg.mono_mul
         eff = alg.mono_eff
+        b_items = [(m, c, eff(m)) for m, c in other.terms.items()]
         out = {}
-        if order is not None:
-            a_items = [(m, c, eff(m)) for m, c in self.terms.items()]
-            b_items = [(m, c, eff(m)) for m, c in other.terms.items()]
-            for ma, ca, ea in a_items:
-                budget = order - ea
-                for mb, cb, eb in b_items:
-                    if eb > budget:
-                        continue
-                    r = mul(ma, mb)
-                    if r is None:
-                        continue
-                    m, s = r
-                    c = out.get(m)
-                    v = ca * cb if s > 0 else -ca * cb
-                    if c is None:
-                        out[m] = v
+        for ma, ca in self.terms.items():
+            budget = None if order is None else order - eff(ma)
+            for mb, cb, eb in b_items:
+                if budget is not None and eb > budget:
+                    continue
+                r = mul(ma, mb)
+                if r is None:
+                    continue
+                m, s = r
+                c = out.get(m)
+                v = ca * cb if s > 0 else -ca * cb
+                if c is None:
+                    out[m] = v
+                else:
+                    c += v
+                    if c:
+                        out[m] = c
                     else:
-                        c += v
-                        if c:
-                            out[m] = c
-                        else:
-                            del out[m]
-        else:
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    r = mul(ma, mb)
-                    if r is None:
-                        continue
-                    m, s = r
-                    c = out.get(m)
-                    v = ca * cb if s > 0 else -ca * cb
-                    if c is None:
-                        out[m] = v
-                    else:
-                        c += v
-                        if c:
-                            out[m] = c
-                        else:
-                            del out[m]
+                        del out[m]
         return Series(alg, out, order)
 
     def __rmul__(self, other):
@@ -323,64 +362,52 @@ class Series:
     # -- hbar utilities -----------------------------------------------
 
     def _need_hbar(self):
-        h = self.alg.hbar_id
-        if h is None:
+        if self.alg.hbar_id is None:
             raise ValueError("universe has no hbar variable")
-        return h
 
     def mul_hbar(self, k):
+        """Multiply by hbar^k; a negative k divides exactly and raises if a
+        term has a lower power of hbar."""
         if k == 0:
             return self
-        h = self._need_hbar()
+        self._need_hbar()
+        alg = self.alg
         out = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            d[h] = d.get(h, 0) + k
-            out[tuple(sorted(d.items()))] = c
-        return Series(self.alg, out, self.order)
+            rest, e = alg.split_hbar(m)
+            if e + k < 0:
+                raise ValueError(f"term {alg.mono_str(m)} not divisible by hbar^{-k}")
+            out[alg.join_hbar(rest, e + k)] = c
+        # dividing by hbar only lowers completion orders, so the bound stays
+        # valid; multiplying may push terms past it, and those are dropped
+        return Series(alg, out, self.order)
 
     def divide_hbar(self, k):
         """Exact division by hbar^k; raises if any term has a lower power."""
-        if k == 0:
-            return self
-        h = self._need_hbar()
-        out = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(h, 0)
-            if e < k:
-                raise ValueError(f"term {self.alg.mono_str(m)} not divisible by hbar^{k}")
-            if e == k:
-                d.pop(h)
-            else:
-                d[h] = e - k
-            out[tuple(sorted(d.items()))] = c
-        # dividing by hbar can only lower completion orders, the bound stays valid
-        return Series(self.alg, out, self.order)
+        return self.mul_hbar(-k)
 
     def hbar_levels(self):
         """Split by hbar exponent: {s: hbar-free coefficient of hbar^s}."""
-        h = self._need_hbar()
+        self._need_hbar()
+        split = self.alg.split_hbar
         out = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            s = d.pop(h, 0)
-            out.setdefault(s, {})[tuple(sorted(d.items()))] = c
+            rest, s = split(m)
+            out.setdefault(s, {})[rest] = c
         return {s: Series(self.alg, t, self.order) for s, t in sorted(out.items())}
 
     def set_hbar(self, value):
         """Substitute hbar := 0 or 1 (stays in the same universe)."""
         if value not in (0, 1):
             raise ValueError("hbar can only be specialized to 0 or 1")
-        h = self._need_hbar()
+        self._need_hbar()
+        split = self.alg.split_hbar
         out = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.pop(h, 0)
+            rest, e = split(m)
             if e and value == 0:
                 continue
-            mono = tuple(sorted(d.items()))
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[rest] = out.get(rest, _ZERO) + c
         return Series(self.alg, {m: c for m, c in out.items() if c}, None)
 
     # -- display ------------------------------------------------------

@@ -87,6 +87,8 @@ def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
     enveloping product compatible with the quotient: a normal monomial lies in
     the character ideal exactly when it touches a shift variable.
     """
+    if HBAR in data.names:
+        raise AlgebraError("%s: the basis name %r is reserved for hbar" % (data.name, HBAR))
     grading = dynkin_grading(data)
     chi = build_chi(data, grading, alt=alt)
 
@@ -149,13 +151,11 @@ def _check_m_abelian(ctx: SliceContext):
 
 def reduce_mod_chi(ctx: SliceContext, s: Series) -> Series:
     """Drop every normal monomial that touches a shift variable."""
-    kept = {m: c for m, c in s.terms.items()
-            if not any(i in ctx.m_ids for i, _ in m)}
-    return ctx.alg.series(kept, s.order)
+    return reduce_mod_mk(ctx, s, 1)
 
 
 def m_degree(ctx: SliceContext, mono) -> int:
-    return sum(e for i, e in mono if i in ctx.m_ids)
+    return ctx.alg.mono_degree(mono, ctx.m_ids)
 
 
 def reduce_mod_mk(ctx: SliceContext, s: Series, k: int) -> Series:
@@ -232,7 +232,7 @@ def _monomials(alg, ids, wmax, amax=None):
     ids = sorted(ids)
     vs = [alg.by_id[i] for i in ids]
     words = pbw_words([v.weight for v in vs], [v.parity for v in vs], wmax, amax)
-    out = [tuple((i, e) for i, e in zip(ids, word) if e) for word in words]
+    out = [alg.monomial(dict(zip(ids, word))) for word in words]
     out.sort(key=lambda m: (alg.mono_weight(m), m))
     return out
 
@@ -415,7 +415,6 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
 class SliceResult:
     dims: list
     gens: list  # (weight, parity, reduced Series)
-    lifts: list  # hbar=1 specializations of the chart generators, unreduced
     products: dict  # (i, j) -> list of (sparse word, Fraction); word = ((k, e), ...)
     chart_report: dict
     invariance_ok: bool
@@ -457,22 +456,19 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
                              guard=guard)
     chart_report = qc.verify()
 
-    raw = []
+    gens = []
     for g in _chart_wgens(qc):
         w = _gen_weight(g)
         if w > order:
             # the chart only pins corrections through effective order
             # ``order``; heavier generators are not certified yet
             continue
-        lift = g.set_hbar(1)
-        red = reduce_mod_chi(ctx, lift)
+        red = reduce_mod_chi(ctx, g.set_hbar(1))
         par = red.parity()
         if par == "mixed":
             raise AlgebraError("reduced generator has mixed parity")
-        raw.append((w, par, red, lift))
-    raw.sort(key=lambda t: (t[0], t[1], repr(t[2])))
-    gens = [(w, p, red) for w, p, red, _ in raw]
-    lifts = [lift for _, _, _, lift in raw]
+        gens.append((w, par, red))
+    gens.sort(key=lambda t: (t[0], t[1], repr(t[2])))
 
     invariance_ok = _m_invariant(ctx, [red for _, _, red in gens])
 
@@ -521,7 +517,7 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
 
     ok = chart_report["ok"] and invariance_ok and products_ok
     return SliceResult(
-        dims=dims, gens=gens, lifts=lifts, products=products,
+        dims=dims, gens=gens, products=products,
         chart_report=chart_report,
         invariance_ok=invariance_ok, products_ok=products_ok, ok=ok, qc=qc,
     )
@@ -705,9 +701,8 @@ def _transport(s: Series, dst: Algebra) -> Series:
     out = {}
     src = s.alg
     for m, c in s.terms.items():
-        mm = tuple(sorted((dst.by_name[src.by_id[i].name].ident, e)
-                          for i, e in m))
-        out[mm] = c
+        out[dst.monomial({dst.by_name[src.by_id[i].name].ident: e
+                          for i, e in src.mono_vars(m).items()})] = c
     return dst.series(out, s.order)
 
 
@@ -786,7 +781,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
     even_vars_ok = True
     for s in [v for e in even_entries for v in e.variables()] + even_centers:
         for m in s.terms:
-            for i, _ in m:
+            for i in alg.mono_vars(m):
                 v = alg.by_id[i]
                 if not v.hbar and v.parity != EVEN:
                     even_vars_ok = False
@@ -846,7 +841,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
         ids = sorted(i for i in range(len(alg.variables)) if not alg.by_id[i].hbar)
         rows = []
         for g in gens:
-            rows.append([g.coeff(((i, 1),)) for i in ids])
+            rows.append([g.coeff(alg.gen_mono[i]) for i in ids])
         return rows
 
     ra, pa = rref(linear_rows(agens))

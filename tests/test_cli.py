@@ -143,6 +143,17 @@ def test_invalid_algebra_file_exits_one(tmp_path, capsys, monkeypatch):
         assert code == 1, message
         rep = json.loads(out)
         assert rep["ok"] is False and message in rep["error"], rep
+    # a basis vector may not take the name of the hbar variable
+    raw = json.loads(json.dumps(CATALOG_SL2))
+    raw["basis"][1]["name"] = "hb"
+    path = tmp_path / "hb.json"
+    path.write_text(json.dumps(raw))
+    for command in ("darboux", "walgebra"):
+        code, out = run_main(capsys, command, "--algebra", str(path), "--order", "4")
+        assert code == 1, command
+        rep = json.loads(out)
+        assert rep["ok"] is False
+        assert rep["error"] == "sl2x: the basis name 'hb' is reserved for hbar", rep
     # a malformed file under SUPERW_CATALOG
     cat = tmp_path / "cat"
     cat.mkdir()
