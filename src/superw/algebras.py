@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 BUNDLED = ("sl2", "gl11", "osp12", "sl21")
+HBAR = "hb"  # the name of the hbar variable, so no basis vector may take it
 
 
 class AlgebraError(ValueError):
@@ -344,6 +345,8 @@ def _from_json(raw) -> LieSuperData:
                      for k, b in enumerate(basis))
     if len(set(names)) != len(names):
         raise AlgebraError("%s: duplicate basis names" % name)
+    if HBAR in names:
+        raise AlgebraError("%s: the basis name %r is reserved for hbar" % (name, HBAR))
     if any(p not in (EVEN, ODD) for p in parities):
         raise AlgebraError("%s: parities must be 0 or 1" % name)
     n = len(names)

@@ -443,11 +443,10 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order_required=True):
+    def common(p):
         p.add_argument("--algebra", required=True,
                        help="catalog name or path to a JSON file")
-        p.add_argument("--order", type=_int_at_least(0), required=order_required,
-                       default=None)
+        p.add_argument("--order", type=_int_at_least(0), required=True)
         # below guard 2 the even correction stalls (guard 0), or projecting
         # through an odd pair loses the two orders of BracketTable.drop (1)
         p.add_argument("--guard", type=_int_at_least(2), default=DEFAULT_GUARD)

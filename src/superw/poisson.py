@@ -4,8 +4,10 @@ The bracket of two generators is an arbitrary polynomial; everything else
 follows from the graded Leibniz rule.  Brackets of monomials are memoized,
 so repeated normalization passes stay cheap.  The memo holds each bracket as
 integer numerators over one denominator, the denominators of the table
-entries, so ``bracket`` accumulates Python ints and makes one ``Fraction``
-per output monomial instead of one per multiply-add.
+entries.  ``bracket`` passes it to :func:`superw.supercore.pair_sum`, the
+truncated term-pair loop shared with the supercommutative and star
+products, which accumulates Python ints and makes one ``Fraction`` per
+output monomial instead of one per multiply-add.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .algebras import AlgebraError
 from .linalg import rational_sqrt
-from .supercore import EVEN, ODD, add_numerators, merge_numerators, numerators, series_over
+from .supercore import EVEN, ODD, merge_numerators, numerators, pair_sum
 
 
 class BracketTable:
@@ -140,24 +142,7 @@ class PoissonAlgebra:
             order = f._join_order(g)
             if order is not None:
                 order -= drop
-        alg = self.alg
-        eff = alg.mono_eff
-        mono_bracket = self.mono_bracket
-        fn, fd = numerators(f.terms)
-        gn, gd = numerators(g.terms)
-        g_items = [(mb, cb, eff(mb)) for mb, cb in gn.items()]
-        # products grouped by the denominator of their bracket
-        groups = {}
-        for ma, ca in fn.items():
-            budget = None if order is None else order + drop - eff(ma)
-            for mb, cb, eb in g_items:
-                if budget is not None and eb > budget:
-                    continue
-                bn, bd = mono_bracket(ma, mb)
-                if bn:
-                    add_numerators(groups, bn, bd, ca * cb)
-        nums, den = merge_numerators(groups, fd * gd)
-        return series_over(alg, nums, den, order)
+        return pair_sum(f, g, order, self.mono_bracket, drop)
 
     # -- consistency checks -------------------------------------------
 
@@ -177,15 +162,9 @@ class PoissonAlgebra:
             t3 = -t3
         return t1 + t2 + t3
 
-    def check_jacobi(self, order=None):
-        """Jacobi identity on all generator triples; returns violations.
-
-        With ``order`` the jacobiators are computed at that truncation
-        (constant and linear tables are exact regardless).
-        """
+    def check_jacobi(self):
+        """Jacobi identity on all generator triples; returns violations."""
         gens = [self.alg.gen(v.name) for v in self.alg.variables if not v.hbar]
-        if order is not None:
-            gens = [g.truncate(order) for g in gens]
         bad = []
         n = len(gens)
         for i in range(n):

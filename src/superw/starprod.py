@@ -10,11 +10,14 @@ never loses low-order terms.
 Normal forms of generator insertions and of monomial products are memoized
 as integer numerators over one denominator.  Nearly all of them are integer
 (the denominators come only from the table entries and the halving of an
-odd square), so ``star`` multiplies and adds Python ints, grouped by that
-denominator, and makes one ``Fraction`` per output monomial at the end
-instead of one per multiply-add.  A monomial product ma * mb is the memoized
-prefix product ma * mb', mb without its last factor x, times x: the same
-steps as normal-ordering mb factor by factor, so each prefix is done once.
+odd square).  ``star`` passes the monomial products to
+:func:`superw.supercore.pair_sum`, the truncated term-pair loop shared with
+the supercommutative product and the Poisson bracket, which multiplies and
+adds Python ints, grouped by that denominator, and makes one ``Fraction``
+per output monomial at the end instead of one per multiply-add.  A monomial
+product ma * mb is the memoized prefix product ma * mb', mb without its last
+factor x, times x: the same steps as normal-ordering mb factor by factor, so
+each prefix is done once.
 
 The second half of the module is the quantum backend of the chart engine in
 :mod:`superw.darboux`: the star product, the star commutator and the unit
@@ -40,7 +43,7 @@ from .supercore import (
     add_numerators,
     merge_numerators,
     numerators,
-    series_over,
+    pair_sum,
 )
 
 
@@ -164,23 +167,7 @@ class StarAlgebra:
             order = f._join_order(g)
         if self.hbar_mode == "unit" and order is not None:
             raise ValueError("unit mode is exact; truncated input makes no sense")
-        alg = self.alg
-        eff = alg.mono_eff
-        word = self._word
-        fn, fd = numerators(f.terms)
-        gn, gd = numerators(g.terms)
-        g_items = [(mb, cb, eff(mb)) for mb, cb in gn.items()]
-        # products grouped by the denominator of their word (nearly always 1)
-        groups = {}
-        for ma, ca in fn.items():
-            budget = None if order is None else order - eff(ma)
-            for mb, cb, eb in g_items:
-                if budget is not None and eb > budget:
-                    continue
-                wn, wd = word(ma, mb)
-                add_numerators(groups, wn, wd, ca * cb)
-        nums, den = merge_numerators(groups, fd * gd)
-        return series_over(alg, nums, den, order)
+        return pair_sum(f, g, order, self._word)
 
     def commutator(self, f, g, order="auto"):
         """Graded commutator f*g -+ g*f, split over parity components."""

@@ -187,6 +187,15 @@ class Algebra:
         mono = tuple(sorted(merged.items()))
         return mono, sign
 
+    def mono_product(self, a, b):
+        """:meth:`mono_mul` as a :func:`pair_sum` kernel: ``({m: sign}, 1)``,
+        or ``({}, 1)`` when the product vanishes."""
+        r = self.mono_mul(a, b)
+        if r is None:
+            return {}, 1
+        m, s = r
+        return {m: s}, 1
+
     def mono_str(self, m):
         if not m:
             return "1"
@@ -282,32 +291,7 @@ class Series:
                 return Series(self.alg, {}, self.order)
             return Series(self.alg, {m: c * v for m, v in self.terms.items()}, self.order)
         other = self._coerce(other)
-        order = self._join_order(other)
-        alg = self.alg
-        mul = alg.mono_mul
-        eff = alg.mono_eff
-        b_items = [(m, c, eff(m)) for m, c in other.terms.items()]
-        out = {}
-        for ma, ca in self.terms.items():
-            budget = None if order is None else order - eff(ma)
-            for mb, cb, eb in b_items:
-                if budget is not None and eb > budget:
-                    continue
-                r = mul(ma, mb)
-                if r is None:
-                    continue
-                m, s = r
-                c = out.get(m)
-                v = ca * cb if s > 0 else -ca * cb
-                if c is None:
-                    out[m] = v
-                else:
-                    c += v
-                    if c:
-                        out[m] = c
-                    else:
-                        del out[m]
-        return Series(alg, out, order)
+        return pair_sum(self, other, self._join_order(other), self.alg.mono_product)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -435,9 +419,13 @@ class Series:
 
 # -- integer numerators ---------------------------------------------------
 #
-# The product kernels of poisson and starprod hold their memoized values as
-# integer numerators over one denominator and make one Fraction per output
-# monomial, not one per multiply-add.  Only the public Fraction API is used.
+# The supercommutative product, the Poisson bracket and the star product all
+# run through pair_sum: one truncated loop over term pairs that multiplies
+# and adds integer numerators, grouped by denominator, and makes one Fraction
+# per output monomial, not one per multiply-add.  The monomial kernels it
+# calls (mono_product here, the memoized brackets of poisson and normal forms
+# of starprod) give their values in the same integer-numerator form.  Only
+# the public Fraction API is used.
 
 
 def numerators(terms):
@@ -500,3 +488,30 @@ def series_over(alg, nums, den, order=None):
     else:
         terms = {m: Fraction(v, den) for m, v in nums.items()}
     return Series(alg, terms, order)
+
+
+def pair_sum(f, g, order, kernel, drop=0):
+    """The Series sum of ``ca * cb * kernel(ma, mb)`` over the term pairs of
+    f and g, exact through ``order`` (None: untruncated).
+
+    ``kernel`` gives its value in ``(nums, den)`` form.  A pair is skipped
+    when ``eff(ma) + eff(mb) > order + drop``: the kernel never lowers the
+    completion order of a pair by more than ``drop``.
+    """
+    alg = f.alg
+    eff = alg.mono_eff
+    fn, fd = numerators(f.terms)
+    gn, gd = numerators(g.terms)
+    g_items = [(mb, cb, eff(mb)) for mb, cb in gn.items()]
+    # products grouped by the denominator of their kernel value
+    groups = {}
+    for ma, ca in fn.items():
+        budget = None if order is None else order + drop - eff(ma)
+        for mb, cb, eb in g_items:
+            if budget is not None and eb > budget:
+                continue
+            kn, kd = kernel(ma, mb)
+            if kn:
+                add_numerators(groups, kn, kd, ca * cb)
+    nums, den = merge_numerators(groups, fd * gd)
+    return series_over(alg, nums, den, order)

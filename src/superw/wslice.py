@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import (
+    HBAR,
     AlgebraError,
     ChiData,
     GradingData,
@@ -47,8 +48,6 @@ __all__ = [
     "clifford_factorization",
     "extract_even_subalgebra",
 ]
-
-HBAR = "hb"
 
 
 @dataclass
@@ -87,8 +86,6 @@ def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
     enveloping product compatible with the quotient: a normal monomial lies in
     the character ideal exactly when it touches a shift variable.
     """
-    if HBAR in data.names:
-        raise AlgebraError("%s: the basis name %r is reserved for hbar" % (data.name, HBAR))
     grading = dynkin_grading(data)
     chi = build_chi(data, grading, alt=alt)
 
@@ -373,20 +370,16 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
         if any(count):
             new_counts[w] = count
 
-    # generators of weight above n_max are out of reach at this order, so
-    # they are not expected (and not reported missing)
-    expected_counts = {}
-    for g, p, _vec in ctx.grading.ge_basis:
-        wt = g + 2
-        if wt > n_max:
-            continue
-        expected_counts.setdefault(wt, [0, 0])
-        expected_counts[wt][p] += 1
+    # one generator per centralizer direction, plus the odd theta when the
+    # grading has one; generators of weight above n_max are out of reach at
+    # this order, so they are not expected (and not reported missing)
+    signature = list(ctx.grading.ge_weight_signature())
     if ctx.chi.theta_index is not None:
-        wt = ctx.grading.weights[ctx.chi.theta_index]
+        signature.append((ctx.grading.weights[ctx.chi.theta_index], ODD))
+    expected_counts = {}
+    for wt, p in signature:
         if wt <= n_max:
-            expected_counts.setdefault(wt, [0, 0])
-            expected_counts[wt][ODD] += 1
+            expected_counts.setdefault(wt, [0, 0])[p] += 1
 
     missing = []
     for w in sorted(set(expected_counts) | set(new_counts)):
@@ -395,11 +388,8 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
         if got != want:
             missing.append({"weight": w, "found": list(got), "expected": list(want)})
 
-    ev = [g + 2 for g, p, _ in ctx.grading.ge_basis if p == EVEN]
-    od = [g + 2 for g, p, _ in ctx.grading.ge_basis if p == ODD]
-    if ctx.chi.theta_index is not None:
-        od.append(ctx.grading.weights[ctx.chi.theta_index])
-    expected_dims = filtration_dims(ev, od, n_max)
+    expected_dims = filtration_dims([wt for wt, p in signature if p == EVEN],
+                                    [wt for wt, p in signature if p == ODD], n_max)
 
     counts_ok = not missing
     dims_ok = dims == expected_dims

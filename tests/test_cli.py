@@ -148,8 +148,9 @@ def test_invalid_algebra_file_exits_one(tmp_path, capsys, monkeypatch):
     raw["basis"][1]["name"] = "hb"
     path = tmp_path / "hb.json"
     path.write_text(json.dumps(raw))
-    for command in ("darboux", "walgebra"):
-        code, out = run_main(capsys, command, "--algebra", str(path), "--order", "4")
+    for command in ("check", "darboux", "walgebra"):
+        order = () if command == "check" else ("--order", "4")
+        code, out = run_main(capsys, command, "--algebra", str(path), *order)
         assert code == 1, command
         rep = json.loads(out)
         assert rep["ok"] is False

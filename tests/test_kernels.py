@@ -1,9 +1,11 @@
 """The integer-numerator product kernels against their Fraction originals.
 
-``StarAlgebra`` and ``PoissonAlgebra`` hold every memoized normal form and
-monomial bracket as integer numerators over one denominator.  The classes
-below are the earlier kernels, kept verbatim as oracles: they accumulate one
-``Fraction`` per multiply-add and memoize ``Series``.
+``Series.__mul__``, ``PoissonAlgebra.bracket`` and ``StarAlgebra.star`` run
+through one truncated term-pair loop, ``supercore.pair_sum``, and the
+bracket and star kernels memoize integer numerators over one denominator.
+The function and classes below are the earlier products, kept verbatim as
+oracles: they accumulate one ``Fraction`` per multiply-add and memoize
+``Series``.
 """
 
 import ast
@@ -25,6 +27,42 @@ from superw.wslice import slice_setup
 ALGEBRAS = ("sl2", "gl11", "osp12", "sl21")
 PRIME30 = 100000000000000000000000000319  # the least prime above 10**29
 DENOMINATORS = (1, 2, 3, 7, PRIME30)
+
+
+def _reference_mul(self, other):
+    """``Series.__mul__`` with its own truncated loop over term pairs."""
+    if isinstance(other, (int, Fraction)):
+        c = Fraction(other)
+        if not c:
+            return Series(self.alg, {}, self.order)
+        return Series(self.alg, {m: c * v for m, v in self.terms.items()}, self.order)
+    other = self._coerce(other)
+    order = self._join_order(other)
+    alg = self.alg
+    mul = alg.mono_mul
+    eff = alg.mono_eff
+    b_items = [(m, c, eff(m)) for m, c in other.terms.items()]
+    out = {}
+    for ma, ca in self.terms.items():
+        budget = None if order is None else order - eff(ma)
+        for mb, cb, eb in b_items:
+            if budget is not None and eb > budget:
+                continue
+            r = mul(ma, mb)
+            if r is None:
+                continue
+            m, s = r
+            c = out.get(m)
+            v = ca * cb if s > 0 else -ca * cb
+            if c is None:
+                out[m] = v
+            else:
+                c += v
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+    return Series(alg, out, order)
 
 
 class _ReferenceStar:
@@ -175,8 +213,8 @@ class _ReferencePoisson:
                 j, e = mb[0]
                 y = ((j, 1),)
                 rest = mb[1:] if e == 1 else ((j, e - 1),) + mb[1:]
-                head = self.mono_bracket(ma, y) * alg.series({rest: Fraction(1)})
-                tail = alg.series({y: Fraction(1)}) * self.mono_bracket(ma, rest)
+                head = _reference_mul(self.mono_bracket(ma, y), alg.series({rest: Fraction(1)}))
+                tail = _reference_mul(alg.series({y: Fraction(1)}), self.mono_bracket(ma, rest))
                 if alg.by_id[i].parity and alg.by_id[j].parity:
                     tail = -tail
                 out = head + tail
@@ -185,8 +223,8 @@ class _ReferencePoisson:
             i, e = ma[0]
             x = ((i, 1),)
             rest = ma[1:] if e == 1 else ((i, e - 1),) + ma[1:]
-            head = alg.series({x: Fraction(1)}) * self.mono_bracket(rest, mb)
-            tail = self.mono_bracket(x, mb) * alg.series({rest: Fraction(1)})
+            head = _reference_mul(alg.series({x: Fraction(1)}), self.mono_bracket(rest, mb))
+            tail = _reference_mul(self.mono_bracket(x, mb), alg.series({rest: Fraction(1)}))
             if alg.mono_parity(rest) and alg.mono_parity(mb):
                 tail = -tail
             out = head + tail
@@ -303,6 +341,41 @@ def assert_integer_memo(memo):
 
 
 ORDERS = (None, "auto", 0, 1, 2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_product_matches_fraction_reference(contexts, name):
+    alg = contexts[name].alg
+    rng = random.Random("mul:%s" % name)
+    for _ in range(8):
+        f = rand_series(rng, alg, rng.randrange(1, 6))
+        g = rand_series(rng, alg, rng.randrange(1, 6))
+        for order in ORDERS:
+            if order is None:
+                pairs = [(f, g)]
+            elif order == "auto":
+                pairs = [(f.truncate(rng.randrange(7)), g.truncate(rng.randrange(7)))]
+            else:
+                pairs = [(f.truncate(order), g), (f, g.truncate(order)),
+                         (f.truncate(order), g.truncate(order + 1))]
+            for a, b in pairs:
+                assert_same(a * b, _reference_mul(a, b))
+                assert_same(b * a, _reference_mul(b, a))
+        for c in (0, 3, rand_coeff(rng)):
+            assert_same(f * c, _reference_mul(f, c))
+    # odd x, y anticommute, so (a x + b y)(k a x + k b y) cancels term by term
+    h = alg.gen(alg.by_id[alg.hbar_id].name)
+    a, b, k = Fraction(1, 3), Fraction(-2, 7), Fraction(5, PRIME30)
+    odd = [v.ident for v in alg.variables if v.parity == ODD]
+    for x in odd:
+        for y in odd:
+            if x >= y:
+                continue
+            f = Series(alg, {((x, 1),): a, ((y, 1),): b})
+            for u, v in ((f, f * k), (f * h, f * k), (f * k, (f * h * h).truncate(3))):
+                got = u * v
+                assert got.is_zero()
+                assert_same(got, _reference_mul(u, v))
 
 
 @pytest.mark.parametrize("mode", ["h2", "unit"])

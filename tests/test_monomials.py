@@ -3,11 +3,15 @@
 The six hbar rewrites once handled the ``((id, exp), ...)`` tuples directly.
 Those versions are kept below, as they were, as references: on seeded
 series over the sl21 slice universe the rewrites through ``split_hbar`` and
-``join_hbar`` must give the same terms, orders and error messages.
+``join_hbar`` must give the same terms, orders and error messages.  A scan
+of the package sources keeps the tuple format and the truncated pair loop
+inside ``supercore``.
 """
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +262,26 @@ def test_monomial_helpers_peel_and_rebuild():
     assert alg.times_last((), 0) == alg.gen_mono[0] == ((0, 1),)
     odd = next(v.ident for v in alg.variables if v.parity == ODD)
     assert alg.times_last(alg.gen_mono[odd], odd) is None
+
+
+# -- what only supercore may know -------------------------------------------
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "superw"
+# reads or builds of the ((id, exponent), ...) tuples: indexing a monomial,
+# turning it into a dict, iterating its pairs, a literal generator monomial,
+# re-sorting exponents into a tuple
+MONOMIAL_TUPLE = re.compile(
+    r"\b(m|ma|mb|mono)\[(-1|0)\]|dict\(m\)|for i, [e_] in m\b"
+    r"|\(\([a-z]+, 1\),\)|tuple\(sorted\(mono\b")
+# the pair-skip rule of the one truncated term-pair loop, pair_sum
+PAIR_SKIP = re.compile(r"\bbudget\b")
+
+
+def test_only_supercore_reads_monomials_and_skips_pairs():
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SOURCES.glob("*.py"))}
+    assert "supercore.py" in texts and len(texts) > 1
+    for rule in (MONOMIAL_TUPLE, PAIR_SKIP):
+        hits = {name: [ln for ln in text.splitlines() if rule.search(ln)]
+                for name, text in texts.items()}
+        hits = {name: lines for name, lines in hits.items() if lines}
+        assert list(hits) == ["supercore.py"], (rule.pattern, hits)
