@@ -208,12 +208,14 @@ def linear_split(poisson, vectors, seeds=None):
     """Darboux normal form of the pairing <u,v> = {u,v}(0) on a list of
     linear elements.
 
-    With ``seeds`` given, pairs are formed only for the seed vectors (each
-    seed must find a partner among the rest, and seeds must be isotropic);
-    everything left over is orthogonalized against the pairs and classified
-    as self-paired (odd, nonzero self-pairing, scaled to pairing 1) or
-    radical.  Without seeds every vector is processed in order, and each
-    takes the first available partner.
+    Pairs are formed for the seed vectors, or for every vector in order
+    when no seeds are given; each takes the first available partner among
+    the rest.  Every seed must be isotropic and find a partner.  The vectors
+    left unpaired (the non-seeds left over, in a seeded run) are then
+    classified by one rule: an odd vector with nonzero self-pairing is
+    orthogonalized against the earlier self-paired ones and scaled to
+    pairing 1, anything else goes to the radical.  In an unseeded run the
+    unpaired vectors are already mutually orthogonal.
     """
 
     def pair(u, v):
@@ -225,87 +227,51 @@ def linear_split(poisson, vectors, seeds=None):
             raise ValueError("linear_split needs parity-homogeneous vectors")
         if not v.is_zero():
             work.append(v)
-    if seeds is None:
-        queue = None
-    else:
-        queue = list(seeds)
-        for s in queue:
-            work = [w for w in work if w != s]
+    todo = work
+    if seeds is not None:
+        todo = list(seeds)
+        work = [w for w in work if w not in todo]
 
     out = SymplecticSplit()
-    while True:
-        if queue is not None:
-            if not queue:
-                break
-            u = queue.pop(0)
-        else:
-            if not work:
-                break
-            u = work.pop(0)
+    unpaired = []
+    while todo:
+        u = todo.pop(0)
         if u.is_zero():
             continue
-        odd = u.parity() == ODD
         row = [pair(u, w) for w in work]
         hits = [k for k, c in enumerate(row) if c]
         if not hits:
-            if odd and pair(u, u):
-                out.selfs.append(u)
-            elif queue is not None:
+            if todo is not work:
                 raise AlgebraError("seed vector has no symplectic partner")
-            else:
-                out.radical.append(u)
+            unpaired.append(u)
             continue
         if pair(u, u):
             raise AlgebraError("cannot seed a pair with a non-isotropic vector")
         k = hits[0]
         v = work.pop(k) * (Fraction(1) / row[k])
-        if odd:
+        if u.parity() == ODD:
             v = v - u * (pair(v, v) / 2)
             out.odd_pairs.append((u, v))
-            work = [w - u * pair(v, w) - v * pair(u, w) for w in work]
-            if queue is not None:
-                queue = [w - u * pair(v, w) - v * pair(u, w) for w in queue]
+            project = lambda w: w - u * pair(v, w) - v * pair(u, w)
         else:
             out.even_pairs.append((u, v))
-            work = [w - v * pair(u, w) + u * pair(v, w) for w in work]
-            if queue is not None:
-                queue = [w - v * pair(u, w) + u * pair(v, w) for w in queue]
+            project = lambda w: w - v * pair(u, w) + u * pair(v, w)
+        work[:] = map(project, work)
+        if todo is not work:
+            todo[:] = map(project, todo)
 
-    # classify whatever is left after seeded pairing
-    if queue is not None:
-        rest = []
-        for w in work:
-            if w.is_zero():
-                continue
-            if w.parity() == ODD and pair(w, w):
-                for t in out.selfs:
-                    w = w - t * pair(t, w)
-                c = pair(w, w)
-                if not c:
-                    rest.append(w)
-                    continue
+    for w in unpaired + work:
+        if w.is_zero():
+            continue
+        if w.parity() == ODD and pair(w, w):
+            for t in out.selfs:
+                w = w - t * pair(t, w)
+            c = pair(w, w)
+            if c:
                 r = rational_sqrt(Fraction(1) / c)
                 if r is None:
                     raise AlgebraError("self-pairing is not a rational square")
                 out.selfs.append(w * r)
-            else:
-                rest.append(w)
-        out.radical.extend(rest)
-    else:
-        selfs = []
-        radical = []
-        for w in out.selfs + out.radical:
-            if w.parity() == ODD:
-                for t in selfs:
-                    w = w - t * pair(t, w)
-                c = pair(w, w)
-                if c:
-                    r = rational_sqrt(Fraction(1) / c)
-                    if r is None:
-                        raise AlgebraError("self-pairing is not a rational square")
-                    selfs.append(w * r)
-                    continue
-            radical.append(w)
-        out.selfs = selfs
-        out.radical = radical
+                continue
+        out.radical.append(w)
     return out

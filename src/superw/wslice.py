@@ -57,17 +57,13 @@ class SliceContext:
     data: LieSuperData
     grading: GradingData
     chi: ChiData
-    alt: bool
     alg: Algebra
-    table: BracketTable
     poisson: PoissonAlgebra
     star: StarAlgebra  # hbar-squared deformation
     ustar: StarAlgebra  # exact enveloping product
     orig_of: tuple  # universe id -> original basis index
-    id_of: tuple  # original basis index -> universe id
     m_ids: frozenset
     complement_ids: tuple
-    hbar_id: int
 
     def m_gens(self):
         return [self.alg.gen(self.data.names[self.orig_of[i]])
@@ -91,10 +87,6 @@ def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
 
     comp = [i for i in range(data.dim) if i not in chi.m_indices]
     orig_of = tuple(comp + list(chi.m_indices))
-    id_of = [0] * data.dim
-    for new, old in enumerate(orig_of):
-        id_of[old] = new
-    hbar_id = data.dim
 
     vs = []
     for new, old in enumerate(orig_of):
@@ -104,7 +96,7 @@ def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
                 "%s: negative filtration weight on %s" % (data.name, data.names[old])
             )
         vs.append(Variable(new, data.names[old], data.parities[old], w))
-    vs.append(Variable(hbar_id, HBAR, EVEN, 1, adic=False, hbar=True))
+    vs.append(Variable(data.dim, HBAR, EVEN, 1, adic=False, hbar=True))
     alg = Algebra(vs)
 
     entries = {}
@@ -126,13 +118,12 @@ def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
     poisson = PoissonAlgebra(alg, table, bracket_weight=-2)
     star = StarAlgebra(alg, table, hbar_mode="h2")
     ustar = StarAlgebra(alg, table, hbar_mode="unit")
-    m_ids = frozenset(id_of[i] for i in chi.m_indices)
-    comp_ids = tuple(id_of[i] for i in comp)
+    # the complement takes the first universe ids, the shift directions the rest
     return SliceContext(
-        data=data, grading=grading, chi=chi, alt=alt, alg=alg, table=table,
-        poisson=poisson, star=star, ustar=ustar, orig_of=orig_of,
-        id_of=tuple(id_of), m_ids=m_ids, complement_ids=comp_ids,
-        hbar_id=hbar_id,
+        data=data, grading=grading, chi=chi, alg=alg, poisson=poisson,
+        star=star, ustar=ustar, orig_of=orig_of,
+        m_ids=frozenset(range(len(comp), data.dim)),
+        complement_ids=tuple(range(len(comp))),
     )
 
 
@@ -743,11 +734,13 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
                           classical=classical0)
 
     agens = _chart_wgens(qc0)
-    asig = sorted((_gen_weight(g), g.parity()) for g in agens)
+    aweights = [_gen_weight(g) for g in agens]
+    aparities = [g.parity() for g in agens]
+    asig = sorted(zip(aweights, aparities))
 
     sub = extract_even_subalgebra(ctx.data)
-    subgr = dynkin_grading(sub)
-    ge0 = list(subgr.ge_weight_signature())
+    sub_ctx = slice_setup(sub)
+    ge0 = list(sub_ctx.grading.ge_weight_signature())
     odd_sig = [(ctx.grading.weights[i], ODD)
                for i in range(ctx.data.dim) if ctx.data.parities[i] == ODD]
     expected_sig = sorted(ge0 + odd_sig)
@@ -758,8 +751,6 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
     dims = filtration_dims(ev, od, order)
 
     # (a) word independence through the working order
-    aweights = [_gen_weight(g) for g in agens]
-    aparities = [g.parity() for g in agens]
     agen_words = word_table(agens, lambda a, b: ctx.star.star(a, b, order=cap),
                        alg.one(cap))
     rank_ok = (_filtered_ranks(agen_words, aweights, aparities, order) == dims ==
@@ -776,30 +767,18 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
                 if not v.hbar and v.parity != EVEN:
                     even_vars_ok = False
 
-    sub_ctx = slice_setup(sub)
     sub_qc = quantum_darboux(sub_ctx.star, sub_ctx.poisson, order,
                              seeds=sub_ctx.m_gens(), guard=guard)
-    standalone = {}
-    for g in sub_qc.center_gens:
-        standalone[_gen_weight(g)] = standalone.get(_gen_weight(g), []) + [
-            _transport(g, alg)]
-    standalone_match = True
-    mine = {}
-    for g in even_centers:
-        mine.setdefault(_gen_weight(g), []).append(g)
-    if sorted(standalone) != sorted(mine):
-        standalone_match = False
-    else:
-        for w in standalone:
-            if len(standalone[w]) != len(mine[w]):
-                standalone_match = False
-                continue
-            for a, b in zip(standalone[w], mine[w]):
-                if not (a - b).is_zero():
-                    standalone_match = False
 
-    sub_cmp = compare_realizations(sub_ctx, 4, guard)
-    sub_compare_ok = sub_cmp.ok
+    def by_weight(gens):
+        out = {}
+        for g in gens:
+            out.setdefault(_gen_weight(g), []).append(g)
+        return out
+
+    standalone_match = (by_weight(_transport(g, alg) for g in sub_qc.center_gens)
+                        == by_weight(even_centers))
+    sub_compare_ok = compare_realizations(sub_ctx, order, guard).ok
 
     # closure: products of the centralizer generators expand over its words
     closure_ok = True

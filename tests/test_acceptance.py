@@ -141,7 +141,7 @@ def test_criterion_03_quantum_charts():
         qv = [v for e in qc.entries for v in e.variables()] + list(qc.center_gens)
         cv = ([v for e in classical.entries for v in e.variables()]
               + list(classical.center_gens))
-        h = ctx.hbar_id
+        h = ctx.alg.hbar_id
         for s in qv:
             for m in s.terms:
                 if any(i == h and e < 1 for i, e in m):

@@ -8,6 +8,7 @@ of the package sources keeps the tuple format and the truncated pair loop
 inside ``supercore``.
 """
 
+import ast
 import random
 import re
 from fractions import Fraction
@@ -285,3 +286,32 @@ def test_only_supercore_reads_monomials_and_skips_pairs():
                 for name, text in texts.items()}
         hits = {name: lines for name, lines in hits.items() if lines}
         assert list(hits) == ["supercore.py"], (rule.pattern, hits)
+
+
+def _exported(tree):
+    """The strings listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant)}
+    return set()
+
+
+def test_no_unused_imports():
+    unused = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names = sorted(imported - used - _exported(tree))
+        if names:
+            unused[path.name] = names
+    assert unused == {}

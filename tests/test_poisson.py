@@ -1,19 +1,25 @@
 """Poisson structure from bracket tables: axioms and linear splits."""
 
+import inspect
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from superw.algebras import load_algebra
+from superw.algebras import AlgebraError, load_algebra
 from superw.cli import _random_series
+from superw.linalg import rational_sqrt
 from superw.poisson import (
     BracketTable,
     PoissonAlgebra,
+    SymplecticSplit,
     linear_split,
 )
 from superw.supercore import EVEN, ODD, Algebra, Variable
 from superw.wslice import slice_setup
+from test_supermatrix import E12_TRIPLE, gl_json
 
 ALGEBRAS = ("sl2", "gl11", "osp12", "sl21")
 
@@ -212,8 +218,14 @@ def test_linear_split_seed_without_partner():
     # the top-weight generator pairs with nothing at the origin
     top = max((v for v in P.alg.variables if not v.hbar),
               key=lambda v: v.weight)
-    with pytest.raises(ValueError):
-        linear_split(P, gens, seeds=[P.alg.gen(top.name)])
+    # an odd seed that pairs only with itself is no pair either
+    alg = Algebra([Variable(0, "a", ODD), Variable(1, "b", ODD)])
+    Q = PoissonAlgebra(alg, BracketTable(alg, {(0, 0): alg.const(4)}))
+    cases = [(P, gens, [P.alg.gen(top.name)]),
+             (Q, [alg.gen("a"), alg.gen("b")], [alg.gen("a")])]
+    for poisson, vectors, seeds in cases:
+        with pytest.raises(ValueError, match="seed vector has no symplectic partner"):
+            linear_split(poisson, vectors, seeds=seeds)
 
 
 def test_linear_split_nonisotropic_seed():
@@ -269,3 +281,210 @@ def test_bracket_at_an_order_truncates_the_exact_result():
             for n in range(7):
                 got = P.bracket(a, b, order=n)
                 assert got == exact.truncate(n) and got.order == n, (name, n)
+
+
+# -- the split against the two-branch version it replaced -------------------
+
+
+def _reference_linear_split(poisson, vectors, seeds=None):
+    """Darboux normal form of the pairing <u,v> = {u,v}(0) on a list of
+    linear elements.
+
+    With ``seeds`` given, pairs are formed only for the seed vectors (each
+    seed must find a partner among the rest, and seeds must be isotropic);
+    everything left over is orthogonalized against the pairs and classified
+    as self-paired (odd, nonzero self-pairing, scaled to pairing 1) or
+    radical.  Without seeds every vector is processed in order, and each
+    takes the first available partner.
+    """
+
+    def pair(u, v):
+        return poisson.bracket(u, v).constant_term()
+
+    work = []
+    for v in vectors:
+        if v.parity() == "mixed":
+            raise ValueError("linear_split needs parity-homogeneous vectors")
+        if not v.is_zero():
+            work.append(v)
+    if seeds is None:
+        queue = None
+    else:
+        queue = list(seeds)
+        for s in queue:
+            work = [w for w in work if w != s]
+
+    out = SymplecticSplit()
+    while True:
+        if queue is not None:
+            if not queue:
+                break
+            u = queue.pop(0)
+        else:
+            if not work:
+                break
+            u = work.pop(0)
+        if u.is_zero():
+            continue
+        odd = u.parity() == ODD
+        row = [pair(u, w) for w in work]
+        hits = [k for k, c in enumerate(row) if c]
+        if not hits:
+            if odd and pair(u, u):
+                out.selfs.append(u)
+            elif queue is not None:
+                raise AlgebraError("seed vector has no symplectic partner")
+            else:
+                out.radical.append(u)
+            continue
+        if pair(u, u):
+            raise AlgebraError("cannot seed a pair with a non-isotropic vector")
+        k = hits[0]
+        v = work.pop(k) * (Fraction(1) / row[k])
+        if odd:
+            v = v - u * (pair(v, v) / 2)
+            out.odd_pairs.append((u, v))
+            work = [w - u * pair(v, w) - v * pair(u, w) for w in work]
+            if queue is not None:
+                queue = [w - u * pair(v, w) - v * pair(u, w) for w in queue]
+        else:
+            out.even_pairs.append((u, v))
+            work = [w - v * pair(u, w) + u * pair(v, w) for w in work]
+            if queue is not None:
+                queue = [w - v * pair(u, w) + u * pair(v, w) for w in queue]
+
+    # classify whatever is left after seeded pairing
+    if queue is not None:
+        rest = []
+        for w in work:
+            if w.is_zero():
+                continue
+            if w.parity() == ODD and pair(w, w):
+                for t in out.selfs:
+                    w = w - t * pair(t, w)
+                c = pair(w, w)
+                if not c:
+                    rest.append(w)
+                    continue
+                r = rational_sqrt(Fraction(1) / c)
+                if r is None:
+                    raise AlgebraError("self-pairing is not a rational square")
+                out.selfs.append(w * r)
+            else:
+                rest.append(w)
+        out.radical.extend(rest)
+    else:
+        selfs = []
+        radical = []
+        for w in out.selfs + out.radical:
+            if w.parity() == ODD:
+                for t in selfs:
+                    w = w - t * pair(t, w)
+                c = pair(w, w)
+                if c:
+                    r = rational_sqrt(Fraction(1) / c)
+                    if r is None:
+                        raise AlgebraError("self-pairing is not a rational square")
+                    selfs.append(w * r)
+                    continue
+            radical.append(w)
+        out.selfs = selfs
+        out.radical = radical
+    return out
+
+
+def _split_outcome(split, P, vectors, seeds):
+    """The four lists of a split, or a tuple of the type and message of
+    its error."""
+    try:
+        sp = split(P, vectors, seeds=seeds)
+    except ValueError as e:
+        return type(e), str(e)
+    return [sp.even_pairs, sp.odd_pairs, sp.selfs, sp.radical]
+
+
+# the reference's branch that keeps a vector without a partner as a self
+_KEEP_LINE = _reference_linear_split.__code__.co_firstlineno + next(
+    k for k, text in enumerate(inspect.getsourcelines(_reference_linear_split)[0])
+    if text.strip() == "out.selfs.append(u)")
+
+
+def _reference_outcome(P, vectors, seeds):
+    """The reference's outcome, and whether it kept a seed that paired with
+    nothing as a self-paired vector (the case the one-path split rejects)."""
+    if seeds is None:
+        return _split_outcome(_reference_linear_split, P, vectors, seeds), False
+    code = _reference_linear_split.__code__
+    kept = []
+
+    def line(frame, event, arg):
+        if event == "line" and frame.f_lineno == _KEEP_LINE:
+            kept.append(frame.f_lineno)
+        return line
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
+    try:
+        out = _split_outcome(_reference_linear_split, P, vectors, seeds)
+    finally:
+        sys.settrace(old)
+    return out, bool(kept)
+
+
+def _recombine(rng, alg, gens):
+    """Random combinations of ``gens`` within each parity, shuffled."""
+    out = []
+    for parity in (EVEN, ODD):
+        part = [g for g in gens if g.parity() == parity]
+        for _ in part:
+            v = alg.zero()
+            for g in part:
+                v = v + g * rng.choice((0, 0, 1, -1, 2, Fraction(1, 2)))
+            out.append(v)
+    rng.shuffle(out)
+    return out
+
+
+def _oracle_universes(tmp_path):
+    specs = list(ALGEBRAS)
+    for m, n in ((2, 1), (2, 2), (3, 1)):
+        path = tmp_path / ("gl%d%d.json" % (m, n))
+        path.write_text(json.dumps(gl_json(m, n, E12_TRIPLE)), encoding="utf-8")
+        specs.append(str(path))
+    for spec in specs:
+        data = load_algebra(spec)
+        for alt in (False, True):
+            yield slice_setup(data, alt=alt)
+
+
+def test_linear_split_matches_reference(tmp_path):
+    # identical to the two-branch version everywhere, except that a seed
+    # pairing with nothing but itself now raises instead of being kept
+    rng = random.Random(13)
+    cases = raised = rejected = 0
+    for ctx in _oracle_universes(tmp_path):
+        P, alg = ctx.poisson, ctx.alg
+        gens = [alg.gen(v.name) for v in alg.variables if not v.hbar]
+        inputs = [(gens, None), (gens, ctx.m_gens()), (gens, ctx.even_m_gens())]
+        for trial in range(60):
+            vectors = _recombine(rng, alg, gens)
+            if trial % 2:
+                inputs.append((vectors, None))
+            elif trial % 4:
+                inputs.append((vectors, rng.sample(vectors, rng.randint(1, 3))))
+            else:
+                m = ctx.m_gens()
+                m = rng.sample(m, rng.randint(0, len(m)))
+                inputs.append((vectors, _recombine(rng, alg, m)))
+        for vectors, seeds in inputs:
+            want, kept = _reference_outcome(P, vectors, seeds)
+            got = _split_outcome(linear_split, P, vectors, seeds)
+            cases += 1
+            raised += isinstance(want, tuple)
+            if kept:
+                rejected += want != got
+                assert got == (AlgebraError, "seed vector has no symplectic partner")
+            else:
+                assert got == want, (ctx.data.name, vectors, seeds)
+    assert cases == 14 * 63
+    assert 0 < rejected < raised < cases

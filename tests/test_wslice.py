@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import pytest
 
+from superw import wslice
 from superw.algebras import load_algebra
 from superw.linalg import nullspace, rref
 from superw.starprod import filtration_dims, quantum_darboux
@@ -210,6 +211,19 @@ def test_clifford_factorization_sl21():
     assert cf.dims == [1, 3, 5, 9, 16]
     assert cf.clifford_count == 2
     assert cf.sig_ok and cf.rank_ok and cf.closure_ok and cf.ok
+
+
+def test_clifford_compares_even_part_at_the_requested_order(monkeypatch):
+    orders = []
+
+    def spy(ctx, n_max, *args, **kwargs):
+        orders.append(n_max)
+        return compare_realizations(ctx, n_max, *args, **kwargs)
+
+    monkeypatch.setattr(wslice, "compare_realizations", spy)
+    cf = clifford_factorization(_ctx("osp12"), 5)
+    assert orders == [5]
+    assert cf.sub_compare_ok and cf.ok
 
 
 def test_even_subalgebra_extraction():
