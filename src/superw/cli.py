@@ -271,6 +271,8 @@ def _random_series(rng, alg, wmax, amax, nterms, parity=None, with_hbar=False):
         mono = {}
         w = a = 0
         for _ in range(rng.randrange(0, 4)):
+            if not ids:
+                break
             i = rng.choice(ids)
             v = alg.by_id[i]
             if v.parity == ODD and mono.get(i):

@@ -1,22 +1,27 @@
 """Small exact linear algebra over the rationals.
 
-The public functions take dense lists of lists with int or Fraction entries
-and return dense lists of lists of Fraction.  Rows are integers inside: row
-reduction keeps each row as a sparse primitive integer row (dict col -> int,
-scaled by the lcm of its denominators and divided by its content) and
-clears column c of a row r against the pivot row s by cross-multiplication,
-r <- (p/g) r - (q/g) s with p = s[c], q = r[c] and g = gcd(p, q), after
-which r is divided by its content again.  This is Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968) with content division in place of his
-exact division by the previous pivot.  The coefficient-matching systems are
-mostly zeros, so each step touches only the nonzero entries of the rows
-holding the pivot column.  Fractions appear only at the boundary: one per
-entry of the result, when each pivot row is divided by its pivot.
-Arithmetic stays exact throughout.
+One incremental integer echelon, ``Echelon``, sits behind every
+elimination: ``rref`` (and through it ``nullspace`` and ``solve``) and every
+rank, kernel and membership test of ``wslice``.  It keeps a growing basis of
+sparse primitive integer rows (dict col -> int, scaled by the lcm of its
+denominators and divided by its content) keyed by any sortable column
+values; a row's pivot is its smallest key.  A new row is reduced against the
+pivots from its smallest key upward, clearing column c of a row r against
+the pivot row s by cross-multiplication, r <- (p/g) r - (q/g) s with
+p = s[c], q = r[c] and g = gcd(p, q), after which r is divided by its
+content again.  This is Bareiss's fraction-free elimination (Math. Comp. 22,
+1968) with content division in place of his exact division by the previous
+pivot.  The systems are mostly zeros, so each step touches only the nonzero
+entries of the two rows.  The remainder of a row depends only on the span
+and the column order, not on the order the rows came in; one
+back-substitution turns the basis into the unique reduced row echelon form.
+Fractions appear only at the boundary, and arithmetic stays exact
+throughout.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -40,10 +45,10 @@ def _divide_content(row):
             row[k] //= g
 
 
-def _integer_row(row):
-    """A dense row of ints and Fractions as a primitive integer row: a dict
-    col -> int over its nonzero entries, with no common factor."""
-    row = {c: x for c, x in enumerate(row) if x}
+def _integer_row(items):
+    """(col, int or Fraction) pairs as a primitive integer row: a dict
+    col -> int over the nonzero entries, with no common factor."""
+    row = {c: x for c, x in items if x}
     den = lcm(*(x.denominator for x in row.values()))
     row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
     _divide_content(row)
@@ -69,37 +74,61 @@ def _eliminate(row, col, prow):
     _divide_content(row)
 
 
-def _reduce(rows):
-    """Sparse fraction-free Gauss-Jordan elimination on integer rows.
+class Echelon:
+    """A growing echelon basis of sparse primitive integer rows.
 
-    Works on the rows (dicts col -> int) in place and returns
-    (pivot_rows, pivot_columns): the nonzero rows of the reduced row echelon
-    form, each up to the scalar that makes its pivot 1, in pivot order.
-    Columns are visited left to right; among the rows still unused that are
-    nonzero in a column, the one with fewest entries becomes the pivot (the
-    RREF is unique, so the choice only affects fill-in), and the column is
-    cleared only from the rows that contain it, finished pivot rows
-    included.  All work is in the rows' supports.
+    Column keys are any sortable values; a row's pivot is its smallest key,
+    and no two rows share a pivot.  A row is reduced against the pivots in
+    increasing order, so its remainder has no pivot in its support and
+    depends only on the span, not on the order the rows came in.
     """
-    rest = [r for r in rows if r]
-    done, pivots = [], []
-    for c in sorted({k for r in rest for k in r}):
-        if not rest:
-            break
-        hits = [r for r in rest if c in r]
-        if not hits:
-            continue
-        p = min(hits, key=len)
-        for r in hits:
-            if r is not p:
-                _eliminate(r, c, p)
-        for r in done:
-            if c in r:
-                _eliminate(r, c, p)
-        rest = [r for r in rest if r and r is not p]
-        done.append(p)
-        pivots.append(c)
-    return done, pivots
+
+    def __init__(self, rows=()):
+        self.rows = {}  # pivot -> primitive integer row
+        self.pivots = []  # sorted
+        for row in rows:
+            self.add(row)
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def push(self, row):
+        """Reduce an integer row in place; keep a nonzero remainder as a new
+        row and return its pivot, or return None when row lies in the span."""
+        if not row:
+            return None
+        pivots, rows = self.pivots, self.rows
+        for p in pivots[bisect_left(pivots, min(row)):]:
+            if p in row:
+                _eliminate(row, p, rows[p])
+                if not row:
+                    return None
+        p = min(row)
+        rows[p] = row
+        insort(pivots, p)
+        return p
+
+    def add(self, row):
+        """Reduce ``{col: int or Fraction}``; keep a nonzero remainder and
+        return it scaled to 1 on its pivot, or return {} when it lies in
+        the span."""
+        row = _integer_row(row.items())
+        p = self.push(row)
+        if p is None:
+            return {}
+        lead = row[p]
+        return {k: Fraction(v, lead) for k, v in row.items()}
+
+    def reduce(self):
+        """Clear every pivot column from the rows of the other pivots, in
+        place: the rows become the reduced row echelon form.  Walking the
+        pivots from last to first, the rows of later pivots are already
+        reduced, so clearing one of their columns brings no pivot back."""
+        rows = self.rows
+        for p in reversed(self.pivots):
+            row = rows[p]
+            for q in [k for k in row if k != p and k in rows]:
+                _eliminate(row, q, rows[q])
 
 
 def rref(rows):
@@ -111,17 +140,21 @@ def rref(rows):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    done, pivots = _reduce([_integer_row(r) for r in rows])
+    ech = Echelon()
+    for row in sorted((_integer_row(enumerate(r)) for r in rows), key=len):
+        ech.push(row)
+    ech.reduce()
     zero = Fraction(0)
     out = []
-    for p, c in zip(done, pivots):
+    for c in ech.pivots:
+        p = ech.rows[c]
         pv = p[c]
         row = [zero] * ncols
         for k, v in p.items():
             row[k] = Fraction(v, pv)
         out.append(row)
-    out.extend([zero] * ncols for _ in range(len(rows) - len(done)))
-    return out, pivots
+    out.extend([zero] * ncols for _ in range(len(rows) - len(ech)))
+    return out, ech.pivots
 
 
 def nullspace(rows, ncols=None):

@@ -16,7 +16,6 @@ comparisons meaningful.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,7 +30,7 @@ from .algebras import (
     dynkin_grading,
 )
 from .darboux import DEFAULT_GUARD, equivariant_darboux
-from .linalg import expand_filtered, nullspace, rref, solve
+from .linalg import Echelon, expand_filtered, nullspace, rref, solve
 from .poisson import BracketTable, PoissonAlgebra, linear_split
 from .supercore import EVEN, ODD, Algebra, Series, Variable
 from .starprod import StarAlgebra, filtration_dims, quantum_darboux
@@ -233,58 +232,14 @@ def _words_by_weight(weights, parities, n_max):
     return out
 
 
-class _Span:
-    """A growing echelon basis of series, rows keyed by monomial.
-
-    Each row is a dict monomial -> Fraction whose smallest monomial, its
-    pivot, has coefficient 1.  A series is reduced against the rows in pivot
-    order; the remainder has no pivot in its support, so it depends only on
-    the span and the monomial order, not on the order the rows came in.
-    """
-
-    def __init__(self, series=()):
-        self.rows = {}  # pivot -> row
-        self.pivots = []  # sorted
-        for s in series:
-            self.add(s)
-
-    def __len__(self):
-        return len(self.pivots)
-
-    def add(self, s):
-        """Reduce s; keep a nonzero remainder as a new row and return it
-        (scaled to 1 on its pivot), or return {} when s lies in the span."""
-        v = dict(s.terms)
-        for p in self.pivots:
-            c = v.get(p)
-            if c:
-                for m, x in self.rows[p].items():
-                    y = v.get(m, 0) - c * x
-                    if y:
-                        v[m] = y
-                    else:
-                        del v[m]
-        if v:
-            p = min(v)
-            inv = 1 / v[p]
-            v = self.rows[p] = {m: x * inv for m, x in v.items()}
-            insort(self.pivots, p)
-        return v
-
-
 def _filtered_ranks(value, weights, parities, n_max):
     """Entry n is the rank of the words of weight <= n under ``value``."""
-    span, ranks = _Span(), []
+    span, ranks = Echelon(), []
     for words in _words_by_weight(weights, parities, n_max):
         for e in words:
-            span.add(value(e))
+            span.add(value(e).terms)
         ranks.append(len(span))
     return ranks
-
-
-def _invariants(alg, sub, null):
-    """Kernel vectors over the candidate monomials ``sub``, as series."""
-    return [alg.series(dict(zip(sub, v))) for v in null]
 
 
 @dataclass
@@ -297,7 +252,7 @@ class WhittakerResult:
     counts_ok: bool
     dims_ok: bool
     missing: list
-    invariant_bases: dict  # n -> (candidate monos, list of coefficient rows)
+    invariants: list  # (weight, parity, Series), one per kernel vector
     ok: bool
 
 
@@ -320,11 +275,11 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
 
     # one kernel per parity over all candidates, sorted by (weight, monomial):
     # the RREF of a column prefix is the prefix of the RREF, and a kernel
-    # vector's last nonzero entry is its free column, so the invariants of
-    # weight <= n are the kernel vectors that vanish past the first k columns
+    # vector's last nonzero entry is its free column, so the weight of that
+    # column is the least n for which the vector is an invariant of weight <= n
     qmul = _quotient_mul(ctx)
     cands = _monomials(alg, ctx.complement_ids, n_max)
-    invariant_bases = {n: {} for n in range(n_max + 1)}
+    invariants = []
     for p in (EVEN, ODD):
         sub = [m for m in cands if alg.mono_parity(m) == p]
         rows = []
@@ -332,28 +287,28 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
             images = [qmul(g, alg.series({m: Fraction(1)})) for m in sub]
             for mm in sorted({mm for im in images for mm in im.terms}):
                 rows.append([im.coeff(mm) for im in images])
-        null = nullspace(rows, len(sub))
-        wts = [alg.mono_weight(m) for m in sub]
-        for n in range(n_max + 1):
-            k = sum(1 for x in wts if x <= n)
-            invariant_bases[n][p] = (sub[:k], [v[:k] for v in null if not any(v[k:])])
-    dims = [sum(len(invariant_bases[n][p][1]) for p in (EVEN, ODD))
-            for n in range(n_max + 1)]
+        for v in nullspace(rows, len(sub)):
+            free = max(k for k, x in enumerate(v) if x)
+            invariants.append((alg.mono_weight(sub[free]), p,
+                               alg.series(dict(zip(sub, v)))))
+    invariants.sort(key=lambda t: t[:2])
+    dims = [sum(1 for w, _, _ in invariants if w <= n) for n in range(n_max + 1)]
 
     # weight by weight, a nonzero remainder against the products of earlier
-    # generators is a new generator
+    # generators is a new generator; the lighter invariants are already in
+    # the span, so only those of weight exactly w can add to it
     gens = []
     gseries = []
     gen_words = word_table(gseries, qmul, alg.one())
     new_counts = {}
-    span = _Span()
+    span = Echelon()
     for w in range(n_max + 1):
         for e in _words_by_weight([g[0] for g in gens], [g[1] for g in gens], w)[w]:
-            span.add(gen_words(e))
+            span.add(gen_words(e).terms)
         count = [0, 0]
-        for p in (EVEN, ODD):
-            for s in _invariants(alg, *invariant_bases[w][p]):
-                row = span.add(s)
+        for wt, p, s in invariants:
+            if wt == w:
+                row = span.add(s.terms)
                 if row:
                     gseries.append(alg.series(row))
                     gens.append((w, p, gseries[-1]))
@@ -388,7 +343,7 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
         dims=dims, gens=gens, new_counts=new_counts,
         expected_counts=expected_counts, expected_dims=expected_dims,
         counts_ok=counts_ok, dims_ok=dims_ok, missing=missing,
-        invariant_bases=invariant_bases, ok=counts_ok and dims_ok,
+        invariants=invariants, ok=counts_ok and dims_ok,
     )
 
 
@@ -512,9 +467,6 @@ class CompareResult:
     span_ok: bool
     blocks_ok: bool
     ok: bool
-    detail: dict
-    whittaker: WhittakerResult
-    slice: SliceResult
 
 
 def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUARD,
@@ -530,7 +482,6 @@ def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUA
     """
     wh = whittaker_result or whittaker_walgebra(ctx, n_max)
     sl = slice_result or slice_walgebra(ctx, n_max, guard)
-    alg = ctx.alg
 
     sgens = list(sl.gens)
     if perturb is not None:
@@ -562,13 +513,13 @@ def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUA
             continue
         for p, s in items:
             # membership in the solved invariant space of its weight
-            if _Span(_invariants(alg, *wh.invariant_bases[w][p])).add(s):
+            if Echelon(t.terms for wt, q, t in wh.invariants
+                       if wt <= w and q == p).add(s.terms):
                 span_ok = False
         # leading block: each of this weight's slice generators must add to
         # the span of the lower invariants
-        lower = _Span(t for p in (EVEN, ODD) if w > 0
-                      for t in _invariants(alg, *wh.invariant_bases[w - 1][p]))
-        gained = sum(1 for _, s in items if lower.add(s))
+        lower = Echelon(t.terms for wt, _, t in wh.invariants if wt < w)
+        gained = sum(1 for _, s in items if lower.add(s.terms))
         want = wh.new_counts.get(w, [0, 0])
         if gained != len(items) or gained != sum(want):
             blocks_ok = False
@@ -578,11 +529,6 @@ def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUA
         dims_equal=dims_equal, counts_equal=counts_equal,
         invariance_ok=invariance_ok, span_ok=span_ok, blocks_ok=blocks_ok,
         ok=ok,
-        detail={
-            "whittaker_dims": wh.dims, "slice_dims": sl.dims,
-            "whittaker_counts": sig(wh.gens), "slice_counts": sig(sgens),
-        },
-        whittaker=wh, slice=sl,
     )
 
 
@@ -702,7 +648,6 @@ class CliffordResult:
     factor_sig_ok: bool
     linear_span_ok: bool
     ok: bool
-    detail: dict
 
 
 def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
@@ -767,8 +712,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
                 if not v.hbar and v.parity != EVEN:
                     even_vars_ok = False
 
-    sub_qc = quantum_darboux(sub_ctx.star, sub_ctx.poisson, order,
-                             seeds=sub_ctx.m_gens(), guard=guard)
+    sub_sl = slice_walgebra(sub_ctx, order, guard)
 
     def by_weight(gens):
         out = {}
@@ -776,9 +720,9 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
             out.setdefault(_gen_weight(g), []).append(g)
         return out
 
-    standalone_match = (by_weight(_transport(g, alg) for g in sub_qc.center_gens)
+    standalone_match = (by_weight(_transport(g, alg) for g in sub_sl.qc.center_gens)
                         == by_weight(even_centers))
-    sub_compare_ok = compare_realizations(sub_ctx, order, guard).ok
+    sub_compare_ok = compare_realizations(sub_ctx, order, guard, slice_result=sub_sl).ok
 
     # closure: products of the centralizer generators expand over its words
     closure_ok = True
@@ -829,9 +773,4 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
         sub_compare_ok=sub_compare_ok, closure_ok=closure_ok,
         clifford_count=clifford_count, factor_sig_ok=factor_sig_ok,
         linear_span_ok=linear_span_ok, ok=ok,
-        detail={
-            "even_subalgebra": sub.name,
-            "even_centralizer_signature": [list(t) for t in ge0],
-            "odd_signature": [list(t) for t in sorted(odd_sig)],
-        },
     )

@@ -221,6 +221,19 @@ def test_suite_with_empty_catalog_exits_one(tmp_path, capsys, monkeypatch, make)
     assert str(cat) in rep["error"]
 
 
+def test_suite_on_a_zero_dimensional_algebra(tmp_path, capsys, monkeypatch):
+    cat = tmp_path / "cat"
+    cat.mkdir()
+    (cat / "empty.json").write_text(json.dumps(
+        {"name": "empty", "basis": [], "brackets": [], "form": []}))
+    monkeypatch.setenv("SUPERW_CATALOG", str(cat))
+    code, out = run_main(capsys, "suite", "--order", "2")
+    assert code == 0
+    rep = json.loads(out)
+    assert "error" not in rep and rep["ok"] is True
+    assert rep["checks"] and all(c["ok"] for c in rep["checks"])
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     dest = tmp_path / "rep.json"
     code, out = run_main(capsys, "check", "--algebra", "sl2", "--out",

@@ -315,3 +315,42 @@ def test_no_unused_imports():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def _defined(node):
+    """The names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _referenced(node):
+    """The names a statement reads: plain loads, attributes and imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def test_no_unreached_private_names():
+    # a module-level _name that no other statement of the package reads is
+    # dead code: nothing but its own body (a recursion, say) can reach it
+    statements = []
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        statements += [(path.name, node, _referenced(node)) for node in tree.body]
+    unreached = sorted(
+        "%s:%s" % (module, name)
+        for module, node, _ in statements
+        for name in _defined(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in refs for _, other, refs in statements if other is not node))
+    assert unreached == []

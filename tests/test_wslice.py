@@ -6,7 +6,9 @@ and solving the invariance conditions in exact rational arithmetic; the
 tests require byte-exact agreement.
 """
 import itertools
+import json
 import random
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,13 +16,12 @@ import pytest
 
 from superw import wslice
 from superw.algebras import load_algebra
-from superw.linalg import nullspace, rref
+from superw.linalg import Echelon, nullspace, rref
 from superw.starprod import filtration_dims, quantum_darboux
-from superw.supercore import EVEN, ODD
+from superw.supercore import EVEN, ODD, Series
 from superw.wslice import (
     _filtered_ranks,
     _monomials,
-    _Span,
     clifford_factorization,
     compare_realizations,
     extract_even_subalgebra,
@@ -34,6 +35,7 @@ from superw.wslice import (
     whittaker_walgebra,
     word_table,
 )
+from test_supermatrix import E12_TRIPLE, gl_json
 
 # name -> (order, dims, generator (weight, parity) signature)
 FROZEN = {
@@ -226,6 +228,21 @@ def test_clifford_compares_even_part_at_the_requested_order(monkeypatch):
     assert cf.sub_compare_ok and cf.ok
 
 
+@pytest.mark.parametrize("name", ["osp12", "sl21"])
+def test_clifford_builds_the_even_part_chart_once(monkeypatch, name):
+    # the full chart, the even-flattened chart and the even part's own chart,
+    # which both the standalone match and the route comparison read
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return quantum_darboux(*args, **kwargs)
+
+    monkeypatch.setattr(wslice, "quantum_darboux", counting)
+    assert clifford_factorization(_ctx(name), 5).ok
+    assert calls == [5, 5, 5]
+
+
 def test_even_subalgebra_extraction():
     sub = extract_even_subalgebra(load_algebra("sl21"))
     assert sub.names == ("e", "h", "z", "f")
@@ -402,7 +419,12 @@ def _reference_whittaker(ctx, n_max):
 def test_whittaker_matches_per_weight_reference(name, order, alt):
     wh = _whittaker(name, order, alt)
     bases, dims, gens = _reference_whittaker(_ctx(name, alt), order)
-    assert wh.invariant_bases == bases
+    for n in range(order + 1):
+        for p in (EVEN, ODD):
+            sub, null = bases[n][p]
+            got = [[s.coeff(m) for m in sub]
+                   for w, q, s in wh.invariants if w <= n and q == p]
+            assert got == null, (n, p)
     assert wh.dims == dims == FROZEN[name][1][: order + 1]
     assert wh.gens == gens
 
@@ -448,8 +470,83 @@ def test_span_remainders_ignore_insertion_order_and_match_rref():
             want = {m: c / lead for m, c in want.items()}
         for _ in range(5):
             rng.shuffle(vecs)
-            span = _Span(vecs)
+            span = Echelon(v.terms for v in vecs)
             assert len(span) == len(piv) == 6
-            assert sorted(span.rows) == [cols[q] for q in piv]
-            assert span.add(probe) == want
-    assert not _Span(vecs).add(vecs[4] - vecs[5])
+            assert sorted(span.rows) == span.pivots == [cols[q] for q in piv]
+            assert span.add(probe.terms) == want
+    assert not Echelon(v.terms for v in vecs).add((vecs[4] - vecs[5]).terms)
+
+
+class _ReferenceSpan:
+    """A growing echelon basis of series, rows keyed by monomial.
+
+    Each row is a dict monomial -> Fraction whose smallest monomial, its
+    pivot, has coefficient 1.  A series is reduced against the rows in pivot
+    order; the remainder has no pivot in its support, so it depends only on
+    the span and the monomial order, not on the order the rows came in.
+    """
+
+    def __init__(self, series=()):
+        self.rows = {}  # pivot -> row
+        self.pivots = []  # sorted
+        for s in series:
+            self.add(s)
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def add(self, s):
+        """Reduce s; keep a nonzero remainder as a new row and return it
+        (scaled to 1 on its pivot), or return {} when s lies in the span."""
+        v = dict(s.terms)
+        for p in self.pivots:
+            c = v.get(p)
+            if c:
+                for m, x in self.rows[p].items():
+                    y = v.get(m, 0) - c * x
+                    if y:
+                        v[m] = y
+                    else:
+                        del v[m]
+        if v:
+            p = min(v)
+            inv = 1 / v[p]
+            v = self.rows[p] = {m: x * inv for m, x in v.items()}
+            insort(self.pivots, p)
+        return v
+
+
+class _MirroredEchelon(Echelon):
+    """An Echelon that repeats every add on the Fraction reference span and
+    checks that both give the same remainder and the same rank."""
+
+    adds = 0
+
+    def __init__(self, rows=()):
+        self.reference = _ReferenceSpan()
+        super().__init__(rows)
+
+    def add(self, row):
+        got = super().add(row)
+        want = self.reference.add(Series(None, row))
+        assert got == want
+        assert len(self) == len(self.reference)
+        assert sorted(self.rows) == self.reference.pivots
+        _MirroredEchelon.adds += 1
+        return got
+
+
+@pytest.mark.parametrize("name,order", [
+    ("sl2", 6), ("gl11", 6), ("osp12", 6), ("sl21", 6), ("gl21", 6),
+])
+def test_echelon_adds_match_the_fraction_span(monkeypatch, tmp_path, name, order):
+    # every rank, generator extraction and membership test of both routes
+    if name == "gl21":
+        path = tmp_path / "gl21.json"
+        path.write_text(json.dumps(gl_json(2, 1, E12_TRIPLE)), encoding="utf-8")
+        name = str(path)
+    monkeypatch.setattr(wslice, "Echelon", _MirroredEchelon)
+    _MirroredEchelon.adds = 0
+    cmp = compare_realizations(slice_setup(load_algebra(name)), order)
+    assert cmp.ok
+    assert _MirroredEchelon.adds >= 10
