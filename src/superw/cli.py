@@ -34,7 +34,8 @@ __all__ = ["main", "build_report", "truncate_report"]
 
 def _exact_terms(s):
     """Exact series as [monomial, coefficient] rows in canonical order."""
-    return [[s.alg.mono_str(m), str(s.terms[m])] for m in sorted(s.terms)]
+    alg = s.alg
+    return [[alg.mono_str(m), str(s.terms[m])] for m in sorted(s.terms, key=alg.mono_key)]
 
 
 def _chart_terms(s, order):
@@ -46,7 +47,7 @@ def _chart_terms(s, order):
     """
     alg = s.alg
     rows = [(alg.mono_eff(m), alg.mono_str(m), str(s.terms[m]))
-            for m in sorted(s.terms) if alg.mono_eff(m) <= order]
+            for m in sorted(s.terms, key=alg.mono_key) if alg.mono_eff(m) <= order]
     rows.sort(key=lambda r: (r[0], r[1]))
     return [[m, c, e] for e, m, c in rows]
 

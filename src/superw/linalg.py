@@ -228,7 +228,7 @@ def expand_filtered(target, candidates, cap):
         lead = [candidates[i].eff_component(d) for i in idxs]
         for L in lead:
             monos.update(L.terms)
-        monos = sorted(monos)
+        monos = sorted(monos, key=alg.mono_key)
         if not monos:
             continue
         rows = [[L.coeff(m) for L in lead] for m in monos]

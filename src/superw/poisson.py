@@ -210,12 +210,16 @@ def linear_split(poisson, vectors, seeds=None):
 
     Pairs are formed for the seed vectors, or for every vector in order
     when no seeds are given; each takes the first available partner among
-    the rest.  Every seed must be isotropic and find a partner.  The vectors
-    left unpaired (the non-seeds left over, in a seeded run) are then
-    classified by one rule: an odd vector with nonzero self-pairing is
-    orthogonalized against the earlier self-paired ones and scaled to
-    pairing 1, anything else goes to the radical.  In an unseeded run the
-    unpaired vectors are already mutually orthogonal.
+    the rest.  Every seed must be isotropic and find a partner.  In an
+    unseeded run a vector with nonzero self-pairing (necessarily odd) is
+    not paired: the rest is projected orthogonal to it and it is left
+    unpaired.  If its self-pairing is not a rational square, the first
+    remaining odd vector whose self-pairing is one is taken in its place.
+    The vectors left unpaired (the non-seeds left over, in a seeded run)
+    are then classified by one rule: an odd vector with nonzero
+    self-pairing is orthogonalized against the earlier self-paired ones and
+    scaled to pairing 1, anything else goes to the radical.  In an unseeded
+    run the unpaired vectors are already mutually orthogonal.
     """
 
     def pair(u, v):
@@ -245,8 +249,19 @@ def linear_split(poisson, vectors, seeds=None):
                 raise AlgebraError("seed vector has no symplectic partner")
             unpaired.append(u)
             continue
-        if pair(u, u):
-            raise AlgebraError("cannot seed a pair with a non-isotropic vector")
+        c = pair(u, u)
+        if c:
+            if todo is not work:
+                raise AlgebraError("cannot seed a pair with a non-isotropic vector")
+            if rational_sqrt(c) is None:
+                for k, w in enumerate(work):
+                    d = pair(w, w)
+                    if d and rational_sqrt(d) is not None:
+                        u, work[k], c = w, u, d
+                        break
+            work[:] = [w - u * (pair(u, w) / c) for w in work]
+            unpaired.append(u)
+            continue
         k = hits[0]
         v = work.pop(k) * (Fraction(1) / row[k])
         if u.parity() == ODD:

@@ -1,9 +1,14 @@
 """Exact supercommutative polynomials and truncated power series.
 
 Variables carry a parity, an integer weight and an adic flag; coefficients
-are exact rationals.  Monomials are stored in a canonical form (variables
-sorted by id, odd exponents at most one, the Koszul sign absorbed into the
-coefficient), so equality of elements is literal dict equality.
+are exact rationals.  Monomials are stored in a canonical form (odd
+exponents at most one, the Koszul sign absorbed into the coefficient), so
+equality of elements is literal dict equality.  A monomial is one int with
+a 16-bit exponent field per variable, the top bit of each a guard bit: a
+product is an integer sum, a repeated odd variable is an overlap of the odd
+bits, and the Koszul sign is a parity of popcounts (Monagan and Pearce,
+ISSAC 2009).  The int order is not a monomial order, so every sort of
+monomials is keyed by ``Algebra.mono_key``, the exponent tuple.
 
 A Series with ``order=None`` is an exact polynomial.  With ``order=N`` it is
 exact modulo terms of completion order > N, where the completion order of a
@@ -23,6 +28,12 @@ ODD = 1
 
 _ZERO = Fraction(0)  # the coefficient of an absent monomial; Fraction is immutable
 
+# bits per exponent field of a monomial: the top one is the guard bit, so an
+# exponent stays below _CAP
+_W = 16
+_CAP = 1 << (_W - 1)
+_MASK = _CAP - 1
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -37,12 +48,17 @@ class Variable:
 class Algebra:
     """A universe of graded variables; the parent of every Series.
 
-    A monomial is a tuple of ``(id, exponent)`` pairs sorted by id, with
-    every exponent positive and odd exponents equal to one; the empty tuple
-    is the unit.  The hbar variable, if any, has the largest id, so it is
-    the last pair of any monomial that carries it.  Only this module reads
-    or builds that format: other modules use the methods under "monomial
-    helpers", so the representation can change in one place.
+    A monomial is one nonnegative int of bit fields.  Variable number k, in
+    id order, keeps its exponent in bits ``[k*16, k*16 + 15)``; bit
+    ``k*16 + 15`` is a guard bit that no monomial carries.  Odd exponents are
+    0 or 1, and 0 is the unit.  The hbar variable, if any, has the largest
+    id, so its exponent is the top field.  A product adds the ints, so a
+    result that sets a guard bit raises OverflowError instead of spilling
+    into the next field; products here are exact, so there is no cap to
+    size the fields by.  The int order is not a monomial order, and it is
+    not the order of the exponent tuples, so every sort of monomials uses
+    :meth:`mono_key`.  Only this module reads or builds the format: other
+    modules use the methods under "monomial helpers".
     """
 
     def __init__(self, variables):
@@ -54,22 +70,26 @@ class Algebra:
         self.variables = tuple(vs)
         self.by_id = {v.ident: v for v in vs}
         self.by_name = {v.name: v for v in vs}
-        self._parity = {v.ident: v.parity for v in vs}
-        self._weight = {v.ident: v.weight for v in vs}
-        # completion-order unit: adic variables and hbar count 1, others 0
-        self._eff = {v.ident: (1 if (v.adic or v.hbar) else 0) for v in vs}
+        # the fields in order: (id, shift, weight, counts toward completion order)
+        self._fields = tuple((v.ident, k * _W, v.weight, v.adic or v.hbar)
+                             for k, v in enumerate(vs))
+        self._shift = {v.ident: k * _W for k, v in enumerate(vs)}
+        # the unit bit of every odd field, and the guard bit of every field
+        self._odd = sum(1 << k * _W for k, v in enumerate(vs) if v.parity)
+        self._guard = sum(1 << (k * _W + _W - 1) for k in range(len(vs)))
         # per-monomial caches: the product kernels ask for the same
-        # monomials' completion order and parity over and over
+        # monomials' completion order over and over, and sorts their keys
         self._mono_eff = {}
-        self._mono_parity = {}
+        self._mono_key = {}
         hs = [v for v in vs if v.hbar]
         if len(hs) > 1:
             raise ValueError("at most one hbar variable")
         if hs and hs[0] is not vs[-1]:
             raise ValueError("hbar must have the largest variable id")
         self.hbar_id = hs[0].ident if hs else None
+        self._hshift = self._shift[self.hbar_id] if hs else None
         # the monomial of each single generator
-        self.gen_mono = {v.ident: ((v.ident, 1),) for v in vs}
+        self.gen_mono = {v.ident: 1 << self._shift[v.ident] for v in vs}
 
     # -- constructors -------------------------------------------------
 
@@ -80,10 +100,10 @@ class Algebra:
         return Series(self, {}, order)
 
     def one(self, order=None):
-        return Series(self, {(): Fraction(1)}, order)
+        return Series(self, {0: Fraction(1)}, order)
 
     def const(self, c, order=None):
-        return Series(self, {(): Fraction(c)}, order)
+        return Series(self, {0: Fraction(c)}, order)
 
     def gen(self, name, order=None):
         return Series(self, {self.gen_mono[self.by_name[name].ident]: Fraction(1)}, order)
@@ -92,100 +112,106 @@ class Algebra:
 
     def monomial(self, exps):
         """The monomial with exponents ``{id: exponent}``; zeros are dropped."""
-        return tuple(sorted((i, e) for i, e in exps.items() if e))
+        shift = self._shift
+        m = 0
+        for i, e in exps.items():
+            if not 0 <= e < _CAP:
+                raise OverflowError(f"exponent {e} out of range")
+            m |= e << shift[i]
+        return m
+
+    def mono_key(self, m):
+        """The exponents of m as ``((id, exponent), ...)`` sorted by id,
+        zeros dropped (memoized): the sort key of every monomial order."""
+        key = self._mono_key.get(m)
+        if key is None:
+            key = self._mono_key[m] = tuple(
+                (i, e) for i, sh, _, _ in self._fields if (e := (m >> sh) & _MASK))
+        return key
 
     def mono_vars(self, m):
         """The exponents of m as ``{id: exponent}``, the inverse of
         :meth:`monomial`."""
-        return dict(m)
+        return dict(self.mono_key(m))
 
     def mono_degree(self, m, ids=None):
         """Total exponent of m, counting only the variables in ``ids`` if given."""
         if ids is None:
-            return sum(e for _, e in m)
-        return sum(e for i, e in m if i in ids)
+            return sum(e for _, e in self.mono_key(m))
+        return sum(e for i, e in self.mono_key(m) if i in ids)
 
     def split_first(self, m):
         """``(i, rest)`` with m = x_i * rest and i the smallest id in m (m not the unit)."""
-        i, e = m[0]
-        return i, (m[1:] if e == 1 else ((i, e - 1),) + m[1:])
+        k = ((m & -m).bit_length() - 1) // _W
+        return self._fields[k][0], m - (1 << k * _W)
 
     def split_last(self, m):
         """``(i, rest)`` with m = rest * x_i and i the largest id in m (m not the unit)."""
-        i, e = m[-1]
-        return i, (m[:-1] if e == 1 else m[:-1] + ((i, e - 1),))
+        k = (m.bit_length() - 1) // _W
+        return self._fields[k][0], m - (1 << k * _W)
 
     def times_last(self, m, x):
         """m times generator x, for x at least every id in m; None when x is
         odd and ends m (an odd square vanishes)."""
-        if not m:
-            return self.gen_mono[x]
-        i, e = m[-1]
-        if i < x:
-            return m + self.gen_mono[x]
-        if self._parity[x]:
+        g = self.gen_mono[x]
+        if m & g & self._odd:
             return None
-        return m[:-1] + ((x, e + 1),)
+        m += g
+        if m & self._guard:
+            raise OverflowError("monomial exponent out of range")
+        return m
 
     def split_hbar(self, m):
         """``(rest, k)`` with m = rest * hbar^k and rest free of hbar."""
-        if m and m[-1][0] == self.hbar_id:
-            return m[:-1], m[-1][1]
-        return m, 0
+        sh = self._hshift
+        if sh is None:
+            return m, 0
+        return m & ((1 << sh) - 1), m >> sh
 
     def join_hbar(self, rest, k):
         """rest * hbar^k for an hbar-free rest and k >= 0."""
-        return rest + ((self.hbar_id, k),) if k else rest
+        if k >= _CAP:
+            raise OverflowError(f"exponent {k} out of range")
+        return rest | (k << self._hshift)
 
     def mono_parity(self, m):
-        p = self._mono_parity.get(m)
-        if p is None:
-            p = 0
-            for i, e in m:
-                if self._parity[i]:
-                    p ^= e & 1
-            self._mono_parity[m] = p
-        return p
+        return (m & self._odd).bit_count() & 1
 
     def mono_weight(self, m):
-        return sum(self._weight[i] * e for i, e in m)
+        return sum(w * ((m >> sh) & _MASK) for _, sh, w, _ in self._fields)
 
     def mono_eff(self, m):
         d = self._mono_eff.get(m)
         if d is None:
-            d = self._mono_eff[m] = sum(e for i, e in m if self._eff[i])
+            d = self._mono_eff[m] = sum((m >> sh) & _MASK
+                                        for _, sh, _, eff in self._fields if eff)
         return d
 
     def mono_mul(self, a, b):
         """Product of two canonical monomials -> (monomial, sign) or None.
 
         None means the product vanishes (a repeated odd variable).  The sign
-        is the Koszul sign of sorting the concatenation a|b.
+        is the Koszul sign of sorting the concatenation a|b: the parity of
+        the number of odd bits of a above each odd bit of b.
         """
-        if not a:
-            return b, 1
-        if not b:
-            return a, 1
-        par = self._parity
-        odd_a = [i for i, e in a if par[i]]
+        ob = b & self._odd
         sign = 1
-        if odd_a:
-            odd_b = [i for i, e in b if par[i]]
-            if odd_b:
+        if ob:
+            oa = a & self._odd
+            if oa:
+                if oa & ob:
+                    return None
                 inv = 0
-                for j in odd_b:
-                    for i in odd_a:
-                        if i > j:
-                            inv += 1
-                        elif i == j:
-                            return None
+                while ob:
+                    low = ob & -ob
+                    inv += (oa >> low.bit_length()).bit_count()
+                    ob ^= low
                 if inv & 1:
                     sign = -1
-        merged = dict(a)
-        for i, e in b:
-            merged[i] = merged.get(i, 0) + e
-        mono = tuple(sorted(merged.items()))
-        return mono, sign
+        m = a + b
+        if m & self._guard:
+            raise OverflowError("monomial exponent out of range")
+        return m, sign
 
     def mono_product(self, a, b):
         """:meth:`mono_mul` as a :func:`pair_sum` kernel: ``({m: sign}, 1)``,
@@ -200,7 +226,7 @@ class Algebra:
         if not m:
             return "1"
         parts = []
-        for i, e in m:
+        for i, e in self.mono_key(m):
             nm = self.by_id[i].name
             parts.append(nm if e == 1 else f"{nm}^{e}")
         return "*".join(parts)
@@ -232,7 +258,7 @@ class Series:
         return self.terms.get(mono, _ZERO)
 
     def constant_term(self):
-        return self.terms.get((), _ZERO)
+        return self.terms.get(0, _ZERO)
 
     def eff_deg(self):
         if not self.terms:
@@ -401,11 +427,11 @@ class Series:
             return "0"
         ms = self.alg.mono_str
         alg = self.alg
-        keys = sorted(self.terms, key=lambda m: (alg.mono_eff(m), m))
+        keys = sorted(self.terms, key=lambda m: (alg.mono_eff(m), alg.mono_key(m)))
         parts = []
         for m in keys:
             c = self.terms[m]
-            if m == ():
+            if not m:
                 parts.append(str(c))
             elif c == 1:
                 parts.append(ms(m))

@@ -220,7 +220,7 @@ def _monomials(alg, ids, wmax, amax=None):
     vs = [alg.by_id[i] for i in ids]
     words = pbw_words([v.weight for v in vs], [v.parity for v in vs], wmax, amax)
     out = [alg.monomial(dict(zip(ids, word))) for word in words]
-    out.sort(key=lambda m: (alg.mono_weight(m), m))
+    out.sort(key=lambda m: (alg.mono_weight(m), alg.mono_key(m)))
     return out
 
 
@@ -285,7 +285,7 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
         rows = []
         for g in ctx.m_gens():
             images = [qmul(g, alg.series({m: Fraction(1)})) for m in sub]
-            for mm in sorted({mm for im in images for mm in im.terms}):
+            for mm in sorted({mm for im in images for mm in im.terms}, key=alg.mono_key):
                 rows.append([im.coeff(mm) for im in images])
         for v in nullspace(rows, len(sub)):
             free = max(k for k, x in enumerate(v) if x)
@@ -296,7 +296,11 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
 
     # weight by weight, a nonzero remainder against the products of earlier
     # generators is a new generator; the lighter invariants are already in
-    # the span, so only those of weight exactly w can add to it
+    # the span, so only those of weight exactly w can add to it.  A remainder
+    # depends on the column order, so the columns are monomial sort keys
+    def keyed(s):
+        return {alg.mono_key(m): c for m, c in s.terms.items()}
+
     gens = []
     gseries = []
     gen_words = word_table(gseries, qmul, alg.one())
@@ -304,13 +308,14 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
     span = Echelon()
     for w in range(n_max + 1):
         for e in _words_by_weight([g[0] for g in gens], [g[1] for g in gens], w)[w]:
-            span.add(gen_words(e).terms)
+            span.add(keyed(gen_words(e)))
         count = [0, 0]
         for wt, p, s in invariants:
             if wt == w:
-                row = span.add(s.terms)
+                row = span.add(keyed(s))
                 if row:
-                    gseries.append(alg.series(row))
+                    gseries.append(alg.series({alg.monomial(dict(k)): c
+                                               for k, c in row.items()}))
                     gens.append((w, p, gseries[-1]))
                     count[p] += 1
         if any(count):
@@ -426,7 +431,7 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
         if wlimit not in basis_cache:
             ws = pbw_words(weights, parities, wlimit)
             vals = [gen_words(e) for e in ws]
-            monos = sorted({m for v in vals for m in v.terms})
+            monos = sorted({m for v in vals for m in v.terms}, key=alg.mono_key)
             cols = [[v.coeff(m) for v in vals] for m in monos]
             basis_cache[wlimit] = (ws, monos, cols)
         return basis_cache[wlimit]

@@ -144,7 +144,7 @@ def test_criterion_03_quantum_charts():
         h = ctx.alg.hbar_id
         for s in qv:
             for m in s.terms:
-                if any(i == h and e < 1 for i, e in m):
+                if any(i == h and e < 1 for i, e in ctx.alg.mono_key(m)):
                     failures.append("%s: negative/zero hbar exponent" % name)
         for i in range(len(qv)):
             for j in range(i, len(qv)):
@@ -244,7 +244,7 @@ def test_criterion_06_casimir_image():
     cas = U.star(e, ftrue) + U.star(ftrue, e) + U.star(h, h) * Fraction(1, 2)
     image = reduce_mod_chi(ctx, cas)
     gen = whittaker_walgebra(ctx, 4).gens[0][2]
-    lead = image.coeff(((0, 1),)) / gen.coeff(((0, 1),))
+    lead = image.coeff(alg.monomial({0: 1})) / gen.coeff(alg.monomial({0: 1}))
     if not lead:
         failures.append("no scalar multiple found")
     rest = image - gen * lead

@@ -108,7 +108,7 @@ def test_odd_self_normalize():
                             alg.gen("th").truncate(cap))
     assert (P.bracket(th, th, order=cap) - 1).truncate(order).is_zero()
     # the (1+x)^(-1/2) scaling shows up in the x-coefficient
-    mono = ((0, 1), (1, 1))
+    mono = alg.monomial({0: 1, 1: 1})
     assert th.coeff(mono) == Fraction(-1, 2)
 
 

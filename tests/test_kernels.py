@@ -3,9 +3,12 @@
 ``Series.__mul__``, ``PoissonAlgebra.bracket`` and ``StarAlgebra.star`` run
 through one truncated term-pair loop, ``supercore.pair_sum``, and the
 bracket and star kernels memoize integer numerators over one denominator.
-The function and classes below are the earlier products, kept verbatim as
-oracles: they accumulate one ``Fraction`` per multiply-add and memoize
-``Series``.
+The function and classes below are the earlier products, kept as oracles:
+they accumulate one ``Fraction`` per multiply-add and memoize ``Series``.
+They work on the earlier ``((id, exponent), ...)`` tuple monomials with
+the tuple helpers of ``test_monomials``: a packed monomial of the package is
+read as its tuple through ``Algebra.mono_key`` and a tuple is packed back
+with ``Algebra.monomial``, so no oracle runs the packed arithmetic.
 """
 
 import ast
@@ -23,6 +26,7 @@ from superw.poisson import PoissonAlgebra
 from superw.starprod import StarAlgebra
 from superw.supercore import EVEN, ODD, Series
 from superw.wslice import slice_setup
+from test_monomials import TupleMonomials
 
 ALGEBRAS = ("sl2", "gl11", "osp12", "sl21")
 PRIME30 = 100000000000000000000000000319  # the least prime above 10**29
@@ -39,19 +43,18 @@ def _reference_mul(self, other):
     other = self._coerce(other)
     order = self._join_order(other)
     alg = self.alg
-    mul = alg.mono_mul
-    eff = alg.mono_eff
-    b_items = [(m, c, eff(m)) for m, c in other.terms.items()]
+    ref, key = TupleMonomials(alg), alg.mono_key
+    b_items = [(m, c, ref.mono_eff(key(m))) for m, c in other.terms.items()]
     out = {}
     for ma, ca in self.terms.items():
-        budget = None if order is None else order - eff(ma)
+        budget = None if order is None else order - ref.mono_eff(key(ma))
         for mb, cb, eb in b_items:
             if budget is not None and eb > budget:
                 continue
-            r = mul(ma, mb)
+            r = ref.mono_mul(key(ma), key(mb))
             if r is None:
                 continue
-            m, s = r
+            m, s = alg.monomial(dict(r[0])), r[1]
             c = out.get(m)
             v = ca * cb if s > 0 else -ca * cb
             if c is None:
@@ -72,19 +75,28 @@ class _ReferenceStar:
         if hbar_mode == "h2" and alg.hbar_id is None:
             raise ValueError("h2 mode needs an hbar variable")
         self.alg = alg
+        self.ref = TupleMonomials(alg)
         self.table = table
         self.hbar_mode = hbar_mode
         self._insert_memo = {}
         self._word_memo = {}
 
     # -- normal ordering ----------------------------------------------
+    #
+    # Normal forms are Series over tuple monomials; only ``_entry_term``
+    # and ``star`` meet the packed monomials of the package.
 
     def _entry_term(self, i, j):
         """hbar^2 c_ij (or c_ij in unit mode) as an exact Series."""
         c = self.table.entry(i, j)
-        if self.hbar_mode == "h2" and not c.is_zero():
-            c = c.mul_hbar(2)
-        return c
+        terms = {self.alg.mono_key(m): v for m, v in c.terms.items()}
+        if self.hbar_mode == "h2":
+            shifted = {}
+            for m, v in terms.items():
+                rest, k = self.ref.split_hbar(m)
+                shifted[self.ref.join_hbar(rest, k + 2)] = v
+            terms = shifted
+        return Series(self.alg, terms)
 
     def _insert(self, m, x):
         """Normal form of (normal monomial m) * (generator x), exact."""
@@ -163,14 +175,14 @@ class _ReferenceStar:
         if self.hbar_mode == "unit" and order is not None:
             raise ValueError("unit mode is exact; truncated input makes no sense")
         alg = self.alg
-        eff = alg.mono_eff
+        key, eff = alg.mono_key, self.ref.mono_eff
         acc = {}
         for ma, ca in f.terms.items():
-            ea = eff(ma)
+            ea = eff(key(ma))
             for mb, cb in g.terms.items():
-                if order is not None and ea + eff(mb) > order:
+                if order is not None and ea + eff(key(mb)) > order:
                     continue
-                w = self._word(ma, mb)
+                w = self._word(key(ma), key(mb))
                 c = ca * cb
                 for m, v in w.terms.items():
                     t = acc.get(m)
@@ -182,7 +194,7 @@ class _ReferenceStar:
                             acc[m] = t
                         else:
                             del acc[m]
-        return Series(alg, acc, order)
+        return Series(alg, {alg.monomial(dict(m)): v for m, v in acc.items()}, order)
 
 
 class _ReferencePoisson:
@@ -190,11 +202,14 @@ class _ReferencePoisson:
 
     def __init__(self, alg, table, bracket_weight=None):
         self.alg = alg
+        self.ref = TupleMonomials(alg)
         self.table = table
         self.bracket_weight = bracket_weight
         self._memo = {}
 
     # -- the bracket on monomials (exact) -----------------------------
+    #
+    # The memo is keyed by tuple monomials; the values are package Series.
 
     def mono_bracket(self, ma, mb):
         memo = self._memo
@@ -202,6 +217,10 @@ class _ReferencePoisson:
         if out is not None:
             return out
         alg = self.alg
+
+        def series(m):
+            return alg.series({alg.monomial(dict(m)): Fraction(1)})
+
         if not ma or not mb:
             out = alg.zero()
         elif len(ma) == 1 and ma[0][1] == 1:
@@ -213,8 +232,8 @@ class _ReferencePoisson:
                 j, e = mb[0]
                 y = ((j, 1),)
                 rest = mb[1:] if e == 1 else ((j, e - 1),) + mb[1:]
-                head = _reference_mul(self.mono_bracket(ma, y), alg.series({rest: Fraction(1)}))
-                tail = _reference_mul(alg.series({y: Fraction(1)}), self.mono_bracket(ma, rest))
+                head = _reference_mul(self.mono_bracket(ma, y), series(rest))
+                tail = _reference_mul(series(y), self.mono_bracket(ma, rest))
                 if alg.by_id[i].parity and alg.by_id[j].parity:
                     tail = -tail
                 out = head + tail
@@ -223,9 +242,9 @@ class _ReferencePoisson:
             i, e = ma[0]
             x = ((i, 1),)
             rest = ma[1:] if e == 1 else ((i, e - 1),) + ma[1:]
-            head = _reference_mul(alg.series({x: Fraction(1)}), self.mono_bracket(rest, mb))
-            tail = _reference_mul(self.mono_bracket(x, mb), alg.series({rest: Fraction(1)}))
-            if alg.mono_parity(rest) and alg.mono_parity(mb):
+            head = _reference_mul(series(x), self.mono_bracket(rest, mb))
+            tail = _reference_mul(self.mono_bracket(x, mb), series(rest))
+            if self.ref.mono_parity(rest) and self.ref.mono_parity(mb):
                 tail = -tail
             out = head + tail
         memo[(ma, mb)] = out
@@ -256,14 +275,14 @@ class _ReferencePoisson:
             if order is not None:
                 order -= drop
         alg = self.alg
-        eff = alg.mono_eff
+        key, eff = alg.mono_key, self.ref.mono_eff
         acc = {}
         for ma, ca in f.terms.items():
-            ea = eff(ma)
+            ea = eff(key(ma))
             for mb, cb in g.terms.items():
-                if order is not None and ea + eff(mb) - drop > order:
+                if order is not None and ea + eff(key(mb)) - drop > order:
                     continue
-                br = self.mono_bracket(ma, mb)
+                br = self.mono_bracket(key(ma), key(mb))
                 if not br.terms:
                     continue
                 c = ca * cb
@@ -300,9 +319,9 @@ def rand_series(rng, alg, nterms, parity=None, max_deg=4):
                 k = 0
             if k:
                 mono.append((v.ident, k))
-        m = tuple(mono)
-        if sum(e for _, e in m) > max_deg:
+        if sum(e for _, e in mono) > max_deg:
             continue
+        m = alg.monomial(dict(mono))
         if parity is not None and alg.mono_parity(m) != parity:
             continue
         terms[m] = rand_coeff(rng)
@@ -371,7 +390,7 @@ def test_product_matches_fraction_reference(contexts, name):
         for y in odd:
             if x >= y:
                 continue
-            f = Series(alg, {((x, 1),): a, ((y, 1),): b})
+            f = Series(alg, {alg.gen_mono[x]: a, alg.gen_mono[y]: b})
             for u, v in ((f, f * k), (f * h, f * k), (f * k, (f * h * h).truncate(3))):
                 got = u * v
                 assert got.is_zero()
@@ -442,7 +461,7 @@ def test_products_that_cancel_to_zero(contexts, name):
     a, b, k = Fraction(1, 3), Fraction(-2, 7), Fraction(5, PRIME30)
     # (a x + b y)(k a x + k b y) = k a b (x y + y x) = 0 term by term
     for x, y in _anticommuting_odd_pairs(alg, table):
-        f = Series(alg, {((x, 1),): a, ((y, 1),): b})
+        f = Series(alg, {alg.gen_mono[x]: a, alg.gen_mono[y]: b})
         for mode in ("h2", "unit"):
             S, R = StarAlgebra(alg, table, mode), _ReferenceStar(alg, table, mode)
             for u, v in ((f, f * k), (f * h, f * k), (f * k, f * h * h)):
@@ -500,10 +519,11 @@ def test_star_words_with_shared_prefixes(contexts, name, mode):
         assert_same(S.star(a, b), R.star(a, b))
         assert_same(S.star(b, a), R.star(b, a))
     assert_integer_memo(S._word_memo)
-    assert max(sum(x for _, x in mb) for _, mb in S._word_memo) == 7
+    key = alg.mono_key
+    assert max(sum(x for _, x in key(mb)) for _, mb in S._word_memo) == 7
     for (ma, mb), (nums, den) in S._word_memo.items():
-        want = R._word(ma, mb).terms
-        assert {m: Fraction(v, den) for m, v in nums.items()} == want
+        want = R._word(key(ma), key(mb)).terms
+        assert {key(m): Fraction(v, den) for m, v in nums.items()} == want
 
 
 def _word_series(word):
@@ -538,8 +558,10 @@ def test_star_words_of_1500_factors_run_without_deep_recursion(contexts):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter default
     try:
-        long_right = StarAlgebra(alg, table)._word(((fi, 1),), ((ei, 1500),))
-        long_left = StarAlgebra(alg, table)._word(((fi, 1500),), ((ei, 1),))
+        long_right = StarAlgebra(alg, table)._word(alg.monomial({fi: 1}),
+                                                   alg.monomial({ei: 1500}))
+        long_left = StarAlgebra(alg, table)._word(alg.monomial({fi: 1500}),
+                                                  alg.monomial({ei: 1}))
     finally:
         sys.setrecursionlimit(limit)
     assert _word_series(long_right) == f_times_e_power(1500).terms

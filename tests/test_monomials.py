@@ -1,14 +1,19 @@
 """The monomial helpers of ``Algebra`` and the hbar rewrites built on them.
 
-The six hbar rewrites once handled the ``((id, exp), ...)`` tuples directly.
-Those versions are kept below, as they were, as references: on seeded
-series over the sl21 slice universe the rewrites through ``split_hbar`` and
-``join_hbar`` must give the same terms, orders and error messages.  A scan
-of the package sources keeps the tuple format and the truncated pair loop
-inside ``supercore``.
+Monomials were once ``((id, exp), ...)`` tuples sorted by id.  The helpers
+on those tuples are kept below, as they were, as the reference of the packed
+int helpers: through ``mono_key`` (the packed monomial decoded into that
+tuple) they must agree on every pair of monomials of degree at most 3 over
+the bundled universes.  The six hbar rewrites once handled the tuples
+directly, and those versions are kept too: on seeded series over the sl21
+slice universe the rewrites through ``split_hbar`` and ``join_hbar`` must
+give the same terms, orders and error messages.  A scan of the package
+sources keeps the packed format and the truncated pair loop inside
+``supercore``.
 """
 
 import ast
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -23,7 +28,96 @@ from superw.supercore import EVEN, ODD, Algebra, Series, Variable
 from superw.wslice import slice_setup
 
 
+# -- reference helpers on tuples ----------------------------------------------
+
+
+class TupleMonomials:
+    """The monomial helpers of ``Algebra`` on ``((id, exponent), ...)``
+    tuples sorted by id, kept as they were (memos dropped); the empty tuple
+    is the unit."""
+
+    def __init__(self, alg):
+        vs = alg.variables
+        self._parity = {v.ident: v.parity for v in vs}
+        self._weight = {v.ident: v.weight for v in vs}
+        # completion-order unit: adic variables and hbar count 1, others 0
+        self._eff = {v.ident: (1 if (v.adic or v.hbar) else 0) for v in vs}
+        self.hbar_id = alg.hbar_id
+        self.gen_mono = {v.ident: ((v.ident, 1),) for v in vs}
+
+    def monomial(self, exps):
+        return tuple(sorted((i, e) for i, e in exps.items() if e))
+
+    def split_first(self, m):
+        i, e = m[0]
+        return i, (m[1:] if e == 1 else ((i, e - 1),) + m[1:])
+
+    def split_last(self, m):
+        i, e = m[-1]
+        return i, (m[:-1] if e == 1 else m[:-1] + ((i, e - 1),))
+
+    def times_last(self, m, x):
+        if not m:
+            return self.gen_mono[x]
+        i, e = m[-1]
+        if i < x:
+            return m + self.gen_mono[x]
+        if self._parity[x]:
+            return None
+        return m[:-1] + ((x, e + 1),)
+
+    def split_hbar(self, m):
+        if m and m[-1][0] == self.hbar_id:
+            return m[:-1], m[-1][1]
+        return m, 0
+
+    def join_hbar(self, rest, k):
+        return rest + ((self.hbar_id, k),) if k else rest
+
+    def mono_parity(self, m):
+        p = 0
+        for i, e in m:
+            if self._parity[i]:
+                p ^= e & 1
+        return p
+
+    def mono_weight(self, m):
+        return sum(self._weight[i] * e for i, e in m)
+
+    def mono_eff(self, m):
+        return sum(e for i, e in m if self._eff[i])
+
+    def mono_mul(self, a, b):
+        if not a:
+            return b, 1
+        if not b:
+            return a, 1
+        par = self._parity
+        odd_a = [i for i, e in a if par[i]]
+        sign = 1
+        if odd_a:
+            odd_b = [i for i, e in b if par[i]]
+            if odd_b:
+                inv = 0
+                for j in odd_b:
+                    for i in odd_a:
+                        if i > j:
+                            inv += 1
+                        elif i == j:
+                            return None
+                if inv & 1:
+                    sign = -1
+        merged = dict(a)
+        for i, e in b:
+            merged[i] = merged.get(i, 0) + e
+        mono = tuple(sorted(merged.items()))
+        return mono, sign
+
+
 # -- reference rewrites on raw tuples --------------------------------------
+#
+# The rewrites read each packed monomial as its tuple through ``mono_key``
+# and pack their tuples back with ``monomial``.
 
 
 def _need_hbar(self):
@@ -37,11 +131,12 @@ def ref_mul_hbar(self, k):
     if k == 0:
         return self
     h = _need_hbar(self)
+    alg = self.alg
     out = {}
     for m, c in self.terms.items():
-        d = dict(m)
+        d = dict(alg.mono_key(m))
         d[h] = d.get(h, 0) + k
-        out[tuple(sorted(d.items()))] = c
+        out[alg.monomial(d)] = c
     return Series(self.alg, out, self.order)
 
 
@@ -50,9 +145,10 @@ def ref_divide_hbar(self, k):
     if k == 0:
         return self
     h = _need_hbar(self)
+    alg = self.alg
     out = {}
     for m, c in self.terms.items():
-        d = dict(m)
+        d = dict(alg.mono_key(m))
         e = d.get(h, 0)
         if e < k:
             raise ValueError(f"term {self.alg.mono_str(m)} not divisible by hbar^{k}")
@@ -60,7 +156,7 @@ def ref_divide_hbar(self, k):
             d.pop(h)
         else:
             d[h] = e - k
-        out[tuple(sorted(d.items()))] = c
+        out[alg.monomial(d)] = c
     # dividing by hbar can only lower completion orders, the bound stays valid
     return Series(self.alg, out, self.order)
 
@@ -68,11 +164,12 @@ def ref_divide_hbar(self, k):
 def ref_hbar_levels(self):
     """Split by hbar exponent: {s: hbar-free coefficient of hbar^s}."""
     h = _need_hbar(self)
+    alg = self.alg
     out = {}
     for m, c in self.terms.items():
-        d = dict(m)
+        d = dict(alg.mono_key(m))
         s = d.pop(h, 0)
-        out.setdefault(s, {})[tuple(sorted(d.items()))] = c
+        out.setdefault(s, {})[alg.monomial(d)] = c
     return {s: Series(self.alg, t, self.order) for s, t in sorted(out.items())}
 
 
@@ -81,13 +178,14 @@ def ref_set_hbar(self, value):
     if value not in (0, 1):
         raise ValueError("hbar can only be specialized to 0 or 1")
     h = _need_hbar(self)
+    alg = self.alg
     out = {}
     for m, c in self.terms.items():
-        d = dict(m)
+        d = dict(alg.mono_key(m))
         e = d.pop(h, 0)
         if e and value == 0:
             continue
-        mono = tuple(sorted(d.items()))
+        mono = alg.monomial(d)
         out[mono] = out.get(mono, Fraction(0)) + c
     return Series(self.alg, {m: c for m, c in out.items() if c}, None)
 
@@ -98,16 +196,17 @@ def ref_rees_map(s):
     if h is None:
         raise ValueError("universe has no hbar variable")
     out = {}
-    for m, c in s.terms.items():
+    for mm, c in s.terms.items():
+        m = alg.mono_key(mm)
         w = sum(alg.by_id[i].weight * e for i, e in m if i != h)
         if w < 0:
             raise ValueError("negative-weight monomial has no Rees image")
         if w:
             mono = dict(m)
             mono[h] = mono.get(h, 0) + w
-            mono = tuple(sorted(mono.items()))
+            mono = alg.monomial(mono)
         else:
-            mono = m
+            mono = mm
         out[mono] = out.get(mono, Fraction(0)) + c
     return Series(alg, out, s.order)
 
@@ -118,18 +217,19 @@ def ref_rees_inverse(s):
     if h is None:
         raise ValueError("universe has no hbar variable")
     out = {}
-    for m, c in s.terms.items():
+    for mm, c in s.terms.items():
+        m = alg.mono_key(mm)
         w = sum(alg.by_id[i].weight * e for i, e in m if i != h)
         k = dict(m).get(h, 0)
         if k < w:
             raise ValueError(
-                f"{alg.mono_str(m)} is not in the Rees image (needs hbar^{w})")
+                f"{alg.mono_str(mm)} is not in the Rees image (needs hbar^{w})")
         mono = dict(m)
         if k == w:
             mono.pop(h, None)
         else:
             mono[h] = k - w
-        mono = tuple(sorted(mono.items()))
+        mono = alg.monomial(mono)
         out[mono] = out.get(mono, Fraction(0)) + c
     return Series(alg, out, s.order)
 
@@ -219,7 +319,7 @@ def test_rewrites_without_hbar_raise_like_reference():
     assert message(rees_inverse, x) == message(ref_rees_inverse, x)
 
 
-# -- the helpers on tuples ------------------------------------------------------
+# -- the packed helpers -------------------------------------------------------
 
 
 def test_hbar_must_have_the_largest_id():
@@ -259,18 +359,101 @@ def test_monomial_helpers_peel_and_rebuild():
                 continue
             prod = alg.mono_mul(m, alg.gen_mono[x])
             assert alg.times_last(m, x) == (None if prod is None else prod[0])
-    assert alg.monomial({3: 0, 1: 2, 0: 1}) == ((0, 1), (1, 2))
-    assert alg.times_last((), 0) == alg.gen_mono[0] == ((0, 1),)
+    assert alg.mono_key(alg.monomial({3: 0, 1: 2, 0: 1})) == ((0, 1), (1, 2))
+    assert alg.times_last(alg.monomial({}), 0) == alg.gen_mono[0]
+    assert alg.mono_key(alg.gen_mono[0]) == ((0, 1),)
     odd = next(v.ident for v in alg.variables if v.parity == ODD)
     assert alg.times_last(alg.gen_mono[odd], odd) is None
+
+
+BUNDLED = ("sl2", "gl11", "osp12", "sl21")
+
+
+def tuple_monomials(ref, max_deg):
+    """Every monomial of total degree <= max_deg as a reference tuple."""
+    ids = sorted(ref._parity)
+    out = []
+    for deg in range(max_deg + 1):
+        for combo in itertools.combinations_with_replacement(ids, deg):
+            exps = {i: combo.count(i) for i in combo}
+            if all(e == 1 or not ref._parity[i] for i, e in exps.items()):
+                out.append(ref.monomial(exps))
+    return out
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_packed_helpers_match_tuple_reference(name):
+    alg = slice_setup(load_algebra(name)).alg
+    ref = TupleMonomials(alg)
+    key = alg.mono_key
+    tuples = tuple_monomials(ref, 3)
+    packed = [alg.monomial(dict(t)) for t in tuples]
+    assert len(set(packed)) == len(tuples)
+    assert alg.hbar_id is not None and ref.gen_mono[alg.hbar_id] in tuples
+    for t, m in zip(tuples, packed):
+        assert key(m) == t
+        assert alg.mono_parity(m) == ref.mono_parity(t)
+        assert alg.mono_eff(m) == ref.mono_eff(t)
+        assert alg.mono_weight(m) == ref.mono_weight(t)
+        rest, k = alg.split_hbar(m)
+        assert (key(rest), k) == ref.split_hbar(t)
+        assert alg.join_hbar(rest, k) == m
+        if t:
+            i, rest = alg.split_first(m)
+            assert (i, key(rest)) == ref.split_first(t)
+            i, rest = alg.split_last(m)
+            assert (i, key(rest)) == ref.split_last(t)
+        for x in sorted(ref._parity):
+            if t and x < t[-1][0]:
+                continue
+            got, want = alg.times_last(m, x), ref.times_last(t, x)
+            assert (got if got is None else key(got)) == want
+    for (ta, a), (tb, b) in itertools.product(zip(tuples, packed), repeat=2):
+        got, want = alg.mono_mul(a, b), ref.mono_mul(ta, tb)
+        assert (got if got is None else (key(got[0]), got[1])) == want
+    # mono_key sorts like the tuples, which the ints alone do not
+    assert [key(m) for m in sorted(packed, key=key)] == sorted(tuples)
+    assert sorted(packed) != sorted(packed, key=key)
+
+
+def test_exponent_overflow_raises_and_keeps_fields_apart():
+    alg = sl21_alg()
+    x, y = alg.variables[0].ident, alg.variables[1].ident
+    h = alg.hbar_id
+    with pytest.raises(OverflowError):
+        alg.monomial({x: 1 << 15})
+    big = alg.monomial({x: 1 << 14, y: 3})
+    with pytest.raises(OverflowError):
+        alg.mono_mul(big, big)
+    with pytest.raises(OverflowError):
+        alg.join_hbar(alg.monomial({}), 1 << 15)
+    with pytest.raises(OverflowError):
+        alg.gen("hb").mul_hbar((1 << 15) - 1)
+    # the largest exponent fits, and a neighbour's field stays its own
+    top = alg.monomial({x: (1 << 15) - 1})
+    assert alg.mono_key(top) == ((x, (1 << 15) - 1),)
+    assert alg.mono_key(alg.mono_mul(top, alg.gen_mono[y])[0]) == (
+        (x, (1 << 15) - 1), (y, 1))
+    with pytest.raises(OverflowError):
+        alg.mono_mul(top, alg.gen_mono[x])
+    assert alg.mono_key(alg.join_hbar(top, (1 << 15) - 1)) == (
+        (x, (1 << 15) - 1), (h, (1 << 15) - 1))
+    with pytest.raises(OverflowError):
+        alg.times_last(alg.join_hbar(top, (1 << 15) - 1), h)
 
 
 # -- what only supercore may know -------------------------------------------
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "superw"
-# reads or builds of the ((id, exponent), ...) tuples: indexing a monomial,
-# turning it into a dict, iterating its pairs, a literal generator monomial,
-# re-sorting exponents into a tuple
+# reads or builds of the packed ints: a shift or mask next to a monomial,
+# bit_length or bit_count of one, or Algebra's private field tables
+MONOMIAL_BITS = re.compile(
+    r"\b(m|ma|mb|mono)\s*(<<|>>|&|\|)|(<<|>>|&|\|)\s*(m|ma|mb|mono)\b"
+    r"|\b(m|ma|mb|mono)\.bit_(length|count)\b"
+    r"|\._(fields|shift|hshift|odd|guard|mono_key|mono_eff)\b|\b_(W|CAP|MASK)\b")
+# reads or builds of ((id, exponent), ...) tuples as monomials: indexing a
+# monomial, turning it into a dict, iterating its pairs, a literal generator
+# monomial, re-sorting exponents into a tuple
 MONOMIAL_TUPLE = re.compile(
     r"\b(m|ma|mb|mono)\[(-1|0)\]|dict\(m\)|for i, [e_] in m\b"
     r"|\(\([a-z]+, 1\),\)|tuple\(sorted\(mono\b")
@@ -278,14 +461,20 @@ MONOMIAL_TUPLE = re.compile(
 PAIR_SKIP = re.compile(r"\bbudget\b")
 
 
+def _hits(texts, rule):
+    hits = {name: [ln for ln in text.splitlines() if rule.search(ln)]
+            for name, text in texts.items()}
+    return {name: lines for name, lines in hits.items() if lines}
+
+
 def test_only_supercore_reads_monomials_and_skips_pairs():
     texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SOURCES.glob("*.py"))}
     assert "supercore.py" in texts and len(texts) > 1
-    for rule in (MONOMIAL_TUPLE, PAIR_SKIP):
-        hits = {name: [ln for ln in text.splitlines() if rule.search(ln)]
-                for name, text in texts.items()}
-        hits = {name: lines for name, lines in hits.items() if lines}
+    for rule in (MONOMIAL_BITS, PAIR_SKIP):
+        hits = _hits(texts, rule)
         assert list(hits) == ["supercore.py"], (rule.pattern, hits)
+    # no module, supercore included, builds tuple monomials any more
+    assert _hits(texts, MONOMIAL_TUPLE) == {}
 
 
 def _exported(tree):

@@ -10,7 +10,7 @@ import pytest
 
 from superw.algebras import AlgebraError, load_algebra
 from superw.cli import _random_series
-from superw.linalg import rational_sqrt
+from superw.linalg import Echelon, rational_sqrt
 from superw.poisson import (
     BracketTable,
     PoissonAlgebra,
@@ -236,6 +236,27 @@ def test_linear_split_nonisotropic_seed():
         linear_split(P, [alg.gen("a"), alg.gen("b")], seeds=[alg.gen("a")])
 
 
+def test_linear_split_unseeded_self_paired_vectors_split_off():
+    # {a,a} = 1, {a,b} = 1, {b,b} = 2: x^2 + 2xy + 2y^2 = (x + y)^2 + y^2,
+    # so a and b - a are an orthonormal basis in either input order, though
+    # b alone has the non-square self-pairing 2
+    alg = Algebra([Variable(0, "a", ODD), Variable(1, "b", ODD)])
+    t = BracketTable(alg, {(0, 0): alg.one(), (0, 1): alg.one(), (1, 1): alg.const(2)})
+    P = PoissonAlgebra(alg, t)
+    a, b = alg.gen("a"), alg.gen("b")
+
+    def pair(u, v):
+        return P.bracket(u, v).constant_term()
+
+    for vectors in ([a, b], [b, a], [a, b - a]):
+        sp = linear_split(P, vectors)
+        assert not (sp.even_pairs or sp.odd_pairs or sp.radical)
+        assert len(sp.selfs) == 2
+        u, v = sp.selfs
+        assert pair(u, u) == pair(v, v) == 1 and pair(u, v) == 0
+        assert sp.selfs == [a, b - a]
+
+
 def test_linear_split_irrational_self_pairing():
     alg = Algebra([Variable(0, "a", ODD)])
     t = BracketTable(alg, {(0, 0): alg.const(3)})
@@ -431,6 +452,33 @@ def _reference_outcome(P, vectors, seeds):
     return out, bool(kept)
 
 
+def _assert_darboux_basis(P, vectors, lists):
+    """The four lists of a split span the span of ``vectors`` with the Gram
+    matrix of the Darboux normal form; the radical may repeat itself, as
+    dependent inputs leave it in the two-branch split too."""
+    even_pairs, odd_pairs, selfs, radical = lists
+
+    def pair(u, v):
+        return P.bracket(u, v).constant_term()
+
+    basis = [x for uv in even_pairs + odd_pairs for x in uv] + selfs + radical
+    gram = {}
+    for k in range(len(even_pairs)):
+        gram[(2 * k, 2 * k + 1)], gram[(2 * k + 1, 2 * k)] = 1, -1
+    for k in range(len(even_pairs), len(even_pairs) + len(odd_pairs)):
+        gram[(2 * k, 2 * k + 1)] = gram[(2 * k + 1, 2 * k)] = 1
+    for k in range(len(basis) - len(selfs) - len(radical), len(basis) - len(radical)):
+        gram[(k, k)] = 1
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            assert pair(u, v) == gram.get((i, j), 0), (i, j)
+
+    def rank(series):
+        return len(Echelon(s.terms for s in series))
+
+    assert rank(basis) == rank(vectors) == rank(vectors + basis)
+
+
 def _recombine(rng, alg, gens):
     """Random combinations of ``gens`` within each parity, shuffled."""
     out = []
@@ -459,9 +507,12 @@ def _oracle_universes(tmp_path):
 
 def test_linear_split_matches_reference(tmp_path):
     # identical to the two-branch version everywhere, except that a seed
-    # pairing with nothing but itself now raises instead of being kept
+    # pairing with nothing but itself now raises instead of being kept, and
+    # that an unseeded self-paired vector with a partner is split off
+    # instead of raising: the split is then a Darboux basis, or the only
+    # error left is a self-pairing that is not a rational square
     rng = random.Random(13)
-    cases = raised = rejected = 0
+    cases = raised = rejected = mended = 0
     for ctx in _oracle_universes(tmp_path):
         P, alg = ctx.poisson, ctx.alg
         gens = [alg.gen(v.name) for v in alg.variables if not v.hbar]
@@ -484,7 +535,13 @@ def test_linear_split_matches_reference(tmp_path):
             if kept:
                 rejected += want != got
                 assert got == (AlgebraError, "seed vector has no symplectic partner")
+            elif seeds is None and want == (
+                    AlgebraError, "cannot seed a pair with a non-isotropic vector"):
+                if got != (AlgebraError, "self-pairing is not a rational square"):
+                    mended += 1
+                    _assert_darboux_basis(P, vectors, got)
             else:
                 assert got == want, (ctx.data.name, vectors, seeds)
     assert cases == 14 * 63
     assert 0 < rejected < raised < cases
+    assert mended > 0

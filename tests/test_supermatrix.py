@@ -9,6 +9,7 @@ dim g(-1)_1 is odd), with the g^e signature read off the Jordan blocks of e
 case), independently of the package's own grading.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -129,6 +130,25 @@ def test_walgebra_is_the_pbw_count_of_the_centralizer(tmp_path, capsys, m, n, bl
     assert pbw_dims(even, odd, 6) == want
     assert report["whittaker"]["dims"] == want
     assert report["slice"]["dims"] == want
+
+
+# SHA-256 of the walgebra report (stdout, UTF-8) of gl(m|n) with e = E12 at
+# order 6, --method both.  Many variables make the order of monomials matter
+# most, so these pin report bytes past the four bundled algebras.
+E12_DIGESTS = {
+    (2, 1): "5b323d5798ce53f320e7e1dc4107bc0be1d8988f905b8dfce0eb8b0941479738",
+    (2, 2): "a24f8dca047add85912a0066a491d19b84b662953f898de2c0e5554e75645353",
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(E12_DIGESTS))
+def test_walgebra_report_digest(tmp_path, capsys, m, n):
+    path = tmp_path / ("gl%d%d.json" % (m, n))
+    path.write_text(json.dumps(gl_json(m, n, E12_TRIPLE)), encoding="utf-8")
+    code = main(["walgebra", "--algebra", str(path), "--order", "6"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == E12_DIGESTS[(m, n)]
 
 
 def test_gl21_centralizer_signature():

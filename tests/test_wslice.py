@@ -374,7 +374,8 @@ def _reference_whittaker(ctx, n_max):
         for p in (EVEN, ODD):
             sub = [m for m in cands
                    if alg.mono_weight(m) <= n and alg.mono_parity(m) == p]
-            imonos = sorted({mm for m in sub for im in images[m] for mm in im.terms})
+            imonos = sorted({mm for m in sub for im in images[m] for mm in im.terms},
+                            key=alg.mono_key)
             rows = [[images[m][g].coeff(mm) for m in sub]
                     for g in range(len(mg)) for mm in imonos]
             null = nullspace(rows or [[Fraction(0)] * len(sub)], len(sub)) if sub else []
@@ -391,7 +392,7 @@ def _reference_whittaker(ctx, n_max):
                     s = ctx.ustar.star(s, g)
             prods.append(reduce_mod_chi(ctx, s))
         monos = sorted({m for s in prods for m in s.terms}
-                       | {m for m in cands if alg.mono_weight(m) <= w})
+                       | {m for m in cands if alg.mono_weight(m) <= w}, key=alg.mono_key)
         red, piv = rref(_rows_over(prods, monos)) if prods else ([], [])
         basis = [dict(enumerate(red[k])) for k in range(len(piv))]
         for p in (EVEN, ODD):
