@@ -34,8 +34,8 @@ __all__ = ["main", "build_report", "truncate_report"]
 
 def _exact_terms(s):
     """Exact series as [monomial, coefficient] rows in canonical order."""
-    alg = s.alg
-    return [[alg.mono_str(m), str(s.terms[m])] for m in sorted(s.terms, key=alg.mono_key)]
+    alg, terms = s.alg, s.terms
+    return [[alg.mono_str(m), str(terms[m])] for m in sorted(terms, key=alg.mono_key)]
 
 
 def _chart_terms(s, order):
@@ -45,9 +45,9 @@ def _chart_terms(s, order):
     loops -- they shift between runs at different caps -- so only rows with
     effective order at most ``order`` are reported.
     """
-    alg = s.alg
-    rows = [(alg.mono_eff(m), alg.mono_str(m), str(s.terms[m]))
-            for m in sorted(s.terms, key=alg.mono_key) if alg.mono_eff(m) <= order]
+    alg, terms = s.alg, s.terms
+    rows = [(alg.mono_eff(m), alg.mono_str(m), str(terms[m]))
+            for m in sorted(terms, key=alg.mono_key) if alg.mono_eff(m) <= order]
     rows.sort(key=lambda r: (r[0], r[1]))
     return [[m, c, e] for e, m, c in rows]
 

@@ -47,10 +47,12 @@ def _divide_content(row):
 
 def _integer_row(items):
     """(col, int or Fraction) pairs as a primitive integer row: a dict
-    col -> int over the nonzero entries, with no common factor."""
+    col -> int over the nonzero entries, with no common factor.  A row of
+    ints skips the scan for denominators."""
     row = {c: x for c, x in items if x}
-    den = lcm(*(x.denominator for x in row.values()))
-    row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    if not all(type(x) is int for x in row.values()):
+        den = lcm(*(x.denominator for x in row.values()))
+        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
     _divide_content(row)
     return row
 
@@ -109,9 +111,10 @@ class Echelon:
         return p
 
     def add(self, row):
-        """Reduce ``{col: int or Fraction}``; keep a nonzero remainder and
-        return it scaled to 1 on its pivot, or return {} when it lies in
-        the span."""
+        """Reduce ``{col: int or Fraction}``, such as the ``nums`` of a
+        Series; keep a nonzero remainder and return it scaled to 1 on its
+        pivot, or return {} when it lies in the span.  The result does not
+        depend on how the row is scaled."""
         row = _integer_row(row.items())
         p = self.push(row)
         if p is None:
@@ -224,15 +227,18 @@ def expand_filtered(target, candidates, cap):
             if not rem_d.is_zero():
                 return None
             continue
-        monos = set(rem_d.terms)
+        monos = set(rem_d.nums)
         lead = [candidates[i].eff_component(d) for i in idxs]
         for L in lead:
-            monos.update(L.terms)
+            monos.update(L.nums)
         monos = sorted(monos, key=alg.mono_key)
         if not monos:
             continue
-        rows = [[L.coeff(m) for L in lead] for m in monos]
-        rhs = [rem_d.coeff(m) for m in monos]
+        zero = Fraction(0)
+        lead = [L.terms for L in lead]
+        rows = [[t.get(m, zero) for t in lead] for m in monos]
+        rem_t = rem_d.terms
+        rhs = [rem_t.get(m, zero) for m in monos]
         sol = solve(rows, rhs)
         if sol is None:
             return None

@@ -4,10 +4,11 @@ The bracket of two generators is an arbitrary polynomial; everything else
 follows from the graded Leibniz rule.  Brackets of monomials are memoized,
 so repeated normalization passes stay cheap.  The memo holds each bracket as
 integer numerators over one denominator, the denominators of the table
-entries.  ``bracket`` passes it to :func:`superw.supercore.pair_sum`, the
-truncated term-pair loop shared with the supercommutative and star
-products, which accumulates Python ints and makes one ``Fraction`` per
-output monomial instead of one per multiply-add.
+entries, read straight off the entries' ``nums`` and ``den``.  ``bracket``
+passes it to :func:`superw.supercore.pair_sum`, the truncated term-pair loop
+shared with the supercommutative and star products, which accumulates
+Python ints over the inputs' numerators and builds the result Series from
+integers, with no ``Fraction`` on the way.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import AlgebraError
-from .linalg import rational_sqrt
-from .supercore import EVEN, ODD, merge_numerators, numerators, pair_sum
+from .linalg import Echelon, rational_sqrt
+from .supercore import EVEN, ODD, merge_numerators, pair_sum
 
 
 class BracketTable:
@@ -99,7 +100,8 @@ class PoissonAlgebra:
             if not rest:
                 j, rest = alg.split_first(mb)
                 if not rest:
-                    out = numerators(self.table.entry(i, j).terms)
+                    s = self.table.entry(i, j)
+                    out = s.nums, s.den
                 else:
                     # split mb = y * rest and apply the Leibniz rule on the right
                     y = alg.gen_mono[j]
@@ -218,8 +220,9 @@ def linear_split(poisson, vectors, seeds=None):
     The vectors left unpaired (the non-seeds left over, in a seeded run)
     are then classified by one rule: an odd vector with nonzero
     self-pairing is orthogonalized against the earlier self-paired ones and
-    scaled to pairing 1, anything else goes to the radical.  In an unseeded
-    run the unpaired vectors are already mutually orthogonal.
+    scaled to pairing 1, anything else goes to the radical if it adds to
+    the span of the radical so far, so the radical is a basis.  In an
+    unseeded run the unpaired vectors are already mutually orthogonal.
     """
 
     def pair(u, v):
@@ -275,6 +278,8 @@ def linear_split(poisson, vectors, seeds=None):
         if todo is not work:
             todo[:] = map(project, todo)
 
+    radical = Echelon()
+    key = poisson.alg.mono_key
     for w in unpaired + work:
         if w.is_zero():
             continue
@@ -288,5 +293,6 @@ def linear_split(poisson, vectors, seeds=None):
                     raise AlgebraError("self-pairing is not a rational square")
                 out.selfs.append(w * r)
                 continue
-        out.radical.append(w)
+        if radical.add({key(m): v for m, v in w.nums.items()}):
+            out.radical.append(w)
     return out

@@ -13,8 +13,9 @@ as integer numerators over one denominator.  Nearly all of them are integer
 odd square).  ``star`` passes the monomial products to
 :func:`superw.supercore.pair_sum`, the truncated term-pair loop shared with
 the supercommutative product and the Poisson bracket, which multiplies and
-adds Python ints, grouped by that denominator, and makes one ``Fraction``
-per output monomial at the end instead of one per multiply-add.  A monomial
+adds Python ints, grouped by that denominator, over the inputs' numerators
+and builds the result Series from integers, with no ``Fraction`` on the
+way.  A monomial
 product ma * mb is the memoized prefix product ma * mb', mb without its last
 factor x, times x: the same steps as normal-ordering mb factor by factor, so
 each prefix is done once.
@@ -42,7 +43,6 @@ from .supercore import (
     Series,
     add_numerators,
     merge_numerators,
-    numerators,
     pair_sum,
 )
 
@@ -62,7 +62,7 @@ class StarAlgebra:
     # -- normal ordering ----------------------------------------------
     #
     # Normal forms are ``(nums, den)``: integer numerators keyed by monomial
-    # over one denominator (see :func:`superw.supercore.numerators`).
+    # over one denominator, the form of ``Series.nums`` and ``Series.den``.
 
     def _entry_term(self, i, j):
         """hbar^2 c_ij (or c_ij in unit mode) as an exact Series."""
@@ -124,12 +124,11 @@ class StarAlgebra:
 
     def _word_mul(self, m, s):
         """Normal form of (normal monomial m) * (polynomial s)."""
-        sn, sd = numerators(s.terms)
         groups = {}
-        for mono, c in sn.items():
+        for mono, c in s.nums.items():
             wn, wd = self._word(m, mono)
             add_numerators(groups, wn, wd, c)
-        return merge_numerators(groups, sd)
+        return merge_numerators(groups, s.den)
 
     def _word(self, ma, mb):
         """Normal form of ma * mb for normal monomials, as (ma * mb') * x
@@ -187,9 +186,10 @@ def _parity_parts(s):
         return [] if p is None else [(p, s)]
     alg = s.alg
     ev, od = {}, {}
-    for m, c in s.terms.items():
-        (od if alg.mono_parity(m) else ev)[m] = c
-    return [(EVEN, Series(alg, ev, s.order)), (ODD, Series(alg, od, s.order))]
+    for m, v in s.nums.items():
+        (od if alg.mono_parity(m) else ev)[m] = v
+    return [(EVEN, Series.over(alg, ev, s.den, s.order)),
+            (ODD, Series.over(alg, od, s.den, s.order))]
 
 
 # -- the quantum backend of the chart engine ----------------------------
@@ -308,7 +308,7 @@ def _rees_shift(s, sign):
     if alg.hbar_id is None:
         raise ValueError("universe has no hbar variable")
     out = {}
-    for m, c in s.terms.items():
+    for m, v in s.nums.items():
         rest, k = alg.split_hbar(m)
         w = alg.mono_weight(rest)
         if sign > 0 and w < 0:
@@ -316,5 +316,5 @@ def _rees_shift(s, sign):
         if k + sign * w < 0:
             raise ValueError(
                 f"{alg.mono_str(m)} is not in the Rees image (needs hbar^{w})")
-        out[alg.join_hbar(rest, k + sign * w)] = c
-    return Series(alg, out, s.order)
+        out[alg.join_hbar(rest, k + sign * w)] = v
+    return Series.over(alg, out, s.den, s.order)

@@ -1,13 +1,17 @@
 """Exact supercommutative polynomials and truncated power series.
 
 Variables carry a parity, an integer weight and an adic flag; coefficients
-are exact rationals.  Monomials are stored in a canonical form (odd
+are exact rationals, stored as integer numerators over one denominator per
+Series in lowest terms.  Monomials are stored in a canonical form (odd
 exponents at most one, the Koszul sign absorbed into the coefficient), so
-equality of elements is literal dict equality.  A monomial is one int with
-a 16-bit exponent field per variable, the top bit of each a guard bit: a
-product is an integer sum, a repeated odd variable is an overlap of the odd
-bits, and the Koszul sign is a parity of popcounts (Monagan and Pearce,
-ISSAC 2009).  The int order is not a monomial order, so every sort of
+equality of elements is literal equality of the numerators and the
+denominator.  Sums, scalar multiples and the product loop shared by every
+product stay on integers; a ``Fraction`` is made only where a Series is
+built from one or read through ``terms`` and ``coeff``.  A monomial is one
+int with a 16-bit exponent field per variable, the top bit of each a guard
+bit: a product is an integer sum, a repeated odd variable is an overlap of
+the odd bits, and the Koszul sign is a parity of popcounts (Monagan and
+Pearce, ISSAC 2009).  The int order is not a monomial order, so every sort of
 monomials is keyed by ``Algebra.mono_key``, the exponent tuple.
 
 A Series with ``order=None`` is an exact polynomial.  With ``order=N`` it is
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 EVEN = 0
 ODD = 1
@@ -97,16 +102,17 @@ class Algebra:
         return Series(self, terms, order)
 
     def zero(self, order=None):
-        return Series(self, {}, order)
+        return _make(self, {}, 1, order)
 
     def one(self, order=None):
-        return Series(self, {0: Fraction(1)}, order)
+        return Series.over(self, {0: 1}, 1, order)
 
     def const(self, c, order=None):
-        return Series(self, {0: Fraction(c)}, order)
+        c = Fraction(c)
+        return Series.over(self, {0: c.numerator}, c.denominator, order)
 
     def gen(self, name, order=None):
-        return Series(self, {self.gen_mono[self.by_name[name].ident]: Fraction(1)}, order)
+        return Series.over(self, {self.gen_mono[self.by_name[name].ident]: 1}, 1, order)
 
     # -- monomial helpers ---------------------------------------------
 
@@ -236,45 +242,73 @@ class Algebra:
 
 
 class Series:
-    """A supercommutative polynomial, optionally truncated at a given order."""
+    """A supercommutative polynomial, optionally truncated at a given order.
 
-    __slots__ = ("alg", "terms", "order")
+    The coefficients are ``nums[m] / den``: integer numerators keyed by
+    monomial over one positive denominator, always in lowest terms (no zero
+    numerator, and ``gcd(den, *nums.values()) == 1``), so equality of
+    elements is literal equality of ``den`` and ``nums``.  A Series is never
+    changed once built, so Series may share one ``nums`` dict.  ``terms`` is
+    a read-only ``{mono: Fraction}`` copy of the coefficients, built anew on
+    each access (a kept copy would cost memory on every long-lived Series);
+    the arithmetic never builds it.
+    """
+
+    __slots__ = ("alg", "nums", "den", "order")
 
     def __init__(self, alg, terms, order=None):
-        self.alg = alg
-        self.order = order
+        """The Series of ``terms``, a dict ``{mono: Fraction or int}``; zero
+        coefficients and terms above ``order`` are dropped."""
         if order is None:
-            self.terms = {m: c for m, c in terms.items() if c}
+            terms = {m: c for m, c in terms.items() if c}
         else:
             eff = alg.mono_eff
-            self.terms = {m: c for m, c in terms.items() if c and eff(m) <= order}
+            terms = {m: c for m, c in terms.items() if c and eff(m) <= order}
+        self.alg = alg
+        self.order = order
+        self.nums, self.den = numerators(terms)
+
+    @classmethod
+    def over(cls, alg, nums, den=1, order=None):
+        """The Series ``nums / den``, for integer numerators and a positive
+        ``den``: zero numerators and terms above ``order`` are dropped and
+        the fraction is brought to lowest terms."""
+        return _normal(alg, nums, den, order, order is not None)
+
+    @property
+    def terms(self):
+        """The coefficients as a read-only ``{mono: Fraction}`` mapping,
+        built on each access: bind it once to read many coefficients."""
+        den = self.den
+        return MappingProxyType({m: Fraction(v, den) for m, v in self.nums.items()})
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def coeff(self, mono):
-        return self.terms.get(mono, _ZERO)
+        v = self.nums.get(mono)
+        return _ZERO if v is None else Fraction(v, self.den)
 
     def constant_term(self):
-        return self.terms.get(0, _ZERO)
+        return self.coeff(0)
 
     def eff_deg(self):
-        if not self.terms:
+        if not self.nums:
             return None
         eff = self.alg.mono_eff
-        return min(eff(m) for m in self.terms)
+        return min(eff(m) for m in self.nums)
 
     def parity(self):
         """EVEN, ODD, 'mixed', or None for the zero element."""
-        if not self.terms:
+        if not self.nums:
             return None
-        ps = {self.alg.mono_parity(m) for m in self.terms}
+        ps = {self.alg.mono_parity(m) for m in self.nums}
         return ps.pop() if len(ps) == 1 else "mixed"
 
     def weights(self):
-        return sorted({self.alg.mono_weight(m) for m in self.terms})
+        return sorted({self.alg.mono_weight(m) for m in self.nums})
 
     def is_weight_homogeneous(self):
         return len(self.weights()) <= 1
@@ -290,32 +324,38 @@ class Series:
         return min(a, b)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            c2 = terms.get(m)
-            if c2 is None:
-                terms[m] = c
-            else:
-                c2 += c
-                if c2:
-                    terms[m] = c2
-                else:
-                    del terms[m]
-        return Series(self.alg, terms, self._join_order(other))
+        return self._plus(self._coerce(other), 1)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._plus(self._coerce(other), -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
+        da, db = self.den, other.den
+        if da == db:
+            den, ka, kb = da, 1, sign
+        else:
+            den = lcm(da, db)
+            ka, kb = den // da, sign * (den // db)
+        nums = dict(self.nums) if ka == 1 else {m: v * ka for m, v in self.nums.items()}
+        get = nums.get
+        for m, v in other.nums.items():
+            nums[m] = get(m, 0) + kb * v
+        order = self._join_order(other)
+        # each input is already within its own order
+        cut = order is not None and (self.order != order or other.order != order)
+        return _normal(self.alg, nums, den, order, cut)
 
     def __neg__(self):
-        return Series(self.alg, {m: -c for m, c in self.terms.items()}, self.order)
+        return _make(self.alg, {m: -v for m, v in self.nums.items()}, self.den, self.order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Series(self.alg, {}, self.order)
-            return Series(self.alg, {m: c * v for m, v in self.terms.items()}, self.order)
+            p, q = other.numerator, other.denominator
+            if not p:
+                return _make(self.alg, {}, 1, self.order)
+            nums = self.nums if p == 1 else {m: v * p for m, v in self.nums.items()}
+            return _make(self.alg, *_lowest(nums, self.den * q), self.order)
         other = self._coerce(other)
         return pair_sum(self, other, self._join_order(other), self.alg.mono_product)
 
@@ -350,7 +390,8 @@ class Series:
             other = self.alg.const(other)
         if not isinstance(other, Series):
             return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
+        return (self.alg is other.alg and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
         raise TypeError("Series is not hashable")
@@ -360,14 +401,15 @@ class Series:
     def truncate(self, order):
         """Restrict to completion order <= order (also tightens self.order)."""
         if order is None:
-            return Series(self.alg, self.terms, None)
-        new = order if self.order is None else min(order, self.order)
-        return Series(self.alg, self.terms, new)
+            return _make(self.alg, self.nums, self.den, None)
+        if self.order is not None and self.order <= order:
+            return self
+        return Series.over(self.alg, self.nums, self.den, order)
 
     def eff_component(self, d):
         eff = self.alg.mono_eff
-        return Series(self.alg, {m: c for m, c in self.terms.items() if eff(m) == d},
-                      self.order)
+        return _normal(self.alg, {m: v for m, v in self.nums.items() if eff(m) == d},
+                       self.den, self.order, False)
 
     # -- hbar utilities -----------------------------------------------
 
@@ -383,14 +425,14 @@ class Series:
         self._need_hbar()
         alg = self.alg
         out = {}
-        for m, c in self.terms.items():
+        for m, v in self.nums.items():
             rest, e = alg.split_hbar(m)
             if e + k < 0:
                 raise ValueError(f"term {alg.mono_str(m)} not divisible by hbar^{-k}")
-            out[alg.join_hbar(rest, e + k)] = c
+            out[alg.join_hbar(rest, e + k)] = v
         # dividing by hbar only lowers completion orders, so the bound stays
         # valid; multiplying may push terms past it, and those are dropped
-        return Series(alg, out, self.order)
+        return _normal(alg, out, self.den, self.order, k > 0 and self.order is not None)
 
     def divide_hbar(self, k):
         """Exact division by hbar^k; raises if any term has a lower power."""
@@ -401,10 +443,11 @@ class Series:
         self._need_hbar()
         split = self.alg.split_hbar
         out = {}
-        for m, c in self.terms.items():
+        for m, v in self.nums.items():
             rest, s = split(m)
-            out.setdefault(s, {})[rest] = c
-        return {s: Series(self.alg, t, self.order) for s, t in sorted(out.items())}
+            out.setdefault(s, {})[rest] = v
+        return {s: _normal(self.alg, t, self.den, self.order, False)
+                for s, t in sorted(out.items())}
 
     def set_hbar(self, value):
         """Substitute hbar := 0 or 1 (stays in the same universe)."""
@@ -413,24 +456,25 @@ class Series:
         self._need_hbar()
         split = self.alg.split_hbar
         out = {}
-        for m, c in self.terms.items():
+        for m, v in self.nums.items():
             rest, e = split(m)
             if e and value == 0:
                 continue
-            out[rest] = out.get(rest, _ZERO) + c
-        return Series(self.alg, {m: c for m, c in out.items() if c}, None)
+            out[rest] = out.get(rest, 0) + v
+        return Series.over(self.alg, out, self.den, None)
 
     # -- display ------------------------------------------------------
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         ms = self.alg.mono_str
         alg = self.alg
-        keys = sorted(self.terms, key=lambda m: (alg.mono_eff(m), alg.mono_key(m)))
+        terms = self.terms
+        keys = sorted(terms, key=lambda m: (alg.mono_eff(m), alg.mono_key(m)))
         parts = []
         for m in keys:
-            c = self.terms[m]
+            c = terms[m]
             if not m:
                 parts.append(str(c))
             elif c == 1:
@@ -443,20 +487,55 @@ class Series:
         return s
 
 
+def _make(alg, nums, den, order):
+    """A Series from numerators already in lowest terms and within order."""
+    s = object.__new__(Series)
+    s.alg = alg
+    s.nums = nums
+    s.den = den
+    s.order = order
+    return s
+
+
+def _normal(alg, nums, den, order, cut):
+    """The Series nums / den with zero numerators dropped, and the terms
+    above ``order`` too when ``cut``, in lowest terms."""
+    if cut:
+        eff = alg.mono_eff
+        nums = {m: v for m, v in nums.items() if v and eff(m) <= order}
+    else:
+        nums = {m: v for m, v in nums.items() if v}
+    return _make(alg, *_lowest(nums, den), order)
+
+
+def _lowest(nums, den):
+    """``(nums, den)`` divided by ``gcd(den, *nums)``; no numerator is zero."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: v // g for m, v in nums.items()}
+            den //= g
+    return nums, den
+
+
 # -- integer numerators ---------------------------------------------------
 #
-# The supercommutative product, the Poisson bracket and the star product all
-# run through pair_sum: one truncated loop over term pairs that multiplies
-# and adds integer numerators, grouped by denominator, and makes one Fraction
-# per output monomial, not one per multiply-add.  The monomial kernels it
-# calls (mono_product here, the memoized brackets of poisson and normal forms
-# of starprod) give their values in the same integer-numerator form.  Only
-# the public Fraction API is used.
+# A Series is integer numerators over one denominator, and so is every value
+# the product kernels memoize: mono_product here, the brackets of poisson and
+# the normal forms of starprod.  The supercommutative product, the Poisson
+# bracket and the star product all run through pair_sum: one truncated loop
+# over term pairs that multiplies and adds Python ints, grouped by the
+# denominator of the kernel value, and hands the sum to Series.over.  No
+# Fraction is made on the way; Fractions appear only where a Series is built
+# from one or read through ``terms`` and ``coeff``.
 
 
 def numerators(terms):
-    """Exact coefficients as ``(nums, den)``: integer numerators over their
-    least common denominator, so that ``terms[m] == nums[m] / den``."""
+    """Nonzero exact coefficients ``{mono: Fraction or int}`` as
+    ``(nums, den)``: integer numerators over their least common denominator,
+    so that ``terms[m] == nums[m] / den``.  This is in lowest terms: a prime
+    power dividing ``den`` exactly divides the denominator of some
+    coefficient, whose numerator the prime then does not divide."""
     den = 1
     for c in terms.values():
         d = c.denominator
@@ -477,43 +556,31 @@ def add_numerators(groups, nums, den, c=1):
         acc[m] = acc.get(m, 0) + c * v
 
 
+def _sum_groups(groups):
+    """Sum numerator groups ``{d: nums}``, each standing for ``nums / d``,
+    over the lcm of the ``d``: ``(nums, lcm)``, zero numerators kept."""
+    if len(groups) == 1:
+        ((d, nums),) = groups.items()
+        return nums, d
+    if not groups:
+        return {}, 1
+    d = lcm(*groups)
+    nums = {}
+    for gd, part in groups.items():
+        k = d // gd
+        for m, v in part.items():
+            nums[m] = nums.get(m, 0) + v * k
+    return nums, d
+
+
 def merge_numerators(groups, scale=1):
     """Sum numerator groups ``{d: nums}``, each standing for ``nums / d``,
     and divide by ``scale``.
 
     Returns ``(nums, den)`` in lowest terms, with zero numerators dropped.
     """
-    if len(groups) == 1:
-        ((d, nums),) = groups.items()
-    elif groups:
-        d = lcm(*groups)
-        nums = {}
-        for gd, part in groups.items():
-            k = d // gd
-            for m, v in part.items():
-                nums[m] = nums.get(m, 0) + v * k
-    else:
-        return {}, 1
-    nums = {m: v for m, v in nums.items() if v}
-    den = d * scale
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {m: v // g for m, v in nums.items()}
-            den //= g
-    return nums, den
-
-
-def series_over(alg, nums, den, order=None):
-    """The Series ``nums / den``; terms above ``order`` get no Fraction."""
-    if order is not None:
-        eff = alg.mono_eff
-        nums = {m: v for m, v in nums.items() if eff(m) <= order}
-    if den == 1:
-        terms = {m: Fraction(v) for m, v in nums.items()}
-    else:
-        terms = {m: Fraction(v, den) for m, v in nums.items()}
-    return Series(alg, terms, order)
+    nums, d = _sum_groups(groups)
+    return _lowest({m: v for m, v in nums.items() if v}, d * scale)
 
 
 def pair_sum(f, g, order, kernel, drop=0):
@@ -526,12 +593,10 @@ def pair_sum(f, g, order, kernel, drop=0):
     """
     alg = f.alg
     eff = alg.mono_eff
-    fn, fd = numerators(f.terms)
-    gn, gd = numerators(g.terms)
-    g_items = [(mb, cb, eff(mb)) for mb, cb in gn.items()]
+    g_items = [(mb, cb, eff(mb)) for mb, cb in g.nums.items()]
     # products grouped by the denominator of their kernel value
     groups = {}
-    for ma, ca in fn.items():
+    for ma, ca in f.nums.items():
         budget = None if order is None else order + drop - eff(ma)
         for mb, cb, eb in g_items:
             if budget is not None and eb > budget:
@@ -539,5 +604,5 @@ def pair_sum(f, g, order, kernel, drop=0):
             kn, kd = kernel(ma, mb)
             if kn:
                 add_numerators(groups, kn, kd, ca * cb)
-    nums, den = merge_numerators(groups, fd * gd)
-    return series_over(alg, nums, den, order)
+    nums, den = _sum_groups(groups)
+    return Series.over(alg, nums, den * f.den * g.den, order)

@@ -147,8 +147,8 @@ def m_degree(ctx: SliceContext, mono) -> int:
 
 def reduce_mod_mk(ctx: SliceContext, s: Series, k: int) -> Series:
     """Drop normal monomials with at least k shift factors."""
-    kept = {m: c for m, c in s.terms.items() if m_degree(ctx, m) < k}
-    return ctx.alg.series(kept, s.order)
+    kept = {m: v for m, v in s.nums.items() if m_degree(ctx, m) < k}
+    return Series.over(ctx.alg, kept, s.den, s.order)
 
 
 def pbw_words(weights, parities, wlimit, amax=None):
@@ -232,12 +232,26 @@ def _words_by_weight(weights, parities, n_max):
     return out
 
 
+def _dense_rows(series, monos):
+    """The dense matrix of coefficients: row r, column k is the coefficient
+    of ``monos[r]`` in ``series[k]``, read in one pass over each series'
+    numerators.  Every monomial of every series is in ``monos``."""
+    index = {m: r for r, m in enumerate(monos)}
+    zero = Fraction(0)
+    rows = [[zero] * len(series) for _ in monos]
+    for k, s in enumerate(series):
+        den = s.den
+        for m, v in s.nums.items():
+            rows[index[m]][k] = Fraction(v, den)
+    return rows
+
+
 def _filtered_ranks(value, weights, parities, n_max):
     """Entry n is the rank of the words of weight <= n under ``value``."""
     span, ranks = Echelon(), []
     for words in _words_by_weight(weights, parities, n_max):
         for e in words:
-            span.add(value(e).terms)
+            span.add(value(e).nums)
         ranks.append(len(span))
     return ranks
 
@@ -284,9 +298,9 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
         sub = [m for m in cands if alg.mono_parity(m) == p]
         rows = []
         for g in ctx.m_gens():
-            images = [qmul(g, alg.series({m: Fraction(1)})) for m in sub]
-            for mm in sorted({mm for im in images for mm in im.terms}, key=alg.mono_key):
-                rows.append([im.coeff(mm) for im in images])
+            images = [qmul(g, Series.over(alg, {m: 1})) for m in sub]
+            monos = sorted({mm for im in images for mm in im.nums}, key=alg.mono_key)
+            rows.extend(_dense_rows(images, monos))
         for v in nullspace(rows, len(sub)):
             free = max(k for k, x in enumerate(v) if x)
             invariants.append((alg.mono_weight(sub[free]), p,
@@ -299,7 +313,7 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
     # the span, so only those of weight exactly w can add to it.  A remainder
     # depends on the column order, so the columns are monomial sort keys
     def keyed(s):
-        return {alg.mono_key(m): c for m, c in s.terms.items()}
+        return {alg.mono_key(m): v for m, v in s.nums.items()}
 
     gens = []
     gseries = []
@@ -431,8 +445,8 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
         if wlimit not in basis_cache:
             ws = pbw_words(weights, parities, wlimit)
             vals = [gen_words(e) for e in ws]
-            monos = sorted({m for v in vals for m in v.terms}, key=alg.mono_key)
-            cols = [[v.coeff(m) for v in vals] for m in monos]
+            monos = sorted({m for v in vals for m in v.nums}, key=alg.mono_key)
+            cols = _dense_rows(vals, monos)
             basis_cache[wlimit] = (ws, monos, cols)
         return basis_cache[wlimit]
 
@@ -444,7 +458,7 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
             ws, monos, cols = basis_for(wprod)
             p = gen_words(tuple((k == i) + (k == j) for k in range(len(gens))))
             mset = set(monos)
-            if any(m not in mset for m in p.terms):
+            if any(m not in mset for m in p.nums):
                 products_ok = False
                 continue
             sol = solve(cols, [p.coeff(m) for m in monos])
@@ -518,13 +532,13 @@ def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUA
             continue
         for p, s in items:
             # membership in the solved invariant space of its weight
-            if Echelon(t.terms for wt, q, t in wh.invariants
-                       if wt <= w and q == p).add(s.terms):
+            if Echelon(t.nums for wt, q, t in wh.invariants
+                       if wt <= w and q == p).add(s.nums):
                 span_ok = False
         # leading block: each of this weight's slice generators must add to
         # the span of the lower invariants
-        lower = Echelon(t.terms for wt, _, t in wh.invariants if wt < w)
-        gained = sum(1 for _, s in items if lower.add(s.terms))
+        lower = Echelon(t.nums for wt, _, t in wh.invariants if wt < w)
+        gained = sum(1 for _, s in items if lower.add(s.nums))
         want = wh.new_counts.get(w, [0, 0])
         if gained != len(items) or gained != sum(want):
             blocks_ok = False
@@ -632,10 +646,10 @@ def _transport(s: Series, dst: Algebra) -> Series:
     """Rewrite a series over another universe by matching variable names."""
     out = {}
     src = s.alg
-    for m, c in s.terms.items():
+    for m, v in s.nums.items():
         out[dst.monomial({dst.by_name[src.by_id[i].name].ident: e
-                          for i, e in src.mono_vars(m).items()})] = c
-    return dst.series(out, s.order)
+                          for i, e in src.mono_vars(m).items()})] = v
+    return Series.over(dst, out, s.den, s.order)
 
 
 @dataclass
@@ -711,7 +725,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
     even_centers = [g for g in qc0.center_gens if g.parity() == EVEN]
     even_vars_ok = True
     for s in [v for e in even_entries for v in e.variables()] + even_centers:
-        for m in s.terms:
+        for m in s.nums:
             for i in alg.mono_vars(m):
                 v = alg.by_id[i]
                 if not v.hbar and v.parity != EVEN:

@@ -257,6 +257,33 @@ def test_linear_split_unseeded_self_paired_vectors_split_off():
         assert sp.selfs == [a, b - a]
 
 
+def test_linear_split_radical_is_a_basis(tmp_path):
+    # dependent inputs used to leave a repeated radical: [e, e] on sl2
+    ctx = get_ctx("sl2")
+    alg = ctx.alg
+    e, h, f = (alg.gen(n) for n in ("e", "h", "f"))
+    assert linear_split(ctx.poisson, [e, h, f, e + 2 * h]).radical == [e]
+
+    rng = random.Random(29)
+    checked = 0
+    for ctx in _oracle_universes(tmp_path):
+        P, alg = ctx.poisson, ctx.alg
+        gens = [alg.gen(v.name) for v in alg.variables if not v.hbar]
+        for _ in range(4):
+            vectors = _recombine(rng, alg, gens) + _recombine(rng, alg, gens)
+            for seeds in (None, ctx.m_gens()):
+                try:
+                    sp = linear_split(P, vectors, seeds=seeds)
+                except AlgebraError:
+                    continue
+                pairs = len(sp.even_pairs) + len(sp.odd_pairs)
+                rank = _rank(vectors + (seeds or []))
+                assert len(sp.radical) == rank - 2 * pairs - len(sp.selfs)
+                assert _rank(sp.radical) == len(sp.radical)
+                checked += 1
+    assert checked >= 50
+
+
 def test_linear_split_irrational_self_pairing():
     alg = Algebra([Variable(0, "a", ODD)])
     t = BracketTable(alg, {(0, 0): alg.const(3)})
@@ -452,10 +479,27 @@ def _reference_outcome(P, vectors, seeds):
     return out, bool(kept)
 
 
+def _rank(series):
+    return len(Echelon(s.terms for s in series))
+
+
+def _radical_basis(outcome):
+    """A split's outcome with its radical cut to the vectors that raise the
+    rank of the ones kept before them.  The split returns its radical as a
+    basis; the two-branch reference repeats it on dependent inputs."""
+    if isinstance(outcome, tuple):
+        return outcome
+    *rest, radical = outcome
+    basis = []
+    for w in radical:
+        if _rank(basis + [w]) > len(basis):
+            basis.append(w)
+    return [*rest, basis]
+
+
 def _assert_darboux_basis(P, vectors, lists):
-    """The four lists of a split span the span of ``vectors`` with the Gram
-    matrix of the Darboux normal form; the radical may repeat itself, as
-    dependent inputs leave it in the two-branch split too."""
+    """The four lists of a split are a basis of the span of ``vectors``
+    with the Gram matrix of the Darboux normal form."""
     even_pairs, odd_pairs, selfs, radical = lists
 
     def pair(u, v):
@@ -473,10 +517,7 @@ def _assert_darboux_basis(P, vectors, lists):
         for j, v in enumerate(basis):
             assert pair(u, v) == gram.get((i, j), 0), (i, j)
 
-    def rank(series):
-        return len(Echelon(s.terms for s in series))
-
-    assert rank(basis) == rank(vectors) == rank(vectors + basis)
+    assert len(basis) == _rank(basis) == _rank(vectors) == _rank(vectors + basis)
 
 
 def _recombine(rng, alg, gens):
@@ -510,9 +551,10 @@ def test_linear_split_matches_reference(tmp_path):
     # pairing with nothing but itself now raises instead of being kept, and
     # that an unseeded self-paired vector with a partner is split off
     # instead of raising: the split is then a Darboux basis, or the only
-    # error left is a self-pairing that is not a rational square
+    # error left is a self-pairing that is not a rational square; the
+    # reference's radical is compared as the basis it spans
     rng = random.Random(13)
-    cases = raised = rejected = mended = 0
+    cases = raised = rejected = mended = reduced = 0
     for ctx in _oracle_universes(tmp_path):
         P, alg = ctx.poisson, ctx.alg
         gens = [alg.gen(v.name) for v in alg.variables if not v.hbar]
@@ -529,6 +571,8 @@ def test_linear_split_matches_reference(tmp_path):
                 inputs.append((vectors, _recombine(rng, alg, m)))
         for vectors, seeds in inputs:
             want, kept = _reference_outcome(P, vectors, seeds)
+            reduced += want != _radical_basis(want)
+            want = _radical_basis(want)
             got = _split_outcome(linear_split, P, vectors, seeds)
             cases += 1
             raised += isinstance(want, tuple)
@@ -544,4 +588,4 @@ def test_linear_split_matches_reference(tmp_path):
                 assert got == want, (ctx.data.name, vectors, seeds)
     assert cases == 14 * 63
     assert 0 < rejected < raised < cases
-    assert mended > 0
+    assert mended > 0 and reduced > 0

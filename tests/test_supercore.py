@@ -1,10 +1,14 @@
 """Core arithmetic: canonical monomials, Koszul signs, truncation, hbar."""
 
+import inspect
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
+from superw import supercore
 from superw.darboux import PoissonBackend, inv_sqrt_series
 from superw.poisson import BracketTable, PoissonAlgebra
 from superw.supercore import EVEN, ODD, Algebra, Series, Variable
@@ -282,3 +286,130 @@ def test_scalar_coercion_and_equality():
     assert (x - x) == 0
     with pytest.raises(TypeError):
         hash(x)
+
+
+# -- integer numerators over one denominator ------------------------------
+
+
+def _ref_series(rng, alg, nterms):
+    """A random ``{mono: Fraction}`` mixing parities and hbar powers, as
+    ``cli._random_series`` builds them, and its order."""
+    ids = [v.ident for v in alg.variables]
+    out = {}
+    for _ in range(nterms):
+        exps = {}
+        for _ in range(rng.randrange(0, 4)):
+            i = rng.choice(ids)
+            if alg.by_id[i].parity == ODD and exps.get(i):
+                continue
+            exps[i] = exps.get(i, 0) + 1
+        m = alg.monomial(exps)
+        out[m] = out.get(m, 0) + Fraction(rng.randrange(-6, 7), rng.randrange(1, 7))
+    return out, rng.choice((None, 1, 2, 3, 4))
+
+
+def _ref_eff(alg, m):
+    return sum(e for i, e in alg.mono_vars(m).items()
+               if alg.by_id[i].adic or alg.by_id[i].hbar)
+
+
+def _ref_cut(alg, terms, order):
+    """The nonzero terms, within ``order`` when it is not None."""
+    return {m: c for m, c in terms.items()
+            if c and (order is None or _ref_eff(alg, m) <= order)}
+
+
+def _ref_join(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _ref_hbar(alg, m):
+    """(the monomial without hbar, its hbar exponent)."""
+    exps = alg.mono_vars(m)
+    k = exps.pop(alg.hbar_id, 0)
+    return alg.monomial(exps), k
+
+
+def _assert_lowest(s, want, order):
+    """s holds exactly ``want`` at ``order``, as integer numerators over one
+    positive denominator in lowest terms."""
+    assert type(s.den) is int and s.den > 0
+    assert all(type(v) is int and v for v in s.nums.values())
+    assert gcd(s.den, *s.nums.values()) == 1
+    assert s.order == order
+    assert dict(s.terms) == want
+    assert all(type(c) is Fraction for c in s.terms.values())
+    for m, c in want.items():
+        assert s.coeff(m) == c
+
+
+def test_integer_form_matches_fraction_reference():
+    alg = make_algebra(with_hbar=True)
+    hb = alg.hbar_id
+    rng = random.Random(41)
+    for _ in range(150):
+        ta, oa = _ref_series(rng, alg, rng.randrange(0, 7))
+        tb, ob = _ref_series(rng, alg, rng.randrange(0, 7))
+        ta, tb = _ref_cut(alg, ta, oa), _ref_cut(alg, tb, ob)
+        a, b = Series(alg, ta, oa), Series(alg, tb, ob)
+        _assert_lowest(a, ta, oa)
+        oj = _ref_join(oa, ob)
+
+        plus = {m: ta.get(m, 0) + tb.get(m, 0) for m in set(ta) | set(tb)}
+        minus = {m: ta.get(m, 0) - tb.get(m, 0) for m in set(ta) | set(tb)}
+        _assert_lowest(a + b, _ref_cut(alg, plus, oj), oj)
+        _assert_lowest(a - b, _ref_cut(alg, minus, oj), oj)
+        _assert_lowest(-a, {m: -c for m, c in ta.items()}, oa)
+        for c in (0, 1, -2, 3, Fraction(1, 2), Fraction(-4, 9), rng.randrange(1, 30)):
+            _assert_lowest(a * c, _ref_cut(alg, {m: c * v for m, v in ta.items()}, None), oa)
+            _assert_lowest(c * a, _ref_cut(alg, {m: c * v for m, v in ta.items()}, None), oa)
+
+        prod = {}
+        for ma, ca in ta.items():
+            for mb, cb in tb.items():
+                r = alg.mono_mul(ma, mb)
+                if r is not None:
+                    prod[r[0]] = prod.get(r[0], 0) + r[1] * ca * cb
+        _assert_lowest(a * b, _ref_cut(alg, prod, oj), oj)
+
+        n = rng.randrange(0, 5)
+        on = n if oa is None else min(n, oa)
+        _assert_lowest(a.truncate(n), _ref_cut(alg, ta, on), on)
+        _assert_lowest(a.truncate(None), ta, None)
+        d = rng.randrange(0, 5)
+        _assert_lowest(a.eff_component(d),
+                       {m: c for m, c in ta.items() if _ref_eff(alg, m) == d}, oa)
+
+        k = rng.randrange(1, 3)
+        up = {alg.monomial({**alg.mono_vars(m), hb: _ref_hbar(alg, m)[1] + k}): c
+              for m, c in ta.items()}
+        _assert_lowest(a.mul_hbar(k), _ref_cut(alg, up, oa), oa)
+        divisible = {m: c for m, c in ta.items() if _ref_hbar(alg, m)[1] >= k}
+        down = {alg.monomial({**alg.mono_vars(m), hb: _ref_hbar(alg, m)[1] - k}): c
+                for m, c in divisible.items()}
+        _assert_lowest(Series(alg, divisible, oa).divide_hbar(k), down, oa)
+
+        levels = {}
+        for m, c in ta.items():
+            rest, s = _ref_hbar(alg, m)
+            levels.setdefault(s, {})[rest] = c
+        got = a.hbar_levels()
+        assert sorted(got) == sorted(levels)
+        for s, want in levels.items():
+            _assert_lowest(got[s], want, oa)
+        for value in (0, 1):
+            sub = {}
+            for m, c in ta.items():
+                rest, s = _ref_hbar(alg, m)
+                if value or not s:
+                    sub[rest] = sub.get(rest, 0) + c
+            _assert_lowest(a.set_hbar(value), _ref_cut(alg, sub, None), None)
+
+
+def test_no_fraction_in_the_integer_arithmetic():
+    for fn in (supercore.pair_sum, Series.__add__, Series.__sub__, Series.__mul__,
+               Series._plus, supercore._normal, supercore._lowest):
+        assert "Fraction(" not in inspect.getsource(fn), fn.__name__
+    src = Path(supercore.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert "series_over" not in path.read_text(encoding="utf-8"), path.name

@@ -1,0 +1,158 @@
+"""Alternating base/change pairs of perfbench runs.
+
+    python3 tools/abbench.py REV --workload W --pairs N --seconds S
+
+Exports commit REV (the base) into a temporary directory with ``git
+archive`` and runs ``perfbench/run.py --workload W --seed K --seconds S
+--trace 0`` by turns in that copy and in this checkout (the change).  Pair K
+gives both runs seed K; odd pairs run the base first, even pairs the change
+first, so a drift of the machine's speed falls on both sides.  For every
+end-to-end metric of ``BENCHMARK.json`` it prints the median and quartiles
+on each side, the change of the medians and how many pairs the change won,
+then one JSON line with the same summary.  A pair with a failed run is left
+out of the summary and counted.  The temporary copy is removed at the end.
+
+An export, unlike a git worktree, leaves nothing registered in the
+repository when a run is interrupted.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_metrics(root=ROOT):
+    """The end-to-end metrics of BENCHMARK.json as ``[(name, unit, better)]``."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return [(m["name"], m.get("unit", ""), m.get("better", "lower"))
+            for m in spec["end_to_end"]]
+
+
+def _quartiles(values):
+    """(first quartile, median, third quartile) of at least one value."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs, metrics):
+    """Summarize ``pairs``, a list of ``(base, change)`` result dicts.
+
+    A result dict is the last line of a perfbench run: ``correct`` and
+    ``metrics`` ``{name: {"value": v}}``, or None when the run failed.
+    Returns ``{"pairs", "failed_pairs", "metrics"}``; each metric entry
+    holds the base and change quartiles ``[q1, median, q3]``, the relative
+    change of the medians and ``wins``, the pairs where the change was
+    strictly better.
+    """
+    good = [(b, c) for b, c in pairs
+            if b and c and b.get("correct") and c.get("correct")]
+    out = {"pairs": len(good), "failed_pairs": len(pairs) - len(good), "metrics": {}}
+    for name, unit, better in metrics:
+        both = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
+                for b, c in good if name in b["metrics"] and name in c["metrics"]]
+        if not both:
+            continue
+        base = _quartiles([b for b, _ in both])
+        change = _quartiles([c for _, c in both])
+        sign = 1 if better == "lower" else -1
+        out["metrics"][name] = {
+            "unit": unit,
+            "better": better,
+            "base": list(base),
+            "change": list(change),
+            "rel_change": change[1] / base[1] - 1 if base[1] else None,
+            "wins": sum(1 for b, c in both if sign * (c - b) < 0),
+            "n": len(both),
+        }
+    return out
+
+
+def format_summary(summary):
+    """The summary as human-readable lines."""
+    lines = ["%d pairs, %d left out for a failed run"
+             % (summary["pairs"], summary["failed_pairs"])]
+    for name, m in summary["metrics"].items():
+        rel = m["rel_change"]
+        lines.append(
+            "%-12s base %.4g [%.4g, %.4g] -> change %.4g [%.4g, %.4g] %s  %s, "
+            "change won %d/%d (%s is better)" % (
+                name, m["base"][1], m["base"][0], m["base"][2],
+                m["change"][1], m["change"][0], m["change"][2], m["unit"],
+                "n/a" if rel is None else "%+.1f %%" % (100 * rel),
+                m["wins"], m["n"], m["better"]))
+    return lines
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One untraced perfbench run in ``checkout``: its result line, or None."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=str(checkout), capture_output=True, text=True)
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        sys.stderr.write("abbench: run in %s gave no result (exit %d)\n%s"
+                         % (checkout, proc.returncode, proc.stderr[-2000:]))
+        return None
+
+
+def export(rev, dest):
+    """Write the files of commit ``rev`` of this repository into ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=str(ROOT),
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        if hasattr(tarfile, "data_filter"):
+            tf.extractall(dest, filter="data")
+        else:
+            tf.extractall(dest)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev", help="the base commit")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=int, default=10,
+                    help="perfbench --seconds of each run")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    check = subprocess.run(["git", "rev-parse", "--verify", args.rev + "^{commit}"],
+                           cwd=str(ROOT), capture_output=True, text=True)
+    if check.returncode:
+        ap.error("not a commit: %s" % args.rev)
+
+    metrics = load_metrics()
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="abbench-") as tmp:
+        base = Path(tmp)
+        export(check.stdout.strip(), base)
+        for k in range(1, args.pairs + 1):
+            order = (base, ROOT) if k % 2 else (ROOT, base)
+            res = {where: run_once(where, args.workload, k, args.seconds)
+                   for where in order}
+            pairs.append((res[base], res[ROOT]))
+            print("pair %d done" % k, file=sys.stderr)
+    summary = summarize(pairs, metrics)
+    summary["workload"] = args.workload
+    summary["base"] = args.rev
+    for line in format_summary(summary):
+        print(line)
+    print(json.dumps(summary, sort_keys=True))
+    return 0 if summary["pairs"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
