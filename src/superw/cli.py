@@ -53,14 +53,10 @@ def _chart_terms(s, order):
 
 
 def _ser_chart(chart, verify, order):
-    entries = []
-    for e in chart.entries:
-        entries.append({
-            "kind": e.kind,
-            "vars": [_chart_terms(v, order) for v in e.variables()],
-        })
     return {
-        "entries": entries,
+        "entries": [{"kind": e.kind,
+                     "vars": [_chart_terms(v, order) for v in e.variables()]}
+                    for e in chart.entries],
         "center_generators": [_chart_terms(c, order) for c in chart.center_gens],
         "weight_homogeneous": verify["weight_homogeneous"],
         "ok": verify["ok"],
@@ -68,20 +64,12 @@ def _ser_chart(chart, verify, order):
 
 
 def _truncate_chart(section, n):
-    out = {
-        "entries": [],
-        "center_generators": [],
-        "weight_homogeneous": section["weight_homogeneous"],
-        "ok": section["ok"],
-    }
-    for e in section["entries"]:
-        out["entries"].append({
-            "kind": e["kind"],
-            "vars": [[t for t in v if t[2] <= n] for v in e["vars"]],
-        })
-    for c in section["center_generators"]:
-        out["center_generators"].append([t for t in c if t[2] <= n])
-    return out
+    def cut(terms):
+        return [t for t in terms if t[2] <= n]
+    return dict(section,
+                entries=[dict(e, vars=[cut(v) for v in e["vars"]])
+                         for e in section["entries"]],
+                center_generators=[cut(c) for c in section["center_generators"]])
 
 
 def _ser_gens(gens):
@@ -100,8 +88,8 @@ def _ser_products(products):
 # -- report builders ----------------------------------------------------
 
 
-def check_report(name, alt):
-    data = load_algebra(name)
+def check_report(algebra, alt=False):
+    data = load_algebra(algebra)
     grading = dynkin_grading(data)
     chi = build_chi(data, grading, alt=alt)
     return {
@@ -121,8 +109,8 @@ def check_report(name, alt):
     }
 
 
-def darboux_report(name, order, guard, alt):
-    data = load_algebra(name)
+def darboux_report(algebra, order, guard=DEFAULT_GUARD, alt=False):
+    data = load_algebra(algebra)
     ctx = slice_setup(data, alt=alt)
     seeds = ctx.m_gens()
     # The correction loops stop as soon as the residuals are clean through
@@ -148,8 +136,8 @@ def darboux_report(name, order, guard, alt):
     }
 
 
-def walgebra_report(name, order, guard, method, alt):
-    data = load_algebra(name)
+def walgebra_report(algebra, order, guard=DEFAULT_GUARD, method="both", alt=False):
+    data = load_algebra(algebra)
     ctx = slice_setup(data, alt=alt)
     rep = {
         "kind": "walgebra",
@@ -203,16 +191,13 @@ def walgebra_report(name, order, guard, method, alt):
 
 
 def build_report(kind, **kw):
-    if kind == "check":
-        return check_report(kw["algebra"], kw.get("alt", False))
-    if kind == "darboux":
-        return darboux_report(kw["algebra"], kw["order"],
-                              kw.get("guard", DEFAULT_GUARD), kw.get("alt", False))
-    if kind == "walgebra":
-        return walgebra_report(kw["algebra"], kw["order"],
-                               kw.get("guard", DEFAULT_GUARD),
-                               kw.get("method", "both"), kw.get("alt", False))
-    raise ValueError("unknown report kind %r" % kind)
+    """The report of one command; an option left out takes the default of
+    its report builder, the only place the defaults are set."""
+    builders = {"check": check_report, "darboux": darboux_report,
+                "walgebra": walgebra_report, "suite": suite_report}
+    if kind not in builders:
+        raise ValueError("unknown report kind %r" % kind)
+    return builders[kind](**kw)
 
 
 def truncate_report(report, n):
@@ -230,27 +215,20 @@ def truncate_report(report, n):
         out["order"] = n
 
         def cut(section):
-            section["dims"] = section["dims"][: n + 1]
-            if "expected_dims" in section:
-                section["expected_dims"] = section["expected_dims"][: n + 1]
             wts = [g["weight"] for g in section.get("generators", [])]
+            for key in ("dims", "expected_dims"):
+                if key in section:
+                    section[key] = section[key][: n + 1]
             if "generators" in section:
-                keep = [g for g in section["generators"] if g["weight"] <= n]
-                section["generators"] = keep
+                section["generators"] = [g for g in section["generators"]
+                                         if g["weight"] <= n]
             if "products" in section:
-                kept = {}
-                for key, rows in section["products"].items():
-                    i, j = (int(t) for t in key.split(","))
-                    if wts[i] + wts[j] <= n:
-                        kept[key] = rows
-                section["products"] = kept
-            if "new_counts" in section:
-                section["new_counts"] = {w: c for w, c in section["new_counts"].items()
-                                         if int(w) <= n}
-            if "expected_counts" in section:
-                section["expected_counts"] = {
-                    w: c for w, c in section["expected_counts"].items()
-                    if int(w) <= n}
+                section["products"] = {
+                    key: rows for key, rows in section["products"].items()
+                    if sum(wts[int(t)] for t in key.split(",")) <= n}
+            for key in ("new_counts", "expected_counts"):
+                if key in section:
+                    section[key] = {w: c for w, c in section[key].items() if int(w) <= n}
         if "whittaker" in out:
             cut(out["whittaker"])
         if "slice" in out:
@@ -387,7 +365,7 @@ def _suite_checks(order, seed):
     return checks
 
 
-def suite_report(order, seed):
+def suite_report(order=2, seed=0):
     checks = _suite_checks(order, seed)
     return {
         "kind": "suite",
@@ -446,52 +424,38 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--algebra", required=True,
-                       help="catalog name or path to a JSON file")
-        p.add_argument("--order", type=_int_at_least(0), required=True)
-        # below guard 2 the even correction stalls (guard 0), or projecting
-        # through an odd pair loses the two orders of BracketTable.drop (1)
-        p.add_argument("--guard", type=_int_at_least(2), default=DEFAULT_GUARD)
-        p.add_argument("--alt-lagrangian", action="store_true")
-        p.add_argument("--out", type=_out_path, default=None)
+    # an option left out stays out of the namespace, so that build_report
+    # applies the builders' defaults
+    parsers = {name: sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+               for name, help in (("check", "validate an algebra and its grading"),
+                                  ("darboux", "classical and quantum charts"),
+                                  ("walgebra", "W-algebra generators and tables"),
+                                  ("suite", "run the property-check battery"))}
+    for name, p in parsers.items():
+        if name != "suite":
+            p.add_argument("--algebra", required=True,
+                           help="catalog name or path to a JSON file")
+        if name != "check":
+            p.add_argument("--order", type=_int_at_least(0), required=name != "suite")
+        if name in ("darboux", "walgebra"):
+            # below guard 2 the even correction stalls (guard 0), or projecting
+            # through an odd pair loses the two orders of BracketTable.drop (1)
+            p.add_argument("--guard", type=_int_at_least(2))
+        if name != "suite":
+            p.add_argument("--alt-lagrangian", dest="alt", action="store_true")
+        p.add_argument("--out", type=_out_path)
+    parsers["walgebra"].add_argument("--method", choices=("whittaker", "slice", "both"))
+    parsers["suite"].add_argument("--seed", type=int)
 
-    p = sub.add_parser("check", help="validate an algebra and its grading")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--alt-lagrangian", action="store_true")
-    p.add_argument("--out", type=_out_path, default=None)
-
-    p = sub.add_parser("darboux", help="classical and quantum charts")
-    common(p)
-
-    p = sub.add_parser("walgebra", help="W-algebra generators and tables")
-    common(p)
-    p.add_argument("--method", choices=("whittaker", "slice", "both"),
-                   default="both")
-
-    p = sub.add_parser("suite", help="run the property-check battery")
-    p.add_argument("--order", type=_int_at_least(0), default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=_out_path, default=None)
-
-    args = parser.parse_args(argv)
-
+    kw = vars(parser.parse_args(argv))
+    kind, out = kw.pop("command"), kw.pop("out", None)
     try:
-        if args.command == "check":
-            rep = check_report(args.algebra, args.alt_lagrangian)
-        elif args.command == "darboux":
-            rep = darboux_report(args.algebra, args.order, args.guard,
-                                 args.alt_lagrangian)
-        elif args.command == "walgebra":
-            rep = walgebra_report(args.algebra, args.order, args.guard,
-                                  args.method, args.alt_lagrangian)
-        else:
-            rep = suite_report(args.order, args.seed)
+        rep = build_report(kind, **kw)
     except (AlgebraError, DarbouxError) as exc:
-        _emit({"ok": False, "error": str(exc)}, getattr(args, "out", None))
+        _emit({"ok": False, "error": str(exc)}, out)
         return 1
 
-    _emit(rep, args.out)
+    _emit(rep, out)
     return 0 if rep.get("ok") else 1
 
 

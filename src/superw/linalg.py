@@ -1,22 +1,22 @@
 """Small exact linear algebra over the rationals.
 
 One incremental integer echelon, ``Echelon``, sits behind every
-elimination: ``rref`` (and through it ``nullspace`` and ``solve``) and every
-rank, kernel and membership test of ``wslice``.  It keeps a growing basis of
-sparse primitive integer rows (dict col -> int, scaled by the lcm of its
-denominators and divided by its content) keyed by any sortable column
-values; a row's pivot is its smallest key.  A new row is reduced against the
-pivots from its smallest key upward, clearing column c of a row r against
-the pivot row s by cross-multiplication, r <- (p/g) r - (q/g) s with
-p = s[c], q = r[c] and g = gcd(p, q), after which r is divided by its
-content again.  This is Bareiss's fraction-free elimination (Math. Comp. 22,
-1968) with content division in place of his exact division by the previous
-pivot.  The systems are mostly zeros, so each step touches only the nonzero
+elimination.  It keeps a growing basis of sparse primitive integer rows
+(dict col -> int, scaled by the lcm of its denominators and divided by its
+content) keyed by any sortable column values; a row's pivot is its smallest
+key.  A new row is reduced against the pivots from its smallest key upward,
+clearing column c of a row r against the pivot row s by cross-multiplication,
+r <- (p/g) r - (q/g) s with p = s[c], q = r[c] and g = gcd(p, q), after
+which r is divided by its content again.  This is Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968) with content division in place of his
+exact division by the previous pivot; each step touches only the nonzero
 entries of the two rows.  The remainder of a row depends only on the span
-and the column order, not on the order the rows came in; one
-back-substitution turns the basis into the unique reduced row echelon form.
-Fractions appear only at the boundary, and arithmetic stays exact
-throughout.
+and the column order, and one back-substitution gives the unique reduced
+row echelon form (``rref``).  Every kernel and every solve goes through
+``TaggedEchelon``, which gives each candidate row a tag column: ``nullspace``
+and ``solve`` on dense lists are thin adapters over it, like the Whittaker
+kernel and the slice products of ``wslice``.  Fractions appear only at the
+boundary, and arithmetic stays exact throughout.
 """
 
 from __future__ import annotations
@@ -94,20 +94,23 @@ class Echelon:
     def __len__(self):
         return len(self.pivots)
 
-    def push(self, row):
-        """Reduce an integer row in place; keep a nonzero remainder as a new
-        row and return its pivot, or return None when row lies in the span."""
+    def remainder(self, row):
+        """Reduce an integer row in place against the pivots, smallest first,
+        so that no pivot is left in its support."""
         if not row:
-            return None
+            return
         pivots, rows = self.pivots, self.rows
         for p in pivots[bisect_left(pivots, min(row)):]:
             if p in row:
                 _eliminate(row, p, rows[p])
                 if not row:
-                    return None
+                    return
+
+    def store(self, row):
+        """Keep a nonzero reduced row as a new row; return its pivot."""
         p = min(row)
-        rows[p] = row
-        insort(pivots, p)
+        self.rows[p] = row
+        insort(self.pivots, p)
         return p
 
     def add(self, row):
@@ -116,10 +119,10 @@ class Echelon:
         pivot, or return {} when it lies in the span.  The result does not
         depend on how the row is scaled."""
         row = _integer_row(row.items())
-        p = self.push(row)
-        if p is None:
+        self.remainder(row)
+        if not row:
             return {}
-        lead = row[p]
+        lead = row[self.store(row)]
         return {k: Fraction(v, lead) for k, v in row.items()}
 
     def reduce(self):
@@ -134,6 +137,53 @@ class Echelon:
                 _eliminate(row, q, rows[q])
 
 
+def _over(nums, den):
+    """``(nums, den)`` with the sign moved so that den > 0."""
+    return (nums, den) if den > 0 else ({k: -v for k, v in nums.items()}, -den)
+
+
+class TaggedEchelon:
+    """An Echelon of candidate vectors, each row carrying one tag column.
+
+    A candidate row holds data columns and its own tag entry ``row[tag]``,
+    and stands for the vector data / ``row[tag]``; every tag key sorts after
+    every data key.  A remainder that keeps a data column is stored.  One of
+    tags only is the candidate's kernel vector over the earlier ones, and is
+    not stored.  So the stored candidates are the pivot columns of the RREF
+    of the candidates taken as columns, chosen greedily in index order, and
+    the kernel vectors are its free-column vectors.  A target goes in with a
+    fresh tag and is never stored: data left means no solution; otherwise
+    its tags give its unique expression over the stored candidates.
+    """
+
+    def __init__(self):
+        self.echelon = Echelon()
+        self.tags = set()
+
+    def _remainder(self, row, tag):
+        row = _integer_row(row.items())
+        self.echelon.remainder(row)
+        lead = min(row)
+        return row, lead == tag or lead in self.tags
+
+    def add(self, row, tag):
+        """Push a candidate: None when it is stored, else its kernel vector
+        ``{tag: nums[tag] / den}`` as ``(nums, den)``, 1 on its own tag."""
+        row, tags_only = self._remainder(row, tag)
+        self.tags.add(tag)
+        if tags_only:
+            return _over(row, row[tag])
+        self.echelon.store(row)
+        return None
+
+    def express(self, row, tag):
+        """A target's coefficients ``{tag: nums[tag] / den}`` over the
+        candidates as ``(nums, den)``, zeros left out; None outside their
+        span."""
+        row, tags_only = self._remainder(row, tag)
+        return _over(row, -row.pop(tag)) if tags_only else None
+
+
 def rref(rows):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns).
 
@@ -145,7 +195,9 @@ def rref(rows):
     ncols = len(rows[0])
     ech = Echelon()
     for row in sorted((_integer_row(enumerate(r)) for r in rows), key=len):
-        ech.push(row)
+        ech.remainder(row)
+        if row:
+            ech.store(row)
     ech.reduce()
     zero = Fraction(0)
     out = []
@@ -160,24 +212,38 @@ def rref(rows):
     return out, ech.pivots
 
 
+def _dense(nums, den, base, n):
+    """``nums[base + k] / den`` for k < n as a list of Fractions."""
+    out = [Fraction(0)] * n
+    for t, v in nums.items():
+        out[t - base] = Fraction(v, den)
+    return out
+
+
+def _tagged_columns(rows, ncols):
+    """The columns of a dense matrix pushed into a TaggedEchelon, data column
+    r being row r and column j tagged len(rows) + j; returns it and the
+    relation of each column (None for a stored one)."""
+    n = len(rows)
+    tagged = TaggedEchelon()
+    relations = []
+    for j, col in enumerate(zip(*rows) if rows else [()] * ncols):
+        col = {r: x for r, x in enumerate(col) if x}
+        col[n + j] = 1
+        relations.append(tagged.add(col, n + j))
+    return tagged, relations
+
+
 def nullspace(rows, ncols=None):
-    """Basis of the right kernel of the matrix, as lists of Fraction."""
+    """Basis of the right kernel of the matrix, as lists of Fraction: one
+    vector per dependent column, 1 there and 0 on the other dependent
+    columns."""
     if ncols is None:
         if not rows:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(rows[0])
-    m, pivots = rref(rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            if m[r][fc]:
-                v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    _, relations = _tagged_columns(rows, ncols)
+    return [_dense(*r, len(rows), ncols) for r in relations if r is not None]
 
 
 def solve(rows, rhs):
@@ -187,14 +253,12 @@ def solve(rows, rhs):
     """
     if not rows:
         return None if any(rhs) else []
-    ncols = len(rows[0])
-    m, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][-1]
-    return x
+    n, ncols = len(rows), len(rows[0])
+    tagged, _ = _tagged_columns(rows, ncols)
+    target = dict(zip(range(n), rhs))
+    target[n + ncols] = 1
+    sol = tagged.express(target, n + ncols)
+    return None if sol is None else _dense(*sol, n, ncols)
 
 
 def expand_filtered(target, candidates, cap):

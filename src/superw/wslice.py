@@ -16,8 +16,10 @@ comparisons meaningful.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebras import (
     HBAR,
@@ -30,7 +32,7 @@ from .algebras import (
     dynkin_grading,
 )
 from .darboux import DEFAULT_GUARD, equivariant_darboux
-from .linalg import Echelon, expand_filtered, nullspace, rref, solve
+from .linalg import Echelon, TaggedEchelon, expand_filtered
 from .poisson import BracketTable, PoissonAlgebra, linear_split
 from .supercore import EVEN, ODD, Algebra, Series, Variable
 from .starprod import StarAlgebra, filtration_dims, quantum_darboux
@@ -232,18 +234,12 @@ def _words_by_weight(weights, parities, n_max):
     return out
 
 
-def _dense_rows(series, monos):
-    """The dense matrix of coefficients: row r, column k is the coefficient
-    of ``monos[r]`` in ``series[k]``, read in one pass over each series'
-    numerators.  Every monomial of every series is in ``monos``."""
-    index = {m: r for r, m in enumerate(monos)}
-    zero = Fraction(0)
-    rows = [[zero] * len(series) for _ in monos]
-    for k, s in enumerate(series):
-        den = s.den
-        for m, v in s.nums.items():
-            rows[index[m]][k] = Fraction(v, den)
-    return rows
+def _tagged_row(s, tag):
+    """The integer row of a Series as a TaggedEchelon candidate or target:
+    monomial m in data column ~m < 0, and ``tag`` >= 0 carrying ``s.den``."""
+    row = {~m: v for m, v in s.nums.items()}
+    row[tag] = s.den
+    return row
 
 
 def _filtered_ranks(value, weights, parities, n_max):
@@ -288,23 +284,28 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
             )
 
     # one kernel per parity over all candidates, sorted by (weight, monomial):
-    # the RREF of a column prefix is the prefix of the RREF, and a kernel
-    # vector's last nonzero entry is its free column, so the weight of that
-    # column is the least n for which the vector is an invariant of weight <= n
+    # a candidate's row holds its images under the shift generators, and a
+    # candidate that depends on the earlier ones gives the kernel vector of
+    # an invariant of its weight, the least n for which it has weight <= n
     qmul = _quotient_mul(ctx)
+    mg = ctx.m_gens()
     cands = _monomials(alg, ctx.complement_ids, n_max)
     invariants = []
     for p in (EVEN, ODD):
         sub = [m for m in cands if alg.mono_parity(m) == p]
-        rows = []
-        for g in ctx.m_gens():
-            images = [qmul(g, Series.over(alg, {m: 1})) for m in sub]
-            monos = sorted({mm for im in images for mm in im.nums}, key=alg.mono_key)
-            rows.extend(_dense_rows(images, monos))
-        for v in nullspace(rows, len(sub)):
-            free = max(k for k, x in enumerate(v) if x)
-            invariants.append((alg.mono_weight(sub[free]), p,
-                               alg.series(dict(zip(sub, v)))))
+        kernel = TaggedEchelon()
+        for k, m in enumerate(sub):
+            images = [qmul(g, Series.over(alg, {m: 1})) for g in mg]
+            den = lcm(*(im.den for im in images))
+            # data column ~(mm * len(mg) + i) for monomial mm of image i
+            row = {~(mm * len(mg) + i): v * (den // im.den)
+                   for i, im in enumerate(images) for mm, v in im.nums.items()}
+            row[k] = den
+            relation = kernel.add(row, k)
+            if relation is not None:
+                nums, d = relation
+                invariants.append((alg.mono_weight(m), p, Series.over(
+                    alg, {sub[t]: v for t, v in nums.items()}, d)))
     invariants.sort(key=lambda t: t[:2])
     dims = [sum(1 for w, _, _ in invariants if w <= n) for n in range(n_max + 1)]
 
@@ -380,11 +381,7 @@ class SliceResult:
 
 def _chart_wgens(qc):
     """Centralizer generators plus self-paired odd chart variables."""
-    out = list(qc.center_gens)
-    for e in qc.entries:
-        if e.kind == "self":
-            out.append(e.a)
-    return out
+    return list(qc.center_gens) + [e.a for e in qc.entries if e.kind == "self"]
 
 
 def _gen_weight(s):
@@ -444,10 +441,10 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
     def basis_for(wlimit):
         if wlimit not in basis_cache:
             ws = pbw_words(weights, parities, wlimit)
-            vals = [gen_words(e) for e in ws]
-            monos = sorted({m for v in vals for m in v.nums}, key=alg.mono_key)
-            cols = _dense_rows(vals, monos)
-            basis_cache[wlimit] = (ws, monos, cols)
+            basis = TaggedEchelon()
+            for n, e in enumerate(ws):
+                basis.add(_tagged_row(gen_words(e), n), n)
+            basis_cache[wlimit] = (ws, basis)
         return basis_cache[wlimit]
 
     for i in range(len(gens)):
@@ -455,19 +452,16 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
             wprod = gens[i][0] + gens[j][0]
             if wprod > order:
                 continue
-            ws, monos, cols = basis_for(wprod)
+            ws, basis = basis_for(wprod)
             p = gen_words(tuple((k == i) + (k == j) for k in range(len(gens))))
-            mset = set(monos)
-            if any(m not in mset for m in p.nums):
-                products_ok = False
-                continue
-            sol = solve(cols, [p.coeff(m) for m in monos])
+            sol = basis.express(_tagged_row(p, len(ws)), len(ws))
             if sol is None:
                 products_ok = False
                 continue
+            nums, den = sol
             products[(i, j)] = [
-                (tuple((k, e) for k, e in enumerate(ws[n]) if e), sol[n])
-                for n in range(len(sol)) if sol[n]
+                (tuple((k, e) for k, e in enumerate(ws[n]) if e), Fraction(nums[n], den))
+                for n in sorted(nums)
             ]
 
     ok = chart_report["ok"] and invariance_ok and products_ok
@@ -489,42 +483,28 @@ class CompareResult:
 
 
 def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUARD,
-                         perturb=None, slice_result=None,
-                         whittaker_result=None) -> CompareResult:
+                         slice_result=None, whittaker_result=None) -> CompareResult:
     """Cross-validate the two routes over the same quotient.
 
     Checks: equal dimension tables, equal per-weight generator counts, exact
     invariance of the slice generators, membership of each slice generator in
     the solved invariant space of its weight, and per-weight leading blocks of
-    full rank.  ``perturb`` = (index, series) corrupts one slice generator
-    first, for negative controls.
+    full rank.
     """
     wh = whittaker_result or whittaker_walgebra(ctx, n_max)
     sl = slice_result or slice_walgebra(ctx, n_max, guard)
 
-    sgens = list(sl.gens)
-    if perturb is not None:
-        idx, extra = perturb
-        w, p, s = sgens[idx]
-        sgens[idx] = (w, p, s + extra)
-
     dims_equal = wh.dims == sl.dims
 
-    def sig(gens):
-        out = {}
-        for w, p, *_ in gens:
-            out.setdefault(w, [0, 0])
-            out[w][p] += 1
-        return out
+    counts_equal = (Counter((w, p) for w, p, _ in wh.gens)
+                    == Counter((w, p) for w, p, _ in sl.gens))
 
-    counts_equal = sig(wh.gens) == sig(sgens)
-
-    invariance_ok = _m_invariant(ctx, [s for _, _, s in sgens])
+    invariance_ok = _m_invariant(ctx, [s for _, _, s in sl.gens])
 
     span_ok = True
     blocks_ok = True
     by_weight = {}
-    for w, p, s in sgens:
+    for w, p, s in sl.gens:
         by_weight.setdefault(w, []).append((p, s))
     for w, items in sorted(by_weight.items()):
         if w > n_max:
@@ -754,12 +734,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
                 closure_ok = False
 
     # (c) flat odd coordinates + full W generators span the same thing
-    clgens = []
-    for e in qc.entries:
-        if e.kind == "odd":
-            clgens.extend([e.a, e.b])
-        elif e.kind == "self":
-            clgens.append(e.a)
+    clgens = [v for e in qc.entries if e.kind in ("odd", "self") for v in e.variables()]
     wfull = list(qc.center_gens)
     csig = sorted([(_gen_weight(g), g.parity()) for g in clgens + wfull])
     factor_sig_ok = csig == asig
@@ -769,18 +744,15 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
     if clifford_count != len(odd_m1):
         factor_sig_ok = False
 
-    def linear_rows(gens):
-        ids = sorted(i for i in range(len(alg.variables)) if not alg.by_id[i].hbar)
-        rows = []
-        for g in gens:
-            rows.append([g.coeff(alg.gen_mono[i]) for i in ids])
-        return rows
+    def linear_span(gens):
+        # the reduced echelon rows of the linear parts, pivots scaled to 1
+        lin = {i: alg.gen_mono[i] for i in alg.by_id if not alg.by_id[i].hbar}
+        span = Echelon({i: g.nums.get(m, 0) for i, m in lin.items()} for g in gens)
+        span.reduce()
+        return {p: {k: Fraction(v, row[p]) for k, v in row.items()}
+                for p, row in span.rows.items()}
 
-    ra, pa = rref(linear_rows(agens))
-    rb, pb = rref(linear_rows(clgens + wfull))
-    linear_span_ok = (pa == pb and
-                      [ra[k] for k in range(len(pa))] ==
-                      [rb[k] for k in range(len(pb))])
+    linear_span_ok = linear_span(agens) == linear_span(clgens + wfull)
 
     ok = (sig_ok and rank_ok and even_vars_ok and standalone_match and
           sub_compare_ok and closure_ok and factor_sig_ok and linear_span_ok)

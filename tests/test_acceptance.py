@@ -4,6 +4,7 @@ Every comparison is exact -- rational arithmetic throughout, tolerance zero.
 Expected tables are frozen from independent derivations (direct counting,
 hand reduction in the rank-one cases) rather than from the code under test.
 """
+import dataclasses
 import json
 import random
 import time
@@ -214,6 +215,14 @@ def test_criterion_04_whittaker_tables():
             "(sl2 at 8, osp12 at 6)", failures)
 
 
+def _perturbed(sl, idx, extra):
+    """The slice result with ``extra`` added to generator ``idx``."""
+    gens = list(sl.gens)
+    w, p, s = gens[idx]
+    gens[idx] = (w, p, s + extra)
+    return dataclasses.replace(sl, gens=gens)
+
+
 def test_criterion_05_cross_validation():
     failures = []
     for name, order in (("sl2", 8), ("osp12", 6)):
@@ -222,11 +231,12 @@ def test_criterion_05_cross_validation():
             failures.append("%s: clean comparison failed" % name)
     ctx = _ctx("sl2")
     h = ctx.alg.gen("h")
-    if compare_realizations(ctx, 8, perturb=(0, h * h)).ok:
+    bad = _perturbed(slice_walgebra(ctx, 8), 0, h * h)
+    if compare_realizations(ctx, 8, slice_result=bad).ok:
         failures.append("sl2: perturbed generator not detected")
     ctx = _ctx("osp12")
-    bad = ctx.alg.gen("xm") * ctx.alg.gen("h")
-    if compare_realizations(ctx, 6, perturb=(1, bad)).ok:
+    bad = _perturbed(slice_walgebra(ctx, 6), 1, ctx.alg.gen("xm") * ctx.alg.gen("h"))
+    if compare_realizations(ctx, 6, slice_result=bad).ok:
         failures.append("osp12: perturbed generator not detected")
     _report(5, "both routes agree (sl2 at 8, osp12 at 6); planted "
             "perturbations detected", failures)

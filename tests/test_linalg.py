@@ -1,11 +1,20 @@
 """Exact rational linear algebra used by the coefficient-matching loops."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from superw import linalg, wslice
 from superw.algebras import load_algebra
-from superw.linalg import expand_filtered, nullspace, rational_sqrt, rref, solve
+from superw.linalg import (
+    TaggedEchelon,
+    expand_filtered,
+    nullspace,
+    rational_sqrt,
+    rref,
+    solve,
+)
 from superw.supercore import EVEN, Algebra, Variable
 
 PRIME30 = 100000000000000000000000000319  # the least prime above 10**29
@@ -408,34 +417,118 @@ def test_integer_rows_match_fraction_elimination_on_awkward_matrices():
         _assert_same_as_fraction_elimination(rows, ncols, rhs_list)
 
 
-def test_integer_rows_match_fraction_elimination_on_pipeline_systems(monkeypatch):
-    # the sl21 Whittaker kernels at order 12 and every coefficient system of
-    # splitting_check(sl21, 4), recorded as the pipeline solves them
-    kernels, systems = [], []
+def _assert_tagged_matches_fraction_elimination(candidates, targets):
+    """The kernel vectors and target coefficients a TaggedEchelon returned,
+    recorded as (row, tag, result) triples, equal the Fraction oracle's on
+    the dense matrix whose column j is candidate j, data / row[tag]."""
+    index = {tag: j for j, (_, tag, _) in enumerate(candidates)}
+    keys = sorted({k for row, tag, _ in candidates + targets for k in row if k != tag})
 
-    def recording_nullspace(rows, ncols=None, _nullspace=nullspace):
-        kernels.append(([list(r) for r in rows], ncols))
-        return _nullspace(rows, ncols)
+    def vector(row, tag):
+        return [Fraction(row.get(k, 0)) / row[tag] for k in keys]
+
+    def dense(nums, den):
+        x = [Fraction(0)] * len(index)
+        for t, v in nums.items():
+            x[index[t]] = Fraction(v, den)
+        return x
+
+    cols = [vector(row, tag) for row, tag, _ in candidates]
+    matrix = [[c[r] for c in cols] for r in range(len(keys))]
+    kernel = [dense(*got) for _, _, got in candidates if got is not None]
+    assert kernel == _fraction_nullspace(matrix, len(index))
+    for row, tag, got in targets:
+        want = _fraction_solve(matrix, vector(row, tag)) if keys else dense({}, 1)
+        assert (None if got is None else dense(*got)) == want
+
+
+def _recording_tagged(log):
+    """A TaggedEchelon class that appends (candidates, targets) to ``log``
+    for each object, every call as (row, tag, result), and checks that the
+    rows come back untouched."""
+
+    class Recording(TaggedEchelon):
+        def __init__(self):
+            super().__init__()
+            self.candidates, self.targets = [], []
+            log.append((self.candidates, self.targets))
+
+        def _record(self, calls, push, row, tag):
+            before = dict(row)
+            got = push(row, tag)
+            assert row == before
+            calls.append((before, tag, got))
+            return got
+
+        def add(self, row, tag):
+            return self._record(self.candidates, super().add, row, tag)
+
+        def express(self, row, tag):
+            return self._record(self.targets, super().express, row, tag)
+
+    return Recording
+
+
+def test_integer_rows_match_fraction_elimination_on_pipeline_systems(monkeypatch):
+    # the TaggedEchelons of the sl21 Whittaker kernels at order 12 and of
+    # the sl21 slice products at order 10, and every coefficient system of
+    # splitting_check(sl21, 4), recorded as the pipeline solves them
+    kernels, products, systems = [], [], []
 
     def recording_solve(rows, rhs, _solve=solve):
         systems.append(([list(r) for r in rows], list(rhs)))
         return _solve(rows, rhs)
 
-    for mod in (linalg, wslice):
-        monkeypatch.setattr(mod, "nullspace", recording_nullspace)
-        monkeypatch.setattr(mod, "solve", recording_solve)
-    wslice.whittaker_walgebra(wslice.slice_setup(load_algebra("sl21")), 12)
-    whittaker_kernels = kernels[:]
-    assert wslice.splitting_check(wslice.slice_setup(load_algebra("sl21")), 4).ok
-    assert len(whittaker_kernels) == 2 and len(systems) > 500
-    for rows, ncols in whittaker_kernels:
-        _assert_same_as_fraction_elimination(rows, ncols, [])
+    ctx = wslice.slice_setup(load_algebra("sl21"))
+    monkeypatch.setattr(wslice, "TaggedEchelon", _recording_tagged(kernels))
+    wslice.whittaker_walgebra(ctx, 12)
+    monkeypatch.setattr(wslice, "TaggedEchelon", _recording_tagged(products))
+    assert wslice.slice_walgebra(ctx, 10).products_ok
+    monkeypatch.setattr(linalg, "solve", recording_solve)
+    assert wslice.splitting_check(ctx, 4).ok
+    assert len(kernels) == 2 and sum(len(c) for c, _ in kernels) > 150
+    assert all(not t for _, t in kernels)
+    assert len(products) >= 5 and sum(len(t) for _, t in products) >= 10
+    assert len(systems) > 500
+    for candidates, targets in kernels + products:
+        _assert_tagged_matches_fraction_elimination(candidates, targets)
     seen = set()
     for rows, rhs in systems:
         key = repr((rows, rhs))
         if key not in seen:
             seen.add(key)
             _assert_same_as_fraction_elimination(rows, len(rows[0]) if rows else 0, [rhs])
+
+
+def test_tagged_echelon_with_tuple_keys_matches_fraction_elimination():
+    # data columns (0, r) and tags (1, j), each candidate over a random scale
+    rng = random.Random(19680702)
+    for rows, ncols in _awkward_matrices(rng):
+        tagged = TaggedEchelon()
+        candidates, targets = [], []
+        for j in range(ncols):
+            row = {(0, r): a[j] for r, a in enumerate(rows) if a[j]}
+            row[(1, j)] = _big_entry(rng)
+            candidates.append((dict(row), (1, j), tagged.add(row, (1, j))))
+        x0 = [_big_entry(rng) for _ in range(ncols)]
+        for rhs in ([_big_entry(rng) if rng.random() < 0.5 else 0 for _ in rows],
+                    [sum((Fraction(v) * w for v, w in zip(a, x0)), Fraction(0))
+                     for a in rows]):
+            row = {(0, r): b for r, b in enumerate(rhs)}
+            row[(1, ncols)] = 1
+            targets.append((dict(row), (1, ncols), tagged.express(row, (1, ncols))))
+        _assert_tagged_matches_fraction_elimination(candidates, targets)
+
+
+def test_no_dense_system_left_in_wslice():
+    src = Path(wslice.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert "_dense_rows" not in path.read_text(encoding="utf-8"), path.name
+    tree = ast.parse(Path(wslice.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"rref", "nullspace", "solve"}
+    assert "TaggedEchelon" in imported
 
 
 def _poly_universe():

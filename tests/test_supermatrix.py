@@ -134,10 +134,12 @@ def test_walgebra_is_the_pbw_count_of_the_centralizer(tmp_path, capsys, m, n, bl
 
 # SHA-256 of the walgebra report (stdout, UTF-8) of gl(m|n) with e = E12 at
 # order 6, --method both.  Many variables make the order of monomials matter
-# most, so these pin report bytes past the four bundled algebras.
+# most, so these pin report bytes past the four bundled algebras; gl(3|2)
+# (dim 25) has the largest Whittaker kernels and slice-product systems.
 E12_DIGESTS = {
     (2, 1): "5b323d5798ce53f320e7e1dc4107bc0be1d8988f905b8dfce0eb8b0941479738",
     (2, 2): "a24f8dca047add85912a0066a491d19b84b662953f898de2c0e5554e75645353",
+    (3, 2): "e1b8c15b378ed675523198b06d3801b8214f869639e3110cdedda2781f0fa8d2",
 }
 
 

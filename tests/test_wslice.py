@@ -5,6 +5,7 @@ below were computed once by enumerating normal monomials weight by weight
 and solving the invariance conditions in exact rational arithmetic; the
 tests require byte-exact agreement.
 """
+import dataclasses
 import itertools
 import json
 import random
@@ -166,11 +167,18 @@ def test_compare_realizations_all_bundled():
         assert cm.ok, name
 
 
+def _perturbed(sl, idx, extra):
+    """The slice result with ``extra`` added to generator ``idx``."""
+    gens = list(sl.gens)
+    w, p, s = gens[idx]
+    gens[idx] = (w, p, s + extra)
+    return dataclasses.replace(sl, gens=gens)
+
+
 def test_compare_detects_noninvariant_perturbation():
     ctx = _ctx("sl2")
     h = ctx.alg.gen("h")
-    cm = compare_realizations(ctx, 8, perturb=(0, h * h),
-                              slice_result=_slice("sl2", 8),
+    cm = compare_realizations(ctx, 8, slice_result=_perturbed(_slice("sl2", 8), 0, h * h),
                               whittaker_result=_whittaker("sl2", 8))
     assert not cm.invariance_ok
     assert not cm.span_ok
@@ -181,8 +189,8 @@ def test_compare_tolerates_constant_shift():
     # adding a constant produces another valid generator of the same
     # weight, so the cross-check accepts it -- by design
     ctx = _ctx("sl2")
-    cm = compare_realizations(ctx, 8, perturb=(0, ctx.alg.one()),
-                              slice_result=_slice("sl2", 8),
+    cm = compare_realizations(ctx, 8,
+                              slice_result=_perturbed(_slice("sl2", 8), 0, ctx.alg.one()),
                               whittaker_result=_whittaker("sl2", 8))
     assert cm.ok
 
