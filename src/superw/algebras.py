@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .linalg import nullspace, rref
+from .linalg import Echelon
 from .supercore import EVEN, ODD
 
 __all__ = [
@@ -183,10 +183,9 @@ def _validate(data: LieSuperData):
                     "%s: form symmetry violated at (%s, %s)"
                     % (data.name, data.names[i], data.names[j])
                 )
-    rows = [list(r) for r in F]
-    _, piv = rref(rows)
-    if len(piv) != n:
-        raise AlgebraError("%s: form is degenerate (rank %d < %d)" % (data.name, len(piv), n))
+    rank = len(Echelon(dict(enumerate(row)) for row in F))
+    if rank != n:
+        raise AlgebraError("%s: form is degenerate (rank %d < %d)" % (data.name, rank, n))
 
     # invariance ([x,y], z) = (x, [y,z]) on basis triples
     form_rows = [[(k, f) for k, f in enumerate(row) if f] for row in F]
@@ -391,12 +390,11 @@ class GradingData:
 
     grades: tuple  # int per basis vector
     weights: tuple  # grade + 2, the filtration weight per basis vector
-    ge_basis: tuple  # (grade, parity, coefficient vector) per centralizer direction
-    good: bool
+    ge_basis: tuple  # (grade, parity) per centralizer direction
 
     def ge_weight_signature(self):
         """Sorted (weight, parity) pairs of the centralizer basis."""
-        return tuple(sorted((g + 2, p) for g, p, _ in self.ge_basis))
+        return tuple(sorted((g + 2, p) for g, p in self.ge_basis))
 
 
 def dynkin_grading(data: LieSuperData) -> GradingData:
@@ -411,8 +409,8 @@ def dynkin_grading(data: LieSuperData) -> GradingData:
 
     if not data.has_triple():
         grades = (0,) * n
-        ge = tuple((0, data.parities[i], _basis_vec(n, i)) for i in range(n))
-        return GradingData(grades, tuple(g + 2 for g in grades), ge, True)
+        ge = tuple((0, p) for p in data.parities)
+        return GradingData(grades, tuple(g + 2 for g in grades), ge)
 
     grades = []
     for i in range(n):
@@ -445,46 +443,32 @@ def dynkin_grading(data: LieSuperData) -> GradingData:
         if c and grades[i] != 2:
             raise AlgebraError("%s: e is not concentrated in degree 2" % data.name)
 
-    # centralizer of e, graded piece by graded piece
+    # centralizer of e, one block of one grade and parity at a time.  Once
+    # _validate has passed, e has no odd component and brackets respect
+    # parity, so ad e is even: it maps each block into one block, no
+    # centralizer direction mixes parities, g^e has dimension (block size -
+    # rank of ad e) on each block, and the ranks of the two parities add up
+    # to the rank of ad e from grade g to grade g + 2
     by_grade = {}
     for i, g in enumerate(grades):
         by_grade.setdefault(g, []).append(i)
     ge = []
-    good = True
     for g in sorted(by_grade):
-        src = by_grade[g]
-        dst = by_grade.get(g + 2, [])
-        # ad(e) matrix from grade g to grade g+2
-        cols = []
-        for i in src:
-            img = data.bracket_vec(ev, _basis_vec(n, i))
-            cols.append([img[j] for j in dst])
-        rows = [[cols[c][r] for c in range(len(src))] for r in range(len(dst))]
-        for ker in nullspace(rows, len(src)):
-            vec = [Fraction(0)] * n
-            for pos, i in enumerate(src):
-                vec[i] = ker[pos]
-            par = None
-            for pos, i in enumerate(src):
-                if ker[pos]:
-                    if par is None:
-                        par = data.parities[i]
-                    elif par != data.parities[i]:
-                        raise AlgebraError(
-                            "%s: mixed-parity centralizer direction in degree %d"
-                            % (data.name, g)
-                        )
-            ge.append((g, par, tuple(vec)))
-        _, piv = rref([list(r) for r in rows])
-        if g <= -1 and len(piv) != len(src):
-            good = False
-        if g >= -1 and len(piv) != len(dst):
-            good = False
-    if not good:
-        raise AlgebraError(
-            "%s: the triple is not good (ad(e) fails injectivity/surjectivity)" % data.name
-        )
-    return GradingData(grades, tuple(g + 2 for g in grades), tuple(ge), True)
+        rank = 0
+        for p in (EVEN, ODD):
+            block = [i for i in by_grade[g] if data.parities[i] == p]
+            r = len(Echelon(dict(enumerate(data.bracket_vec(ev, _basis_vec(n, i))))
+                            for i in block))
+            ge.extend([(g, p)] * (len(block) - r))
+            rank += r
+        # the triple is good: ad e injective below grade 0, onto above grade -2
+        if (g <= -1 and rank != len(by_grade[g])
+                or g >= -1 and rank != len(by_grade.get(g + 2, []))):
+            raise AlgebraError(
+                "%s: the triple is not good (ad(e) fails injectivity/surjectivity)"
+                % data.name
+            )
+    return GradingData(grades, tuple(g + 2 for g in grades), tuple(ge))
 
 
 @dataclass(frozen=True)
@@ -527,9 +511,7 @@ def build_chi(data: LieSuperData, grading: GradingData, alt: bool = False) -> Ch
         )
 
     gram = {(i, j): pair(i, j) for i in g1 for j in g1}
-    rows = [[gram[(i, j)] for j in g1] for i in g1]
-    _, piv = rref([list(r) for r in rows])
-    if len(piv) != len(g1):
+    if len(Echelon({j: gram[(i, j)] for j in g1} for i in g1)) != len(g1):
         raise AlgebraError(
             "%s: chi-pairing on the degree -1 space is degenerate" % data.name
         )

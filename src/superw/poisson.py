@@ -279,7 +279,6 @@ def linear_split(poisson, vectors, seeds=None):
             todo[:] = map(project, todo)
 
     radical = Echelon()
-    key = poisson.alg.mono_key
     for w in unpaired + work:
         if w.is_zero():
             continue
@@ -293,6 +292,6 @@ def linear_split(poisson, vectors, seeds=None):
                     raise AlgebraError("self-pairing is not a rational square")
                 out.selfs.append(w * r)
                 continue
-        if radical.add({key(m): v for m, v in w.nums.items()}):
+        if radical.add(w.nums):
             out.radical.append(w)
     return out

@@ -242,14 +242,17 @@ def _tagged_row(s, tag):
     return row
 
 
-def _filtered_ranks(value, weights, parities, n_max):
-    """Entry n is the rank of the words of weight <= n under ``value``."""
-    span, ranks = Echelon(), []
-    for words in _words_by_weight(weights, parities, n_max):
-        for e in words:
-            span.add(value(e).nums)
-        ranks.append(len(span))
-    return ranks
+def _word_basis(value, weights, parities, n_max):
+    """The PBW words of weight <= n_max, lightest first, and one TaggedEchelon
+    of their values with word k tagged k: (words, basis, ranks), where entry
+    n of ranks is the rank of the words of weight <= n."""
+    words, basis, ranks = [], TaggedEchelon(), []
+    for by_weight in _words_by_weight(weights, parities, n_max):
+        for e in by_weight:
+            basis.add(_tagged_row(value(e), len(words)), len(words))
+            words.append(e)
+        ranks.append(len(basis.echelon))
+    return words, basis, ranks
 
 
 @dataclass
@@ -429,39 +432,30 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
     parities = [p for _, p, _ in gens]
     gen_words = word_table([red for _, _, red in gens], _quotient_mul(ctx), alg.one())
 
-    dims = _filtered_ranks(gen_words, weights, parities, order)
+    words, basis, dims = _word_basis(gen_words, weights, parities, order)
 
     # products gen_i * gen_j, reported only inside the certified filtration
-    # range; the solve basis is the minimal word set of the product's weight,
-    # so the answer does not depend on the run order
+    # range, each expressed over the one basis of words.  The words went in
+    # lightest first, so the stored ones of weight <= w span filtration piece
+    # w on their own, and a product of weight w lies in that piece exactly
+    # when its expression uses no heavier word
+    word_weights = [sum(x * w for x, w in zip(e, weights)) for e in words]
     products = {}
     products_ok = True
-    basis_cache = {}
-
-    def basis_for(wlimit):
-        if wlimit not in basis_cache:
-            ws = pbw_words(weights, parities, wlimit)
-            basis = TaggedEchelon()
-            for n, e in enumerate(ws):
-                basis.add(_tagged_row(gen_words(e), n), n)
-            basis_cache[wlimit] = (ws, basis)
-        return basis_cache[wlimit]
-
     for i in range(len(gens)):
         for j in range(i, len(gens)):
             wprod = gens[i][0] + gens[j][0]
             if wprod > order:
                 continue
-            ws, basis = basis_for(wprod)
             p = gen_words(tuple((k == i) + (k == j) for k in range(len(gens))))
-            sol = basis.express(_tagged_row(p, len(ws)), len(ws))
-            if sol is None:
+            sol = basis.express(_tagged_row(p, len(words)), len(words))
+            if sol is None or any(word_weights[n] > wprod for n in sol[0]):
                 products_ok = False
                 continue
             nums, den = sol
             products[(i, j)] = [
-                (tuple((k, e) for k, e in enumerate(ws[n]) if e), Fraction(nums[n], den))
-                for n in sorted(nums)
+                (tuple((k, e) for k, e in enumerate(words[n]) if e), Fraction(nums[n], den))
+                for n in sorted(nums, key=words.__getitem__)
             ]
 
     ok = chart_report["ok"] and invariance_ok and products_ok
@@ -697,7 +691,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
     # (a) word independence through the working order
     agen_words = word_table(agens, lambda a, b: ctx.star.star(a, b, order=cap),
                        alg.one(cap))
-    rank_ok = (_filtered_ranks(agen_words, aweights, aparities, order) == dims ==
+    rank_ok = (_word_basis(agen_words, aweights, aparities, order)[2] == dims ==
                [len(pbw_words(aweights, aparities, n)) for n in range(order + 1)])
 
     # (b) the even-part W-algebra sits inside through the identical even chart

@@ -20,9 +20,9 @@ from superw.algebras import (
     dynkin_grading,
     load_algebra,
 )
-from superw.linalg import rref
+from superw.linalg import nullspace, rref
 from superw.supercore import EVEN, ODD
-from test_supermatrix import E12_CASES, E12_TRIPLE, gl_json
+from test_supermatrix import E12_CASES, E12_TRIPLE, centralizer_signature, gl_json
 
 SL2 = {
     "name": "sl2x",
@@ -327,7 +327,6 @@ def test_grading_sl2():
     g = dynkin_grading(data)
     assert g.grades == (2, 0, -2)
     assert g.weights == (4, 2, 0)
-    assert g.good
     assert g.ge_weight_signature() == ((4, 0),)
 
 
@@ -353,6 +352,45 @@ def test_grading_trivial_for_zero_triple():
     assert g.grades == (0,) * 4
     assert g.weights == (2,) * 4
     assert len(g.ge_basis) == 4
+
+
+# gl(m|n) with e = E12: the Jordan blocks (size, parity) of e
+E12_BLOCKS = [(m, n, blocks) for m, n, blocks, _ in E12_CASES] + [
+    (3, 2, [(2, 0), (1, 0), (1, 1), (1, 1)]),
+    (3, 3, [(2, 0), (1, 0), (1, 1), (1, 1), (1, 1)]),
+]
+
+
+@pytest.mark.parametrize("m, n, blocks", E12_BLOCKS,
+                         ids=["gl%d%d" % (m, n) for m, n, _ in E12_BLOCKS])
+def test_centralizer_signature_matches_the_jordan_blocks(m, n, blocks):
+    even, odd, _ = centralizer_signature(blocks)
+    want = tuple(sorted([(w, EVEN) for w in even] + [(w, ODD) for w in odd]))
+    g = dynkin_grading(_from_json(gl_json(m, n, E12_TRIPLE)))
+    assert g.ge_weight_signature() == want
+
+
+def _nullspace_signature(data, grades):
+    """(weight, parity) of each kernel vector of the dense ad e matrix from
+    grade g to grade g + 2, grade by grade, each vector of one parity."""
+    n, ev = data.dim, data.triple[0]
+    sig = []
+    for g in sorted(set(grades)):
+        src = [i for i in range(n) if grades[i] == g]
+        dst = [i for i in range(n) if grades[i] == g + 2]
+        images = [data.bracket_vec(ev, _basis_vec(n, i)) for i in src]
+        for ker in nullspace([[img[j] for img in images] for j in dst], len(src)):
+            parities = {data.parities[i] for i, c in zip(src, ker) if c}
+            assert len(parities) == 1
+            sig.append((g + 2, parities.pop()))
+    return tuple(sorted(sig))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_centralizer_signature_matches_a_nullspace_per_grade(name):
+    data = load_algebra(name)
+    g = dynkin_grading(data)
+    assert g.ge_weight_signature() == _nullspace_signature(data, g.grades)
 
 
 def test_chi_sl2():

@@ -286,6 +286,23 @@ def test_darboux_stall_names_entry_and_guard():
     assert "stalled" in str(exc.value)
 
 
+# SHA-256 of the check report per bundled algebra: pins the grading, the
+# centralizer signature, the character and the Lagrangian.
+CHECK_DIGESTS = {
+    "sl2": "53f4598e643257d2256f9dcbc361f8e3ce90759ab1ff6a90492c4bac995a39e6",
+    "gl11": "9adab84bb1c4870016a380c658706742dee7d2490bf6c4b9da3c2386be9cfaad",
+    "osp12": "2029eb4058f5364132036abe8d1c8d64fa1d8022b197963ea50a297a9229ca51",
+    "sl21": "c4b16b910a27a2f57890f29a4bb81c93c707f763d34fca43c134725b8ee93d28",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
+def test_check_report_digest(capsys, name):
+    code, out = run_main(capsys, "check", "--algebra", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_DIGESTS[name]
+
+
 # SHA-256 of the walgebra report (default --method both) per case: pins the
 # generators, dimension tables and product coefficients of both routes.
 WALGEBRA_DIGESTS = {

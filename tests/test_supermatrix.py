@@ -153,6 +153,24 @@ def test_walgebra_report_digest(tmp_path, capsys, m, n):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == E12_DIGESTS[(m, n)]
 
 
+# SHA-256 of the check report of gl(m|n) with e = E12: its centralizer
+# signature has 17 directions for gl(3|2) and 26 for gl(3|3).
+E12_CHECK_DIGESTS = {
+    (3, 2): "c31d5de65fa977985c0d27502dfb3d7e8675c055d628e387d2f69de9c4d34665",
+    (3, 3): "1833f43d087e34da2eff524d6b5672cdaf54d5899af82c05b5c68878e5e44d52",
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(E12_CHECK_DIGESTS))
+def test_check_report_digest(tmp_path, capsys, m, n):
+    path = tmp_path / ("gl%d%d.json" % (m, n))
+    path.write_text(json.dumps(gl_json(m, n, E12_TRIPLE)), encoding="utf-8")
+    code = main(["check", "--algebra", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == E12_CHECK_DIGESTS[(m, n)]
+
+
 def test_gl21_centralizer_signature():
     # by hand: g^e of E12 in gl(2|1) is spanned by E11 + E22, E12, E33 (even) and
     # E13, E32 (odd); g(-1)_1 is spanned by E23 and E31

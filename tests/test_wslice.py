@@ -17,12 +17,12 @@ import pytest
 
 from superw import wslice
 from superw.algebras import load_algebra
-from superw.linalg import Echelon, nullspace, rref
+from superw.linalg import Echelon, nullspace, rref, solve
 from superw.starprod import filtration_dims, quantum_darboux
 from superw.supercore import EVEN, ODD, Series
 from superw.wslice import (
-    _filtered_ranks,
     _monomials,
+    _word_basis,
     clifford_factorization,
     compare_realizations,
     extract_even_subalgebra,
@@ -36,6 +36,7 @@ from superw.wslice import (
     whittaker_walgebra,
     word_table,
 )
+from test_linalg import _assert_tagged_matches_fraction_elimination, _recording_tagged
 from test_supermatrix import E12_TRIPLE, gl_json
 
 # name -> (order, dims, generator (weight, parity) signature)
@@ -438,19 +439,70 @@ def test_whittaker_matches_per_weight_reference(name, order, alt):
     assert wh.gens == gens
 
 
-@pytest.mark.parametrize("name,order", [("sl2", 8), ("osp12", 6), ("sl21", 6)])
-def test_filtered_ranks_match_per_weight_rref(name, order):
+def _slice_words(name, order):
+    """The slice generators' weights, parities and PBW word values."""
     ctx = _ctx(name)
     gens = _slice(name, order).gens
-    weights, parities = [w for w, _, _ in gens], [p for _, p, _ in gens]
     value = word_table([s for _, _, s in gens],
                        lambda a, b: reduce_mod_chi(ctx, ctx.ustar.star(a, b)),
                        ctx.alg.one())
+    return [w for w, _, _ in gens], [p for _, p, _ in gens], value
+
+
+@pytest.mark.parametrize("name,order", [("sl2", 8), ("osp12", 6), ("sl21", 6)])
+def test_filtered_ranks_match_per_weight_rref(name, order):
+    weights, parities, value = _slice_words(name, order)
     want = []
     for n in range(order + 1):
         vals = [value(e) for e in pbw_words(weights, parities, n)]
         want.append(len(rref(_rows_over(vals, sorted({m for v in vals for m in v.terms})))[1]))
-    assert _filtered_ranks(value, weights, parities, order) == want == FROZEN[name][1][: order + 1]
+    words, _, ranks = _word_basis(value, weights, parities, order)
+    assert ranks == want == FROZEN[name][1][: order + 1]
+    assert sorted(words) == pbw_words(weights, parities, order)
+
+
+def test_slice_products_match_a_dense_solve_per_weight():
+    # every product over the one word basis equals the dense solve over the
+    # words of the product's weight, zeros left out, rows in word order
+    order = 10
+    weights, parities, value = _slice_words("sl21", order)
+    products = _slice("sl21", order).products
+    pairs = [(i, j) for i in range(len(weights)) for j in range(i, len(weights))
+             if weights[i] + weights[j] <= order]
+    assert sorted(products) == pairs
+    for i, j in pairs:
+        words = pbw_words(weights, parities, weights[i] + weights[j])
+        vals = [value(e) for e in words]
+        target = value(tuple((k == i) + (k == j) for k in range(len(weights))))
+        monos = sorted({m for v in vals + [target] for m in v.terms})
+        sol = solve([[v.coeff(m) for v in vals] for m in monos],
+                    [target.coeff(m) for m in monos])
+        assert products[(i, j)] == [(tuple((k, x) for k, x in enumerate(e) if x), c)
+                                    for e, c in zip(words, sol) if c]
+
+
+def test_a_product_only_in_the_span_of_heavier_words_fails(monkeypatch):
+    # an odd generator's square is no PBW word; made equal to a word heavier
+    # than the square, it lies in the word span but outside its filtration
+    # piece, so the products check fails on it and on it alone
+    order = 8
+    base = _slice("sl21", order)
+    weights = [w for w, _, _ in base.gens]
+    parities = [p for _, p, _ in base.gens]
+    i = parities.index(ODD)
+    square = tuple(2 * (k == i) for k in range(len(weights)))
+    heavy = pbw_words(weights, parities, order)[-1]
+    assert sum(x * w for x, w in zip(heavy, weights)) > 2 * weights[i]
+    assert (i, i) in base.products and base.products_ok
+
+    def heavier_square(factors, mul, unit):
+        value = word_table(factors, mul, unit)
+        return lambda e: value(heavy if tuple(e) == square else e)
+
+    monkeypatch.setattr(wslice, "word_table", heavier_square)
+    got = slice_walgebra(_ctx("sl21"), order, qc=base.qc)
+    assert not got.products_ok and not got.ok
+    assert got.products == {k: v for k, v in base.products.items() if k != (i, i)}
 
 
 def test_span_remainders_ignore_insertion_order_and_match_rref():
@@ -549,13 +601,20 @@ class _MirroredEchelon(Echelon):
     ("sl2", 6), ("gl11", 6), ("osp12", 6), ("sl21", 6), ("gl21", 6),
 ])
 def test_echelon_adds_match_the_fraction_span(monkeypatch, tmp_path, name, order):
-    # every rank, generator extraction and membership test of both routes
     if name == "gl21":
         path = tmp_path / "gl21.json"
         path.write_text(json.dumps(gl_json(2, 1, E12_TRIPLE)), encoding="utf-8")
         name = str(path)
+    # every rank, generator extraction and membership test of both routes,
+    # and every kernel vector and product coefficient of their tagged
+    # echelons: the two Whittaker kernels and the slice word basis
+    tagged = []
     monkeypatch.setattr(wslice, "Echelon", _MirroredEchelon)
+    monkeypatch.setattr(wslice, "TaggedEchelon", _recording_tagged(tagged))
     _MirroredEchelon.adds = 0
     cmp = compare_realizations(slice_setup(load_algebra(name)), order)
     assert cmp.ok
-    assert _MirroredEchelon.adds >= 10
+    assert _MirroredEchelon.adds >= 8
+    assert len(tagged) == 3 and tagged[-1][0]
+    for candidates, targets in tagged:
+        _assert_tagged_matches_fraction_elimination(candidates, targets)
