@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebras import AlgebraError, build_chi, catalog_names, dynkin_grading, load_algebra
 from .darboux import DEFAULT_GUARD, DarbouxError, equivariant_darboux
 from .starprod import quantum_darboux, rees_inverse, rees_map
-from .supercore import EVEN, ODD
+from .supercore import EVEN, EXPONENT_LIMIT, ODD
 from .wslice import (
     compare_realizations,
     slice_setup,
@@ -449,6 +449,11 @@ def main(argv=None):
 
     kw = vars(parser.parse_args(argv))
     kind, out = kw.pop("command"), kw.pop("out", None)
+    # the working order, order + guard, bounds every exponent of a monomial
+    guard = kw.get("guard", DEFAULT_GUARD)
+    if kind != "check" and kw.get("order", 0) + guard >= EXPONENT_LIMIT:
+        parsers[kind].error("--order plus the guard (%d) must be below %d"
+                            % (guard, EXPONENT_LIMIT))
     try:
         rep = build_report(kind, **kw)
     except (AlgebraError, DarbouxError) as exc:

@@ -261,55 +261,88 @@ def solve(rows, rhs):
     return None if sol is None else _dense(*sol, n, ncols)
 
 
-def expand_filtered(target, candidates, cap):
-    """Write ``target`` as an exact combination of ``candidates``, level by level.
+def _cell(v, den):
+    """The coefficient ``v / den`` as an int when it is one, else a Fraction."""
+    q, r = divmod(v, den)
+    return Fraction(v, den) if r else q
+
+
+class FilteredFamily:
+    """A candidate family read once for ``expand_filtered`` through order
+    ``cap``.
+
+    ``levels`` maps each order d <= cap at which some candidate starts to
+    ``(idxs, monos, rows, truncated)``: the indices of the candidates whose
+    minimal order is d; the monomials of their order-d leading parts, sorted
+    by ``mono_key``; the rows of the order-d system, one dense row per
+    monomial keyed by it, with one cell per candidate (an int when the
+    coefficient is integral, int 0 for a missing monomial); and those candidates
+    truncated at ``cap``.  Only the rows of the remainder's extra monomials,
+    all zero, and the right-hand side depend on the target.
+    """
+
+    def __init__(self, candidates, cap):
+        self.candidates = list(candidates)
+        self.cap = cap
+        by_level = {}
+        for idx, c in enumerate(self.candidates):
+            d = c.eff_deg()
+            if d is not None and d <= cap:
+                by_level.setdefault(d, []).append(idx)
+        self.levels = {}
+        for d, idxs in by_level.items():
+            cands = [self.candidates[i] for i in idxs]
+            alg = cands[0].alg
+            eff = alg.mono_eff
+            lead = [{m: _cell(v, c.den) for m, v in c.nums.items() if eff(m) == d}
+                    for c in cands]
+            monos = sorted(set().union(*lead), key=alg.mono_key)
+            rows = {m: [cells.get(m, 0) for cells in lead] for m in monos}
+            self.levels[d] = (idxs, monos, rows, [c.truncate(cap) for c in cands])
+
+
+def expand_filtered(target, family):
+    """Write ``target`` as an exact combination of the candidates of a
+    ``FilteredFamily``, level by level.
 
     Both sides live in the same universe and are handled through completion
-    order ``cap``: at each level d we match the order-d terms of the running
-    remainder against the order-d leading terms of the candidates whose
-    minimal order is d, subtract the chosen combination in full, and move on.
-    Returns a list of coefficients aligned with ``candidates`` or None if the
-    remainder fails to vanish through order cap.
+    order ``family.cap``: at each level d we match the order-d terms of the
+    running remainder against the order-d leading terms of the candidates
+    whose minimal order is d, subtract the chosen combination in full, and
+    move on.  Returns a list of coefficients aligned with the candidates or
+    None if the remainder fails to vanish through order cap.
 
     This is sound whenever the candidates are "triangular" in the sense that
     a combination whose order-d leading parts cancel has all its leading
     orders > d -- which holds for the generator-monomial families used here.
     """
     alg = target.alg
-    by_level = {}
-    for idx, c in enumerate(candidates):
-        d = c.eff_deg()
-        if d is None:
-            continue
-        by_level.setdefault(d, []).append(idx)
-    coeffs = [Fraction(0)] * len(candidates)
+    eff = alg.mono_eff
+    cap = family.cap
+    coeffs = [Fraction(0)] * len(family.candidates)
     rem = target.truncate(cap)
     for d in range(0, cap + 1):
-        idxs = by_level.get(d, [])
-        rem_d = rem.eff_component(d)
-        if not idxs:
-            if not rem_d.is_zero():
+        den = rem.den
+        rem_d = {m: _cell(v, den) for m, v in rem.nums.items() if eff(m) == d}
+        level = family.levels.get(d)
+        if level is None:
+            if rem_d:
                 return None
             continue
-        monos = set(rem_d.nums)
-        lead = [candidates[i].eff_component(d) for i in idxs]
-        for L in lead:
-            monos.update(L.nums)
-        monos = sorted(monos, key=alg.mono_key)
-        if not monos:
-            continue
-        zero = Fraction(0)
-        lead = [L.terms for L in lead]
-        rows = [[t.get(m, zero) for t in lead] for m in monos]
-        rem_t = rem_d.terms
-        rhs = [rem_t.get(m, zero) for m in monos]
-        sol = solve(rows, rhs)
+        idxs, monos, rows, truncated = level
+        if rem_d.keys() - rows.keys():
+            # a monomial no leading part has: a zero row, whose nonzero
+            # right-hand side leaves the system inconsistent
+            monos = sorted(rem_d.keys() | rows.keys(), key=alg.mono_key)
+        zero = [0] * len(idxs)
+        sol = solve([rows.get(m, zero) for m in monos],
+                    [rem_d.get(m, 0) for m in monos])
         if sol is None:
             return None
-        for i, x in zip(idxs, sol):
+        for i, c, x in zip(idxs, truncated, sol):
             if x:
                 coeffs[i] = x
-                rem = rem - candidates[i].truncate(cap) * x
+                rem = rem - c * x
     if not rem.is_zero():
         return None
     return coeffs

@@ -38,6 +38,8 @@ _ZERO = Fraction(0)  # the coefficient of an absent monomial; Fraction is immuta
 _W = 16
 _CAP = 1 << (_W - 1)
 _MASK = _CAP - 1
+# the bound on every exponent, for callers that check their orders against it
+EXPONENT_LIMIT = _CAP
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .algebras import (
     dynkin_grading,
 )
 from .darboux import DEFAULT_GUARD, equivariant_darboux
-from .linalg import Echelon, TaggedEchelon, expand_filtered
+from .linalg import Echelon, FilteredFamily, TaggedEchelon, expand_filtered
 from .poisson import BracketTable, PoissonAlgebra, linear_split
 from .supercore import EVEN, ODD, Algebra, Series, Variable
 from .starprod import StarAlgebra, filtration_dims, quantum_darboux
@@ -566,16 +566,17 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
                          n_max, amax=n_max)
     coeff_failures = []
     recon_failures = []
-    # weight -> (words, hbar-padded chart words); amax = cap because every
-    # factor adds at least 1 to the adic degree
+    # weight -> (words, family of hbar-padded chart words); amax = cap because
+    # every factor adds at least 1 to the adic degree
     families = {}
     for m in targets:
         W = alg.mono_weight(m)
         if W not in families:
-            families[W] = _hbar_padded(chart_words, weights, parities, W, amax=cap)
-        words, cands = families[W]
+            words, cands = _hbar_padded(chart_words, weights, parities, W, amax=cap)
+            families[W] = (words, FilteredFamily(cands, cap))
+        words, family = families[W]
         target = alg.series({m: Fraction(1)}, cap)
-        coeffs = expand_filtered(target, cands, cap)
+        coeffs = expand_filtered(target, family)
         if coeffs is None:
             coeff_failures.append(alg.mono_str(m))
             continue
@@ -717,14 +718,18 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
                         == by_weight(even_centers))
     sub_compare_ok = compare_realizations(sub_ctx, order, guard, slice_result=sub_sl).ok
 
-    # closure: products of the centralizer generators expand over its words
+    # closure: products of the centralizer generators expand over its words,
+    # one family per weight sum
     closure_ok = True
+    families = {}
     for i in range(len(agens)):
         for j in range(i, len(agens)):
             p = agen_words(tuple((k == i) + (k == j) for k in range(len(agens))))
-            _, cands = _hbar_padded(agen_words, aweights, aparities,
-                                    aweights[i] + aweights[j])
-            if expand_filtered(p, cands, cap) is None:
+            w = aweights[i] + aweights[j]
+            if w not in families:
+                _, cands = _hbar_padded(agen_words, aweights, aparities, w)
+                families[w] = FilteredFamily(cands, cap)
+            if expand_filtered(p, families[w]) is None:
                 closure_ok = False
 
     # (c) flat odd coordinates + full W generators span the same thing

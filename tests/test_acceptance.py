@@ -5,6 +5,7 @@ Expected tables are frozen from independent derivations (direct counting,
 hand reduction in the rank-one cases) rather than from the code under test.
 """
 import dataclasses
+import itertools
 import json
 import random
 import time
@@ -266,9 +267,27 @@ def test_criterion_06_casimir_image():
             "lower shift", failures)
 
 
+# the sl21 slice variables as (name, parity, ad h-weight), hbar left out
+SL21_VARIABLES = (("e", EVEN, 4), ("h", EVEN, 2), ("z", EVEN, 2), ("up", ODD, 3),
+                  ("vp", ODD, 1), ("vm", ODD, 3), ("f", EVEN, 0), ("um", ODD, 1))
+
+
+def _normal_monomial_count(variables, wmax, dmax):
+    """Normal monomials of weight <= wmax and degree <= dmax, by brute force
+    over all exponent vectors, an odd variable appearing at most once."""
+    ranges = [range(2) if p == ODD else range(dmax + 1) for _, p, _ in variables]
+    weights = [w for _, _, w in variables]
+    return sum(1 for exps in itertools.product(*ranges)
+               if sum(exps) <= dmax
+               and sum(e * w for e, w in zip(exps, weights)) <= wmax)
+
+
 def test_criterion_07_splitting():
     failures = []
-    for name, count in (("sl2", 33), ("osp12", 73)):
+    sl21_count = _normal_monomial_count(SL21_VARIABLES, 6, 6)
+    if sl21_count != 255:
+        failures.append("sl21: %d normal monomials by brute force" % sl21_count)
+    for name, count in (("sl2", 33), ("osp12", 73), ("sl21", sl21_count)):
         sp = splitting_check(_ctx(name), 6, k=2)
         if not sp.ok:
             failures.append("%s: splitting failed" % name)

@@ -90,6 +90,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["walgebra", "--algebra", "sl2", "--order", "2", "--guard", "0"],
         ["walgebra", "--algebra", "sl21", "--order", "2", "--guard", "1"],
         ["walgebra", "--algebra", "sl2", "--order", "two"],
+        # order + guard past the exponent field of a monomial
+        ["darboux", "--algebra", "sl2", "--order", "3", "--guard", "99999"],
+        ["walgebra", "--algebra", "sl2", "--order", "40000", "--method", "whittaker"],
+        ["suite", "--order", "32764"],
         # an unwritable --out is refused before any computation
         ["check", "--algebra", "sl2", "--out", "/nonexistent/x.json"],
         ["darboux", "--algebra", "sl21", "--order", "6", "--out", str(tmp_path)],

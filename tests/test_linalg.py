@@ -8,6 +8,7 @@ from pathlib import Path
 from superw import linalg, wslice
 from superw.algebras import load_algebra
 from superw.linalg import (
+    FilteredFamily,
     TaggedEchelon,
     expand_filtered,
     nullspace,
@@ -562,7 +563,7 @@ def test_expand_filtered_geometric():
     for k in range(cap + 1):
         target = target + u ** k
     cands = [alg.one(), u, u ** 2, u ** 3, u ** 4, u ** 5, u ** 6]
-    coeffs = expand_filtered(target.truncate(cap), cands, cap)
+    coeffs = expand_filtered(target.truncate(cap), FilteredFamily(cands, cap))
     assert coeffs == [1] * 7
 
 
@@ -575,21 +576,21 @@ def test_expand_filtered_triangular_family():
     c1 = u * v + v * v * v
     c2 = u * v * v - v * v * v
     target = 2 * c0 - 3 * c1 + c2 * Fraction(1, 2)
-    got = expand_filtered(target.truncate(cap), [c0, c1, c2], cap)
+    got = expand_filtered(target.truncate(cap), FilteredFamily([c0, c1, c2], cap))
     assert got == [2, -3, Fraction(1, 2)]
 
 
 def test_expand_filtered_failure():
     alg = _poly_universe()
     u, v = alg.gen("u"), alg.gen("v")
-    assert expand_filtered(v.truncate(3), [u], 3) is None
+    assert expand_filtered(v.truncate(3), FilteredFamily([u], 3)) is None
     # leftover above the candidate support
-    assert expand_filtered((u + v ** 3).truncate(3), [u], 3) is None
+    assert expand_filtered((u + v ** 3).truncate(3), FilteredFamily([u], 3)) is None
     # zero target always expands
-    assert expand_filtered(alg.zero(4), [u, v], 4) == [0, 0]
+    assert expand_filtered(alg.zero(4), FilteredFamily([u, v], 4)) == [0, 0]
 
 
-def test_expand_filtered_random_roundtrip():
+def _random_roundtrip_cases():
     alg = _poly_universe()
     rng = random.Random(71)
     u, v = alg.gen("u"), alg.gen("v")
@@ -600,9 +601,95 @@ def test_expand_filtered_random_roundtrip():
         target = alg.zero(cap)
         for c, b in zip(coeffs, base):
             target = target + b * c
-        got = expand_filtered(target, base, cap)
+        yield target, base, cap
+
+
+def test_expand_filtered_random_roundtrip():
+    for target, base, cap in _random_roundtrip_cases():
+        got = expand_filtered(target, FilteredFamily(base, cap))
         assert got is not None
-        rebuilt = alg.zero(cap)
+        rebuilt = target.alg.zero(cap)
         for c, b in zip(got, base):
             rebuilt = rebuilt + b * c
         assert rebuilt == target
+
+
+def _expand_filtered_reference(target, candidates, cap):
+    """The per-target expansion that FilteredFamily factors: every target
+    groups the candidates by level and builds each level's system from
+    ``Series.terms``, with a Fraction in every cell."""
+    alg = target.alg
+    by_level = {}
+    for idx, c in enumerate(candidates):
+        d = c.eff_deg()
+        if d is None:
+            continue
+        by_level.setdefault(d, []).append(idx)
+    coeffs = [Fraction(0)] * len(candidates)
+    rem = target.truncate(cap)
+    for d in range(0, cap + 1):
+        idxs = by_level.get(d, [])
+        rem_d = rem.eff_component(d)
+        if not idxs:
+            if not rem_d.is_zero():
+                return None
+            continue
+        monos = set(rem_d.nums)
+        lead = [candidates[i].eff_component(d) for i in idxs]
+        for L in lead:
+            monos.update(L.nums)
+        monos = sorted(monos, key=alg.mono_key)
+        if not monos:
+            continue
+        zero = Fraction(0)
+        lead = [L.terms for L in lead]
+        rows = [[t.get(m, zero) for t in lead] for m in monos]
+        rem_t = rem_d.terms
+        rhs = [rem_t.get(m, zero) for m in monos]
+        sol = linalg.solve(rows, rhs)
+        if sol is None:
+            return None
+        for i, x in zip(idxs, sol):
+            if x:
+                coeffs[i] = x
+                rem = rem - candidates[i].truncate(cap) * x
+    if not rem.is_zero():
+        return None
+    return coeffs
+
+
+def test_filtered_family_matches_per_target_reference(monkeypatch):
+    # every target of splitting_check(sl21, 4) and of the random roundtrip,
+    # plus targets that fail: the same coefficients and the same sequence
+    # of solve systems as the per-target reference
+    cases = []
+
+    def recording_expand(target, family, _expand=expand_filtered):
+        cases.append((target, family.candidates, family.cap))
+        return _expand(target, family)
+
+    monkeypatch.setattr(wslice, "expand_filtered", recording_expand)
+    assert wslice.splitting_check(wslice.slice_setup(load_algebra("sl21")), 4).ok
+    monkeypatch.undo()
+    assert len(cases) > 50
+    cases.extend(_random_roundtrip_cases())
+    alg = _poly_universe()
+    u, v = alg.gen("u"), alg.gen("v")
+    cases += [(v.truncate(3), [u], 3), ((u + v ** 3).truncate(3), [u], 3),
+              ((u + u * v * Fraction(1, 3)).truncate(4), [u + u * v, v, u * v], 4)]
+
+    calls = []
+
+    def recording_solve(rows, rhs, _solve=solve):
+        calls.append(([list(r) for r in rows], list(rhs)))
+        return _solve(rows, rhs)
+
+    monkeypatch.setattr(linalg, "solve", recording_solve)
+    for target, candidates, cap in cases:
+        calls.clear()
+        want = _expand_filtered_reference(target, candidates, cap)
+        want_calls = list(calls)
+        calls.clear()
+        got = expand_filtered(target, FilteredFamily(candidates, cap))
+        assert got == want
+        assert calls == want_calls
