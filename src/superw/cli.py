@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -242,7 +243,7 @@ def truncate_report(report, n):
 
 def _random_series(rng, alg, wmax, amax, nterms, parity=None, with_hbar=False):
     ids = [v.ident for v in alg.variables if with_hbar or not v.hbar]
-    out = alg.zero()
+    terms = {}
     tries = 0
     made = 0
     while made < nterms and tries < 50 * nterms:
@@ -267,9 +268,9 @@ def _random_series(rng, alg, wmax, amax, nterms, parity=None, with_hbar=False):
         c = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
         if not c:
             continue
-        out = out + alg.series({m: c})
+        terms[m] = terms.get(m, 0) + c
         made += 1
-    return out
+    return alg.series(terms)
 
 
 def _suite_checks(order, seed):
@@ -389,17 +390,27 @@ def _emit(report, out_path):
 
 
 def _out_path(path):
-    """argparse type: a path that opens for writing.
+    """argparse type: a path that can be written.
 
     Checking at parse time makes an unwritable ``--out`` a usage error before
-    any computation; the check creates a missing file but truncates nothing.
+    any computation.  The check creates nothing, so a later usage error
+    leaves no empty report behind: an existing path must be a writable file,
+    a new one needs a writable directory to go in.
     """
-    try:
-        with open(path, "a", encoding="utf-8"):
-            pass
-    except OSError as exc:
-        raise argparse.ArgumentTypeError(
-            "cannot write %s: %s" % (path, exc.strerror)) from None
+    if not path:
+        why = "empty path"
+    elif os.path.isdir(path):
+        why = "is a directory"
+    elif os.path.exists(path):
+        why = None if os.access(path, os.W_OK) else "permission denied"
+    else:
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            why = "no such directory"
+        else:
+            why = None if os.access(parent, os.W_OK | os.X_OK) else "permission denied"
+    if why:
+        raise argparse.ArgumentTypeError("cannot write %s: %s" % (path, why))
     return path
 
 

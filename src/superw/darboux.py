@@ -6,9 +6,10 @@ exactly the flat ones through the requested order, and the remaining
 directions are projected onto the centralizer of the chart (an even pair's
 pass is two one-variable Taylor sums, the exact factoring of a double sum,
 see :func:`even_project`).  Intermediate work runs at a slightly higher cap
-(``order + guard``).  The certificates compute each bracket at the
-certified order, so they are exact through it: a monomial pair is skipped
-only when all of its terms lie above that order.
+(``order + guard``).  The certificates, and the residual checks of the
+projections, compute each bracket at the certified order, so they are exact
+through it: a monomial pair is skipped only when all of its terms lie above
+that order.  Every bracket whose value is used stays at the cap.
 
 The engine is one algorithm run with one of two bracket backends.  A
 backend supplies only the product, the residual bracket, the ``hbar`` power
@@ -219,7 +220,9 @@ def even_project(B, f, g, a):
     a = a.truncate(cap)
     prev = -1
     for attempt in range(PROJECT_PASSES):
-        rf, rg = B.bracket(f, a), B.bracket(g, a)
+        # only tested, so computed at the order: the lowest term of a
+        # residual that is not clean survives, and so does the stall degree d
+        rf, rg = B.bracket(f, a, order), B.bracket(g, a, order)
         if clean_mod(rf, order) and clean_mod(rg, order):
             return a
         if attempt == PROJECT_PASSES - 1:
@@ -237,7 +240,7 @@ def odd_self_project(B, th, a):
     a = a.truncate(B.cap)
     b1 = B.div(B.bracket(th, a))
     b0 = a - B.mul(th, b1)
-    for r in (B.bracket(th, b0), B.bracket(th, b1)):
+    for r in (B.bracket(th, b0, B.order), B.bracket(th, b1, B.order)):
         if not clean_mod(r, B.order):
             raise DarbouxError("odd projection residual too large")
     return b0, b1
@@ -269,8 +272,7 @@ def odd_pair_flatten(B, f, g):
         prev = d
         if not clean_mod(aa, order):
             f = f - B.mul(g, B.div(aa)) * Fraction(1, 2)
-        bb = B.bracket(g, g)
-        if not clean_mod(bb, order):
+        if not clean_mod(bb, order):  # g is unchanged since bb was computed
             g = g - B.mul(f, B.div(bb)) * Fraction(1, 2)
         q = B.bracket(f, g) - B.unit
         if not clean_mod(q, order):
@@ -290,7 +292,7 @@ def odd_pair_project(B, f, g, a):
     b10 = B.div(B.bracket(g, a)) - B.mul(g, b11)
     b00 = a - B.mul(f, b10) - B.mul(g, b01) - B.mul(B.mul(f, g), b11)
     for x, b in ((f, b00), (g, b00), (f, b11), (g, b11)):
-        if not clean_mod(B.bracket(x, b), B.order):
+        if not clean_mod(B.bracket(x, b, B.order), B.order):
             raise DarbouxError("odd pair projection residual too large")
     return b00, b10, b01, b11
 

@@ -116,10 +116,16 @@ class StarAlgebra:
     def _spread(self, nums, x):
         """Integer numerator groups of sum_n nums[n] * (n * generator x)."""
         insert = self._insert
-        groups = {}
+        ones = {}  # the group of 1, nearly every insertion's, filled in place
+        get = ones.get
+        groups = {1: ones}
         for n, c in nums.items():
             ins, d = insert(n, x)
-            add_numerators(groups, ins, d, c)
+            if d == 1:
+                for m, v in ins.items():
+                    ones[m] = get(m, 0) + c * v
+            else:
+                add_numerators(groups, ins, d, c)
         return groups
 
     def _word_mul(self, m, s):

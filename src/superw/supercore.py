@@ -581,6 +581,10 @@ def merge_numerators(groups, scale=1):
 
     Returns ``(nums, den)`` in lowest terms, with zero numerators dropped.
     """
+    if scale == 1 and len(groups) == 1:
+        nums = groups.get(1)
+        if nums is not None:  # the common case: already over 1
+            return {m: v for m, v in nums.items() if v}, 1
     nums, d = _sum_groups(groups)
     return _lowest({m: v for m, v in nums.items() if v}, d * scale)
 
@@ -596,15 +600,24 @@ def pair_sum(f, g, order, kernel, drop=0):
     alg = f.alg
     eff = alg.mono_eff
     g_items = [(mb, cb, eff(mb)) for mb, cb in g.nums.items()]
-    # products grouped by the denominator of their kernel value
-    groups = {}
+    # products grouped by the denominator of their kernel value; the group
+    # of 1, which takes nearly all of them, is filled in place
+    ones = {}
+    get = ones.get
+    groups = {1: ones}
     for ma, ca in f.nums.items():
         budget = None if order is None else order + drop - eff(ma)
         for mb, cb, eb in g_items:
             if budget is not None and eb > budget:
                 continue
             kn, kd = kernel(ma, mb)
-            if kn:
-                add_numerators(groups, kn, kd, ca * cb)
+            if not kn:
+                continue
+            c = ca * cb
+            if kd == 1:
+                for m, v in kn.items():
+                    ones[m] = get(m, 0) + c * v
+            else:
+                add_numerators(groups, kn, kd, c)
     nums, den = _sum_groups(groups)
     return Series.over(alg, nums, den * f.den * g.den, order)

@@ -100,11 +100,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["walgebra", "--algebra", "sl21", "--order", "6", "--out",
          str(tmp_path / "missing" / "x.json")],
         ["suite", "--order", "4", "--out", str(tmp_path)],
+        ["check", "--algebra", "sl2", "--out", ""],
+        # an option error after a good --out leaves no report file behind
+        ["darboux", "--algebra", "sl2", "--out", str(tmp_path / "f.json"),
+         "--order", "-1"],
+        ["darboux", "--algebra", "sl2", "--order", "3", "--guard", "99999",
+         "--out", str(tmp_path / "f.json")],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         assert "usage:" in capsys.readouterr().err, argv
+        assert not (tmp_path / "f.json").exists(), argv
 
 
 def test_invalid_algebra_file_exits_one(tmp_path, capsys, monkeypatch):

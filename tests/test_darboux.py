@@ -573,3 +573,119 @@ def test_even_project_matches_double_sum_curved_pair():
         f = alg.gen("x").truncate(B.cap)
         g = even_correct(B, f, alg.gen("y").truncate(B.cap))
         assert _assert_projections_match(B, f, g, rng, 6)
+
+
+# -- projection residuals at the certified order ---------------------------
+#
+# The projections test their residual brackets with ``clean_mod(., order)``
+# only, so they compute them at the certified order rather than at the cap.
+# That is exact: a bracket at an explicit order is the polynomial bracket
+# read through that order, whatever cap its inputs carry.
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_brackets_at_the_order_truncate_the_capped_ones(name):
+    ctx = slice_setup(load_algebra(name))
+    rng = random.Random("residual-order:%s" % name)
+    nonzero = 0
+    for order in (2, 5):
+        for chart in _charts(ctx, order):
+            B = chart.backend
+            vs = chart.chart_vars()
+            others = list(chart.center_gens) + [
+                _random_polynomial(rng, B.alg, 4).truncate(B.cap) for _ in range(3)]
+            for x in vs:
+                for c in vs + others:
+                    got = B.bracket(x, c, B.order)
+                    assert got == B.bracket(x, c).truncate(B.order), (
+                        B.kind, order)
+                    nonzero += not got.is_zero()
+    # every algebra but gl11 has chart variables, so the comparison saw values
+    assert bool(nonzero) == (name != "gl11")
+
+
+def _twisted_odd():
+    """An odd pair flat at the point, with curved self and cross brackets."""
+    alg = Algebra([
+        Variable(0, "t1", ODD, weight=1),
+        Variable(1, "t2", ODD, weight=1),
+        Variable(2, "x", EVEN, weight=2),
+    ])
+    x = alg.gen("x")
+    t = BracketTable(alg, {(0, 1): alg.one() + x, (0, 0): x, (1, 1): x * x})
+    return alg, PoissonAlgebra(alg, t)
+
+
+def test_odd_pair_projection_through_a_curved_pair_fails():
+    alg, P = _twisted_odd()
+    B = PoissonBackend(P, 3, 4)
+    t1, t2 = alg.gen("t1"), alg.gen("t2")
+    # x brackets to zero with both, so it passes; t1 does not
+    assert darboux.odd_pair_project(B, t1, t2, alg.gen("x"))[0] == alg.gen("x")
+    with pytest.raises(DarbouxError, match="odd pair projection residual too large"):
+        darboux.odd_pair_project(B, t1, t2, t1)
+
+
+def test_odd_self_projection_through_a_curved_self_fails():
+    alg = Algebra([
+        Variable(0, "th", ODD, weight=1),
+        Variable(1, "x", EVEN, weight=2),
+    ])
+    P = PoissonAlgebra(alg, BracketTable(alg, {(0, 0): alg.one() + alg.gen("x")}))
+    B = PoissonBackend(P, 3, 4)
+    th = alg.gen("th")
+    assert odd_self_project(B, th, alg.gen("x"))[0] == alg.gen("x")
+    with pytest.raises(DarbouxError, match="odd projection residual too large"):
+        odd_self_project(B, th, th)
+
+
+# -- the odd-pair flattening against its earlier body ---------------------
+#
+# ``odd_pair_flatten`` once recomputed {g, g} after changing only f; that
+# body is kept verbatim as the reference.
+
+
+def _recomputing_odd_pair_flatten(B, f, g):
+    cap, order = B.cap, B.order
+    f = f.truncate(cap)
+    g = g.truncate(cap)
+    prev = -1
+    for _ in range(darboux.FLATTEN_PASSES):
+        aa = B.bracket(f, f)
+        bb = B.bracket(g, g)
+        q = B.bracket(f, g) - B.unit
+        if q.constant_term():
+            raise DarbouxError("odd pair is not normalized at the point")
+        degs = [x for x in (aa.eff_deg(), bb.eff_deg(), q.eff_deg()) if x is not None]
+        if not degs or min(degs) > order:
+            return f, g
+        d = min(degs)
+        if d <= prev:
+            raise DarbouxError(f"odd pair normalization stalled at residual order {d}")
+        prev = d
+        if not clean_mod(aa, order):
+            f = f - B.mul(g, B.div(aa)) * Fraction(1, 2)
+        bb = B.bracket(g, g)
+        if not clean_mod(bb, order):
+            g = g - B.mul(f, B.div(bb)) * Fraction(1, 2)
+        q = B.bracket(f, g) - B.unit
+        if not clean_mod(q, order):
+            s = inv_sqrt_series(B, B.div(q))
+            f = B.mul(f, s)
+            g = B.mul(g, s)
+    raise DarbouxError(
+        f"odd pair normalization did not converge in {darboux.FLATTEN_PASSES} passes")
+
+
+@pytest.mark.parametrize("order", (4, 6))
+def test_odd_pair_flatten_matches_recomputing_reference(order, monkeypatch):
+    alg, P = _twisted_odd()
+    B = PoissonBackend(P, order, 4)
+    f, g = alg.gen("t1"), alg.gen("t2")
+    got = odd_pair_flatten(B, f, g)
+    assert all(map(_same_terms, got, _recomputing_odd_pair_flatten(B, f, g)))
+    # the pair takes more than two passes, so the reused {g, g} comes from
+    # an f and g that earlier passes changed
+    monkeypatch.setattr(darboux, "FLATTEN_PASSES", 2)
+    with pytest.raises(DarbouxError, match="did not converge in 2 passes"):
+        odd_pair_flatten(B, f, g)
