@@ -11,6 +11,13 @@ projections, compute each bracket at the certified order, so they are exact
 through it: a monomial pair is skipped only when all of its terms lie above
 that order.  Every bracket whose value is used stays at the cap.
 
+Every loop stops by one rule: it returns once its residuals are clean
+through the certified order, and raises "stalled" when a pass fails to raise
+the residual order, an integer from 0 to the order (the even correction
+ranks by ``hbar`` level first).  So the projections and the odd
+normalizations take at most ``order + 1`` passes, with no cap.
+:func:`build_chart` keeps the certificate of a chart as ``Chart.report``.
+
 The engine is one algorithm run with one of two bracket backends.  A
 backend supplies only the product, the residual bracket, the ``hbar`` power
 of its unit and the split of a series into ``hbar`` levels:
@@ -30,9 +37,6 @@ from fractions import Fraction
 from .poisson import linear_split
 from .supercore import EVEN, Series
 
-# passes before an even projection or an odd-pair flattening gives up
-PROJECT_PASSES = 10
-FLATTEN_PASSES = 30
 # orders past the certified one at which the correction loops work
 DEFAULT_GUARD = 4
 
@@ -213,26 +217,23 @@ def even_project(B, f, g, a):
     a <- sum (-1)^k/k! g^k D_f^k a, then a <- sum 1/k! f^k D_g^k a.  This is
     exact: D_g is a derivation of the product and D_g(g) = 0 (g is even), so
     D_g^i (g^j w) = g^j D_g^i w.  With exact flat relations the pass is a
-    projector, so a few passes push the residual brackets beyond the
+    projector, so a pass or two push the residual brackets beyond the
     certification order.
     """
     cap, order = B.cap, B.order
     a = a.truncate(cap)
     prev = -1
-    for attempt in range(PROJECT_PASSES):
+    while True:
         # only tested, so computed at the order: the lowest term of a
         # residual that is not clean survives, and so does the stall degree d
         rf, rg = B.bracket(f, a, order), B.bracket(g, a, order)
         if clean_mod(rf, order) and clean_mod(rg, order):
             return a
-        if attempt == PROJECT_PASSES - 1:
-            break
         d = min(x for x in (rf.eff_deg(), rg.eff_deg()) if x is not None)
         if d <= prev:
             raise DarbouxError(f"even projection stalled at residual order {d}")
         prev = d
         a = _taylor(B, f, g, _taylor(B, g, f, a, -1), 1)
-    raise DarbouxError(f"even projection did not converge in {PROJECT_PASSES} passes")
 
 
 def odd_self_project(B, th, a):
@@ -257,16 +258,16 @@ def odd_pair_flatten(B, f, g):
     f = f.truncate(cap)
     g = g.truncate(cap)
     prev = -1
-    for _ in range(FLATTEN_PASSES):
+    while True:
         aa = B.bracket(f, f)
         bb = B.bracket(g, g)
         q = B.bracket(f, g) - B.unit
         if q.constant_term():
             raise DarbouxError("odd pair is not normalized at the point")
         degs = [x for x in (aa.eff_deg(), bb.eff_deg(), q.eff_deg()) if x is not None]
-        if not degs or min(degs) > order:
+        d = min(degs, default=order + 1)
+        if d > order:
             return f, g
-        d = min(degs)
         if d <= prev:
             raise DarbouxError(f"odd pair normalization stalled at residual order {d}")
         prev = d
@@ -279,8 +280,6 @@ def odd_pair_flatten(B, f, g):
             s = inv_sqrt_series(B, B.div(q))
             f = B.mul(f, s)
             g = B.mul(g, s)
-    raise DarbouxError(
-        f"odd pair normalization did not converge in {FLATTEN_PASSES} passes")
 
 
 def odd_pair_project(B, f, g, a):
@@ -317,12 +316,10 @@ class Chart:
     cap: int
     entries: list = field(default_factory=list)
     center_gens: list = field(default_factory=list)
+    report: dict = None  # the certificate of build_chart
 
     def chart_vars(self):
-        out = []
-        for e in self.entries:
-            out.extend(e.variables())
-        return out
+        return [v for e in self.entries for v in e.variables()]
 
     def project(self, a):
         """Project onto the centralizer of all chart variables."""
@@ -370,22 +367,13 @@ def certify(chart):
             r = B.bracket(v, c, order)
             if not clean_mod(r, order):
                 failures.append(("center", i, k, r.eff_deg()))
-    homogeneous = all(
-        v.is_weight_homogeneous() for v in vs + list(chart.center_gens)
-    )
-    return {
-        "order": order,
-        "chart_variables": len(vs),
-        "center_generators": len(chart.center_gens),
-        "weight_homogeneous": homogeneous,
-        "failures": failures,
-        "ok": not failures,
-    }
+    homogeneous = all(v.is_weight_homogeneous() for v in vs + chart.center_gens)
+    return {"weight_homogeneous": homogeneous, "failures": failures, "ok": not failures}
 
 
 def build_chart(cls, B, seeds, centers):
     """Run the engine: normalize each seed entry against the entries before
-    it, project the center seeds, and certify.
+    it, project the center seeds, and certify into ``chart.report``.
 
     ``seeds`` lists (kind, seed variables) in chart order; the result is a
     ``cls`` chart over the backend ``B``.  A failure names the backend, the
@@ -411,7 +399,7 @@ def build_chart(cls, B, seeds, centers):
         raise DarbouxError(
             f"{B.kind} chart, {where}, cap {B.cap} = order {B.order} + "
             f"guard {B.guard}: {exc}") from None
-    report = chart.verify()
+    chart.report = report = chart.verify()
     if not report["ok"]:
         raise DarbouxError(f"{B.kind} chart failed certification: {report['failures']}")
     return chart

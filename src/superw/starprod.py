@@ -250,7 +250,7 @@ def quantum_darboux(S, P, order, seeds=None, guard=DEFAULT_GUARD, classical=None
     for ce, qe in zip(classical.entries, qc.entries):
         for c, q in zip(ce.variables(), qe.variables()):
             d = q - c.truncate(qc.cap)
-            for m in d.terms:
+            for m in d.nums:
                 rest, k = alg.split_hbar(m)
                 adeg = alg.mono_degree(rest)
                 if adeg == 0 or (adeg == 1 and not k):

@@ -409,6 +409,8 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
     if qc is None:
         qc = quantum_darboux(ctx.star, ctx.poisson, order, seeds=ctx.m_gens(),
                              guard=guard)
+    # certified again although build_chart kept qc.report: perfbench pins
+    # the h2 star products of `walgebra`, and this certificate is in the count
     chart_report = qc.verify()
 
     gens = []
@@ -528,8 +530,6 @@ def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUA
 @dataclass
 class SplitResult:
     ok: bool
-    n_max: int
-    k: int
     checked: int
     coeff_failures: list
     recon_failures: list
@@ -575,13 +575,12 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
             words, cands = _hbar_padded(chart_words, weights, parities, W, amax=cap)
             families[W] = (words, FilteredFamily(cands, cap))
         words, family = families[W]
-        target = alg.series({m: Fraction(1)}, cap)
-        coeffs = expand_filtered(target, family)
+        coeffs = expand_filtered(Series.over(alg, {m: 1}, 1, cap), family)
         if coeffs is None:
             coeff_failures.append(alg.mono_str(m))
             continue
         # reconstruction at hbar = 1, modulo k-fold shift products
-        acc = alg.series({m: Fraction(1)})
+        acc = Series.over(alg, {m: 1}, 1)
         for exps, c in zip(words, coeffs):
             if c:
                 acc = acc - lift_words(exps) * c
@@ -590,7 +589,7 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
 
     return SplitResult(
         ok=not coeff_failures and not recon_failures,
-        n_max=n_max, k=k, checked=len(targets),
+        checked=len(targets),
         coeff_failures=coeff_failures, recon_failures=recon_failures,
     )
 
@@ -625,6 +624,24 @@ def _transport(s: Series, dst: Algebra) -> Series:
         out[dst.monomial({dst.by_name[src.by_id[i].name].ident: e
                           for i, e in src.mono_vars(m).items()})] = v
     return Series.over(dst, out, s.den, s.order)
+
+
+def _closure_ok(gen_words, weights, parities, order):
+    """Whether each product of two generators of weight w <= order expands
+    over their words through the order, which bounds what the chart certifies."""
+    families = {}
+    for i in range(len(weights)):
+        for j in range(i, len(weights)):
+            w = weights[i] + weights[j]
+            if w > order:
+                continue
+            if w not in families:
+                _, cands = _hbar_padded(gen_words, weights, parities, w)
+                families[w] = FilteredFamily(cands, order)
+            p = gen_words(tuple((k == i) + (k == j) for k in range(len(weights))))
+            if expand_filtered(p, families[w]) is None:
+                return False
+    return True
 
 
 @dataclass
@@ -718,19 +735,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
                         == by_weight(even_centers))
     sub_compare_ok = compare_realizations(sub_ctx, order, guard, slice_result=sub_sl).ok
 
-    # closure: products of the centralizer generators expand over its words,
-    # one family per weight sum
-    closure_ok = True
-    families = {}
-    for i in range(len(agens)):
-        for j in range(i, len(agens)):
-            p = agen_words(tuple((k == i) + (k == j) for k in range(len(agens))))
-            w = aweights[i] + aweights[j]
-            if w not in families:
-                _, cands = _hbar_padded(agen_words, aweights, aparities, w)
-                families[w] = FilteredFamily(cands, cap)
-            if expand_filtered(p, families[w]) is None:
-                closure_ok = False
+    closure_ok = _closure_ok(agen_words, aweights, aparities, order)
 
     # (c) flat odd coordinates + full W generators span the same thing
     clgens = [v for e in qc.entries if e.kind in ("odd", "self") for v in e.variables()]

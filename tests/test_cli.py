@@ -9,9 +9,11 @@ from importlib import resources
 
 import pytest
 
+from superw import cli, wslice
 from superw.algebras import load_algebra
 from superw.cli import build_report, main, truncate_report
-from superw.darboux import DarbouxError, equivariant_darboux
+from superw.darboux import Chart, DarbouxError, equivariant_darboux
+from superw.starprod import QuantumChart
 from superw.wslice import slice_setup
 
 CATALOG_SL2 = {
@@ -435,6 +437,62 @@ def test_suite_smoke_and_seed_determinism(capsys):
     names = {c["name"].split(":")[0] for c in rep["checks"]}
     assert "poisson_jacobi_random" in names
     assert "semiclassical_limit" in names
+
+
+def _count_certificates(monkeypatch):
+    """Count Chart.verify and QuantumChart.verify calls."""
+    counts = {Chart: 0, QuantumChart: 0}
+    for cls in counts:
+        def counted(self, cls=cls, verify=cls.verify):
+            counts[cls] += 1
+            return verify(self)
+        monkeypatch.setattr(cls, "verify", counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv,classical,quantum", [
+    (("darboux", "--algebra", "sl21", "--order", "8"), 1, 1),
+    (("suite", "--order", "4"), 4, 8),
+    # slice_walgebra certifies the quantum chart a second time
+    (("walgebra", "--algebra", "sl21", "--order", "6"), 1, 2),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_each_chart_is_certified_once(monkeypatch, capsys, argv, classical, quantum):
+    counts = _count_certificates(monkeypatch)
+    assert run_main(capsys, *argv)[0] == 0
+    assert counts == {Chart: classical, QuantumChart: quantum}
+
+
+def _plant(monkeypatch, module, name):
+    """Make ``module.name`` raise DarbouxError on sl21 (the algebra with um)."""
+    real = getattr(module, name)
+
+    def planted(*args, **kwargs):
+        if "um" in args[0].alg.by_name:
+            raise DarbouxError("planted %s" % name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, planted)
+
+
+@pytest.mark.parametrize("planted,failed", [
+    ([(cli, "quantum_darboux")], "quantum_darboux"),
+    ([(cli, "quantum_darboux"), (wslice, "quantum_darboux")], "quantum_darboux"),
+    ([(cli, "equivariant_darboux")], "equivariant_darboux"),
+], ids=("cli", "cli+wslice", "classical"))
+def test_suite_records_a_chart_failure_under_its_own_name(monkeypatch, planted,
+                                                          failed):
+    for module, name in planted:
+        _plant(monkeypatch, module, name)
+    rep = build_report("suite", order=2)
+    names = [c["name"] for c in rep["checks"]]
+    assert len(names) == len(set(names)) == 40
+    bad = {c["name"]: c["detail"] for c in rep["checks"] if not c["ok"]}
+    error = {"error": "planted %s" % failed}
+    want = {"quantum_chart:sl21": error, "whittaker_vs_slice:sl21": error,
+            "splitting:sl21": error}
+    if failed == "equivariant_darboux":
+        want["classical_chart:sl21"] = error
+    assert bad == want
+    assert rep["ok"] is False
 
 
 def test_console_script_installed():

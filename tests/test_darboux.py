@@ -11,9 +11,9 @@ from superw import darboux
 from superw.algebras import load_algebra
 from superw.darboux import (
     ChartEntry,
-    PROJECT_PASSES,
     DarbouxError,
     PoissonBackend,
+    certify,
     clean_mod,
     equivariant_darboux,
     even_correct,
@@ -471,7 +471,10 @@ def test_engine_normalizations_match_backend_references(name, alt, monkeypatch):
 # -- the factored even projector against the double sum -----------------
 #
 # Before ``even_project`` ran one pass as two one-variable Taylor sums, the
-# pass was the double sum below, kept verbatim as the reference.
+# pass was the double sum below, kept as the reference with the pass cap
+# the package once had; the package now stops by its stall rule alone.
+
+PROJECT_PASSES = 10
 
 
 def _double_sum_even_project(B, f, g, a):
@@ -642,15 +645,17 @@ def test_odd_self_projection_through_a_curved_self_fails():
 # -- the odd-pair flattening against its earlier body ---------------------
 #
 # ``odd_pair_flatten`` once recomputed {g, g} after changing only f; that
-# body is kept verbatim as the reference.
+# body is kept as the reference, with the pass cap the package once had.
+
+FLATTEN_PASSES = 30
 
 
-def _recomputing_odd_pair_flatten(B, f, g):
+def _recomputing_odd_pair_flatten(B, f, g, passes=FLATTEN_PASSES):
     cap, order = B.cap, B.order
     f = f.truncate(cap)
     g = g.truncate(cap)
     prev = -1
-    for _ in range(darboux.FLATTEN_PASSES):
+    for _ in range(passes):
         aa = B.bracket(f, f)
         bb = B.bracket(g, g)
         q = B.bracket(f, g) - B.unit
@@ -673,12 +678,11 @@ def _recomputing_odd_pair_flatten(B, f, g):
             s = inv_sqrt_series(B, B.div(q))
             f = B.mul(f, s)
             g = B.mul(g, s)
-    raise DarbouxError(
-        f"odd pair normalization did not converge in {darboux.FLATTEN_PASSES} passes")
+    raise DarbouxError(f"odd pair normalization did not converge in {passes} passes")
 
 
 @pytest.mark.parametrize("order", (4, 6))
-def test_odd_pair_flatten_matches_recomputing_reference(order, monkeypatch):
+def test_odd_pair_flatten_matches_recomputing_reference(order):
     alg, P = _twisted_odd()
     B = PoissonBackend(P, order, 4)
     f, g = alg.gen("t1"), alg.gen("t2")
@@ -686,6 +690,18 @@ def test_odd_pair_flatten_matches_recomputing_reference(order, monkeypatch):
     assert all(map(_same_terms, got, _recomputing_odd_pair_flatten(B, f, g)))
     # the pair takes more than two passes, so the reused {g, g} comes from
     # an f and g that earlier passes changed
-    monkeypatch.setattr(darboux, "FLATTEN_PASSES", 2)
     with pytest.raises(DarbouxError, match="did not converge in 2 passes"):
-        odd_pair_flatten(B, f, g)
+        _recomputing_odd_pair_flatten(B, f, g, passes=2)
+
+
+# -- one certificate per chart ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_chart_keeps_the_certificate_it_was_built_with(name):
+    ctx = slice_setup(load_algebra(name))
+    for order in (2, 5):
+        for chart in _charts(ctx, order):
+            assert chart.report == certify(chart), (chart.backend.kind, order)
+            assert chart.report["ok"]
+

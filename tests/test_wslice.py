@@ -224,6 +224,40 @@ def test_clifford_factorization_sl21():
     assert cf.sig_ok and cf.rank_ok and cf.closure_ok and cf.ok
 
 
+@pytest.mark.parametrize("order", (1, 2, 3, 4, 5))
+def test_clifford_closure_stops_at_the_certified_order(order):
+    # a product above the order, or a term past it, is beyond what the chart
+    # certifies; expanding those made osp12's closure fail at orders 1 to 3
+    cf = clifford_factorization(_ctx("osp12"), order)
+    assert cf.closure_ok and cf.ok
+
+
+def test_clifford_closure_catches_a_non_closing_generator(monkeypatch):
+    seen = []
+    closure_ok = wslice._closure_ok
+    monkeypatch.setattr(wslice, "_closure_ok",
+                        lambda *args: seen.append(args) or closure_ok(*args))
+    ctx, order = _ctx("osp12"), 4
+    assert clifford_factorization(ctx, order).closure_ok
+    gen_words, weights, parities, _ = seen[0]
+    n = len(weights)
+    gens = [gen_words(tuple(int(k == i) for k in range(n))) for i in range(n)]
+    cap = gens[0].order
+    star = lambda a, b: ctx.star.star(a, b, order=cap)  # noqa: E731
+
+    def closes(gens):
+        table = word_table(gens, star, ctx.alg.one(cap))
+        return closure_ok(table, [wslice._gen_weight(g) for g in gens],
+                          [g.parity() for g in gens], order)
+
+    assert closes(gens)
+    # xm is odd of weight 1 and not central: xm * xm = hbar^2 (1/2 + f), and
+    # f * hbar^2, of weight 2 <= order, is no combination of the words
+    xm = ctx.alg.gen("xm", cap)
+    assert not star(xm, xm).truncate(order).is_zero()
+    assert not closes(gens + [xm])
+
+
 def test_clifford_compares_even_part_at_the_requested_order(monkeypatch):
     orders = []
 
