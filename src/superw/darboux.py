@@ -25,8 +25,11 @@ of its unit and the split of a series into ``hbar`` levels:
 :class:`superw.starprod.StarBackend` is the star commutator with unit
 ``hbar^2``, so that ``[,]/hbar^2`` takes the place of ``{,}``.  The even
 correction removes the defect ``hbar``-level by ``hbar``-level (a classical
-chart has the one level 0), and the odd self-normalization is the same
-iteration for both.
+chart has the one level 0), and the odd normalizations are the same
+iterations for both.  Every odd normalization takes (1+rho)^(-1/2), rho the
+defect divided by the unit, by one Newton step, th <- th - th*rho/2, repeated
+under the one stopping rule: :func:`odd_self_normalize` on its element and
+:func:`odd_pair_flatten` on both members of the pair.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poisson import linear_split
-from .supercore import EVEN, Series
+from .supercore import Series
 
 # orders past the certified one at which the correction loops work
 DEFAULT_GUARD = 4
@@ -164,33 +167,6 @@ def odd_self_normalize(B, th):
         th = th - B.mul(th, B.div(r)) * Fraction(1, 2)
 
 
-def inv_sqrt_series(B, t):
-    """(1+t)^(-1/2) through the cap of B, with powers in B's product.
-
-    t must be even with deg(t) >= 1.  Example: for t = x this starts
-    1 - x/2 + 3*x^2/8 - ...
-    """
-    if t.parity() not in (None, EVEN):
-        raise ValueError("inv_sqrt_series needs an even argument")
-    out = B.alg.one(B.cap)
-    if t.is_zero():
-        return out
-    d = t.eff_deg()
-    if d < 1:
-        raise ValueError("inv_sqrt_series needs deg(t) >= 1")
-    power = B.alg.one(B.cap)
-    coef = Fraction(1)
-    k = 0
-    while (k + 1) * d <= B.cap:
-        k += 1
-        power = B.mul(power, t)
-        if power.is_zero():
-            break
-        coef *= Fraction(-(2 * k - 1), 2 * k)  # binom(-1/2, k) ratio
-        out = out + power * coef
-    return out
-
-
 # -- projectors and the odd-pair flattening, for either backend ---------
 
 
@@ -250,9 +226,12 @@ def odd_self_project(B, th, a):
 def odd_pair_flatten(B, f, g):
     """Normalize an odd pair to {f,f} = {g,g} = 0, {f,g} = 1 (in units).
 
-    Alternates self-bracket corrections (f -= g{f,f}/2 and the mirror move)
-    with a joint rescale by (1 + ({f,g}-1))^(-1/2), which is central once
-    the self-brackets vanish.
+    Each pass makes the self-bracket corrections in turn (f -= g{f,f}/2,
+    then g -= f{g,g}/2 with the new f), recomputes the cross defect
+    q = {f,g} - 1 and rescales both members by (1+rho)^(-1/2), rho = q over
+    the unit, with the Newton step of :func:`odd_self_normalize`:
+    f -= f*rho/2 and g -= g*rho/2.  A pass does not solve its defects
+    exactly; the loop repeats it under the one stopping rule.
     """
     cap, order = B.cap, B.order
     f = f.truncate(cap)
@@ -277,9 +256,9 @@ def odd_pair_flatten(B, f, g):
             g = g - B.mul(f, B.div(bb)) * Fraction(1, 2)
         q = B.bracket(f, g) - B.unit
         if not clean_mod(q, order):
-            s = inv_sqrt_series(B, B.div(q))
-            f = B.mul(f, s)
-            g = B.mul(g, s)
+            r = B.div(q)
+            f = f - B.mul(f, r) * Fraction(1, 2)
+            g = g - B.mul(g, r) * Fraction(1, 2)
 
 
 def odd_pair_project(B, f, g, a):

@@ -207,8 +207,10 @@ class StarBackend(PoissonBackend):
     The product is the star product at the cap, the residual bracket is the
     star commutator, and the unit is ``hbar^2``: a commutator is ``hbar^2``
     times a bracket, so dividing by the unit gives the derivation that
-    replaces the Poisson bracket.  The even correction and the odd
-    self-normalization are the engine's, as for the classical backend.
+    replaces the Poisson bracket.  The even correction, the odd
+    normalizations and the projections are the engine's, as for the
+    classical backend; the Newton step of the odd normalizations multiplies
+    in the star product.
     """
 
     kind = "quantum"

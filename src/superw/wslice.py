@@ -748,15 +748,15 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
     if clifford_count != len(odd_m1):
         factor_sig_ok = False
 
-    def linear_span(gens):
-        # the reduced echelon rows of the linear parts, pivots scaled to 1
-        lin = {i: alg.gen_mono[i] for i in alg.by_id if not alg.by_id[i].hbar}
-        span = Echelon({i: g.nums.get(m, 0) for i, m in lin.items()} for g in gens)
-        span.reduce()
-        return {p: {k: Fraction(v, row[p]) for k, v in row.items()}
-                for p, row in span.rows.items()}
+    lin = {i: alg.gen_mono[i] for i in alg.by_id if not alg.by_id[i].hbar}
 
-    linear_span_ok = linear_span(agens) == linear_span(clgens + wfull)
+    def linear_parts(gens):
+        return [{i: g.nums.get(m, 0) for i, m in lin.items()} for g in gens]
+
+    # two spans are equal when each has the rank of their union
+    aparts, cparts = linear_parts(agens), linear_parts(clgens + wfull)
+    linear_span_ok = (len(Echelon(aparts)) == len(Echelon(cparts))
+                      == len(Echelon(aparts + cparts)))
 
     ok = (sig_ok and rank_ok and even_vars_ok and standalone_match and
           sub_compare_ok and closure_ok and factor_sig_ok and linear_span_ok)

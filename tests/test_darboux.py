@@ -18,15 +18,15 @@ from superw.darboux import (
     equivariant_darboux,
     even_correct,
     even_project,
-    inv_sqrt_series,
     odd_pair_flatten,
     odd_self_normalize,
     odd_self_project,
 )
 from superw.poisson import BracketTable, PoissonAlgebra, linear_split
-from superw.starprod import quantum_darboux
+from superw.starprod import StarAlgebra, StarBackend, quantum_darboux
 from superw.supercore import EVEN, ODD, Algebra, Series, Variable
 from superw.wslice import slice_setup
+from test_supercore import make_algebra, rand_series
 
 ALGEBRAS = ("sl2", "gl11", "osp12", "sl21")
 
@@ -42,12 +42,22 @@ def curved_pair():
     return alg, PoissonAlgebra(alg, t)
 
 
-def curved_odd():
-    alg = Algebra([
+def odd_pair_algebra(hbar=False):
+    """Odd t1, t2 and even x, with an hbar variable for a star product when
+    ``hbar`` is set."""
+    variables = [
         Variable(0, "t1", ODD, weight=1),
         Variable(1, "t2", ODD, weight=1),
         Variable(2, "x", EVEN, weight=2),
-    ])
+    ]
+    if hbar:
+        variables.append(Variable(3, "hb", EVEN, weight=1, adic=False, hbar=True))
+    return Algebra(variables)
+
+
+def curved_odd(hbar=False):
+    """An odd pair with flat self brackets and {t1,t2} = 1 + x."""
+    alg = odd_pair_algebra(hbar)
     t = BracketTable(alg, {
         (0, 1): alg.one() + alg.gen("x"),
     })
@@ -302,7 +312,69 @@ def test_planted_fault_at_the_order_boundary(name):
 #
 # Before the even correction and the odd self-normalization moved into the
 # engine, each backend carried its own.  They are kept here verbatim (with
-# ``self`` the backend) as references for the engine functions.
+# ``self`` the backend) as references for the engine functions, together
+# with the closed form the classical one-shot normalization multiplies by.
+
+
+def inv_sqrt_series(B, t):
+    """(1+t)^(-1/2) through the cap of B, with powers in B's product.
+
+    t must be even with deg(t) >= 1.  Example: for t = x this starts
+    1 - x/2 + 3*x^2/8 - ...
+    """
+    if t.parity() not in (None, EVEN):
+        raise ValueError("inv_sqrt_series needs an even argument")
+    out = B.alg.one(B.cap)
+    if t.is_zero():
+        return out
+    d = t.eff_deg()
+    if d < 1:
+        raise ValueError("inv_sqrt_series needs deg(t) >= 1")
+    power = B.alg.one(B.cap)
+    coef = Fraction(1)
+    k = 0
+    while (k + 1) * d <= B.cap:
+        k += 1
+        power = B.mul(power, t)
+        if power.is_zero():
+            break
+        coef *= Fraction(-(2 * k - 1), 2 * k)  # binom(-1/2, k) ratio
+        out = out + power * coef
+    return out
+
+
+def series_backend(alg, cap):
+    """The classical chart-engine backend at ``cap``; the (1+t)^(-1/2)
+    series only uses its product."""
+    return PoissonBackend(PoissonAlgebra(alg, BracketTable(alg, {})), cap, 0)
+
+
+def test_inv_sqrt_series_oracle():
+    alg = make_algebra()
+    y = alg.gen("y")
+    # (1+y)^(-1/2) = 1 - y/2 + 3y^2/8 - 5y^3/16 + 35y^4/128 - ...
+    s = inv_sqrt_series(series_backend(alg, 4), y)
+    m = lambda k: alg.monomial({1: k})
+    assert s.coeff(m(0)) == 1
+    assert s.coeff(m(1)) == Fraction(-1, 2)
+    assert s.coeff(m(2)) == Fraction(3, 8)
+    assert s.coeff(m(3)) == Fraction(-5, 16)
+    assert s.coeff(m(4)) == Fraction(35, 128)
+
+
+def test_inv_sqrt_series_property():
+    alg = make_algebra()
+    rng = random.Random(19)
+    for _ in range(15):
+        t = rand_series(rng, alg, nterms=3, maxexp=2, parity=EVEN)
+        if t.is_zero() or t.parity() != EVEN:
+            continue
+        cap = 6
+        r = inv_sqrt_series(series_backend(alg, cap), t)
+        check = (r * r * (alg.one() + t)).truncate(cap)
+        assert check == alg.one(cap)
+    with pytest.raises(ValueError):
+        inv_sqrt_series(series_backend(alg, 3), alg.gen("th"))
 
 
 def _classical_even_correct(self, f, g):
@@ -607,13 +679,9 @@ def test_brackets_at_the_order_truncate_the_capped_ones(name):
     assert bool(nonzero) == (name != "gl11")
 
 
-def _twisted_odd():
+def _twisted_odd(hbar=False):
     """An odd pair flat at the point, with curved self and cross brackets."""
-    alg = Algebra([
-        Variable(0, "t1", ODD, weight=1),
-        Variable(1, "t2", ODD, weight=1),
-        Variable(2, "x", EVEN, weight=2),
-    ])
+    alg = odd_pair_algebra(hbar)
     x = alg.gen("x")
     t = BracketTable(alg, {(0, 1): alg.one() + x, (0, 0): x, (1, 1): x * x})
     return alg, PoissonAlgebra(alg, t)
@@ -645,7 +713,8 @@ def test_odd_self_projection_through_a_curved_self_fails():
 # -- the odd-pair flattening against its earlier body ---------------------
 #
 # ``odd_pair_flatten`` once recomputed {g, g} after changing only f; that
-# body is kept as the reference, with the pass cap the package once had.
+# body is kept as the reference, with the pass cap the package once had and
+# the package's Newton rescale.
 
 FLATTEN_PASSES = 30
 
@@ -675,9 +744,9 @@ def _recomputing_odd_pair_flatten(B, f, g, passes=FLATTEN_PASSES):
             g = g - B.mul(f, B.div(bb)) * Fraction(1, 2)
         q = B.bracket(f, g) - B.unit
         if not clean_mod(q, order):
-            s = inv_sqrt_series(B, B.div(q))
-            f = B.mul(f, s)
-            g = B.mul(g, s)
+            r = B.div(q)
+            f = f - B.mul(f, r) * Fraction(1, 2)
+            g = g - B.mul(g, r) * Fraction(1, 2)
     raise DarbouxError(f"odd pair normalization did not converge in {passes} passes")
 
 
@@ -692,6 +761,28 @@ def test_odd_pair_flatten_matches_recomputing_reference(order):
     # an f and g that earlier passes changed
     with pytest.raises(DarbouxError, match="did not converge in 2 passes"):
         _recomputing_odd_pair_flatten(B, f, g, passes=2)
+
+
+ODD_PAIRS = {"twisted": _twisted_odd, "curved": curved_odd}
+
+
+@pytest.mark.parametrize("guard", (2, 4))
+@pytest.mark.parametrize("pair", sorted(ODD_PAIRS))
+@pytest.mark.parametrize("kind", ("classical", "quantum"))
+def test_odd_pair_flatten_exact_through_the_order(kind, pair, guard):
+    # {t1,t2} = 1 + x, so from order 2 on the Newton rescale has work; the
+    # twisted pair's curved self brackets give the corrections work too.  The
+    # quantum backend runs the same loop with the star product, the star
+    # commutator and the unit hbar^2.
+    alg, P = ODD_PAIRS[pair](hbar=kind == "quantum")
+    S = StarAlgebra(alg, P.table) if kind == "quantum" else None
+    for order in range(1, 11):
+        B = (PoissonBackend(P, order, guard) if S is None
+             else StarBackend(S, P, order, guard))
+        f, g = odd_pair_flatten(B, alg.gen("t1"), alg.gen("t2"))
+        for got, want in ((B.bracket(f, f, order), 0), (B.bracket(g, g, order), 0),
+                          (B.bracket(f, g, order), B.unit)):
+            assert clean_mod(got - want, order), order
 
 
 # -- one certificate per chart ---------------------------------------------

@@ -7,9 +7,8 @@ import pytest
 
 from superw.algebras import load_algebra
 from superw.cli import _random_series
-from superw.darboux import equivariant_darboux, inv_sqrt_series
+from superw.darboux import equivariant_darboux
 from superw.starprod import (
-    StarBackend,
     filtration_dims,
     quantum_darboux,
     rees_inverse,
@@ -155,18 +154,6 @@ def test_flat_commutation_relations():
         ce = Series(S.alg, c.terms, None)
         assert S.commutator(f, ce, order=4).truncate(4).is_zero()
         assert S.commutator(g, ce, order=4).truncate(4).is_zero()
-
-
-def test_inv_sqrt_series_with_star_product():
-    # the chart engine's (1+rho)^(-1/2) on the quantum backend: every power
-    # of rho star-commutes with rho, so r*r*(1+rho) = 1 through the cap
-    ctx = get_ctx("sl21")
-    B = StarBackend(ctx.star, ctx.poisson, 5, 0)
-    x, y = (ctx.alg.gen(v.name) for v in ctx.alg.variables[:2])
-    rho = (x * y + y + x.mul_hbar(1)).truncate(B.cap)
-    r = inv_sqrt_series(B, rho)
-    assert B.mul(B.mul(r, r), B.alg.one() + rho) == B.alg.one()
-    assert B.mul(r, rho) == B.mul(rho, r)
 
 
 def test_rees_roundtrip_random():

@@ -9,8 +9,6 @@ from pathlib import Path
 import pytest
 
 from superw import supercore
-from superw.darboux import PoissonBackend, inv_sqrt_series
-from superw.poisson import BracketTable, PoissonAlgebra
 from superw.supercore import EVEN, ODD, Algebra, Series, Variable
 
 
@@ -219,40 +217,6 @@ def test_eff_component_and_filters():
     assert s.eff_component(1) == x
     assert s.eff_component(2) == x * y
     assert s.eff_component(3) == y.mul_hbar(2)
-
-
-def series_backend(alg, cap):
-    """The classical chart-engine backend at ``cap``; the (1+t)^(-1/2)
-    series only uses its product."""
-    return PoissonBackend(PoissonAlgebra(alg, BracketTable(alg, {})), cap, 0)
-
-
-def test_inv_sqrt_series_oracle():
-    alg = make_algebra()
-    y = alg.gen("y")
-    # (1+y)^(-1/2) = 1 - y/2 + 3y^2/8 - 5y^3/16 + 35y^4/128 - ...
-    s = inv_sqrt_series(series_backend(alg, 4), y)
-    m = lambda k: alg.monomial({1: k})
-    assert s.coeff(m(0)) == 1
-    assert s.coeff(m(1)) == Fraction(-1, 2)
-    assert s.coeff(m(2)) == Fraction(3, 8)
-    assert s.coeff(m(3)) == Fraction(-5, 16)
-    assert s.coeff(m(4)) == Fraction(35, 128)
-
-
-def test_inv_sqrt_series_property():
-    alg = make_algebra()
-    rng = random.Random(19)
-    for _ in range(15):
-        t = rand_series(rng, alg, nterms=3, maxexp=2, parity=EVEN)
-        if t.is_zero() or t.parity() != EVEN:
-            continue
-        cap = 6
-        r = inv_sqrt_series(series_backend(alg, cap), t)
-        check = (r * r * (alg.one() + t)).truncate(cap)
-        assert check == alg.one(cap)
-    with pytest.raises(ValueError):
-        inv_sqrt_series(series_backend(alg, 3), alg.gen("th"))
 
 
 def test_monomial_rendering():

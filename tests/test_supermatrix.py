@@ -9,7 +9,9 @@ dim g(-1)_1 is odd), with the g^e signature read off the Jordan blocks of e
 case), independently of the package's own grading.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 
@@ -130,6 +132,48 @@ def test_walgebra_is_the_pbw_count_of_the_centralizer(tmp_path, capsys, m, n, bl
     assert pbw_dims(even, odd, 6) == want
     assert report["whittaker"]["dims"] == want
     assert report["slice"]["dims"] == want
+
+
+# e = E12 + E34 in gl(2|2): one Jordan block of size 2 in each parity, with
+# h = E11 - E22 + E33 - E44 and f = E21 + E43.  An odd pair of its classical
+# chart arrives with a self-bracket that the odd-pair flattening corrects,
+# which no bundled algebra and no E12 case needs.
+E12_E34_TRIPLE = {"e": {(0, 1): 1, (2, 3): 1},
+                  "h": {(0, 0): 1, (1, 1): -1, (2, 2): 1, (3, 3): -1},
+                  "f": {(1, 0): 1, (3, 2): 1}}
+E12_E34_BLOCKS = [(2, 0), (2, 1)]
+E12_E34_DIMS = [1, 1, 5, 5, 17, 17, 45]
+# SHA-256 of its walgebra report at order 6, --method both
+E12_E34_DIGEST = "b039ebbe863b90adf2048cb348ecc99a9c9b1bb229ddba0c5c3336c5952b1504"
+
+
+@pytest.fixture(scope="module")
+def gl22_e12_e34_walgebra(tmp_path_factory):
+    """Exit code and stdout of walgebra on gl(2|2) with e = E12 + E34."""
+    path = tmp_path_factory.mktemp("gl22") / "gl22.json"
+    path.write_text(json.dumps(gl_json(2, 2, E12_E34_TRIPLE)), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["walgebra", "--algebra", str(path), "--order", "6",
+                     "--method", "both"])
+    return code, out.getvalue()
+
+
+def test_gl22_two_block_walgebra_is_the_pbw_count(gl22_e12_e34_walgebra):
+    code, out = gl22_e12_e34_walgebra
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True and report["compare"]["ok"] is True
+    even, odd, odd_minus_one = centralizer_signature(E12_E34_BLOCKS)
+    assert odd_minus_one % 2 == 0
+    assert pbw_dims(even, odd, 6) == E12_E34_DIMS
+    assert report["whittaker"]["dims"] == E12_E34_DIMS
+    assert report["slice"]["dims"] == E12_E34_DIMS
+
+
+def test_gl22_two_block_walgebra_report_digest(gl22_e12_e34_walgebra):
+    code, out = gl22_e12_e34_walgebra
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == E12_E34_DIGEST
 
 
 # SHA-256 of the walgebra report (stdout, UTF-8) of gl(m|n) with e = E12 at

@@ -271,6 +271,26 @@ def test_clifford_compares_even_part_at_the_requested_order(monkeypatch):
     assert cf.sub_compare_ok and cf.ok
 
 
+def test_clifford_linear_span_check_compares_spans():
+    # the full chart's flat odd pair of sl21 is (um, vp) to first order
+    ctx, order = _ctx("sl21"), 4
+    qc = quantum_darboux(ctx.star, ctx.poisson, order, seeds=ctx.m_gens())
+    (pair,) = [e for e in qc.entries if e.kind == "odd"]
+
+    def with_odd_pair(a, b):
+        entries = [dataclasses.replace(e, a=a, b=b) if e is pair else e
+                   for e in qc.entries]
+        return clifford_factorization(ctx, order,
+                                      qc=dataclasses.replace(qc, entries=entries))
+
+    # another basis of the same span passes
+    same = with_odd_pair(pair.a + pair.b, pair.b)
+    assert same.linear_span_ok and same.ok
+    # a pair that spans one direction keeps the signature but loses vp
+    lost = with_odd_pair(pair.a, pair.a)
+    assert lost.factor_sig_ok and not lost.linear_span_ok and not lost.ok
+
+
 @pytest.mark.parametrize("name", ["osp12", "sl21"])
 def test_clifford_builds_the_even_part_chart_once(monkeypatch, name):
     # the full chart, the even-flattened chart and the even part's own chart,
