@@ -88,6 +88,7 @@ class Algebra:
         # monomials' completion order over and over, and sorts their keys
         self._mono_eff = {}
         self._mono_key = {}
+        self._masks = {}  # frozenset of ids -> the exponent fields of those ids
         hs = [v for v in vs if v.hbar]
         if len(hs) > 1:
             raise ValueError("at most one hbar variable")
@@ -148,6 +149,15 @@ class Algebra:
             return sum(e for _, e in self.mono_key(m))
         return sum(e for i, e in self.mono_key(m) if i in ids)
 
+    def free_of(self, nums, ids):
+        """The terms of ``nums`` (``{mono: coefficient}``) whose monomials
+        have no factor among the variables ``ids``, a frozenset: one mask
+        test per monomial, the mask kept per set of ids."""
+        mask = self._masks.get(ids)
+        if mask is None:
+            mask = self._masks[ids] = sum(_MASK << self._shift[i] for i in ids)
+        return {m: v for m, v in nums.items() if not m & mask}
+
     def split_first(self, m):
         """``(i, rest)`` with m = x_i * rest and i the smallest id in m (m not the unit)."""
         k = ((m & -m).bit_length() - 1) // _W
@@ -159,8 +169,9 @@ class Algebra:
         return self._fields[k][0], m - (1 << k * _W)
 
     def times_last(self, m, x):
-        """m times generator x, for x at least every id in m; None when x is
-        odd and ends m (an odd square vanishes)."""
+        """m times generator x, for x at least (or at most) every id in m, so
+        that the product is normal with no sign; None when x is odd and ends
+        (or starts) m: an odd square vanishes."""
         g = self.gen_mono[x]
         if m & g & self._odd:
             return None

@@ -2,7 +2,13 @@
 
 Route one ("whittaker") works in the enveloping algebra directly: shift the
 generators by the character, order the shift directions last, and solve for
-invariants degree by degree.  Route two ("slice") runs the quantum flattening
+invariants degree by degree.  Its invariance conditions are read in the left
+U(g)-module Q_chi = U(g) / U(g)·m_chi (``QuotientModule``): with the shift ids
+above every complement id and m abelian, the shift-free normal monomials are
+a basis of Q_chi, and a shift generator acts on one of them by peeling off
+its first factor; left multiplication maps the left ideal into itself, so
+every step is reduced as it is formed and no monomial of the ideal is built.
+Route two ("slice") runs the quantum flattening
 machinery around the shift directions and reads the invariants off as the
 centralizer generators of the resulting chart.  Both land in the same quotient
 module, so their generators, dimension tables and products can be compared
@@ -34,7 +40,15 @@ from .algebras import (
 from .darboux import DEFAULT_GUARD, equivariant_darboux
 from .linalg import Echelon, FilteredFamily, TaggedEchelon, expand_filtered
 from .poisson import BracketTable, PoissonAlgebra, linear_split
-from .supercore import EVEN, ODD, Algebra, Series, Variable
+from .supercore import (
+    EVEN,
+    ODD,
+    Algebra,
+    Series,
+    Variable,
+    add_numerators,
+    merge_numerators,
+)
 from .starprod import StarAlgebra, filtration_dims, quantum_darboux
 
 __all__ = [
@@ -65,6 +79,7 @@ class SliceContext:
     orig_of: tuple  # universe id -> original basis index
     m_ids: frozenset
     complement_ids: tuple
+    quotient: QuotientModule  # the left action on Q_chi, memoized per context
 
     def m_gens(self):
         return [self.alg.gen(self.data.names[self.orig_of[i]])
@@ -72,6 +87,92 @@ class SliceContext:
 
     def even_m_gens(self):
         return [g for g in self.m_gens() if g.parity() == EVEN]
+
+
+class QuotientModule:
+    """The left U(g)-module Q_chi = U(g) / U(g)·m_chi on its monomial basis.
+
+    The universe orders every shift variable after every complement variable
+    (``slice_setup``), and m is abelian (``_check_m_abelian``), so the
+    shifted generators of m commute and the normal monomials with a shift
+    factor, each ending in a shifted generator of m, span the left ideal
+    U(g)·m_chi; the shift-free normal monomials are a basis of Q_chi.
+    ``act(v, m)`` is v·m in Q_chi for a variable v and a shift-free normal
+    monomial m, found by peeling the first (smallest-id) factor x off
+    m = x·m':
+
+    - v < x, or v = x even: v·m is a normal monomial, or 0 for a shift v
+      and m = 1;
+    - v = x odd: v·v = [v, v] / 2, so v·m = [v, v]·m' / 2;
+    - v > x: v·(x·m') = ±x·(v·m') + [v, x]·m', minus for two odd factors.
+      The bracket, from the shifted table, is a constant (the chi shift),
+      which gives c·m', plus variables y, which give y·m' by the same rules.
+
+    Each product with a variable on the left is formed in Q_chi: left
+    multiplication maps the left ideal into itself, so x·(v·m') only needs
+    the class of v·m', and no monomial of the ideal is ever built.  This is
+    the normal ordering of v·m with every step reduced, so it ends where
+    normal ordering does.  Values are ``(nums, den)`` in lowest terms,
+    memoized per (variable, monomial).
+    """
+
+    def __init__(self, alg, table, m_ids):
+        self.alg = alg
+        self.table = table
+        self.m_ids = m_ids
+        self._memo = {}
+        self._brackets = {}
+
+    def _bracket(self, v, x):
+        """[v, x] as ``(terms, den)``, a term ``(y, c)`` for c/den times
+        variable y, or y = None for the constant."""
+        out = self._brackets.get((v, x))
+        if out is None:
+            s = self.table.entry(v, x)
+            split = self.alg.split_first
+            out = self._brackets[(v, x)] = (
+                [(split(mono)[0] if mono else None, c) for mono, c in s.nums.items()],
+                s.den)
+        return out
+
+    def act(self, v, m):
+        """v·m in Q_chi as ``(nums, den)``, for m a shift-free normal monomial."""
+        out = self._memo.get((v, m))
+        if out is not None:
+            return out
+        alg = self.alg
+        if not m:
+            out = ({}, 1) if v in self.m_ids else ({alg.gen_mono[v]: 1}, 1)
+        else:
+            x, rest = alg.split_first(m)
+            odd = alg.by_id[v].parity
+            if v < x or (v == x and not odd):
+                out = {alg.times_last(m, v): 1}, 1
+            else:
+                groups = {}
+                if v == x:  # v * v is half the bracket
+                    den, lift = 2, 1
+                else:
+                    nums, den = self.act(v, rest)
+                    lift = den  # the bracket terms are brought over den
+                    sign = -1 if odd and alg.by_id[x].parity else 1
+                    for n, c in nums.items():
+                        add_numerators(groups, *self.act(x, n), sign * c)
+                terms, bden = self._bracket(v, x)
+                for y, c in terms:
+                    yn, yd = ({rest: 1}, 1) if y is None else self.act(y, rest)
+                    add_numerators(groups, yn, yd * bden, c * lift)
+                out = merge_numerators(groups, den)
+            self._memo[(v, m)] = out
+        return out
+
+    def image(self, v, s):
+        """v·s in Q_chi as ``(nums, den)`` for any hbar-free series s: the
+        class of v·s only depends on the class of s, so s is reduced first."""
+        groups = {}
+        for m, c in self.alg.free_of(s.nums, self.m_ids).items():
+            add_numerators(groups, *self.act(v, m), c)
+        return merge_numerators(groups, s.den)
 
 
 def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
@@ -120,11 +221,12 @@ def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
     star = StarAlgebra(alg, table, hbar_mode="h2")
     ustar = StarAlgebra(alg, table, hbar_mode="unit")
     # the complement takes the first universe ids, the shift directions the rest
+    m_ids = frozenset(range(len(comp), data.dim))
     return SliceContext(
         data=data, grading=grading, chi=chi, alg=alg, poisson=poisson,
-        star=star, ustar=ustar, orig_of=orig_of,
-        m_ids=frozenset(range(len(comp), data.dim)),
+        star=star, ustar=ustar, orig_of=orig_of, m_ids=m_ids,
         complement_ids=tuple(range(len(comp))),
+        quotient=QuotientModule(alg, table, m_ids),
     )
 
 
@@ -140,7 +242,7 @@ def _check_m_abelian(ctx: SliceContext):
 
 def reduce_mod_chi(ctx: SliceContext, s: Series) -> Series:
     """Drop every normal monomial that touches a shift variable."""
-    return reduce_mod_mk(ctx, s, 1)
+    return Series.over(ctx.alg, ctx.alg.free_of(s.nums, ctx.m_ids), s.den, s.order)
 
 
 def m_degree(ctx: SliceContext, mono) -> int:
@@ -211,8 +313,8 @@ def _quotient_mul(ctx):
 
 def _m_invariant(ctx, series):
     """Whether every shift generator annihilates every series in the quotient."""
-    qmul, mg = _quotient_mul(ctx), ctx.m_gens()
-    return all(qmul(m, s).is_zero() for s in series for m in mg)
+    image = ctx.quotient.image
+    return all(not image(g, s)[0] for s in series for g in sorted(ctx.m_ids))
 
 
 def _monomials(alg, ids, wmax, amax=None):
@@ -273,9 +375,15 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
     """Invariants of the shifted enveloping algebra, solved degree by degree.
 
     Candidates are the shift-free normal monomials of each filtration weight;
-    the invariance conditions are exact enveloping products against the shift
-    generators, reduced to the quotient.  Generators are extracted weight by
-    weight against the span of products of earlier generators.
+    the invariance conditions are their images under the shift generators in
+    Q_chi, each found by ``QuotientModule.act`` without an enveloping product:
+    g·(x·m') = ±x·(g·m') + [g, x]·m' for x the first factor of the candidate,
+    every product with a variable on the left reduced as it is formed, which
+    is exact because left multiplication maps the left ideal U(g)·m_chi into
+    itself.  This needs the shift ids above every complement id, as
+    ``slice_setup`` orders them, and m abelian, which is checked first.
+    Generators are extracted weight by weight against the span of products
+    of earlier generators, multiplied out in full and reduced.
     """
     _check_m_abelian(ctx)
     alg = ctx.alg
@@ -290,19 +398,19 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
     # a candidate's row holds its images under the shift generators, and a
     # candidate that depends on the earlier ones gives the kernel vector of
     # an invariant of its weight, the least n for which it has weight <= n
-    qmul = _quotient_mul(ctx)
-    mg = ctx.m_gens()
+    act = ctx.quotient.act
+    mg = sorted(ctx.m_ids)
     cands = _monomials(alg, ctx.complement_ids, n_max)
     invariants = []
     for p in (EVEN, ODD):
         sub = [m for m in cands if alg.mono_parity(m) == p]
         kernel = TaggedEchelon()
         for k, m in enumerate(sub):
-            images = [qmul(g, Series.over(alg, {m: 1})) for g in mg]
-            den = lcm(*(im.den for im in images))
+            images = [act(g, m) for g in mg]
+            den = lcm(*(d for _, d in images))
             # data column ~(mm * len(mg) + i) for monomial mm of image i
-            row = {~(mm * len(mg) + i): v * (den // im.den)
-                   for i, im in enumerate(images) for mm, v in im.nums.items()}
+            row = {~(mm * len(mg) + i): v * (den // d)
+                   for i, (nums, d) in enumerate(images) for mm, v in nums.items()}
             row[k] = den
             relation = kernel.add(row, k)
             if relation is not None:
@@ -321,7 +429,7 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
 
     gens = []
     gseries = []
-    gen_words = word_table(gseries, qmul, alg.one())
+    gen_words = word_table(gseries, _quotient_mul(ctx), alg.one())
     new_counts = {}
     span = Echelon()
     for w in range(n_max + 1):
@@ -495,7 +603,7 @@ def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUA
     counts_equal = (Counter((w, p) for w, p, _ in wh.gens)
                     == Counter((w, p) for w, p, _ in sl.gens))
 
-    invariance_ok = _m_invariant(ctx, [s for _, _, s in sl.gens])
+    invariance_ok = sl.invariance_ok
 
     span_ok = True
     blocks_ok = True

@@ -5,7 +5,9 @@ below were computed once by enumerating normal monomials weight by weight
 and solving the invariance conditions in exact rational arithmetic; the
 tests require byte-exact agreement.
 """
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import random
@@ -18,7 +20,8 @@ import pytest
 from superw import wslice
 from superw.algebras import load_algebra
 from superw.linalg import Echelon, nullspace, rref, solve
-from superw.starprod import filtration_dims, quantum_darboux
+from superw.cli import main
+from superw.starprod import StarAlgebra, filtration_dims, quantum_darboux
 from superw.supercore import EVEN, ODD, Series
 from superw.wslice import (
     _monomials,
@@ -37,7 +40,7 @@ from superw.wslice import (
     word_table,
 )
 from test_linalg import _assert_tagged_matches_fraction_elimination, _recording_tagged
-from test_supermatrix import E12_TRIPLE, gl_json
+from test_supermatrix import E12_E34_TRIPLE, E12_TRIPLE, gl_json
 
 # name -> (order, dims, generator (weight, parity) signature)
 FROZEN = {
@@ -168,18 +171,20 @@ def test_compare_realizations_all_bundled():
         assert cm.ok, name
 
 
-def _perturbed(sl, idx, extra):
-    """The slice result with ``extra`` added to generator ``idx``."""
+def _perturbed(ctx, sl, idx, extra):
+    """The slice result with ``extra`` added to generator ``idx``, its
+    invariance flag recomputed as ``slice_walgebra`` computes it."""
     gens = list(sl.gens)
     w, p, s = gens[idx]
     gens[idx] = (w, p, s + extra)
-    return dataclasses.replace(sl, gens=gens)
+    invariant = wslice._m_invariant(ctx, [g for _, _, g in gens])
+    return dataclasses.replace(sl, gens=gens, invariance_ok=invariant)
 
 
 def test_compare_detects_noninvariant_perturbation():
     ctx = _ctx("sl2")
     h = ctx.alg.gen("h")
-    cm = compare_realizations(ctx, 8, slice_result=_perturbed(_slice("sl2", 8), 0, h * h),
+    cm = compare_realizations(ctx, 8, slice_result=_perturbed(ctx, _slice("sl2", 8), 0, h * h),
                               whittaker_result=_whittaker("sl2", 8))
     assert not cm.invariance_ok
     assert not cm.span_ok
@@ -191,7 +196,7 @@ def test_compare_tolerates_constant_shift():
     # weight, so the cross-check accepts it -- by design
     ctx = _ctx("sl2")
     cm = compare_realizations(ctx, 8,
-                              slice_result=_perturbed(_slice("sl2", 8), 0, ctx.alg.one()),
+                              slice_result=_perturbed(ctx, _slice("sl2", 8), 0, ctx.alg.one()),
                               whittaker_result=_whittaker("sl2", 8))
     assert cm.ok
 
@@ -332,6 +337,123 @@ def test_reduction_helpers():
     assert degs == [0, 1, 2]
     assert reduce_mod_mk(ctx, s, 2) == e + f
     assert reduce_mod_mk(ctx, s, 1) == e
+
+
+def test_reduce_mod_chi_matches_the_shift_degree_count():
+    # reduce_mod_chi tests each monomial against one mask of the shift
+    # fields; reduce_mod_mk(., 1) counts the shift factors of each monomial
+    rng = random.Random(3)
+    for name in ("sl2", "osp12", "sl21"):
+        ctx = _ctx(name)
+        alg = ctx.alg
+        monos = _monomials(alg, [v.ident for v in alg.variables], 6, amax=3)
+        shifted = [m for m in monos if m_degree(ctx, m)]
+        assert shifted and len(shifted) < len(monos)
+        for _ in range(30):
+            s = alg.series({m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                            for m in rng.sample(monos, 6)}, order=rng.choice([None, 4]))
+            got, want = reduce_mod_chi(ctx, s), reduce_mod_mk(ctx, s, 1)
+            assert got == want and got.order == want.order == s.order
+
+
+# -- the left action on Q_chi against the full product reduced once ----------
+
+
+def _catalog_algebra(tmp_path, name, spec):
+    """A bundled algebra, or gl(m|n) with a given triple for spec (m, n, triple)."""
+    if spec is None:
+        return load_algebra(name)
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(gl_json(*spec)), encoding="utf-8")
+    return load_algebra(str(path))
+
+
+@pytest.mark.parametrize("name,spec,order,pairs", [
+    ("sl21", None, 12, 384), ("osp12", None, 12, 46), ("sl2", None, 20, 36),
+    ("gl32", (3, 2, E12_TRIPLE), 6, 5240), ("gl22", (2, 2, E12_E34_TRIPLE), 6, 660),
+])
+def test_left_action_matches_the_reduced_product(tmp_path, name, spec, order, pairs):
+    # every (shift generator, candidate) pair of the Whittaker rows: the
+    # left-module recursion against the enveloping product reduced once
+    ctx = slice_setup(_catalog_algebra(tmp_path, name, spec))
+    alg = ctx.alg
+    qmul = wslice._quotient_mul(ctx)
+    cands = _monomials(alg, ctx.complement_ids, order)
+    seen = 0
+    for g, gs in zip(sorted(ctx.m_ids), ctx.m_gens()):
+        for m in cands:
+            want = qmul(gs, Series.over(alg, {m: 1}))
+            assert ctx.quotient.act(g, m) == (want.nums, want.den), alg.mono_str(m)
+            seen += 1
+    assert seen == pairs
+
+
+@pytest.mark.parametrize("name", ["sl2", "osp12", "sl21"])
+def test_m_invariant_matches_the_reduced_products(name):
+    ctx = _ctx(name)
+    alg = ctx.alg
+    qmul = wslice._quotient_mul(ctx)
+    rng = random.Random(7)
+    free = _monomials(alg, ctx.complement_ids, 6)
+    every = _monomials(alg, [v.ident for v in alg.variables if not v.hbar], 4, amax=3)
+    invariants = [s for _, _, s in _whittaker(name, 6).invariants]
+    seen = set()
+    for trial in range(40):
+        # a combination of invariants, perturbed by a shift-free monomial
+        # on every other trial
+        s = alg.zero()
+        for t in rng.sample(invariants, min(3, len(invariants))):
+            s = s + t * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        if trial % 2:
+            s = s + alg.series({rng.choice(free): Fraction(rng.randint(1, 3))})
+        want = all(qmul(gs, s).is_zero() for gs in ctx.m_gens())
+        assert wslice._m_invariant(ctx, [s]) == want
+        seen.add(want)
+        # the image of any series, shift monomials included, is the image of
+        # its class
+        u = s + alg.series({m: Fraction(rng.randint(-3, 3)) for m in rng.sample(every, 4)})
+        for g, gs in zip(sorted(ctx.m_ids), ctx.m_gens()):
+            ref = qmul(gs, u)
+            assert ctx.quotient.image(g, u) == (ref.nums, ref.den)
+    assert seen == {True, False}
+
+
+def test_walgebra_both_checks_invariance_once(monkeypatch):
+    # compare_realizations reads the slice result's flag instead of
+    # multiplying the same generators again
+    calls = []
+    real = wslice._m_invariant
+
+    def counted(ctx, series):
+        calls.append(len(series))
+        return real(ctx, series)
+
+    monkeypatch.setattr(wslice, "_m_invariant", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["walgebra", "--algebra", "sl21", "--order", "6",
+                     "--method", "both"]) == 0
+    report = json.loads(out.getvalue())
+    assert calls == [4]
+    assert report["slice"]["invariance_ok"] and report["compare"]["invariance_ok"]
+
+
+def test_whittaker_rows_build_no_enveloping_product(monkeypatch):
+    # the rows come from the left action on Q_chi; the only enveloping
+    # products left are gen_words', each a generator times a shorter word
+    ctx = slice_setup(load_algebra("sl21"))
+    calls = []
+    real = StarAlgebra.star
+
+    def counted(self, f, g, order="auto"):
+        calls.append(f)
+        return real(self, f, g, order)
+
+    monkeypatch.setattr(StarAlgebra, "star", counted)
+    wh = whittaker_walgebra(ctx, 12)
+    assert len(calls) == 39
+    gens = [s for _, _, s in wh.gens]
+    assert all(any(f == s for s in gens) for f in calls)
 
 
 def test_alternate_lagrangian_same_tables():
