@@ -8,11 +8,12 @@ above every complement id and m abelian, the shift-free normal monomials are
 a basis of Q_chi, and a shift generator acts on one of them by peeling off
 its first factor; left multiplication maps the left ideal into itself, so
 every step is reduced as it is formed and no monomial of the ideal is built.
-Route two ("slice") runs the quantum flattening
-machinery around the shift directions and reads the invariants off as the
-centralizer generators of the resulting chart.  Both land in the same quotient
-module, so their generators, dimension tables and products can be compared
-exactly -- that comparison is the point of this module.
+Every product in Q_chi, the generator words of both routes included, is
+this action factor by factor (``QuotientModule.mul``).  Route two ("slice")
+runs the quantum flattening machinery around the shift directions and reads
+the invariants off as the centralizer generators of the resulting chart.
+Both land in the same quotient module, so their generators, dimension tables
+and products can be compared exactly -- that comparison is the point.
 
 Everything here is exact rational arithmetic.  Truncation only enters through
 the chart construction, and the reduction arguments keep the reduced data
@@ -75,7 +76,7 @@ class SliceContext:
     alg: Algebra
     poisson: PoissonAlgebra
     star: StarAlgebra  # hbar-squared deformation
-    ustar: StarAlgebra  # exact enveloping product
+    ustar: StarAlgebra  # exact enveloping product, for splitting_check's lifts
     orig_of: tuple  # universe id -> original basis index
     m_ids: frozenset
     complement_ids: tuple
@@ -166,13 +167,22 @@ class QuotientModule:
             self._memo[(v, m)] = out
         return out
 
-    def image(self, v, s):
-        """v·s in Q_chi as ``(nums, den)`` for any hbar-free series s: the
-        class of v·s only depends on the class of s, so s is reduced first."""
-        groups = {}
-        for m, c in self.alg.free_of(s.nums, self.m_ids).items():
-            add_numerators(groups, *self.act(v, m), c)
-        return merge_numerators(groups, s.den)
+    def mul(self, s, t):
+        """s·t in Q_chi for hbar-free s and t: each monomial x_1⋯x_k of s acts
+        by ``act``, x_k first, on the class of t, which is all s·t depends on."""
+        alg = self.alg
+        free, groups = alg.free_of(t.nums, self.m_ids), {}
+        for m, c in s.nums.items():
+            nums, den = free, 1
+            while m:
+                v, m = alg.split_last(m)
+                step = {}
+                for n, a in nums.items():
+                    add_numerators(step, *self.act(v, n), a)
+                nums, d = merge_numerators(step)
+                den *= d
+            add_numerators(groups, nums, den, c)
+        return Series.over(alg, *merge_numerators(groups, s.den * t.den))
 
 
 def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
@@ -306,15 +316,10 @@ def _hbar_padded(value, weights, parities, wlimit, amax=None):
                    for e in words]
 
 
-def _quotient_mul(ctx):
-    """The exact enveloping product, reduced to the quotient."""
-    return lambda a, b: reduce_mod_chi(ctx, ctx.ustar.star(a, b))
-
-
 def _m_invariant(ctx, series):
     """Whether every shift generator annihilates every series in the quotient."""
-    image = ctx.quotient.image
-    return all(not image(g, s)[0] for s in series for g in sorted(ctx.m_ids))
+    mul, gens = ctx.quotient.mul, ctx.m_gens()
+    return all(mul(g, s).is_zero() for s in series for g in gens)
 
 
 def _monomials(alg, ids, wmax, amax=None):
@@ -383,7 +388,7 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
     itself.  This needs the shift ids above every complement id, as
     ``slice_setup`` orders them, and m abelian, which is checked first.
     Generators are extracted weight by weight against the span of products
-    of earlier generators, multiplied out in full and reduced.
+    of earlier generators, each a generator acting on a shorter word in Q_chi.
     """
     _check_m_abelian(ctx)
     alg = ctx.alg
@@ -429,7 +434,7 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
 
     gens = []
     gseries = []
-    gen_words = word_table(gseries, _quotient_mul(ctx), alg.one())
+    gen_words = word_table(gseries, ctx.quotient.mul, alg.one())
     new_counts = {}
     span = Echelon()
     for w in range(n_max + 1):
@@ -509,8 +514,8 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
     The chart's centralizer generators (and the self-paired odd variable, if
     present) specialize at hbar = 1 to invariants of the shifted enveloping
     algebra; reducing to the quotient yields exact generator representatives.
-    Dimensions and products are then computed from exact enveloping products
-    of those representatives.
+    Dimensions and products are then computed from their words in Q_chi,
+    each a generator acting on a shorter word (``QuotientModule.mul``).
     """
     _check_m_abelian(ctx)
     alg = ctx.alg
@@ -540,7 +545,7 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
     # PBW words in the reduced generators
     weights = [w for w, _, _ in gens]
     parities = [p for _, p, _ in gens]
-    gen_words = word_table([red for _, _, red in gens], _quotient_mul(ctx), alg.one())
+    gen_words = word_table([red for _, _, red in gens], ctx.quotient.mul, alg.one())
 
     words, basis, dims = _word_basis(gen_words, weights, parities, order)
 

@@ -12,8 +12,10 @@ import itertools
 import json
 import random
 from bisect import insort
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +361,12 @@ def test_reduce_mod_chi_matches_the_shift_degree_count():
 # -- the left action on Q_chi against the full product reduced once ----------
 
 
+def _quotient_mul(ctx):
+    """The exact enveloping product, reduced to the quotient: the oracle for
+    ``QuotientModule.act`` and ``QuotientModule.mul``."""
+    return lambda a, b: reduce_mod_chi(ctx, ctx.ustar.star(a, b))
+
+
 def _catalog_algebra(tmp_path, name, spec):
     """A bundled algebra, or gl(m|n) with a given triple for spec (m, n, triple)."""
     if spec is None:
@@ -377,7 +385,7 @@ def test_left_action_matches_the_reduced_product(tmp_path, name, spec, order, pa
     # left-module recursion against the enveloping product reduced once
     ctx = slice_setup(_catalog_algebra(tmp_path, name, spec))
     alg = ctx.alg
-    qmul = wslice._quotient_mul(ctx)
+    qmul = _quotient_mul(ctx)
     cands = _monomials(alg, ctx.complement_ids, order)
     seen = 0
     for g, gs in zip(sorted(ctx.m_ids), ctx.m_gens()):
@@ -392,7 +400,7 @@ def test_left_action_matches_the_reduced_product(tmp_path, name, spec, order, pa
 def test_m_invariant_matches_the_reduced_products(name):
     ctx = _ctx(name)
     alg = ctx.alg
-    qmul = wslice._quotient_mul(ctx)
+    qmul = _quotient_mul(ctx)
     rng = random.Random(7)
     free = _monomials(alg, ctx.complement_ids, 6)
     every = _monomials(alg, [v.ident for v in alg.variables if not v.hbar], 4, amax=3)
@@ -412,10 +420,78 @@ def test_m_invariant_matches_the_reduced_products(name):
         # the image of any series, shift monomials included, is the image of
         # its class
         u = s + alg.series({m: Fraction(rng.randint(-3, 3)) for m in rng.sample(every, 4)})
-        for g, gs in zip(sorted(ctx.m_ids), ctx.m_gens()):
-            ref = qmul(gs, u)
-            assert ctx.quotient.image(g, u) == (ref.nums, ref.den)
+        for gs in ctx.m_gens():
+            assert ctx.quotient.mul(gs, u) == qmul(gs, u)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name,spec,order,products", [
+    ("sl2", None, 12, (3, 3)), ("osp12", None, 10, (8, 11)), ("sl21", None, 10, (27, 29)),
+    ("gl32", (3, 2, E12_TRIPLE), 6, (335, 343)), ("gl22", (2, 2, E12_E34_TRIPLE), 6, (44, 46)),
+])
+def test_generator_words_match_the_reduced_product(monkeypatch, tmp_path, name, spec,
+                                                   order, products):
+    # every generator-word product of both routes, a generator times a
+    # shorter word, against the enveloping product reduced once
+    ctx = slice_setup(_catalog_algebra(tmp_path, name, spec))
+    qmul = _quotient_mul(ctx)
+    seen = []
+    real = wslice.word_table
+
+    def recording(factors, mul, unit):
+        def checked(a, b):
+            got = mul(a, b)
+            assert got == qmul(a, b)
+            seen.append((a, b))
+            return got
+        return real(factors, checked, unit)
+
+    monkeypatch.setattr(wslice, "word_table", recording)
+    assert whittaker_walgebra(ctx, order).ok
+    whittaker = len(seen)
+    assert slice_walgebra(ctx, order).ok
+    assert (whittaker, len(seen) - whittaker) == products
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("sl2", None), ("osp12", None), ("sl21", None), ("gl22", (2, 2, E12_E34_TRIPLE)),
+])
+def test_quotient_mul_matches_the_reduced_product_on_random_pairs(tmp_path, name, spec):
+    # the left factor has shift variables, the right one shift monomials and
+    # a constant: the left factor acts as written, the right one by its class
+    ctx = slice_setup(_catalog_algebra(tmp_path, name, spec))
+    alg = ctx.alg
+    qmul = _quotient_mul(ctx)
+    rng = random.Random(11)
+    every = _monomials(alg, [v.ident for v in alg.variables if not v.hbar], 4, amax=3)[1:]
+    shifted = [m for m in every if m_degree(ctx, m)]
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    nonzero = 0
+    for _ in range(25):
+        s = alg.series({m: coeff() for m in rng.sample(every, 3) + rng.sample(shifted, 1)})
+        t = alg.series({m: coeff() for m in rng.sample(every, 3) + rng.sample(shifted, 2)})
+        t = t + alg.const(coeff())
+        assert any(m_degree(ctx, m) for m in s.nums) and t.constant_term()
+        got = ctx.quotient.mul(s, t)
+        assert got == qmul(s, t)
+        nonzero += not got.is_zero()
+    assert nonzero >= 5  # not only products that vanish in Q_chi
+
+
+def test_readme_worked_session():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    session = readme.split("A small worked session:")[1].split("```python\n")[1]
+    session = session.split("```")[0]
+    ns = {}
+    exec(session, ns)
+    assert ns["wh"].dims == [1, 1, 1, 1, 2, 2, 2, 2, 3]
+    assert str(ns["wh"].gens[0][2]) == "e - 1/2*h + 1/4*h^2"
+    # the session shows what it computes
+    assert "# [1, 1, 1, 1, 2, 2, 2, 2, 3]\n" in session
+    assert "# e - 1/2*h + 1/4*h^2 " in session
 
 
 def test_walgebra_both_checks_invariance_once(monkeypatch):
@@ -439,21 +515,25 @@ def test_walgebra_both_checks_invariance_once(monkeypatch):
 
 
 def test_whittaker_rows_build_no_enveloping_product(monkeypatch):
-    # the rows come from the left action on Q_chi; the only enveloping
-    # products left are gen_words', each a generator times a shorter word
+    # the rows, the generator words and the invariance checks of both routes
+    # all come from the left action on Q_chi: no exact enveloping product
     ctx = slice_setup(load_algebra("sl21"))
-    calls = []
+    qc = quantum_darboux(ctx.star, ctx.poisson, 6, seeds=ctx.m_gens())
+    calls = Counter()
     real = StarAlgebra.star
 
     def counted(self, f, g, order="auto"):
-        calls.append(f)
+        calls[self.hbar_mode] += 1
         return real(self, f, g, order)
 
     monkeypatch.setattr(StarAlgebra, "star", counted)
-    wh = whittaker_walgebra(ctx, 12)
-    assert len(calls) == 39
-    gens = [s for _, _, s in wh.gens]
-    assert all(any(f == s for s in gens) for f in calls)
+    assert whittaker_walgebra(ctx, 12).ok
+    assert slice_walgebra(ctx, 6, qc=qc).ok
+    assert calls["unit"] == 0 and calls["h2"] > 0  # the slice certificate
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["walgebra", "--algebra", "sl21", "--order", "6",
+                     "--method", "both"]) == 0
+    assert calls["unit"] == 0
 
 
 def test_alternate_lagrangian_same_tables():
@@ -548,10 +628,7 @@ def _reference_whittaker(ctx, n_max):
     alg = ctx.alg
     cands = _monomials(alg, ctx.complement_ids, n_max)
     mg = ctx.m_gens()
-
-    def qmul(a, b):
-        return reduce_mod_chi(ctx, ctx.ustar.star(a, b))
-
+    qmul = _quotient_mul(ctx)
     images = {m: [qmul(g, alg.series({m: Fraction(1)})) for g in mg] for m in cands}
     bases, dims = {}, []
     for n in range(n_max + 1):
@@ -619,9 +696,7 @@ def _slice_words(name, order):
     """The slice generators' weights, parities and PBW word values."""
     ctx = _ctx(name)
     gens = _slice(name, order).gens
-    value = word_table([s for _, _, s in gens],
-                       lambda a, b: reduce_mod_chi(ctx, ctx.ustar.star(a, b)),
-                       ctx.alg.one())
+    value = word_table([s for _, _, s in gens], _quotient_mul(ctx), ctx.alg.one())
     return [w for w, _, _ in gens], [p for _, p, _ in gens], value
 
 

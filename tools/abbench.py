@@ -8,8 +8,9 @@ archive`` and runs ``perfbench/run.py --workload W --seed K --seconds S
 gives both runs seed K; odd pairs run the base first, even pairs the change
 first, so a drift of the machine's speed falls on both sides.  For every
 end-to-end metric of ``BENCHMARK.json`` it prints the median and quartiles
-on each side, the change of the medians and how many pairs the change won,
-then one JSON line with the same summary.  A pair with a failed run is left
+on each side, the change of the medians, how many pairs the change won and
+a verdict against the metric's relative ``bound`` (see ``verdict``), then
+one JSON line with the same summary.  A pair with a failed run is left
 out of the summary and counted.  The temporary copy is removed at the end.
 
 An export, unlike a git worktree, leaves nothing registered in the
@@ -32,9 +33,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_metrics(root=ROOT):
-    """The end-to-end metrics of BENCHMARK.json as ``[(name, unit, better)]``."""
+    """The end-to-end metrics of BENCHMARK.json as
+    ``[(name, unit, better, bound)]``, bound relative or None."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return [(m["name"], m.get("unit", ""), m.get("better", "lower"))
+    return [(m["name"], m.get("unit", ""), m.get("better", "lower"), m.get("bound"))
             for m in spec["end_to_end"]]
 
 
@@ -46,6 +48,24 @@ def _quartiles(values):
     return q1, q2, q3
 
 
+def verdict(base, change, better, bound):
+    """The change's runs against the base's under a relative ``bound``.
+
+    ``worse beyond bound`` when the change's median is worse than the
+    base's by more than bound times the base median; else ``unresolved``
+    when the base's quartile spread exceeds bound times its median and not
+    every change run beats every base run; else ``within bound``.
+    """
+    sign = 1 if better == "lower" else -1
+    q1, median, q3 = _quartiles(base)
+    limit = bound * abs(median)
+    if sign * (_quartiles(change)[1] - median) > limit:
+        return "worse beyond bound"
+    if q3 - q1 > limit and not all(sign * (c - b) < 0 for c in change for b in base):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(pairs, metrics):
     """Summarize ``pairs``, a list of ``(base, change)`` result dicts.
 
@@ -53,13 +73,14 @@ def summarize(pairs, metrics):
     ``metrics`` ``{name: {"value": v}}``, or None when the run failed.
     Returns ``{"pairs", "failed_pairs", "metrics"}``; each metric entry
     holds the base and change quartiles ``[q1, median, q3]``, the relative
-    change of the medians and ``wins``, the pairs where the change was
-    strictly better.
+    change of the medians, ``wins``, the pairs where the change was
+    strictly better, and the ``bound`` with its ``verdict`` (both None
+    when the metric declares no bound).
     """
     good = [(b, c) for b, c in pairs
             if b and c and b.get("correct") and c.get("correct")]
     out = {"pairs": len(good), "failed_pairs": len(pairs) - len(good), "metrics": {}}
-    for name, unit, better in metrics:
+    for name, unit, better, bound in metrics:
         both = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
                 for b, c in good if name in b["metrics"] and name in c["metrics"]]
         if not both:
@@ -75,6 +96,9 @@ def summarize(pairs, metrics):
             "rel_change": change[1] / base[1] - 1 if base[1] else None,
             "wins": sum(1 for b, c in both if sign * (c - b) < 0),
             "n": len(both),
+            "bound": bound,
+            "verdict": None if bound is None else verdict(
+                [b for b, _ in both], [c for _, c in both], better, bound),
         }
     return out
 
@@ -85,13 +109,16 @@ def format_summary(summary):
              % (summary["pairs"], summary["failed_pairs"])]
     for name, m in summary["metrics"].items():
         rel = m["rel_change"]
-        lines.append(
+        line = (
             "%-12s base %.4g [%.4g, %.4g] -> change %.4g [%.4g, %.4g] %s  %s, "
             "change won %d/%d (%s is better)" % (
                 name, m["base"][1], m["base"][0], m["base"][2],
                 m["change"][1], m["change"][0], m["change"][2], m["unit"],
                 "n/a" if rel is None else "%+.1f %%" % (100 * rel),
                 m["wins"], m["n"], m["better"]))
+        if m["verdict"] is not None:
+            line += ": %s (bound %g %%)" % (m["verdict"], 100 * m["bound"])
+        lines.append(line)
     return lines
 
 
