@@ -42,13 +42,15 @@ class AlgebraError(ValueError):
     """A catalog file failed validation, with the violated law in the message."""
 
 
-def _rat(x):
+def _rat(x, what):
+    """x, a string or integer rational, or an AlgebraError naming ``what``."""
     if isinstance(x, str) or type(x) is int:  # bool is an int subclass
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise AlgebraError("rational entries must be strings or integers, got %r" % (x,))
+    raise AlgebraError("%s: rational entries must be strings or integers, got %r"
+                       % (what, x))
 
 
 @dataclass(frozen=True)
@@ -324,6 +326,11 @@ def _array(value, what):
     return value
 
 
+def _rationals(value, what):
+    """value, a JSON array of rationals, as a tuple of Fractions."""
+    return tuple(_rat(x, what) for x in _array(value, what))
+
+
 def _from_json(raw) -> LieSuperData:
     try:
         name = raw["name"]
@@ -362,20 +369,18 @@ def _from_json(raw) -> LieSuperData:
             )
         if (i, j) in table:
             raise AlgebraError("%s: duplicate bracket entry (%d,%d)" % (name, i, j))
-        coeffs = _array(_field(ent, "coeffs", where), "%s field 'coeffs'" % where)
-        table[(i, j)] = tuple(_rat(c) for c in coeffs)
+        table[(i, j)] = _rationals(_field(ent, "coeffs", where),
+                                   "%s field 'coeffs'" % where)
 
-    fm = tuple(tuple(_rat(c) for c in _array(row, "%s: form row %d" % (name, k)))
+    fm = tuple(_rationals(row, "%s: form row %d" % (name, k))
                for k, row in enumerate(form))
 
     zero = (Fraction(0),) * n
     if "sl2_triple" in raw and raw["sl2_triple"] is not None:
         t = raw["sl2_triple"]
         where = "%s: sl2_triple" % name
-        triple = tuple(
-            tuple(_rat(c) for c in _array(_field(t, w, where),
-                                          "%s field %r" % (where, w)))
-            for w in ("e", "h", "f"))
+        triple = tuple(_rationals(_field(t, w, where), "%s field %r" % (where, w))
+                       for w in ("e", "h", "f"))
     else:
         triple = (zero, zero, zero)
 

@@ -299,7 +299,8 @@ def _suite_checks(order, seed):
                 bad += 1
         add("poisson_jacobi_random:%s" % name, bad == 0, trials=trials, bad=bad)
 
-        wviol = P.check_weights()
+        # the Kazhdan filtration makes the bracket lower weight by 2
+        wviol = P.table.check_weights(-2)
         add("bracket_weights:%s" % name, not wviol, violations=len(wviol))
 
         # a chart that is not built fails under its own name, with the error

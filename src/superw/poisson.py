@@ -76,10 +76,9 @@ class BracketTable:
 class PoissonAlgebra:
     """A bracket table promoted to a full Poisson bracket via Leibniz."""
 
-    def __init__(self, alg, table, bracket_weight=None):
+    def __init__(self, alg, table):
         self.alg = alg
         self.table = table
-        self.bracket_weight = bracket_weight
         self._memo = {}
 
     # -- the bracket on monomials -------------------------------------
@@ -176,11 +175,6 @@ class PoissonAlgebra:
                     if not jac.is_zero():
                         bad.append(((gens[i], gens[j], gens[k]), jac))
         return bad
-
-    def check_weights(self):
-        if self.bracket_weight is None:
-            return []
-        return self.table.check_weights(self.bracket_weight)
 
 
 def _add_products(groups, nums, den, times, sign):

@@ -2,10 +2,10 @@
 
 The product is defined by normal ordering: whenever two generators appear
 out of order they are swapped at the cost of the sign rule plus ``hbar^2``
-times the table entry ("h2" mode), or plus the entry alone ("unit" mode,
-i.e. the enveloping-algebra product with hbar set to 1).  In h2 mode every
-rewrite conserves or raises the completion order, so truncated arithmetic
-never loses low-order terms.
+times the table entry.  Every rewrite conserves or raises the completion
+order, so truncated arithmetic never loses low-order terms.  The fibre at
+hbar = 1 is the enveloping algebra: for exact inputs the product is a
+polynomial in hbar, and ``star(a, b).set_hbar(1)`` is the product in U(g).
 
 Normal forms of generator insertions and of monomial products are memoized
 as integer numerators over one denominator.  Nearly all of them are integer
@@ -48,14 +48,13 @@ from .supercore import (
 
 
 class StarAlgebra:
-    def __init__(self, alg, table, hbar_mode="h2"):
-        if hbar_mode not in ("h2", "unit"):
-            raise ValueError("hbar_mode must be 'h2' or 'unit'")
-        if hbar_mode == "h2" and alg.hbar_id is None:
-            raise ValueError("h2 mode needs an hbar variable")
+    # perfbench names the span of ``star`` after this attribute
+    # ("starprod.star.h2"), and its pinned counts read that key
+    hbar_mode = "h2"
+
+    def __init__(self, alg, table):
         self.alg = alg
         self.table = table
-        self.hbar_mode = hbar_mode
         self._insert_memo = {}
         self._word_memo = {}
 
@@ -65,11 +64,8 @@ class StarAlgebra:
     # over one denominator, the form of ``Series.nums`` and ``Series.den``.
 
     def _entry_term(self, i, j):
-        """hbar^2 c_ij (or c_ij in unit mode) as an exact Series."""
-        c = self.table.entry(i, j)
-        if self.hbar_mode == "h2" and not c.is_zero():
-            c = c.mul_hbar(2)
-        return c
+        """hbar^2 c_ij as an exact Series."""
+        return self.table.entry(i, j).mul_hbar(2)
 
     def _insert(self, m, x):
         """Normal form of (normal monomial m) * (generator x) (memoized).
@@ -170,8 +166,6 @@ class StarAlgebra:
             raise ValueError("series from a different universe")
         if order == "auto":
             order = f._join_order(g)
-        if self.hbar_mode == "unit" and order is not None:
-            raise ValueError("unit mode is exact; truncated input makes no sense")
         return pair_sum(f, g, order, self._word)
 
     def commutator(self, f, g, order="auto"):

@@ -75,8 +75,7 @@ class SliceContext:
     chi: ChiData
     alg: Algebra
     poisson: PoissonAlgebra
-    star: StarAlgebra  # hbar-squared deformation
-    ustar: StarAlgebra  # exact enveloping product, for splitting_check's lifts
+    star: StarAlgebra  # hbar-squared deformation; U(g) is its fibre at hbar = 1
     orig_of: tuple  # universe id -> original basis index
     m_ids: frozenset
     complement_ids: tuple
@@ -227,14 +226,13 @@ def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
                 s = s + alg.const(cst)
             entries[(i, j)] = s
     table = BracketTable(alg, entries)
-    poisson = PoissonAlgebra(alg, table, bracket_weight=-2)
-    star = StarAlgebra(alg, table, hbar_mode="h2")
-    ustar = StarAlgebra(alg, table, hbar_mode="unit")
+    poisson = PoissonAlgebra(alg, table)
+    star = StarAlgebra(alg, table)
     # the complement takes the first universe ids, the shift directions the rest
     m_ids = frozenset(range(len(comp), data.dim))
     return SliceContext(
         data=data, grading=grading, chi=chi, alg=alg, poisson=poisson,
-        star=star, ustar=ustar, orig_of=orig_of, m_ids=m_ids,
+        star=star, orig_of=orig_of, m_ids=m_ids,
         complement_ids=tuple(range(len(comp))),
         quotient=QuotientModule(alg, table, m_ids),
     )
@@ -652,6 +650,12 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
                     guard: int = DEFAULT_GUARD, qc=None) -> SplitResult:
     """Certify the tensor-splitting of the shifted enveloping algebra.
 
+    The chart words multiply in the chart's own star product at its cap.
+    Their hbar = 1 lifts multiply in the same star product, exactly, with
+    hbar set to 1 after each product: the inputs are hbar-free and
+    untruncated, so each product is a polynomial in hbar, and at hbar = 1 it
+    is the product in U(g).
+
     Every normal monomial of weight and total degree at most ``n_max`` is
     expanded over chart words: flattened-pair coordinates times centralizer
     words times powers of hbar.  The expansion must close through the working
@@ -669,11 +673,9 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
                for v in (e.a, e.b)] + _chart_wgens(qc)
     weights = [_gen_weight(f) for f in factors]
     parities = [f.parity() for f in factors]
-    # chart words at working order; the hbar = 1 lifts multiply exactly
-    chart_words = word_table(factors, lambda a, b: ctx.star.star(a, b, order=cap),
-                            alg.one(cap))
-    lift_words = word_table([f.set_hbar(1) for f in factors], ctx.ustar.star,
-                           alg.one())
+    chart_words = word_table(factors, qc.backend.mul, alg.one(cap))
+    lift_words = word_table([f.set_hbar(1) for f in factors],
+                            lambda a, b: ctx.star.star(a, b).set_hbar(1), alg.one())
 
     targets = _monomials(alg, [v.ident for v in alg.variables if not v.hbar],
                          n_max, amax=n_max)

@@ -90,3 +90,21 @@ def test_verdict_against_the_bound():
     assert _verdict([10, 10, 10, 10, 10], [9, 9, 9, 9, 9], "higher") == "within bound"
     assert _verdict([6, 8, 10, 13, 15], [9, 12, 10, 11, 8], "higher") == "unresolved"
     assert _verdict([6, 8, 10, 13, 15], [16, 17, 16, 18, 20], "higher") == "within bound"
+
+
+def test_bad_workload_or_seconds_is_a_usage_error_before_any_export(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        pytest.fail("nothing may be exported or run for a usage error")
+
+    monkeypatch.setattr(abbench, "export", forbidden)
+    monkeypatch.setattr(abbench, "run_once", forbidden)
+    assert "suite" in abbench.perfbench_workloads()
+    for argv, message in (
+            (["HEAD", "--workload", "walgebar"], "invalid choice: 'walgebar'"),
+            (["HEAD", "--workload", "all"], "invalid choice: 'all'"),
+            (["HEAD", "--workload", "suite", "--seconds", "0"], "1 to 120, not 0"),
+            (["HEAD", "--workload", "suite", "--seconds", "121"], "1 to 120, not 121")):
+        with pytest.raises(SystemExit) as exit_:
+            abbench.main(argv)
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err

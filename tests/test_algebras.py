@@ -259,9 +259,17 @@ def test_mistyped_fields_rejected(tmp_path):
         (("basis", 2, "parity"), True, "basis entry 2 field 'parity' must be an integer"),
         (("brackets", 0, "i"), 0.7, "bracket entry 0 field 'i' must be an integer"),
         (("brackets", 1, "j"), True, "bracket entry 1 field 'j' must be an integer"),
-        (("brackets", 1, "coeffs"), ["0", "one", "0"], "rational entries"),
-        (("brackets", 1, "coeffs"), ["0", "1/0", "0"], "rational entries"),
-        (("brackets", 1, "coeffs"), [0, True, 0], "rational entries"),
+        (("brackets", 1, "coeffs"), ["0", "one", "0"],
+         "bracket entry 1 field 'coeffs': rational entries must be strings or "
+         "integers, got 'one'"),
+        (("brackets", 1, "coeffs"), ["0", "1/0", "0"],
+         "bracket entry 1 field 'coeffs': rational entries"),
+        (("brackets", 1, "coeffs"), [0, True, 0],
+         "bracket entry 1 field 'coeffs': rational entries"),
+        (("form", 1, 2), "nan", "form row 1: rational entries must be strings or "
+         "integers, got 'nan'"),
+        (("sl2_triple", "h", 1), 0.5, "sl2_triple field 'h': rational entries must "
+         "be strings or integers, got 0.5"),
     )
     for (section, k, key), value, message in cases:
         bad = copy.deepcopy(SL2)

@@ -42,6 +42,7 @@ from superw.wslice import (
     word_table,
 )
 from test_linalg import _assert_tagged_matches_fraction_elimination, _recording_tagged
+from test_starprod import enveloping_product
 from test_supermatrix import E12_E34_TRIPLE, E12_TRIPLE, gl_json
 
 # name -> (order, dims, generator (weight, parity) signature)
@@ -107,7 +108,7 @@ def test_whittaker_generators_invariant_under_shift_directions():
             assert s.order is None
             assert s.parity() == p
             for m in ctx.m_gens():
-                assert reduce_mod_chi(ctx, ctx.ustar.star(m, s)).is_zero()
+                assert reduce_mod_chi(ctx, enveloping_product(ctx, m, s)).is_zero()
 
 
 def test_slice_tables_match_frozen_oracles():
@@ -364,7 +365,7 @@ def test_reduce_mod_chi_matches_the_shift_degree_count():
 def _quotient_mul(ctx):
     """The exact enveloping product, reduced to the quotient: the oracle for
     ``QuotientModule.act`` and ``QuotientModule.mul``."""
-    return lambda a, b: reduce_mod_chi(ctx, ctx.ustar.star(a, b))
+    return lambda a, b: reduce_mod_chi(ctx, enveloping_product(ctx, a, b))
 
 
 def _catalog_algebra(tmp_path, name, spec):
@@ -516,24 +517,29 @@ def test_walgebra_both_checks_invariance_once(monkeypatch):
 
 def test_whittaker_rows_build_no_enveloping_product(monkeypatch):
     # the rows, the generator words and the invariance checks of both routes
-    # all come from the left action on Q_chi: no exact enveloping product
+    # all come from the left action on Q_chi: no exact star product, the
+    # only kind that gives a product in U(g); the chart's are truncated
     ctx = slice_setup(load_algebra("sl21"))
     qc = quantum_darboux(ctx.star, ctx.poisson, 6, seeds=ctx.m_gens())
     calls = Counter()
     real = StarAlgebra.star
 
     def counted(self, f, g, order="auto"):
-        calls[self.hbar_mode] += 1
+        exact = (f._join_order(g) if order == "auto" else order) is None
+        calls["exact" if exact else "truncated"] += 1
         return real(self, f, g, order)
 
     monkeypatch.setattr(StarAlgebra, "star", counted)
     assert whittaker_walgebra(ctx, 12).ok
+    assert calls["exact"] == 0
     assert slice_walgebra(ctx, 6, qc=qc).ok
-    assert calls["unit"] == 0 and calls["h2"] > 0  # the slice certificate
+    assert calls["exact"] == 0 and calls["truncated"] > 0  # the slice certificate
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["walgebra", "--algebra", "sl21", "--order", "6",
                      "--method", "both"]) == 0
-    assert calls["unit"] == 0
+    assert calls["exact"] == 0
+    # the counter sees exact products: the splitting check's hbar = 1 lifts
+    assert splitting_check(ctx, 4).ok and calls["exact"] > 0
 
 
 def test_alternate_lagrangian_same_tables():
@@ -651,7 +657,7 @@ def _reference_whittaker(ctx, n_max):
             s = alg.one()  # the word multiplied out in full, reduced once
             for (_, _, g), x in zip(gens, e):
                 for _ in range(x):
-                    s = ctx.ustar.star(s, g)
+                    s = enveloping_product(ctx, s, g)
             prods.append(reduce_mod_chi(ctx, s))
         monos = sorted({m for s in prods for m in s.terms}
                        | {m for m in cands if alg.mono_weight(m) <= w}, key=alg.mono_key)

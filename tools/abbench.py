@@ -12,6 +12,9 @@ on each side, the change of the medians, how many pairs the change won and
 a verdict against the metric's relative ``bound`` (see ``verdict``), then
 one JSON line with the same summary.  A pair with a failed run is left
 out of the summary and counted.  The temporary copy is removed at the end.
+A workload that perfbench does not run, or ``--seconds`` outside the 1 to
+120 that perfbench accepts, is a usage error (exit 2) before anything is
+exported.
 
 An export, unlike a git worktree, leaves nothing registered in the
 repository when a run is interrupted.  Only the standard library is used.
@@ -20,6 +23,7 @@ repository when a run is interrupted.  Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import statistics
@@ -30,6 +34,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_workloads():
+    """The workload names of perfbench/workloads.py (it imports only the
+    standard library at module level)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.NAMES
 
 
 def load_metrics(root=ROOT):
@@ -149,13 +163,15 @@ def export(rev, dest):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="the base commit")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, choices=perfbench_workloads())
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=10,
-                    help="perfbench --seconds of each run")
+                    help="perfbench --seconds of each run, 1 to 120")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if not 1 <= args.seconds <= 120:  # the range perfbench/run.py accepts
+        ap.error("--seconds must be 1 to 120, not %d" % args.seconds)
     check = subprocess.run(["git", "rev-parse", "--verify", args.rev + "^{commit}"],
                            cwd=str(ROOT), capture_output=True, text=True)
     if check.returncode:
