@@ -88,7 +88,8 @@ class Algebra:
         # monomials' completion order over and over, and sorts their keys
         self._mono_eff = {}
         self._mono_key = {}
-        self._masks = {}  # frozenset of ids -> the exponent fields of those ids
+        # frozenset of ids -> (the mask of their exponent fields, the fields' shifts)
+        self._masks = {}
         hs = [v for v in vs if v.hbar]
         if len(hs) > 1:
             raise ValueError("at most one hbar variable")
@@ -149,14 +150,21 @@ class Algebra:
             return sum(e for _, e in self.mono_key(m))
         return sum(e for i, e in self.mono_key(m) if i in ids)
 
-    def free_of(self, nums, ids):
+    def free_of(self, nums, ids, k=1):
         """The terms of ``nums`` (``{mono: coefficient}``) whose monomials
-        have no factor among the variables ``ids``, a frozenset: one mask
-        test per monomial, the mask kept per set of ids."""
-        mask = self._masks.get(ids)
-        if mask is None:
-            mask = self._masks[ids] = sum(_MASK << self._shift[i] for i in ids)
-        return {m: v for m, v in nums.items() if not m & mask}
+        have fewer than k factors among the variables ``ids``, a frozenset:
+        for k = 1 one mask test per monomial, the mask kept per set of ids;
+        for k > 1 the fields of ``ids`` are summed in a monomial the mask
+        meets."""
+        masks = self._masks.get(ids)
+        if masks is None:
+            shifts = tuple(self._shift[i] for i in ids)
+            masks = self._masks[ids] = (sum(_MASK << sh for sh in shifts), shifts)
+        mask, shifts = masks
+        if k == 1:
+            return {m: v for m, v in nums.items() if not m & mask}
+        return {m: v for m, v in nums.items()
+                if not m & mask or sum((m >> sh) & _MASK for sh in shifts) < k}
 
     def split_first(self, m):
         """``(i, rest)`` with m = x_i * rest and i the smallest id in m (m not the unit)."""
@@ -409,7 +417,7 @@ class Series:
     def __hash__(self):
         raise TypeError("Series is not hashable")
 
-    # -- truncation and filtering -------------------------------------
+    # -- truncation ---------------------------------------------------
 
     def truncate(self, order):
         """Restrict to completion order <= order (also tightens self.order)."""
@@ -418,11 +426,6 @@ class Series:
         if self.order is not None and self.order <= order:
             return self
         return Series.over(self.alg, self.nums, self.den, order)
-
-    def eff_component(self, d):
-        eff = self.alg.mono_eff
-        return _normal(self.alg, {m: v for m, v in self.nums.items() if eff(m) == d},
-                       self.den, self.order, False)
 
     # -- hbar utilities -----------------------------------------------
 

@@ -56,7 +56,6 @@ __all__ = [
     "SliceContext",
     "slice_setup",
     "reduce_mod_chi",
-    "reduce_mod_mk",
     "whittaker_walgebra",
     "slice_walgebra",
     "compare_realizations",
@@ -90,25 +89,27 @@ class SliceContext:
 
 
 class QuotientModule:
-    """The left U(g)-module Q_chi = U(g) / U(g)·m_chi on its monomial basis.
+    """The left U(g)-module Q_chi^(k) = U(g) / U(g)·m_chi^k on its monomial
+    basis; k = 1, the default, is the Whittaker model Q_chi.
 
     The universe orders every shift variable after every complement variable
     (``slice_setup``), and m is abelian (``_check_m_abelian``), so the
-    shifted generators of m commute and the normal monomials with a shift
-    factor, each ending in a shifted generator of m, span the left ideal
-    U(g)·m_chi; the shift-free normal monomials are a basis of Q_chi.
-    ``act(v, m)`` is v·m in Q_chi for a variable v and a shift-free normal
-    monomial m, found by peeling the first (smallest-id) factor x off
-    m = x·m':
+    shifted generators of m commute and the normal monomials with k or more
+    shift factors, each ending in k shifted generators of m, span the left
+    ideal U(g)·m_chi^k; the normal monomials with fewer than k shift factors
+    are a basis of Q_chi^(k).  ``act(v, m)`` is v·m in Q_chi^(k) for a
+    variable v and a basis monomial m, found by peeling the first
+    (smallest-id) factor x off m = x·m':
 
-    - v < x, or v = x even: v·m is a normal monomial, or 0 for a shift v
-      and m = 1;
+    - v < x, or v = x even, or m = 1: v·m is a normal monomial, or 0 when it
+      has k shift factors.  That takes a shift v, and then every factor of
+      m is a shift factor too, since the shift ids come last;
     - v = x odd: v·v = [v, v] / 2, so v·m = [v, v]·m' / 2;
     - v > x: v·(x·m') = ±x·(v·m') + [v, x]·m', minus for two odd factors.
       The bracket, from the shifted table, is a constant (the chi shift),
       which gives c·m', plus variables y, which give y·m' by the same rules.
 
-    Each product with a variable on the left is formed in Q_chi: left
+    Each product with a variable on the left is formed in Q_chi^(k): left
     multiplication maps the left ideal into itself, so x·(v·m') only needs
     the class of v·m', and no monomial of the ideal is ever built.  This is
     the normal ordering of v·m with every step reduced, so it ends where
@@ -116,10 +117,13 @@ class QuotientModule:
     memoized per (variable, monomial).
     """
 
-    def __init__(self, alg, table, m_ids):
+    def __init__(self, alg, table, m_ids, k=1):
+        if k < 1:
+            raise ValueError("the power of the ideal must be at least 1, not %r" % k)
         self.alg = alg
         self.table = table
         self.m_ids = m_ids
+        self.k = k
         self._memo = {}
         self._brackets = {}
 
@@ -136,41 +140,44 @@ class QuotientModule:
         return out
 
     def act(self, v, m):
-        """v·m in Q_chi as ``(nums, den)``, for m a shift-free normal monomial."""
+        """v·m in Q_chi^(k) as ``(nums, den)``, for m a normal monomial with
+        fewer than k shift factors."""
         out = self._memo.get((v, m))
         if out is not None:
             return out
         alg = self.alg
-        if not m:
-            out = ({}, 1) if v in self.m_ids else ({alg.gen_mono[v]: 1}, 1)
-        else:
+        if m:
             x, rest = alg.split_first(m)
             odd = alg.by_id[v].parity
-            if v < x or (v == x and not odd):
-                out = {alg.times_last(m, v): 1}, 1
+        if not m or v < x or (v == x and not odd):
+            if v in self.m_ids and alg.mono_degree(m, self.m_ids) >= self.k - 1:
+                out = {}, 1
             else:
-                groups = {}
-                if v == x:  # v * v is half the bracket
-                    den, lift = 2, 1
-                else:
-                    nums, den = self.act(v, rest)
-                    lift = den  # the bracket terms are brought over den
-                    sign = -1 if odd and alg.by_id[x].parity else 1
-                    for n, c in nums.items():
-                        add_numerators(groups, *self.act(x, n), sign * c)
-                terms, bden = self._bracket(v, x)
-                for y, c in terms:
-                    yn, yd = ({rest: 1}, 1) if y is None else self.act(y, rest)
-                    add_numerators(groups, yn, yd * bden, c * lift)
-                out = merge_numerators(groups, den)
-            self._memo[(v, m)] = out
+                out = {alg.times_last(m, v): 1}, 1
+        else:
+            groups = {}
+            if v == x:  # v * v is half the bracket
+                den, lift = 2, 1
+            else:
+                nums, den = self.act(v, rest)
+                lift = den  # the bracket terms are brought over den
+                sign = -1 if odd and alg.by_id[x].parity else 1
+                for n, c in nums.items():
+                    add_numerators(groups, *self.act(x, n), sign * c)
+            terms, bden = self._bracket(v, x)
+            for y, c in terms:
+                yn, yd = ({rest: 1}, 1) if y is None else self.act(y, rest)
+                add_numerators(groups, yn, yd * bden, c * lift)
+            out = merge_numerators(groups, den)
+        self._memo[(v, m)] = out
         return out
 
     def mul(self, s, t):
-        """s·t in Q_chi for hbar-free s and t: each monomial x_1⋯x_k of s acts
-        by ``act``, x_k first, on the class of t, which is all s·t depends on."""
+        """s·t in Q_chi^(k) for hbar-free s and t: each monomial x_1⋯x_j of s
+        acts by ``act``, x_j first, on the class of t (its terms with fewer
+        than k shift factors), which is all s·t depends on."""
         alg = self.alg
-        free, groups = alg.free_of(t.nums, self.m_ids), {}
+        free, groups = alg.free_of(t.nums, self.m_ids, self.k), {}
         for m, c in s.nums.items():
             nums, den = free, 1
             while m:
@@ -251,16 +258,6 @@ def _check_m_abelian(ctx: SliceContext):
 def reduce_mod_chi(ctx: SliceContext, s: Series) -> Series:
     """Drop every normal monomial that touches a shift variable."""
     return Series.over(ctx.alg, ctx.alg.free_of(s.nums, ctx.m_ids), s.den, s.order)
-
-
-def m_degree(ctx: SliceContext, mono) -> int:
-    return ctx.alg.mono_degree(mono, ctx.m_ids)
-
-
-def reduce_mod_mk(ctx: SliceContext, s: Series, k: int) -> Series:
-    """Drop normal monomials with at least k shift factors."""
-    kept = {m: v for m, v in s.nums.items() if m_degree(ctx, m) < k}
-    return Series.over(ctx.alg, kept, s.den, s.order)
 
 
 def pbw_words(weights, parities, wlimit, amax=None):
@@ -651,10 +648,11 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
     """Certify the tensor-splitting of the shifted enveloping algebra.
 
     The chart words multiply in the chart's own star product at its cap.
-    Their hbar = 1 lifts multiply in the same star product, exactly, with
-    hbar set to 1 after each product: the inputs are hbar-free and
-    untruncated, so each product is a polynomial in hbar, and at hbar = 1 it
-    is the product in U(g).
+    Their hbar = 1 lifts multiply in Q_chi^(k) = U(g) / U(g)·m_chi^k, one
+    ``QuotientModule`` with bound k: the factors at hbar = 1 are exact and
+    free of hbar, and the left ideal is stable under left multiplication, so
+    each lift is the class of the product in U(g) without a monomial of the
+    ideal ever being built.
 
     Every normal monomial of weight and total degree at most ``n_max`` is
     expanded over chart words: flattened-pair coordinates times centralizer
@@ -674,8 +672,8 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
     weights = [_gen_weight(f) for f in factors]
     parities = [f.parity() for f in factors]
     chart_words = word_table(factors, qc.backend.mul, alg.one(cap))
-    lift_words = word_table([f.set_hbar(1) for f in factors],
-                            lambda a, b: ctx.star.star(a, b).set_hbar(1), alg.one())
+    module = QuotientModule(alg, ctx.quotient.table, ctx.m_ids, k)
+    lift_words = word_table([f.set_hbar(1) for f in factors], module.mul, alg.one())
 
     targets = _monomials(alg, [v.ident for v in alg.variables if not v.hbar],
                          n_max, amax=n_max)
@@ -694,12 +692,14 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
         if coeffs is None:
             coeff_failures.append(alg.mono_str(m))
             continue
-        # reconstruction at hbar = 1, modulo k-fold shift products
-        acc = Series.over(alg, {m: 1}, 1)
+        # reconstruction at hbar = 1 in Q_chi^(k): the integer sum of the
+        # c·lift against the class of m
+        groups = {}
         for exps, c in zip(words, coeffs):
             if c:
-                acc = acc - lift_words(exps) * c
-        if not reduce_mod_mk(ctx, acc, k).is_zero():
+                lift = lift_words(exps)
+                add_numerators(groups, lift.nums, lift.den * c.denominator, c.numerator)
+        if merge_numerators(groups) != (alg.free_of({m: 1}, ctx.m_ids, k), 1):
             recon_failures.append(alg.mono_str(m))
 
     return SplitResult(

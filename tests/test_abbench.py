@@ -1,6 +1,7 @@
 """The summary of tools/abbench.py, the alternating-pairs bench driver."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,56 @@ def test_bad_workload_or_seconds_is_a_usage_error_before_any_export(monkeypatch,
             abbench.main(argv)
         assert exit_.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "commit.gpgsign=false", *args], cwd=str(repo),
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_both_sides_run_in_exports_and_a_dirty_tree_exports_its_stash_commit(
+        monkeypatch, tmp_path, capsys):
+    for role in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv("GIT_%s_NAME" % role, "bench")
+        monkeypatch.setenv("GIT_%s_EMAIL" % role, "bench@example.invalid")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "f.txt").write_text("committed\n")
+    _git(repo, "add", "f.txt")
+    _git(repo, "commit", "-q", "-m", "base")
+    head = _git(repo, "rev-parse", "HEAD")
+    exported, ran = [], []
+
+    def export(rev, dest):
+        exported.append((rev, Path(dest)))
+
+    def run_once(checkout, workload, seed, seconds):
+        ran.append(Path(checkout))
+        return result(1.0)
+
+    real_root = abbench.ROOT
+    monkeypatch.setattr(abbench, "ROOT", repo)
+    monkeypatch.setattr(abbench, "perfbench_workloads", lambda: ("suite",))
+    monkeypatch.setattr(abbench, "export", export)
+    monkeypatch.setattr(abbench, "run_once", run_once)
+
+    def bench():
+        exported.clear()
+        ran.clear()
+        assert abbench.main(["HEAD", "--workload", "suite", "--pairs", "2"]) == 0
+        capsys.readouterr()
+        (base_rev, base), (change_rev, change) = exported
+        assert base != change and not {base, change} & {repo, real_root}
+        # every run is in one of the two exports, the base first in pair 1
+        assert ran == [base, change, change, base]
+        return base_rev, change_rev
+
+    assert bench() == (head, "HEAD")  # a clean tree is its HEAD
+    (repo / "f.txt").write_text("changed\n")
+    base_rev, change_rev = bench()
+    assert base_rev == head and change_rev not in (head, "HEAD")
+    assert _git(repo, "show", change_rev + ":f.txt") == "changed"
+    # the stash commit leaves the tree and the stash list alone
+    assert (repo / "f.txt").read_text() == "changed\n"
+    assert _git(repo, "stash", "list") == ""

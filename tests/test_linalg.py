@@ -17,6 +17,7 @@ from superw.linalg import (
     solve,
 )
 from superw.supercore import EVEN, Algebra, Variable
+from test_supercore import eff_component
 
 PRIME30 = 100000000000000000000000000319  # the least prime above 10**29
 
@@ -629,13 +630,13 @@ def _expand_filtered_reference(target, candidates, cap):
     rem = target.truncate(cap)
     for d in range(0, cap + 1):
         idxs = by_level.get(d, [])
-        rem_d = rem.eff_component(d)
+        rem_d = eff_component(rem, d)
         if not idxs:
             if not rem_d.is_zero():
                 return None
             continue
         monos = set(rem_d.nums)
-        lead = [candidates[i].eff_component(d) for i in idxs]
+        lead = [eff_component(candidates[i], d) for i in idxs]
         for L in lead:
             monos.update(L.nums)
         monos = sorted(monos, key=alg.mono_key)

@@ -24,17 +24,15 @@ from superw.algebras import load_algebra
 from superw.linalg import Echelon, nullspace, rref, solve
 from superw.cli import main
 from superw.starprod import StarAlgebra, filtration_dims, quantum_darboux
-from superw.supercore import EVEN, ODD, Series
+from superw.supercore import EVEN, ODD, Series, add_numerators, merge_numerators
 from superw.wslice import (
     _monomials,
     _word_basis,
     clifford_factorization,
     compare_realizations,
     extract_even_subalgebra,
-    m_degree,
     pbw_words,
     reduce_mod_chi,
-    reduce_mod_mk,
     slice_setup,
     slice_walgebra,
     splitting_check,
@@ -212,6 +210,9 @@ def test_splitting_certificates():
     sp = splitting_check(_ctx("osp12"), 4, k=2)
     assert sp.ok and sp.checked == 30
     assert sp.coeff_failures == [] and sp.recon_failures == []
+    # no power below 1: U(g)·m_chi^0 is all of U(g)
+    with pytest.raises(ValueError, match="at least 1"):
+        splitting_check(_ctx("sl2"), 2, k=0)
 
 
 def test_clifford_factorization_osp12():
@@ -325,6 +326,19 @@ def test_even_subalgebra_extraction():
     assert sub.has_triple()
 
 
+def _m_degree(ctx, mono):
+    """The number of shift factors of a normal monomial."""
+    return ctx.alg.mono_degree(mono, ctx.m_ids)
+
+
+def _reduce_mod_mk(ctx, s, k):
+    """s without its normal monomials of k or more shift factors: its class
+    in U(g)/U(g)·m_chi^k, counted factor by factor, the oracle for
+    ``QuotientModule`` with bound k and for ``Algebra.free_of``."""
+    kept = {m: v for m, v in s.nums.items() if _m_degree(ctx, m) < k}
+    return Series.over(ctx.alg, kept, s.den, s.order)
+
+
 def test_reduction_helpers():
     ctx = _ctx("sl2")
     alg = ctx.alg
@@ -336,27 +350,34 @@ def test_reduction_helpers():
     assert reduce_mod_chi(ctx, e + h * f) == e
 
     s = e + f + f * f
-    degs = sorted(m_degree(ctx, m) for m in s.terms)
+    degs = sorted(_m_degree(ctx, m) for m in s.terms)
     assert degs == [0, 1, 2]
-    assert reduce_mod_mk(ctx, s, 2) == e + f
-    assert reduce_mod_mk(ctx, s, 1) == e
+    assert _reduce_mod_mk(ctx, s, 2) == e + f
+    assert _reduce_mod_mk(ctx, s, 1) == e
+    for k, want in ((1, e), (2, e + f), (3, s)):
+        assert Series.over(alg, alg.free_of(s.nums, ctx.m_ids, k), s.den) == want
 
 
 def test_reduce_mod_chi_matches_the_shift_degree_count():
     # reduce_mod_chi tests each monomial against one mask of the shift
-    # fields; reduce_mod_mk(., 1) counts the shift factors of each monomial
+    # fields, and free_of with k > 1 sums those fields; _reduce_mod_mk
+    # counts the shift factors of each monomial
     rng = random.Random(3)
     for name in ("sl2", "osp12", "sl21"):
         ctx = _ctx(name)
         alg = ctx.alg
         monos = _monomials(alg, [v.ident for v in alg.variables], 6, amax=3)
-        shifted = [m for m in monos if m_degree(ctx, m)]
+        shifted = [m for m in monos if _m_degree(ctx, m)]
         assert shifted and len(shifted) < len(monos)
+        assert {_m_degree(ctx, m) for m in shifted} == {1, 2, 3}
         for _ in range(30):
             s = alg.series({m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                             for m in rng.sample(monos, 6)}, order=rng.choice([None, 4]))
-            got, want = reduce_mod_chi(ctx, s), reduce_mod_mk(ctx, s, 1)
+            got, want = reduce_mod_chi(ctx, s), _reduce_mod_mk(ctx, s, 1)
             assert got == want and got.order == want.order == s.order
+            for k in (1, 2, 3, 4):
+                kept = Series.over(alg, alg.free_of(s.nums, ctx.m_ids, k), s.den, s.order)
+                assert kept == _reduce_mod_mk(ctx, s, k)
 
 
 # -- the left action on Q_chi against the full product reduced once ----------
@@ -465,7 +486,7 @@ def test_quotient_mul_matches_the_reduced_product_on_random_pairs(tmp_path, name
     qmul = _quotient_mul(ctx)
     rng = random.Random(11)
     every = _monomials(alg, [v.ident for v in alg.variables if not v.hbar], 4, amax=3)[1:]
-    shifted = [m for m in every if m_degree(ctx, m)]
+    shifted = [m for m in every if _m_degree(ctx, m)]
 
     def coeff():
         return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
@@ -475,11 +496,138 @@ def test_quotient_mul_matches_the_reduced_product_on_random_pairs(tmp_path, name
         s = alg.series({m: coeff() for m in rng.sample(every, 3) + rng.sample(shifted, 1)})
         t = alg.series({m: coeff() for m in rng.sample(every, 3) + rng.sample(shifted, 2)})
         t = t + alg.const(coeff())
-        assert any(m_degree(ctx, m) for m in s.nums) and t.constant_term()
+        assert any(_m_degree(ctx, m) for m in s.nums) and t.constant_term()
         got = ctx.quotient.mul(s, t)
         assert got == qmul(s, t)
         nonzero += not got.is_zero()
     assert nonzero >= 5  # not only products that vanish in Q_chi
+
+
+def _mod_m_squared(ctx):
+    """A fresh Q_chi^(2) = U(g)/U(g)·m_chi^2 and its oracle: the exact
+    enveloping product reduced once by the shift-factor count."""
+    module = wslice.QuotientModule(ctx.alg, ctx.quotient.table, ctx.m_ids, 2)
+    return module, lambda a, b: _reduce_mod_mk(ctx, enveloping_product(ctx, a, b), 2)
+
+
+@pytest.mark.parametrize("name,spec,order,amax,pairs", [
+    ("sl21", None, 8, 4, 1304), ("osp12", None, 8, 4, 215),
+    ("gl22", (2, 2, E12_E34_TRIPLE), 4, 3, 3600),
+])
+def test_left_action_mod_m_squared_matches_the_reduced_product(tmp_path, name, spec, order,
+                                                                amax, pairs):
+    # every (variable, basis monomial) pair through the weight and degree
+    # bounds: the basis of Q_chi^(2) keeps the monomials with one shift
+    # factor, and an action that makes a second one gives 0
+    ctx = slice_setup(_catalog_algebra(tmp_path, name, spec))
+    alg = ctx.alg
+    module, oracle = _mod_m_squared(ctx)
+    ids = [v.ident for v in alg.variables if not v.hbar]
+    basis = [m for m in _monomials(alg, ids, order, amax=amax) if _m_degree(ctx, m) < 2]
+    assert any(_m_degree(ctx, m) == 1 for m in basis)
+    seen, shifted = 0, 0
+    for v in ids:
+        for m in basis:
+            want = oracle(alg.series({alg.gen_mono[v]: 1}), Series.over(alg, {m: 1}))
+            assert module.act(v, m) == (want.nums, want.den), (v, alg.mono_str(m))
+            seen += 1
+            shifted += any(_m_degree(ctx, n) for n in want.nums)
+    assert seen == pairs and shifted
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("osp12", None), ("sl21", None), ("gl22", (2, 2, E12_E34_TRIPLE)),
+])
+def test_quotient_mul_mod_m_squared_matches_the_reduced_product(tmp_path, name, spec):
+    # both factors have monomials with one and with two shift factors: the
+    # left one acts as written, the right one by its class in Q_chi^(2)
+    ctx = slice_setup(_catalog_algebra(tmp_path, name, spec))
+    alg = ctx.alg
+    module, oracle = _mod_m_squared(ctx)
+    rng = random.Random(13)
+    every = _monomials(alg, [v.ident for v in alg.variables if not v.hbar], 4, amax=3)[1:]
+    once = [m for m in every if _m_degree(ctx, m) == 1]
+    twice = [m for m in every if _m_degree(ctx, m) >= 2]
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    shifted = 0
+    for _ in range(25):
+        s = alg.series({m: coeff() for m in rng.sample(every, 2) + rng.sample(once, 1)
+                        + rng.sample(twice, 1)})
+        t = alg.series({m: coeff() for m in rng.sample(every, 3) + rng.sample(once, 2)
+                        + rng.sample(twice, 1)})
+        t = t + alg.const(coeff())
+        got = module.mul(s, t)
+        assert got == oracle(s, t)
+        shifted += any(_m_degree(ctx, m) for m in got.nums)
+    assert shifted >= 5  # not only what Q_chi would keep
+
+
+class _SignlessModule(wslice.QuotientModule):
+    """Q_chi^(k) with the odd-odd sign of v·x = ±x·v + [v, x] dropped when
+    k = 2: a wrong module for the splitting check to catch."""
+
+    def act(self, v, m):
+        if self.k != 2 or not m or (v, m) in self._memo:
+            return super().act(v, m)
+        alg = self.alg
+        x, rest = alg.split_first(m)
+        if not (v > x and alg.by_id[v].parity and alg.by_id[x].parity):
+            return super().act(v, m)
+        groups = {}
+        nums, den = self.act(v, rest)
+        for n, c in nums.items():
+            add_numerators(groups, *self.act(x, n), c)  # +x·(v·m'), not minus
+        terms, bden = self._bracket(v, x)
+        for y, c in terms:
+            yn, yd = ({rest: 1}, 1) if y is None else self.act(y, rest)
+            add_numerators(groups, yn, yd * bden, c * den)
+        out = self._memo[(v, m)] = merge_numerators(groups, den)
+        return out
+
+
+def _splitting_with_signless_lifts(monkeypatch, ctx, n_max):
+    """``splitting_check(ctx, n_max)`` with ``_SignlessModule`` in place of
+    ``QuotientModule``, and the modules it built."""
+    built = []
+
+    class Recorded(_SignlessModule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(wslice, "QuotientModule", Recorded)
+    return splitting_check(ctx, n_max, k=2), built
+
+
+@pytest.mark.parametrize("name,spec,n_max", [
+    ("sl21", None, 4), ("sl21", None, 5), ("gl21", (2, 1, E12_TRIPLE), 4),
+])
+def test_splitting_check_fails_with_a_wrong_sign_in_its_lifts(monkeypatch, tmp_path, name,
+                                                              spec, n_max):
+    # the lifts are formed in a module with k = 2 and nowhere else, so a
+    # sign dropped there alone fails the reconstruction
+    ctx = slice_setup(_catalog_algebra(tmp_path, name, spec))
+    got, built = _splitting_with_signless_lifts(monkeypatch, ctx, n_max)
+    assert [module.k for module in built] == [2]
+    assert not got.ok and got.recon_failures and not got.coeff_failures
+
+
+def test_osp12_lifts_swap_no_two_odd_factors(monkeypatch):
+    # osp(1|2) has two odd variables, and its lifts never act with the
+    # larger on a monomial that starts with the smaller, so the dropped sign
+    # is never read there and the check still holds: the control above
+    # needs sl(2|1) or gl(2|1)
+    ctx = _ctx("osp12")
+    alg = ctx.alg
+    odd = {v.ident for v in alg.variables if v.parity}
+    got, (module,) = _splitting_with_signless_lifts(monkeypatch, ctx, 4)
+    assert got.ok and module._memo
+    for v, m in module._memo:
+        x = alg.split_first(m)[0] if m else None
+        assert not (v in odd and x in odd and v > x), (v, alg.mono_str(m))
 
 
 def test_readme_worked_session():
@@ -517,8 +665,9 @@ def test_walgebra_both_checks_invariance_once(monkeypatch):
 
 def test_whittaker_rows_build_no_enveloping_product(monkeypatch):
     # the rows, the generator words and the invariance checks of both routes
-    # all come from the left action on Q_chi: no exact star product, the
-    # only kind that gives a product in U(g); the chart's are truncated
+    # all come from the left action on Q_chi, and the splitting check's lifts
+    # from that on Q_chi^(2): no exact star product, the only kind that gives
+    # a product in U(g); the charts' are truncated
     ctx = slice_setup(load_algebra("sl21"))
     qc = quantum_darboux(ctx.star, ctx.poisson, 6, seeds=ctx.m_gens())
     calls = Counter()
@@ -538,8 +687,11 @@ def test_whittaker_rows_build_no_enveloping_product(monkeypatch):
         assert main(["walgebra", "--algebra", "sl21", "--order", "6",
                      "--method", "both"]) == 0
     assert calls["exact"] == 0
-    # the counter sees exact products: the splitting check's hbar = 1 lifts
-    assert splitting_check(ctx, 4).ok and calls["exact"] > 0
+    # the splitting check's hbar = 1 lifts multiply in Q_chi^(2), so no
+    # exact star product is left anywhere; its chart words are truncated
+    truncated = calls["truncated"]
+    assert splitting_check(ctx, 4).ok
+    assert calls["exact"] == 0 and calls["truncated"] > truncated
 
 
 def test_alternate_lagrangian_same_tables():

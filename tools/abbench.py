@@ -2,16 +2,20 @@
 
     python3 tools/abbench.py REV --workload W --pairs N --seconds S
 
-Exports commit REV (the base) into a temporary directory with ``git
-archive`` and runs ``perfbench/run.py --workload W --seed K --seconds S
---trace 0`` by turns in that copy and in this checkout (the change).  Pair K
+Exports commit REV (the base) and this checkout (the change) into two
+temporary directories with ``git archive`` and runs ``perfbench/run.py
+--workload W --seed K --seconds S --trace 0`` by turns in the two copies, so
+that both sides run from the same kind of directory.  The change is ``HEAD``
+when the tracked files are clean, else the commit that ``git stash create``
+makes of them (staged new files included, untracked ones not), which leaves
+the tree and the stash list as they are.  Pair K
 gives both runs seed K; odd pairs run the base first, even pairs the change
 first, so a drift of the machine's speed falls on both sides.  For every
 end-to-end metric of ``BENCHMARK.json`` it prints the median and quartiles
 on each side, the change of the medians, how many pairs the change won and
 a verdict against the metric's relative ``bound`` (see ``verdict``), then
 one JSON line with the same summary.  A pair with a failed run is left
-out of the summary and counted.  The temporary copy is removed at the end.
+out of the summary and counted.  The temporary copies are removed at the end.
 A workload that perfbench does not run, or ``--seconds`` outside the 1 to
 120 that perfbench accepts, is a usage error (exit 2) before anything is
 exported.
@@ -149,6 +153,14 @@ def run_once(checkout, workload, seed, seconds):
         return None
 
 
+def snapshot():
+    """The commit to export as the change: ``HEAD`` for a clean tree, else a
+    ``git stash create`` commit of the tracked files."""
+    stash = subprocess.run(["git", "stash", "create"], cwd=str(ROOT),
+                           capture_output=True, text=True, check=True).stdout.strip()
+    return stash or "HEAD"
+
+
 def export(rev, dest):
     """Write the files of commit ``rev`` of this repository into ``dest``."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=str(ROOT),
@@ -179,18 +191,21 @@ def main(argv=None):
 
     metrics = load_metrics()
     pairs = []
+    change_rev = snapshot()
     with tempfile.TemporaryDirectory(prefix="abbench-") as tmp:
-        base = Path(tmp)
+        base, change = Path(tmp) / "base", Path(tmp) / "change"
         export(check.stdout.strip(), base)
+        export(change_rev, change)
         for k in range(1, args.pairs + 1):
-            order = (base, ROOT) if k % 2 else (ROOT, base)
+            order = (base, change) if k % 2 else (change, base)
             res = {where: run_once(where, args.workload, k, args.seconds)
                    for where in order}
-            pairs.append((res[base], res[ROOT]))
+            pairs.append((res[base], res[change]))
             print("pair %d done" % k, file=sys.stderr)
     summary = summarize(pairs, metrics)
     summary["workload"] = args.workload
     summary["base"] = args.rev
+    summary["change"] = change_rev
     for line in format_summary(summary):
         print(line)
     print(json.dumps(summary, sort_keys=True))
