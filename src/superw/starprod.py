@@ -1,24 +1,27 @@
 """Star products from bracket tables, and their normal-form charts.
 
-The product is defined by normal ordering: whenever two generators appear
-out of order they are swapped at the cost of the sign rule plus ``hbar^2``
-times the table entry.  Every rewrite conserves or raises the completion
-order, so truncated arithmetic never loses low-order terms.  The fibre at
-hbar = 1 is the enveloping algebra: for exact inputs the product is a
-polynomial in hbar, and ``star(a, b).set_hbar(1)`` is the product in U(g).
+Every product of generators in the package is normal ordering by one rule,
+the left action of a generator (``LeftAction``): v·(x·m') = ±x·(v·m') +
+hbar^s [v, x]·m' for a normal monomial x·m' whose first factor x is below v.
+With s = 2 it is the hbar^2 star product (``StarAlgebra``): every rewrite
+conserves or raises the completion order, so truncated arithmetic never
+loses low-order terms, and the fibre at hbar = 1 is the enveloping algebra:
+for exact inputs the product is a polynomial in hbar, and
+``star(a, b).set_hbar(1)`` is the product in U(g).  With s = 0 and a bound
+on the shift factors it is the product of the Whittaker module Q_chi^(k)
+(``wslice.QuotientModule``).
 
-Normal forms of generator insertions and of monomial products are memoized
-as integer numerators over one denominator.  Nearly all of them are integer
-(the denominators come only from the table entries and the halving of an
-odd square).  ``star`` passes the monomial products to
+The actions of generators and the monomial products are memoized as integer
+numerators over one denominator.  Nearly all of them are integer (the
+denominators come only from the table entries and the halving of an odd
+square).  ``star`` passes the monomial products to
 :func:`superw.supercore.pair_sum`, the truncated term-pair loop shared with
 the supercommutative product and the Poisson bracket, which multiplies and
 adds Python ints, grouped by that denominator, over the inputs' numerators
 and builds the result Series from integers, with no ``Fraction`` on the
-way.  A monomial
-product ma * mb is the memoized prefix product ma * mb', mb without its last
-factor x, times x: the same steps as normal-ordering mb factor by factor, so
-each prefix is done once.
+way.  A monomial product ma * mb is x·(ma' * mb), with x the first factor of
+ma and ma' the rest: each factor acts in turn, and each suffix of ma is done
+once.
 
 The second half of the module is the quantum backend of the chart engine in
 :mod:`superw.darboux`: the star product, the star commutator and the unit
@@ -47,117 +50,160 @@ from .supercore import (
 )
 
 
-class StarAlgebra:
+class LeftAction:
+    """The left action of a generator on normal monomials, and the monomial
+    products it gives.
+
+    For a generator v and a normal monomial m = x·m', x its first
+    (smallest-id) factor, ``act(v, m)`` is v·m in normal form:
+
+    - v < x, or v = x even, or m = 1: v·m is the normal monomial itself;
+    - v = x odd: v·v = hbar^s [v, v] / 2, so v·m = hbar^s [v, v]·m' / 2;
+    - v > x: v·(x·m') = ±x·(v·m') + hbar^s [v, x]·m', minus for two odd
+      factors.
+
+    s is ``unit_level``, and hbar, being central, acts by multiplication.  A
+    linear term y of a table entry gives y·(hbar^s m') by the same rules, any
+    other term its monomial product with hbar^s m'.  Given shift ids
+    ``m_ids`` and a bound ``k``, a shift generator that would make k shift
+    factors gives 0.  Values are ``(nums, den)`` in lowest terms, the form
+    of ``Series.nums`` and ``Series.den``.
+    """
+
+    def __init__(self, alg, table, unit_level, m_ids=frozenset(), k=None):
+        self.alg = alg
+        self.table = table
+        self.unit_level = unit_level
+        self.m_ids = m_ids
+        self.k = k
+        self._gen_of = {mono: i for i, mono in alg.gen_mono.items()}
+        self._act_memo = {}
+        self._word_memo = {}
+        self._brackets = {}
+
+    def _add_bracket(self, groups, v, x, rest, c):
+        """Add c times hbar^s [v, x]·rest to ``groups``.  [v, x] is kept as
+        ``(terms, den)``, a term ``(y, mono, b)`` for b/den times mono, with
+        y its generator when mono is one, else None."""
+        entry = self._brackets.get((v, x))
+        if entry is None:
+            s = self.table.entry(v, x)
+            entry = self._brackets[(v, x)] = (
+                [(self._gen_of.get(mono), mono, b) for mono, b in s.nums.items()], s.den)
+        if self.unit_level:
+            alg = self.alg
+            rest, e = alg.split_hbar(rest)
+            rest = alg.join_hbar(rest, e + self.unit_level)
+        terms, bden = entry
+        for y, mono, b in terms:
+            if y is not None:
+                yn, yd = self.act(y, rest)
+            elif mono:
+                yn, yd = self._word(mono, rest)
+            else:
+                yn, yd = {rest: 1}, 1
+            add_numerators(groups, yn, yd * bden, b * c)
+
+    def act(self, v, m):
+        """v·m in normal form (memoized).  The descent m → m' runs in a loop
+        while v is above the first factor, down to the longest memoized suffix
+        or a direct case, and the normal forms are built back up from there,
+        so a long m needs no deep recursion."""
+        memo = self._act_memo
+        out = memo.get((v, m))
+        if out is not None:
+            return out
+        alg = self.alg
+        if v == alg.hbar_id:  # hbar is central
+            out = memo[(v, m)] = {alg.times_last(m, v): 1}, 1
+            return out
+        odd = alg.by_id[v].parity
+        chain = []  # (monomial, its first factor, the rest) on the way down
+        while m:
+            x, rest = alg.split_first(m)
+            if x >= v:
+                break
+            chain.append((m, x, rest))
+            m = rest
+            out = memo.get((v, m))
+            if out is not None:
+                break
+        if out is None:  # m is 1 or starts with a factor of at least v
+            if m and x == v and odd:  # v·v is half the bracket
+                groups = {}
+                self._add_bracket(groups, v, v, rest, 1)
+                out = merge_numerators(groups, 2)
+            elif v in self.m_ids and alg.mono_degree(m, self.m_ids) >= self.k - 1:
+                out = {}, 1
+            else:
+                out = {alg.times_last(m, v): 1}, 1
+            memo[(v, m)] = out
+        for m, x, rest in reversed(chain):
+            nums, den = out
+            groups = {}
+            if nums:  # x·(v·m'), minus for two odd factors
+                groups = self._act_sum(nums, x, -1 if odd and alg.by_id[x].parity else 1)
+            # the swapped terms are over den; bring the bracket terms there
+            self._add_bracket(groups, v, x, rest, den)
+            out = memo[(v, m)] = merge_numerators(groups, den)
+        return out
+
+    def _act_sum(self, nums, v, sign=1):
+        """Integer numerator groups of sign times sum_n nums[n]·(v·n)."""
+        if sign < 0:
+            nums = {n: -c for n, c in nums.items()}
+        act = self.act
+        ones = {}  # the group of 1, nearly every action's, filled in place
+        get = ones.get
+        groups = {1: ones}
+        for n, c in nums.items():
+            an, d = act(v, n)
+            if d == 1:
+                for m, a in an.items():
+                    ones[m] = get(m, 0) + c * a
+            else:
+                add_numerators(groups, an, d, c)
+        return groups
+
+    def _word(self, ma, mb):
+        """ma·mb in normal form, as x·(ma'·mb) with x the first factor of ma,
+        memoized with the suffixes ma' in the loop of ``act``; a word of one
+        factor is its action."""
+        gen_of = self._gen_of
+        y = gen_of.get(ma)
+        if y is not None:  # one factor: its action, memoized there
+            return self.act(y, mb)
+        if not ma:
+            return {mb: 1}, 1
+        memo = self._word_memo
+        split_first = self.alg.split_first
+        chain = []  # (ma and its suffixes, their first factors) on the way down
+        while True:
+            out = memo.get((ma, mb))
+            if out is not None:
+                break
+            x, rest = split_first(ma)
+            chain.append((ma, x))
+            ma = rest
+            y = gen_of.get(ma)
+            if y is not None:
+                out = self.act(y, mb)
+                break
+        for ma, x in reversed(chain):
+            nums, den = out
+            out = memo[(ma, mb)] = merge_numerators(self._act_sum(nums, x), den)
+        return out
+
+
+class StarAlgebra(LeftAction):
+    """The hbar^2 star product: the left action with unit level 2."""
+
     # perfbench names the span of ``star`` after this attribute
     # ("starprod.star.h2"), and its pinned counts read that key
     hbar_mode = "h2"
 
     def __init__(self, alg, table):
-        self.alg = alg
-        self.table = table
-        self._insert_memo = {}
-        self._word_memo = {}
-
-    # -- normal ordering ----------------------------------------------
-    #
-    # Normal forms are ``(nums, den)``: integer numerators keyed by monomial
-    # over one denominator, the form of ``Series.nums`` and ``Series.den``.
-
-    def _entry_term(self, i, j):
-        """hbar^2 c_ij as an exact Series."""
-        return self.table.entry(i, j).mul_hbar(2)
-
-    def _insert(self, m, x):
-        """Normal form of (normal monomial m) * (generator x) (memoized).
-
-        With m = rest * j and j > x this is (rest * x) * j, sign-swapped, plus
-        rest times the entry term.  The descent over m runs in a loop down to
-        the longest memoized or directly known prefix, and the normal forms
-        are built back up from there, so a long m needs no deep recursion.
-        """
-        memo = self._insert_memo
-        out = memo.get((m, x))
-        if out is not None:
-            return out
-        alg = self.alg
-        chain = []  # (word, its last generator, its prefix) on the way down
-        while m:
-            j, rest = alg.split_last(m)
-            if j <= x:
-                break
-            chain.append((m, j, rest))
-            m = rest
-            out = memo.get((m, x))
-            if out is not None:
-                break
-        if out is None:  # m is empty or ends in a generator up to x
-            n = alg.times_last(m, x)
-            if n is not None:
-                out = {n: 1}, 1
-            else:  # x is odd and ends m: x * x is half the entry term
-                nums, den = self._word_mul(rest, self._entry_term(x, x))
-                out = merge_numerators({den: nums}, 2)
-            memo[(m, x)] = out
-        for m, j, rest in reversed(chain):
-            nums, den = out
-            if alg.by_id[j].parity and alg.by_id[x].parity:
-                nums = {n: -c for n, c in nums.items()}
-            groups = self._spread(nums, j)
-            ent, ed = self._word_mul(rest, self._entry_term(j, x))
-            # the swapped terms are over den; bring the entry term there
-            add_numerators(groups, ent, ed, den)
-            out = memo[(m, x)] = merge_numerators(groups, den)
-        return out
-
-    def _spread(self, nums, x):
-        """Integer numerator groups of sum_n nums[n] * (n * generator x)."""
-        insert = self._insert
-        ones = {}  # the group of 1, nearly every insertion's, filled in place
-        get = ones.get
-        groups = {1: ones}
-        for n, c in nums.items():
-            ins, d = insert(n, x)
-            if d == 1:
-                for m, v in ins.items():
-                    ones[m] = get(m, 0) + c * v
-            else:
-                add_numerators(groups, ins, d, c)
-        return groups
-
-    def _word_mul(self, m, s):
-        """Normal form of (normal monomial m) * (polynomial s)."""
-        groups = {}
-        for mono, c in s.nums.items():
-            wn, wd = self._word(m, mono)
-            add_numerators(groups, wn, wd, c)
-        return merge_numerators(groups, s.den)
-
-    def _word(self, ma, mb):
-        """Normal form of ma * mb for normal monomials, as (ma * mb') * x
-        with x the last factor of mb (memoized, prefixes included).
-
-        The prefixes mb' are walked down in a loop to the longest memoized
-        one and the products built back up from it, without recursion.
-        """
-        if not mb:
-            return {ma: 1}, 1
-        if not ma:
-            return {mb: 1}, 1
-        memo = self._word_memo
-        out = memo.get((ma, mb))
-        if out is not None:
-            return out
-        split_last = self.alg.split_last
-        chain = []  # (mb, its last factor) for mb and its prefixes built on the way up
-        while out is None:
-            x, rest = split_last(mb)
-            chain.append((mb, x))
-            mb = rest
-            out = memo.get((ma, mb)) if mb else ({ma: 1}, 1)
-        for mb, x in reversed(chain):
-            nums, den = out
-            out = memo[(ma, mb)] = merge_numerators(self._spread(nums, x), den)
-        return out
+        super().__init__(alg, table, 2)
 
     # -- products and commutators -------------------------------------
 

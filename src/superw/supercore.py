@@ -613,7 +613,7 @@ def pair_sum(f, g, order, kernel, drop=0):
     """
     alg = f.alg
     eff = alg.mono_eff
-    g_items = [(mb, cb, eff(mb)) for mb, cb in g.nums.items()]
+    g_items = [(mb, cb, 0 if order is None else eff(mb)) for mb, cb in g.nums.items()]
     # products grouped by the denominator of their kernel value; the group
     # of 1, which takes nearly all of them, is filled in place
     ones = {}

@@ -8,8 +8,10 @@ above every complement id and m abelian, the shift-free normal monomials are
 a basis of Q_chi, and a shift generator acts on one of them by peeling off
 its first factor; left multiplication maps the left ideal into itself, so
 every step is reduced as it is formed and no monomial of the ideal is built.
-Every product in Q_chi, the generator words of both routes included, is
-this action factor by factor (``QuotientModule.mul``).  Route two ("slice")
+The action is the normal-ordering rule of the star product,
+``starprod.LeftAction``, at unit level 0, and every product in Q_chi, the
+generator words of both routes included, is this action factor by factor
+(``QuotientModule.mul``).  Route two ("slice")
 runs the quantum flattening machinery around the shift directions and reads
 the invariants off as the centralizer generators of the resulting chart.
 Both land in the same quotient module, so their generators, dimension tables
@@ -49,8 +51,9 @@ from .supercore import (
     Variable,
     add_numerators,
     merge_numerators,
+    pair_sum,
 )
-from .starprod import StarAlgebra, filtration_dims, quantum_darboux
+from .starprod import LeftAction, StarAlgebra, filtration_dims, quantum_darboux
 
 __all__ = [
     "SliceContext",
@@ -88,7 +91,7 @@ class SliceContext:
         return [g for g in self.m_gens() if g.parity() == EVEN]
 
 
-class QuotientModule:
+class QuotientModule(LeftAction):
     """The left U(g)-module Q_chi^(k) = U(g) / U(g)·m_chi^k on its monomial
     basis; k = 1, the default, is the Whittaker model Q_chi.
 
@@ -98,97 +101,33 @@ class QuotientModule:
     shift factors, each ending in k shifted generators of m, span the left
     ideal U(g)·m_chi^k; the normal monomials with fewer than k shift factors
     are a basis of Q_chi^(k).  ``act(v, m)`` is v·m in Q_chi^(k) for a
-    variable v and a basis monomial m, found by peeling the first
-    (smallest-id) factor x off m = x·m':
-
-    - v < x, or v = x even, or m = 1: v·m is a normal monomial, or 0 when it
-      has k shift factors.  That takes a shift v, and then every factor of
-      m is a shift factor too, since the shift ids come last;
-    - v = x odd: v·v = [v, v] / 2, so v·m = [v, v]·m' / 2;
-    - v > x: v·(x·m') = ±x·(v·m') + [v, x]·m', minus for two odd factors.
-      The bracket, from the shifted table, is a constant (the chi shift),
-      which gives c·m', plus variables y, which give y·m' by the same rules.
+    variable v and a basis monomial m: the left action of
+    :class:`superw.starprod.LeftAction` at unit level 0, the normal ordering
+    of U(g), with every shift generator that would make k shift factors
+    giving 0.  That takes a shift v acting on a monomial whose factors are at
+    least v, so all of them are shift factors too, since the shift ids come
+    last.
 
     Each product with a variable on the left is formed in Q_chi^(k): left
     multiplication maps the left ideal into itself, so x·(v·m') only needs
     the class of v·m', and no monomial of the ideal is ever built.  This is
     the normal ordering of v·m with every step reduced, so it ends where
-    normal ordering does.  Values are ``(nums, den)`` in lowest terms,
-    memoized per (variable, monomial).
+    normal ordering does.
     """
 
     def __init__(self, alg, table, m_ids, k=1):
         if k < 1:
             raise ValueError("the power of the ideal must be at least 1, not %r" % k)
-        self.alg = alg
-        self.table = table
-        self.m_ids = m_ids
-        self.k = k
-        self._memo = {}
-        self._brackets = {}
-
-    def _bracket(self, v, x):
-        """[v, x] as ``(terms, den)``, a term ``(y, c)`` for c/den times
-        variable y, or y = None for the constant."""
-        out = self._brackets.get((v, x))
-        if out is None:
-            s = self.table.entry(v, x)
-            split = self.alg.split_first
-            out = self._brackets[(v, x)] = (
-                [(split(mono)[0] if mono else None, c) for mono, c in s.nums.items()],
-                s.den)
-        return out
-
-    def act(self, v, m):
-        """v·m in Q_chi^(k) as ``(nums, den)``, for m a normal monomial with
-        fewer than k shift factors."""
-        out = self._memo.get((v, m))
-        if out is not None:
-            return out
-        alg = self.alg
-        if m:
-            x, rest = alg.split_first(m)
-            odd = alg.by_id[v].parity
-        if not m or v < x or (v == x and not odd):
-            if v in self.m_ids and alg.mono_degree(m, self.m_ids) >= self.k - 1:
-                out = {}, 1
-            else:
-                out = {alg.times_last(m, v): 1}, 1
-        else:
-            groups = {}
-            if v == x:  # v * v is half the bracket
-                den, lift = 2, 1
-            else:
-                nums, den = self.act(v, rest)
-                lift = den  # the bracket terms are brought over den
-                sign = -1 if odd and alg.by_id[x].parity else 1
-                for n, c in nums.items():
-                    add_numerators(groups, *self.act(x, n), sign * c)
-            terms, bden = self._bracket(v, x)
-            for y, c in terms:
-                yn, yd = ({rest: 1}, 1) if y is None else self.act(y, rest)
-                add_numerators(groups, yn, yd * bden, c * lift)
-            out = merge_numerators(groups, den)
-        self._memo[(v, m)] = out
-        return out
+        super().__init__(alg, table, 0, m_ids, k)
 
     def mul(self, s, t):
-        """s·t in Q_chi^(k) for hbar-free s and t: each monomial x_1⋯x_j of s
-        acts by ``act``, x_j first, on the class of t (its terms with fewer
-        than k shift factors), which is all s·t depends on."""
-        alg = self.alg
-        free, groups = alg.free_of(t.nums, self.m_ids, self.k), {}
-        for m, c in s.nums.items():
-            nums, den = free, 1
-            while m:
-                v, m = alg.split_last(m)
-                step = {}
-                for n, a in nums.items():
-                    add_numerators(step, *self.act(v, n), a)
-                nums, d = merge_numerators(step)
-                den *= d
-            add_numerators(groups, nums, den, c)
-        return Series.over(alg, *merge_numerators(groups, s.den * t.den))
+        """s·t in Q_chi^(k) for hbar-free s and t: each monomial of s acts,
+        its last factor first, on each monomial of the class of t (its terms
+        with fewer than k shift factors), which is all s·t depends on."""
+        free = self.alg.free_of(t.nums, self.m_ids, self.k)
+        if len(free) < len(t.nums):
+            t = Series.over(self.alg, free, t.den)
+        return pair_sum(s, t, None, self._word)
 
 
 def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:

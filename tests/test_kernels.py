@@ -25,7 +25,8 @@ from superw.algebras import load_algebra
 from superw.poisson import PoissonAlgebra
 from superw.starprod import StarAlgebra
 from superw.supercore import EVEN, ODD, Series
-from superw.wslice import slice_setup
+from superw.wslice import QuotientModule, slice_setup
+from test_darboux import _twisted_odd
 from test_monomials import TupleMonomials
 
 ALGEBRAS = ("sl2", "gl11", "osp12", "sl21")
@@ -412,11 +413,19 @@ def test_product_matches_fraction_reference(contexts, name):
                 assert_same(got, _reference_mul(u, v))
 
 
+def _star_input(contexts, name):
+    """The universe and bracket table of a catalog algebra, or of the twisted
+    odd pair, whose entries x and x^2 include one that is not linear."""
+    if name == "twisted":
+        alg, P = _twisted_odd(hbar=True)
+        return alg, P.table
+    return contexts[name].alg, contexts[name].poisson.table
+
+
 @pytest.mark.parametrize("mode", ["h2", "unit"])
-@pytest.mark.parametrize("name", ALGEBRAS)
+@pytest.mark.parametrize("name", ALGEBRAS + ("twisted",))
 def test_star_matches_fraction_reference(contexts, name, mode):
-    ctx = contexts[name]
-    alg, table = ctx.alg, ctx.poisson.table
+    alg, table = _star_input(contexts, name)
     S, R, both = star_pair(alg, table, mode)
     rng = random.Random("star:%s:%s" % (name, mode))
     orders = ORDERS if mode == "h2" else (None,)
@@ -433,8 +442,12 @@ def test_star_matches_fraction_reference(contexts, name, mode):
     for a, b in generator_pairs(rng, alg):
         assert_same(*both(a, b))
         assert_same(*both(b, a))
-    assert_integer_memo(S._insert_memo)
+    assert_integer_memo(S._act_memo)
     assert_integer_memo(S._word_memo)
+    if name == "twisted":
+        # t2 t2 = hbar^2 x^2 / 2: the entry x^2 acts as a monomial product
+        x2 = alg.monomial({alg.by_name["x"].ident: 2})
+        assert any(ma == x2 for ma, _ in S._word_memo)
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -520,9 +533,10 @@ def test_kernels_use_only_the_public_fraction_api():
 @pytest.mark.parametrize("name", ["sl2", "sl21"])
 def test_star_words_with_shared_prefixes(contexts, name, mode):
     # f^k * e^j h^i for j <= k <= 6 in shuffled order (f comes after e and h
-    # in the universe, so every e and h is swapped past f^k): the right words
-    # are long powers whose prefixes other products have memoized, and every
-    # memoized prefix product must equal the reference word
+    # in the universe, so every e and h is swapped past f^k), and the
+    # reverse: the left words are long powers whose suffixes other products
+    # have memoized, and every memoized suffix product must equal the
+    # reference word
     ctx = contexts[name]
     alg, table = ctx.alg, ctx.poisson.table
     S, R, both = star_pair(alg, table, mode)
@@ -534,8 +548,17 @@ def test_star_words_with_shared_prefixes(contexts, name, mode):
         assert_same(*both(a, b))
         assert_same(*both(b, a))
     assert_integer_memo(S._word_memo)
-    key = alg.mono_key
-    assert max(sum(x for _, x in key(mb)) for _, mb in S._word_memo) == 7
+    # a left word is memoized with all its suffixes, each against the same
+    # right word (ma = x ma' is x acting on ma' mb), down to a suffix of one
+    # factor, whose product is the memoized action of that factor
+    for ma, mb in S._word_memo:
+        rest = alg.split_first(ma)[1]
+        if alg.mono_degree(rest) > 1:
+            assert (rest, mb) in S._word_memo
+        else:
+            assert (alg.split_first(rest)[0], mb) in S._act_memo
+    longest = max(alg.mono_degree(ma) for ma, _ in S._word_memo)
+    assert longest == 7  # e^6 h, a left word of the reversed pairs
     for (ma, mb), (nums, den) in S._word_memo.items():
         # in unit mode the h2 words are compared with the U(g) ones at hbar = 1
         got = Series.over(alg, nums, den)
@@ -555,6 +578,8 @@ def test_star_words_of_1500_factors_run_without_deep_recursion(contexts):
     # {f, e} = -h, {h, e} = 2e and the shifted {f, h} = 2 + 2f:
     #   f * e^n = e^n f - n hb^2 e^(n-1) h - n(n-1) hb^4 e^(n-1)
     #   f^n * e = e f^n - n hb^2 h f^(n-1) - n(n-1) hb^4 (f^(n-1) + f^(n-2))
+    # and in Q_chi, the same left action at unit level 0:
+    #   h . e^n = e^n h + 2n e^n
     ctx = contexts["sl2"]
     alg, table = ctx.alg, ctx.poisson.table
     e, h, f, hb = (alg.gen(x) for x in ("e", "h", "f", "hb"))
@@ -581,7 +606,10 @@ def test_star_words_of_1500_factors_run_without_deep_recursion(contexts):
                                                    alg.monomial({ei: 1500}))
         long_left = StarAlgebra(alg, table)._word(alg.monomial({fi: 1500}),
                                                   alg.monomial({ei: 1}))
+        long_module = QuotientModule(alg, table, ctx.m_ids).act(
+            alg.by_name["h"].ident, alg.monomial({ei: 1500}))
     finally:
         sys.setrecursionlimit(limit)
     assert _word_series(long_right) == f_times_e_power(1500).terms
     assert _word_series(long_left) == f_power_times_e(1500).terms
+    assert _word_series(long_module) == (e ** 1500 * h + 3000 * e ** 1500).terms

@@ -459,6 +459,9 @@ MONOMIAL_TUPLE = re.compile(
     r"|\(\([a-z]+, 1\),\)|tuple\(sorted\(mono\b")
 # the pair-skip rule of the one truncated term-pair loop, pair_sum
 PAIR_SKIP = re.compile(r"\bbudget\b")
+# a read of a bracket table entry: the Poisson bracket and the one
+# normal-ordering rule of the star product and Q_chi take them
+TABLE_ENTRY = re.compile(r"\btable\.entry\(")
 
 
 def _hits(texts, rule):
@@ -475,6 +478,13 @@ def test_only_supercore_reads_monomials_and_skips_pairs():
         assert list(hits) == ["supercore.py"], (rule.pattern, hits)
     # no module, supercore included, builds tuple monomials any more
     assert _hits(texts, MONOMIAL_TUPLE) == {}
+
+
+def test_only_the_bracket_and_the_left_action_read_table_entries():
+    # a second module that reads the table would be a second copy of the
+    # rule v·x = ±x·v + [v, x]
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SOURCES.glob("*.py"))}
+    assert list(_hits(texts, TABLE_ENTRY)) == ["poisson.py", "starprod.py"]
 
 
 def _exported(tree):

@@ -24,7 +24,7 @@ from superw.algebras import load_algebra
 from superw.linalg import Echelon, nullspace, rref, solve
 from superw.cli import main
 from superw.starprod import StarAlgebra, filtration_dims, quantum_darboux
-from superw.supercore import EVEN, ODD, Series, add_numerators, merge_numerators
+from superw.supercore import EVEN, ODD, Series
 from superw.wslice import (
     _monomials,
     _word_basis,
@@ -569,23 +569,8 @@ class _SignlessModule(wslice.QuotientModule):
     """Q_chi^(k) with the odd-odd sign of v·x = ±x·v + [v, x] dropped when
     k = 2: a wrong module for the splitting check to catch."""
 
-    def act(self, v, m):
-        if self.k != 2 or not m or (v, m) in self._memo:
-            return super().act(v, m)
-        alg = self.alg
-        x, rest = alg.split_first(m)
-        if not (v > x and alg.by_id[v].parity and alg.by_id[x].parity):
-            return super().act(v, m)
-        groups = {}
-        nums, den = self.act(v, rest)
-        for n, c in nums.items():
-            add_numerators(groups, *self.act(x, n), c)  # +x·(v·m'), not minus
-        terms, bden = self._bracket(v, x)
-        for y, c in terms:
-            yn, yd = ({rest: 1}, 1) if y is None else self.act(y, rest)
-            add_numerators(groups, yn, yd * bden, c * den)
-        out = self._memo[(v, m)] = merge_numerators(groups, den)
-        return out
+    def _act_sum(self, nums, v, sign=1):
+        return super()._act_sum(nums, v, 1 if self.k == 2 else sign)  # +x·(v·m'), not minus
 
 
 def _splitting_with_signless_lifts(monkeypatch, ctx, n_max):
@@ -624,8 +609,8 @@ def test_osp12_lifts_swap_no_two_odd_factors(monkeypatch):
     alg = ctx.alg
     odd = {v.ident for v in alg.variables if v.parity}
     got, (module,) = _splitting_with_signless_lifts(monkeypatch, ctx, 4)
-    assert got.ok and module._memo
-    for v, m in module._memo:
+    assert got.ok and module._act_memo
+    for v, m in module._act_memo:
         x = alg.split_first(m)[0] if m else None
         assert not (v in odd and x in odd and v > x), (v, alg.mono_str(m))
 
