@@ -1,8 +1,10 @@
 """Poisson superalgebras presented by a bracket table on generators.
 
 The bracket of two generators is an arbitrary polynomial; everything else
-follows from the graded Leibniz rule.  Brackets of monomials are memoized,
-so repeated normalization passes stay cheap.  The memo holds each bracket as
+follows from the graded Leibniz rule in one closed form, a sum over the
+variables of one factor (see ``PoissonAlgebra.mono_bracket``), so no
+bracket recurses once per factor.  Brackets of monomials are memoized, so
+repeated normalization passes stay cheap.  The memo holds each bracket as
 integer numerators over one denominator, the denominators of the table
 entries, read straight off the entries' ``nums`` and ``den``.  ``bracket``
 passes it to :func:`superw.supercore.pair_sum`, the truncated term-pair loop
@@ -74,7 +76,8 @@ class BracketTable:
 
 
 class PoissonAlgebra:
-    """A bracket table promoted to a full Poisson bracket via Leibniz."""
+    """A bracket table promoted to a full Poisson bracket by one closed
+    Leibniz formula on monomials, summed over term pairs."""
 
     def __init__(self, alg, table):
         self.alg = alg
@@ -85,43 +88,46 @@ class PoissonAlgebra:
 
     def mono_bracket(self, ma, mb):
         """Bracket of two normal monomials as ``(nums, den)``: integer
-        numerators over one denominator (memoized)."""
+        numerators over one denominator (memoized).
+
+        For a generator x, {x, mb} = sum_y e_y {x, y}·(mb/y) over the
+        variables y of mb (e_y the exponent), each moved to the front of mb;
+        any other ma gives {ma, mb} = sum_x e_x (ma/x)·{x, mb} over the
+        variables x of ma, each moved to the end, {x, mb} read from the
+        memo.  Each term takes the Koszul sign of its move."""
         memo = self._memo
         out = memo.get((ma, mb))
         if out is not None:
             return out
         alg = self.alg
         mul = alg.mono_mul
-        if not ma or not mb:
-            out = {}, 1
+        groups = {}
+        x = alg.gen_of.get(ma)
+        if x is not None:
+            for y, e in alg.mono_key(mb):
+                s = self.table.entry(x, y)
+                if not s.nums:
+                    continue
+                rest, sign = alg.split_var(mb, y)
+                c = e * sign
+                acc = groups.setdefault(s.den, {})
+                for n, v in s.nums.items():
+                    r = mul(n, rest)
+                    if r is not None:
+                        acc[r[0]] = acc.get(r[0], 0) + c * r[1] * v
         else:
-            i, rest = alg.split_first(ma)
-            if not rest:
-                j, rest = alg.split_first(mb)
-                if not rest:
-                    s = self.table.entry(i, j)
-                    out = s.nums, s.den
-                else:
-                    # split mb = y * rest and apply the Leibniz rule on the right
-                    y = alg.gen_mono[j]
-                    sign = -1 if alg.by_id[i].parity and alg.by_id[j].parity else 1
-                    groups = {}
-                    hn, hd = self.mono_bracket(ma, y)
-                    _add_products(groups, hn, hd, lambda n: mul(n, rest), 1)
-                    tn, td = self.mono_bracket(ma, rest)
-                    _add_products(groups, tn, td, lambda n: mul(y, n), sign)
-                    out = merge_numerators(groups)
-            else:
-                # split ma = x * rest and apply the Leibniz rule on the left
-                x = alg.gen_mono[i]
-                sign = -1 if alg.mono_parity(rest) and alg.mono_parity(mb) else 1
-                groups = {}
-                hn, hd = self.mono_bracket(rest, mb)
-                _add_products(groups, hn, hd, lambda n: mul(x, n), 1)
-                tn, td = self.mono_bracket(x, mb)
-                _add_products(groups, tn, td, lambda n: mul(n, rest), sign)
-                out = merge_numerators(groups)
-        memo[(ma, mb)] = out
+            for x, e in alg.mono_key(ma):
+                nums, den = self.mono_bracket(alg.gen_mono[x], mb)
+                if not nums:
+                    continue
+                rest, sign = alg.split_var(ma, x, last=True)
+                c = e * sign
+                acc = groups.setdefault(den, {})
+                for n, v in nums.items():
+                    r = mul(rest, n)
+                    if r is not None:
+                        acc[r[0]] = acc.get(r[0], 0) + c * r[1] * v
+        out = memo[(ma, mb)] = merge_numerators(groups)
         return out
 
     # -- the bracket on series ----------------------------------------
@@ -175,19 +181,6 @@ class PoissonAlgebra:
                     if not jac.is_zero():
                         bad.append(((gens[i], gens[j], gens[k]), jac))
         return bad
-
-
-def _add_products(groups, nums, den, times, sign):
-    """Add sign * times(n) * nums[n], a numerator dict over den, to the
-    group of den; times(n) is a signed monomial product or None."""
-    acc = groups.get(den)
-    if acc is None:
-        acc = groups[den] = {}
-    for n, v in nums.items():
-        r = times(n)
-        if r is not None:
-            m, s = r
-            acc[m] = acc.get(m, 0) + s * sign * v
 
 
 @dataclass

@@ -76,7 +76,6 @@ class LeftAction:
         self.unit_level = unit_level
         self.m_ids = m_ids
         self.k = k
-        self._gen_of = {mono: i for i, mono in alg.gen_mono.items()}
         self._act_memo = {}
         self._word_memo = {}
         self._brackets = {}
@@ -89,7 +88,7 @@ class LeftAction:
         if entry is None:
             s = self.table.entry(v, x)
             entry = self._brackets[(v, x)] = (
-                [(self._gen_of.get(mono), mono, b) for mono, b in s.nums.items()], s.den)
+                [(self.alg.gen_of.get(mono), mono, b) for mono, b in s.nums.items()], s.den)
         if self.unit_level:
             alg = self.alg
             rest, e = alg.split_hbar(rest)
@@ -169,7 +168,7 @@ class LeftAction:
         """ma·mb in normal form, as x·(ma'·mb) with x the first factor of ma,
         memoized with the suffixes ma' in the loop of ``act``; a word of one
         factor is its action."""
-        gen_of = self._gen_of
+        gen_of = self.alg.gen_of
         y = gen_of.get(ma)
         if y is not None:  # one factor: its action, memoized there
             return self.act(y, mb)

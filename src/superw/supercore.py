@@ -97,8 +97,9 @@ class Algebra:
             raise ValueError("hbar must have the largest variable id")
         self.hbar_id = hs[0].ident if hs else None
         self._hshift = self._shift[self.hbar_id] if hs else None
-        # the monomial of each single generator
+        # the monomial of each single generator, and its inverse
         self.gen_mono = {v.ident: 1 << self._shift[v.ident] for v in vs}
+        self.gen_of = {m: i for i, m in self.gen_mono.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -171,10 +172,14 @@ class Algebra:
         k = ((m & -m).bit_length() - 1) // _W
         return self._fields[k][0], m - (1 << k * _W)
 
-    def split_last(self, m):
-        """``(i, rest)`` with m = rest * x_i and i the largest id in m (m not the unit)."""
-        k = (m.bit_length() - 1) // _W
-        return self._fields[k][0], m - (1 << k * _W)
+    def split_var(self, m, i, last=False):
+        """``(rest, sign)`` with m = sign * x_i * rest, or sign * rest * x_i
+        when ``last``, for x_i in m: the Koszul sign of moving x_i there."""
+        sh = self._shift[i]
+        rest = m - (1 << sh)
+        odd = rest & self._odd if (self._odd >> sh) & 1 else 0
+        n = odd >> sh if last else odd & ((1 << sh) - 1)
+        return rest, -1 if n.bit_count() & 1 else 1
 
     def times_last(self, m, x):
         """m times generator x, for x at least (or at most) every id in m, so

@@ -450,10 +450,11 @@ def test_star_matches_fraction_reference(contexts, name, mode):
         assert any(ma == x2 for ma, _ in S._word_memo)
 
 
-@pytest.mark.parametrize("name", ALGEBRAS)
+@pytest.mark.parametrize("name", ALGEBRAS + ("twisted",))
 def test_bracket_matches_fraction_reference(contexts, name):
-    ctx = contexts[name]
-    alg, table = ctx.alg, ctx.poisson.table
+    # the twisted pair's entries 1 + x and x^2 make each {x, y}·(mb/y)
+    # term of the Leibniz sum more than one monomial product
+    alg, table = _star_input(contexts, name)
     P, R = PoissonAlgebra(alg, table), _ReferencePoisson(alg, table)
     rng = random.Random("bracket:%s" % name)
     for _ in range(6):

@@ -33,7 +33,8 @@ from superw.wslice import slice_setup
 
 class TupleMonomials:
     """The monomial helpers of ``Algebra`` on ``((id, exponent), ...)``
-    tuples sorted by id, kept as they were (memos dropped); the empty tuple
+    tuples sorted by id, kept as they were (memos dropped), and the
+    reference of ``split_var``, which had no tuple version; the empty tuple
     is the unit."""
 
     def __init__(self, alg):
@@ -52,9 +53,14 @@ class TupleMonomials:
         i, e = m[0]
         return i, (m[1:] if e == 1 else ((i, e - 1),) + m[1:])
 
-    def split_last(self, m):
-        i, e = m[-1]
-        return i, (m[:-1] if e == 1 else m[:-1] + ((i, e - 1),))
+    def split_var(self, m, i, last=False):
+        k = [j for j, _ in m].index(i)
+        e = m[k][1]
+        rest = m[:k] + (((i, e - 1),) if e > 1 else ()) + m[k + 1:]
+        # an odd x_i passes the odd factors before it (after it, when last)
+        passed = m[k + 1:] if last else m[:k]
+        n = sum(1 for j, _ in passed if self._parity[j]) if self._parity[i] else 0
+        return rest, -1 if n % 2 else 1
 
     def times_last(self, m, x):
         if not m:
@@ -350,10 +356,15 @@ def test_monomial_helpers_peel_and_rebuild():
         i, tail = alg.split_first(m)
         assert i == min(exps)
         assert alg.mono_mul(alg.gen_mono[i], tail) == (m, 1)
-        j, head = alg.split_last(m)
-        assert j == max(exps)
-        assert alg.mono_mul(head, alg.gen_mono[j]) == (m, 1)
+        j = max(exps)
+        head = alg.monomial({**exps, j: exps[j] - 1})
+        assert alg.split_var(m, j, last=True) == (head, 1)
         assert alg.times_last(head, j) == m
+        for y in exps:
+            rest, sign = alg.split_var(m, y)
+            assert alg.mono_mul(alg.gen_mono[y], rest) == (m, sign)
+            rest, sign = alg.split_var(m, y, last=True)
+            assert alg.mono_mul(rest, alg.gen_mono[y]) == (m, sign)
         for x in sorted(alg.by_id):
             if x < j:
                 continue
@@ -401,8 +412,10 @@ def test_packed_helpers_match_tuple_reference(name):
         if t:
             i, rest = alg.split_first(m)
             assert (i, key(rest)) == ref.split_first(t)
-            i, rest = alg.split_last(m)
-            assert (i, key(rest)) == ref.split_last(t)
+        for i, _ in t:
+            for last in (False, True):
+                rest, sign = alg.split_var(m, i, last)
+                assert (key(rest), sign) == ref.split_var(t, i, last)
         for x in sorted(ref._parity):
             if t and x < t[-1][0]:
                 continue
@@ -457,6 +470,12 @@ MONOMIAL_BITS = re.compile(
 MONOMIAL_TUPLE = re.compile(
     r"\b(m|ma|mb|mono)\[(-1|0)\]|dict\(m\)|for i, [e_] in m\b"
     r"|\(\([a-z]+, 1\),\)|tuple\(sorted\(mono\b")
+# integer arithmetic on a monomial: a sum or difference with a monomial on
+# the left, or with a generator's monomial on either side, such as
+# ``ma - alg.gen_mono[i]``
+MONOMIAL_ARITH = re.compile(
+    r"\b(m|ma|mb|mono|rest)\s*[-+]=?\s*[\w(]"
+    r"|[-+*]\s*(\w+\.)*gen_mono\[|gen_mono\[[^\]]*\]\s*[-+*]")
 # the pair-skip rule of the one truncated term-pair loop, pair_sum
 PAIR_SKIP = re.compile(r"\bbudget\b")
 # a read of a bracket table entry: the Poisson bracket and the one
@@ -473,7 +492,7 @@ def _hits(texts, rule):
 def test_only_supercore_reads_monomials_and_skips_pairs():
     texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SOURCES.glob("*.py"))}
     assert "supercore.py" in texts and len(texts) > 1
-    for rule in (MONOMIAL_BITS, PAIR_SKIP):
+    for rule in (MONOMIAL_BITS, MONOMIAL_ARITH, PAIR_SKIP):
         hits = _hits(texts, rule)
         assert list(hits) == ["supercore.py"], (rule.pattern, hits)
     # no module, supercore included, builds tuple monomials any more

@@ -331,6 +331,34 @@ def test_bracket_at_an_order_truncates_the_exact_result():
                 assert got == exact.truncate(n) and got.order == n, (name, n)
 
 
+def test_brackets_of_1500_factors_run_without_deep_recursion():
+    # closed forms in sl2, where {f, e} = -h and {h, e} = 2e, by Leibniz:
+    #   {f, e^n} = -n e^(n-1) h,  {f^n, e} = -n f^(n-1) h,
+    #   {h, e^n} = 2n e^n,        {e^n, h} = -2n e^n
+    ctx = get_ctx("sl2")
+    alg, table = ctx.alg, ctx.poisson.table
+    e, h, f = (alg.gen(x) for x in ("e", "h", "f"))
+
+    def cases(n):
+        en, fn = e ** n, f ** n
+        return [((f, en), -n * e ** (n - 1) * h), ((fn, e), -n * f ** (n - 1) * h),
+                ((h, en), 2 * n * en), ((en, h), -2 * n * en)]
+
+    for n in range(1, 9):
+        P = PoissonAlgebra(alg, table)
+        for (a, b), want in cases(n):
+            assert P.bracket(a, b) == want, n
+    long = cases(1500)
+    P = PoissonAlgebra(alg, table)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default
+    try:
+        got = [P.bracket(a, b) for (a, b), _ in long]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [want for _, want in long]
+
+
 # -- the split against the two-branch version it replaced -------------------
 
 
