@@ -9,6 +9,7 @@ down for comparison against a lower-order run of the same pipeline.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .algebras import AlgebraError, build_chi, catalog_names, dynkin_grading, load_algebra
-from .darboux import DEFAULT_GUARD, DarbouxError, equivariant_darboux
+from .darboux import DEFAULT_GUARD, DarbouxError
 from .starprod import quantum_darboux, rees_inverse, rees_map
 from .supercore import EVEN, EXPONENT_LIMIT, ODD
 from .wslice import (
@@ -47,9 +48,8 @@ def _chart_terms(s, order):
     effective order at most ``order`` are reported.
     """
     alg, terms = s.alg, s.terms
-    rows = [(alg.mono_eff(m), alg.mono_str(m), str(terms[m]))
-            for m in sorted(terms, key=alg.mono_key) if alg.mono_eff(m) <= order]
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = sorted((alg.mono_eff(m), alg.mono_str(m), str(c))
+                  for m, c in terms.items() if alg.mono_eff(m) <= order)
     return [[m, c, e] for e, m, c in rows]
 
 
@@ -113,15 +113,13 @@ def check_report(algebra, alt=False):
 def darboux_report(algebra, order, guard=DEFAULT_GUARD, alt=False):
     data = load_algebra(algebra)
     ctx = slice_setup(data, alt=alt)
-    seeds = ctx.m_gens()
     # The correction loops stop as soon as the residuals are clean through
     # the requested order, and a later pass can still add terms at exactly
     # that order.  Certifying two orders deeper pins every reported term,
     # making reruns at higher order agree byte for byte after truncation.
     deep = order + 2
-    classical = equivariant_darboux(ctx.poisson, deep, seeds=seeds, guard=guard)
-    qc = quantum_darboux(ctx.star, ctx.poisson, deep, seeds=seeds, guard=guard,
-                         classical=classical)
+    classical = ctx.classical_chart(deep, guard)
+    qc = quantum_darboux(ctx.star, classical)
     return {
         "kind": "darboux",
         "algebra": data.name,
@@ -162,7 +160,7 @@ def walgebra_report(algebra, order, guard=DEFAULT_GUARD, method="both", alt=Fals
         }
         ok = ok and wh.ok
     if method in ("slice", "both"):
-        sl = slice_walgebra(ctx, order, guard)
+        sl = slice_walgebra(ctx, order, qc=ctx.quantum_chart(order, guard))
         rep["slice"] = {
             "dims": sl.dims,
             "generators": _ser_gens(sl.gens),
@@ -174,16 +172,8 @@ def walgebra_report(algebra, order, guard=DEFAULT_GUARD, method="both", alt=Fals
         }
         ok = ok and sl.ok
     if method == "both":
-        cm = compare_realizations(ctx, order, guard, slice_result=sl,
-                                  whittaker_result=wh)
-        rep["compare"] = {
-            "dims_equal": cm.dims_equal,
-            "counts_equal": cm.counts_equal,
-            "invariance_ok": cm.invariance_ok,
-            "span_ok": cm.span_ok,
-            "blocks_ok": cm.blocks_ok,
-            "ok": cm.ok,
-        }
+        cm = compare_realizations(ctx, order, slice_result=sl, whittaker_result=wh)
+        rep["compare"] = dataclasses.asdict(cm)
         ok = ok and cm.ok
     rep["ok"] = ok
     return rep
@@ -304,11 +294,10 @@ def _suite_checks(order, seed):
         add("bracket_weights:%s" % name, not wviol, violations=len(wviol))
 
         # a chart that is not built fails under its own name, with the error
-        seeds = ctx.m_gens()
         cc = qc = error = None
         try:
-            cc = equivariant_darboux(P, order, seeds=seeds)
-            qc = quantum_darboux(S, P, order, seeds=seeds, classical=cc)
+            cc = ctx.classical_chart(order)
+            qc = quantum_darboux(S, cc)
         except DarbouxError as exc:
             error = str(exc)
         for label, chart in (("classical_chart", cc), ("quantum_chart", qc)):

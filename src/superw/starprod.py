@@ -26,20 +26,14 @@ once.
 The second half of the module is the quantum backend of the chart engine in
 :mod:`superw.darboux`: the star product, the star commutator and the unit
 ``hbar^2``; the engine runs the same algorithm as for the classical chart.
-Then come the Rees map and the filtration dimension count.
+The quantum chart is built from a classical chart alone: its seeds, bracket
+table, order and guard are that chart's.  Then come the Rees map and the
+filtration dimension count.
 """
 
 from __future__ import annotations
 
-from .darboux import (
-    DEFAULT_GUARD,
-    Chart,
-    DarbouxError,
-    PoissonBackend,
-    build_chart,
-    certify,
-    equivariant_darboux,
-)
+from .darboux import Chart, DarbouxError, PoissonBackend, build_chart, certify
 from .supercore import (
     EVEN,
     ODD,
@@ -273,14 +267,13 @@ class QuantumChart(Chart):
         return certify(self)
 
 
-def quantum_darboux(S, P, order, seeds=None, guard=DEFAULT_GUARD, classical=None):
-    """Quantum Darboux chart: the classical chart is built first, then each
-    entry is reprojected and renormalized at the star level in the same
-    order, and the leftover directions become quantum centralizer
-    generators."""
-    if classical is None:
-        classical = equivariant_darboux(P, order, seeds=seeds, guard=guard)
-    qc = build_chart(QuantumChart, StarBackend(S, P, order, guard),
+def quantum_darboux(S, classical):
+    """Quantum Darboux chart of a classical chart: each entry is reprojected
+    and renormalized at the star level in the same order, and the leftover
+    directions become quantum centralizer generators.  The bracket table,
+    the order and the guard are the classical chart's."""
+    B = classical.backend
+    qc = build_chart(QuantumChart, StarBackend(S, B.P, B.order, B.guard),
                      [(e.kind, e.variables()) for e in classical.entries],
                      classical.center_gens)
 

@@ -90,6 +90,15 @@ class SliceContext:
     def even_m_gens(self):
         return [g for g in self.m_gens() if g.parity() == EVEN]
 
+    def classical_chart(self, order, guard=DEFAULT_GUARD):
+        """The classical Darboux chart around the shift directions."""
+        return equivariant_darboux(self.poisson, order, seeds=self.m_gens(),
+                                   guard=guard)
+
+    def quantum_chart(self, order, guard=DEFAULT_GUARD):
+        """The quantum chart of :meth:`classical_chart`."""
+        return quantum_darboux(self.star, self.classical_chart(order, guard))
+
 
 class QuotientModule(LeftAction):
     """The left U(g)-module Q_chi^(k) = U(g) / U(g)·m_chi^k on its monomial
@@ -441,8 +450,7 @@ def _gen_weight(s):
     return ws[0]
 
 
-def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
-                   qc=None) -> SliceResult:
+def slice_walgebra(ctx: SliceContext, order: int, qc=None) -> SliceResult:
     """W-algebra via the quantum chart around the shift directions.
 
     The chart's centralizer generators (and the self-paired odd variable, if
@@ -454,8 +462,7 @@ def slice_walgebra(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
     _check_m_abelian(ctx)
     alg = ctx.alg
     if qc is None:
-        qc = quantum_darboux(ctx.star, ctx.poisson, order, seeds=ctx.m_gens(),
-                             guard=guard)
+        qc = ctx.quantum_chart(order)
     # certified again although build_chart kept qc.report: perfbench pins
     # the h2 star products of `walgebra`, and this certificate is in the count
     chart_report = qc.verify()
@@ -525,8 +532,8 @@ class CompareResult:
     ok: bool
 
 
-def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUARD,
-                         slice_result=None, whittaker_result=None) -> CompareResult:
+def compare_realizations(ctx: SliceContext, n_max: int, slice_result=None,
+                         whittaker_result=None) -> CompareResult:
     """Cross-validate the two routes over the same quotient.
 
     Checks: equal dimension tables, equal per-weight generator counts, exact
@@ -535,7 +542,7 @@ def compare_realizations(ctx: SliceContext, n_max: int, guard: int = DEFAULT_GUA
     full rank.
     """
     wh = whittaker_result or whittaker_walgebra(ctx, n_max)
-    sl = slice_result or slice_walgebra(ctx, n_max, guard)
+    sl = slice_result or slice_walgebra(ctx, n_max)
 
     dims_equal = wh.dims == sl.dims
 
@@ -583,7 +590,7 @@ class SplitResult:
 
 
 def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
-                    guard: int = DEFAULT_GUARD, qc=None) -> SplitResult:
+                    qc=None) -> SplitResult:
     """Certify the tensor-splitting of the shifted enveloping algebra.
 
     The chart words multiply in the chart's own star product at its cap.
@@ -602,8 +609,7 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
     _check_m_abelian(ctx)
     alg = ctx.alg
     if qc is None:
-        qc = quantum_darboux(ctx.star, ctx.poisson, n_max, seeds=ctx.m_gens(),
-                             guard=guard)
+        qc = ctx.quantum_chart(n_max)
     cap = qc.cap
 
     factors = [v for e in qc.entries if e.kind in ("even", "odd")
@@ -715,8 +721,7 @@ class CliffordResult:
     ok: bool
 
 
-def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_GUARD,
-                           qc=None) -> CliffordResult:
+def clifford_factorization(ctx: SliceContext, order: int, qc=None) -> CliffordResult:
     """Factor the even-flattened centralizer through Clifford and W parts.
 
     Flattening only the even shift directions leaves every odd direction as a
@@ -728,8 +733,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
     """
     alg = ctx.alg
     if qc is None:
-        qc = quantum_darboux(ctx.star, ctx.poisson, order, seeds=ctx.m_gens(),
-                             guard=guard)
+        qc = ctx.quantum_chart(order)
     cap = qc.cap
 
     # flatten only the even shift directions: form the seeded split, then
@@ -739,9 +743,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
     plan = linear_split(ctx.poisson, vectors, seeds=even_seeds)
     plan.radical = plan.selfs + plan.radical
     plan.selfs = []
-    classical0 = equivariant_darboux(ctx.poisson, order, guard=guard, plan=plan)
-    qc0 = quantum_darboux(ctx.star, ctx.poisson, order, guard=guard,
-                          classical=classical0)
+    qc0 = quantum_darboux(ctx.star, equivariant_darboux(ctx.poisson, order, plan=plan))
 
     agens = _chart_wgens(qc0)
     aweights = [_gen_weight(g) for g in agens]
@@ -777,7 +779,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
                 if not v.hbar and v.parity != EVEN:
                     even_vars_ok = False
 
-    sub_sl = slice_walgebra(sub_ctx, order, guard)
+    sub_sl = slice_walgebra(sub_ctx, order)
 
     def by_weight(gens):
         out = {}
@@ -787,7 +789,7 @@ def clifford_factorization(ctx: SliceContext, order: int, guard: int = DEFAULT_G
 
     standalone_match = (by_weight(_transport(g, alg) for g in sub_sl.qc.center_gens)
                         == by_weight(even_centers))
-    sub_compare_ok = compare_realizations(sub_ctx, order, guard, slice_result=sub_sl).ok
+    sub_compare_ok = compare_realizations(sub_ctx, order, slice_result=sub_sl).ok
 
     closure_ok = _closure_ok(agen_words, aweights, aparities, order)
 

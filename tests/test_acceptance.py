@@ -138,8 +138,7 @@ def test_criterion_03_quantum_charts():
         ctx = _ctx(name)
         S, P = ctx.star, ctx.poisson
         classical = equivariant_darboux(P, order, seeds=ctx.m_gens())
-        qc = quantum_darboux(S, P, order, seeds=ctx.m_gens(),
-                             classical=classical)
+        qc = quantum_darboux(S, classical)
         if not qc.verify()["ok"]:
             failures.append("%s: quantum verify failed" % name)
         qv = [v for e in qc.entries for v in e.variables()] + list(qc.center_gens)

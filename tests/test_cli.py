@@ -476,7 +476,7 @@ def _plant(monkeypatch, module, name):
 @pytest.mark.parametrize("planted,failed", [
     ([(cli, "quantum_darboux")], "quantum_darboux"),
     ([(cli, "quantum_darboux"), (wslice, "quantum_darboux")], "quantum_darboux"),
-    ([(cli, "equivariant_darboux")], "equivariant_darboux"),
+    ([(wslice, "equivariant_darboux")], "equivariant_darboux"),
 ], ids=("cli", "cli+wslice", "classical"))
 def test_suite_records_a_chart_failure_under_its_own_name(monkeypatch, planted,
                                                           failed):

@@ -253,9 +253,8 @@ def _certificate(chart, level):
 
 
 def _charts(ctx, order):
-    seeds = ctx.m_gens()
-    cc = equivariant_darboux(ctx.poisson, order, seeds=seeds)
-    qc = quantum_darboux(ctx.star, ctx.poisson, order, seeds=seeds, classical=cc)
+    cc = ctx.classical_chart(order)
+    qc = quantum_darboux(ctx.star, cc)
     return cc, qc
 
 

@@ -106,8 +106,7 @@ def test_quantum_chart_catalog():
     for name in ALGEBRAS:
         ctx = get_ctx(name)
         cc = equivariant_darboux(ctx.poisson, 3, seeds=ctx.m_gens())
-        qc = quantum_darboux(ctx.star, ctx.poisson, 3, seeds=ctx.m_gens(),
-                             classical=cc)
+        qc = quantum_darboux(ctx.star, cc)
         rep = qc.verify()
         assert rep["ok"], (name, rep["failures"])
         assert rep["weight_homogeneous"]
@@ -118,8 +117,7 @@ def test_quantum_chart_specializes_to_classical():
         ctx = get_ctx(name)
         order = 4
         cc = equivariant_darboux(ctx.poisson, order, seeds=ctx.m_gens())
-        qc = quantum_darboux(ctx.star, ctx.poisson, order, seeds=ctx.m_gens(),
-                             classical=cc)
+        qc = quantum_darboux(ctx.star, cc)
         pairs = list(zip(cc.chart_vars(), qc.chart_vars()))
         pairs += list(zip(cc.center_gens, qc.center_gens))
         assert pairs
@@ -138,7 +136,7 @@ def test_quantum_chart_specializes_to_classical():
 def test_flat_commutation_relations():
     # the flattened pair of sl2 satisfies [f,g] = hbar^2 through the order
     ctx = get_ctx("sl2")
-    qc = quantum_darboux(ctx.star, ctx.poisson, 4, seeds=ctx.m_gens())
+    qc = ctx.quantum_chart(4)
     S = ctx.star
     (entry,) = [e for e in qc.entries if e.kind == "even"]
     f = Series(S.alg, entry.a.terms, None)

@@ -7,6 +7,7 @@ tests require byte-exact agreement.
 """
 import contextlib
 import dataclasses
+import inspect
 import io
 import itertools
 import json
@@ -21,6 +22,7 @@ import pytest
 
 from superw import wslice
 from superw.algebras import load_algebra
+from superw.darboux import equivariant_darboux
 from superw.linalg import Echelon, nullspace, rref, solve
 from superw.cli import main
 from superw.starprod import StarAlgebra, filtration_dims, quantum_darboux
@@ -283,7 +285,7 @@ def test_clifford_compares_even_part_at_the_requested_order(monkeypatch):
 def test_clifford_linear_span_check_compares_spans():
     # the full chart's flat odd pair of sl21 is (um, vp) to first order
     ctx, order = _ctx("sl21"), 4
-    qc = quantum_darboux(ctx.star, ctx.poisson, order, seeds=ctx.m_gens())
+    qc = ctx.quantum_chart(order)
     (pair,) = [e for e in qc.entries if e.kind == "odd"]
 
     def with_odd_pair(a, b):
@@ -307,12 +309,34 @@ def test_clifford_builds_the_even_part_chart_once(monkeypatch, name):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1].order)
         return quantum_darboux(*args, **kwargs)
 
     monkeypatch.setattr(wslice, "quantum_darboux", counting)
     assert clifford_factorization(_ctx(name), 5).ok
     assert calls == [5, 5, 5]
+
+
+def test_quantum_chart_reads_order_and_guard_off_its_classical_chart():
+    ctx = _ctx("sl21")
+    cc = equivariant_darboux(ctx.poisson, 3, seeds=ctx.m_gens(), guard=2)
+    qc = quantum_darboux(ctx.star, cc)
+    assert (qc.order, qc.cap) == (3, 5)
+    assert qc.report["ok"]
+    assert list(inspect.signature(quantum_darboux).parameters) == ["S", "classical"]
+    for fn in (slice_walgebra, compare_realizations, splitting_check,
+               clifford_factorization):
+        assert "guard" not in inspect.signature(fn).parameters, fn.__name__
+
+
+@pytest.mark.parametrize("name", ["osp12", "sl21"])
+def test_slice_route_builds_the_context_quantum_chart(name):
+    ctx = _ctx(name)
+    qc = ctx.quantum_chart(4)
+    built = slice_walgebra(ctx, 4).qc
+    assert (built.order, built.cap) == (qc.order, qc.cap)
+    assert built.entries == qc.entries
+    assert built.center_gens == qc.center_gens
 
 
 def test_even_subalgebra_extraction():
@@ -654,7 +678,7 @@ def test_whittaker_rows_build_no_enveloping_product(monkeypatch):
     # from that on Q_chi^(2): no exact star product, the only kind that gives
     # a product in U(g); the charts' are truncated
     ctx = slice_setup(load_algebra("sl21"))
-    qc = quantum_darboux(ctx.star, ctx.poisson, 6, seeds=ctx.m_gens())
+    qc = ctx.quantum_chart(6)
     calls = Counter()
     real = StarAlgebra.star
 
@@ -726,7 +750,7 @@ def test_pbw_words_match_brute_force():
 
 def test_word_table_matches_naive_products_once_each():
     ctx = _ctx("sl21")
-    qc = quantum_darboux(ctx.star, ctx.poisson, 4, seeds=ctx.m_gens())
+    qc = ctx.quantum_chart(4)
     factors = [v for e in qc.entries if e.kind in ("even", "odd")
                for v in (e.a, e.b)]
     factors += list(qc.center_gens) + [e.a for e in qc.entries if e.kind == "self"]
