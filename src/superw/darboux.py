@@ -9,13 +9,20 @@ see :func:`even_project`).  Intermediate work runs at a slightly higher cap
 (``order + guard``).  The certificates, and the residual checks of the
 projections, compute each bracket at the certified order, so they are exact
 through it: a monomial pair is skipped only when all of its terms lie above
-that order.  Every bracket whose value is used stays at the cap.
+that order.  A bracket whose value is used is computed at the cap, except in
+the Taylor sums of the even projection: their k-th term x^k D_y^k a is read
+through the cap and x^k starts at order k*eff(x), so D_y^k a is computed
+through cap - k*eff(x) only.  That is exact when D_y lowers completion
+orders by at most eff(x): the terms of D_y^(k-1) a that step k-1 leaves out
+then give only terms of D_y^k a that step k leaves out too.  Where that
+bound fails, the Taylor sums keep the cap.
 
 Every loop stops by one rule: it returns once its residuals are clean
 through the certified order, and raises "stalled" when a pass fails to raise
 the residual order, an integer from 0 to the order (the even correction
 ranks by ``hbar`` level first).  So the projections and the odd
-normalizations take at most ``order + 1`` passes, with no cap.
+normalizations take at most ``order + 1`` passes, with no cap.  A "stalled"
+error lists the residual order after every pass.
 :func:`build_chart` keeps the certificate of a chart as ``Chart.report``.
 
 The engine is one algorithm run with one of two bracket backends.  A
@@ -38,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poisson import linear_split
-from .supercore import Series
+from .supercore import Series, pair_sum
 
 # orders past the certified one at which the correction loops work
 DEFAULT_GUARD = 4
@@ -54,6 +61,16 @@ def clean_mod(s, level):
     return d is None or d > level
 
 
+def _record_pass(what, orders, d, show=str):
+    """Append the residual order ``d`` of a pass of the loop ``what`` to
+    ``orders``; raise "stalled", with every pass's order, when d does not
+    rise above the order before it."""
+    orders.append(d)
+    if len(orders) > 1 and d <= orders[-2]:
+        raise DarbouxError(f"{what} stalled at residual order {show(d)}; residual "
+                           f"orders by pass: {', '.join(map(show, orders))}")
+
+
 class PoissonBackend:
     """The classical bracket backend: the product ``*``, ``{,}`` and unit 1.
 
@@ -61,7 +78,9 @@ class PoissonBackend:
     the class attribute ``unit_level`` (0 here, 2 for the star commutator).
 
     ``bracket`` is exact through the cap ``order + guard`` or through the
-    order it is given (the certified one, for certificates).  Charts are
+    order it is given (the certified one, for certificates), and lowers the
+    completion order of a monomial pair by at most ``drop``; ``mul`` is
+    exact through the cap whatever orders its inputs carry.  Charts are
     certified through at least order 1: at order 0 an odd pair may stop
     flattening with a residual of order 1, and projecting through that pair
     loses the two orders of ``BracketTable.drop``, which leaves a constant
@@ -78,10 +97,11 @@ class PoissonBackend:
         self.guard = guard
         self.cap = self.order + guard
         self.unit = P.alg.one().mul_hbar(self.unit_level)
+        self.drop = P.table.drop
         self._bracket = P.bracket
 
     def mul(self, a, b):
-        return a * b
+        return pair_sum(a, b, self.cap, self.alg.mono_product)
 
     def bracket(self, a, b, order=None):
         """The bracket, exact through ``order`` (default: the cap)."""
@@ -117,18 +137,15 @@ def even_correct(B, f, g):
     g = g.truncate(cap)
     f0 = B.levels(f).get(0, alg.zero(cap))
     r = B.bracket(f, g) - B.unit
-    prev = None
+    keys = []
     while not clean_mod(r, B.order):
         levels = B.levels(r)
         s = min(lv for lv, comp in levels.items() if not comp.is_zero())
         rs = levels[s]
         if s < B.unit_level or (s == B.unit_level and rs.constant_term()):
             raise DarbouxError("even pair is not normalized at the point")
-        key = (s, rs.eff_deg())
-        if prev is not None and key <= prev:
-            raise DarbouxError(
-                f"even correction stalled at hbar^{s}, residual order {key[1]}")
-        prev = key
+        _record_pass("even correction", keys, (s, rs.eff_deg()),
+                     lambda key: f"{key[1]} at hbar^{key[0]}")
         g0 = B.levels(g).get(0, alg.zero(cap))
         x = alg.zero(cap)
         u = rs
@@ -154,16 +171,12 @@ def odd_self_normalize(B, th):
     by the unit; classically this is Newton's step for (1+rho)^(-1/2).
     """
     th = th.truncate(B.cap)
-    prev = -1
+    orders = []
     while True:
         r = B.bracket(th, th) - B.unit
         if clean_mod(r, B.order):
             return th
-        d = r.eff_deg()
-        if d <= prev:
-            raise DarbouxError(
-                f"odd self-normalization stalled at residual order {d}")
-        prev = d
+        _record_pass("odd self-normalization", orders, r.eff_deg())
         th = th - B.mul(th, B.div(r)) * Fraction(1, 2)
 
 
@@ -171,11 +184,30 @@ def odd_self_normalize(B, th):
 
 
 def _taylor(B, x, y, a, sign):
-    """sum_k sign^k/k! x^k D_y^k a, D_y the bracket with y over the unit."""
+    """sum_k sign^k/k! x^k D_y^k a, D_y the bracket with y over the unit.
+
+    x^k starts at order k*e, e = eff(x), and ``B.mul`` is exact through the
+    cap, so D_y^k a is computed through need = cap - k*e only: its bracket
+    through need plus the order of the unit, which the division takes off
+    again, and never past the cap.  The loop stops once need < 0.  This is
+    exact when D_y lowers completion orders by at most e (by induction on k:
+    a term of D_y^(k-1) a above need + e, where step k-1 stopped, gives
+    terms above need).  D_y lowers them by at most drop + unit_level -
+    eff(y), 1 on every bundled algebra; where that exceeds e, every step
+    keeps the cap.
+    """
+    cap, lift = B.cap, B.unit_level
+    ex, ey = x.eff_deg(), y.eff_deg()
+    if ex is None or ey is None:  # x^k or D_y a vanishes
+        return a
+    step = ex if B.drop + lift - ey <= ex else 0
     out = u = a
-    xk = B.alg.one(B.cap)
-    for k in range(1, B.cap + 1):
-        u = B.div(B.bracket(y, u)) * Fraction(sign, k)
+    xk = B.alg.one(cap)
+    for k in range(1, cap + 1):
+        need = cap - k * step
+        if need < 0:
+            break
+        u = B.div(B.bracket(y, u, min(cap, need + lift))) * Fraction(sign, k)
         if u.is_zero():
             break
         xk = B.mul(xk, x)
@@ -198,17 +230,15 @@ def even_project(B, f, g, a):
     """
     cap, order = B.cap, B.order
     a = a.truncate(cap)
-    prev = -1
+    orders = []
     while True:
         # only tested, so computed at the order: the lowest term of a
-        # residual that is not clean survives, and so does the stall degree d
+        # residual that is not clean survives, and so does its order
         rf, rg = B.bracket(f, a, order), B.bracket(g, a, order)
         if clean_mod(rf, order) and clean_mod(rg, order):
             return a
-        d = min(x for x in (rf.eff_deg(), rg.eff_deg()) if x is not None)
-        if d <= prev:
-            raise DarbouxError(f"even projection stalled at residual order {d}")
-        prev = d
+        _record_pass("even projection", orders,
+                     min(x for x in (rf.eff_deg(), rg.eff_deg()) if x is not None))
         a = _taylor(B, f, g, _taylor(B, g, f, a, -1), 1)
 
 
@@ -236,7 +266,7 @@ def odd_pair_flatten(B, f, g):
     cap, order = B.cap, B.order
     f = f.truncate(cap)
     g = g.truncate(cap)
-    prev = -1
+    orders = []
     while True:
         aa = B.bracket(f, f)
         bb = B.bracket(g, g)
@@ -247,9 +277,7 @@ def odd_pair_flatten(B, f, g):
         d = min(degs, default=order + 1)
         if d > order:
             return f, g
-        if d <= prev:
-            raise DarbouxError(f"odd pair normalization stalled at residual order {d}")
-        prev = d
+        _record_pass("odd pair normalization", orders, d)
         if not clean_mod(aa, order):
             f = f - B.mul(g, B.div(aa)) * Fraction(1, 2)
         if not clean_mod(bb, order):  # g is unchanged since bb was computed

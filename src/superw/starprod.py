@@ -252,6 +252,7 @@ class StarBackend(PoissonBackend):
     def __init__(self, S, P, order, guard):
         super().__init__(P, order, guard)
         self.S = S
+        self.drop = 0  # a star product never lowers a completion order
         self._bracket = S.commutator
 
     def mul(self, a, b):

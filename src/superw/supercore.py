@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from types import MappingProxyType
 
 EVEN = 0
@@ -614,11 +615,18 @@ def pair_sum(f, g, order, kernel, drop=0):
 
     ``kernel`` gives its value in ``(nums, den)`` form.  A pair is skipped
     when ``eff(ma) + eff(mb) > order + drop``: the kernel never lowers the
-    completion order of a pair by more than ``drop``.
+    completion order of a pair by more than ``drop``.  The terms of g are
+    sorted once by completion order (stably, so pairs of equal order keep
+    the order of g), and the loop over them stops at the first that is past
+    the budget ``order + drop - eff(ma)``.
     """
     alg = f.alg
     eff = alg.mono_eff
-    g_items = [(mb, cb, 0 if order is None else eff(mb)) for mb, cb in g.nums.items()]
+    if order is None:
+        g_items = [(mb, cb, 0) for mb, cb in g.nums.items()]
+    else:
+        g_items = sorted(((mb, cb, eff(mb)) for mb, cb in g.nums.items()),
+                         key=itemgetter(2))
     # products grouped by the denominator of their kernel value; the group
     # of 1, which takes nearly all of them, is filled in place
     ones = {}
@@ -628,7 +636,7 @@ def pair_sum(f, g, order, kernel, drop=0):
         budget = None if order is None else order + drop - eff(ma)
         for mb, cb, eb in g_items:
             if budget is not None and eb > budget:
-                continue
+                break
             kn, kd = kernel(ma, mb)
             if not kn:
                 continue

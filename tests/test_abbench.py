@@ -47,8 +47,9 @@ def test_summary_of_canned_pairs():
     lines = abbench.format_summary(s)
     assert lines[0] == "5 pairs, 2 left out for a failed run"
     assert "change won 4/5" in lines[1] and "-20.0 %" in lines[1]
-    assert lines[1].endswith(": within bound (bound 20 %)")
-    assert "bound" not in lines[2]
+    assert lines[1].endswith(": within bound (bound 20 %); no gain")
+    assert "bound" not in lines[2] and lines[2].endswith("; no gain")
+    assert (wall["gain"], score["gain"]) == (False, False)  # 5 pairs claim none
 
 
 def test_summary_of_one_pair_and_of_none():
@@ -91,6 +92,34 @@ def test_verdict_against_the_bound():
     assert _verdict([10, 10, 10, 10, 10], [9, 9, 9, 9, 9], "higher") == "within bound"
     assert _verdict([6, 8, 10, 13, 15], [9, 12, 10, 11, 8], "higher") == "unresolved"
     assert _verdict([6, 8, 10, 13, 15], [16, 17, 16, 18, 20], "higher") == "within bound"
+
+
+def _gain(base, change, better="lower"):
+    pairs = [(result(b), result(c)) for b, c in zip(base, change)]
+    s = abbench.summarize(pairs, [("wall_s", "s", better, 0.2)])
+    return s["metrics"]["wall_s"]["gain"], abbench.format_summary(s)[1]
+
+
+def test_gain_needs_ten_pairs_nine_wins_and_a_gap_past_the_spread():
+    # quartiles 0.9925 and 1.01: a spread of 0.0175 around the median 1.0
+    base = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+    faster = [b - 0.1 for b in base]
+    got, line = _gain(base, faster)
+    assert got and line.endswith(": within bound (bound 20 %); gain")
+    # 9 wins of 10 are enough, 8 are not, though the medians stay as far apart
+    slower = [b + 0.01 for b in base]
+    assert _gain(base, faster[:9] + slower[9:])[0]
+    got, line = _gain(base, faster[:8] + slower[8:])
+    assert not got and line.endswith("; no gain")
+    # every pair won, but the gap between the medians is within the spread
+    wide = [0.6, 0.8, 1.0, 1.3, 1.5, 0.7, 0.9, 1.1, 1.2, 1.4]  # spread 0.45
+    assert not _gain(wide, [b - 0.3 for b in wide])[0]
+    assert _gain(wide, [b - 0.5 for b in wide])[0]
+    # fewer than 10 pairs claim nothing, however clear
+    assert not _gain(base[:9], faster[:9])[0]
+    # higher is better: the change must be higher
+    assert _gain([10] * 10, [12] * 10, "higher")[0]
+    assert not _gain([10] * 10, [8] * 10, "higher")[0]
 
 
 def test_bad_workload_or_seconds_is_a_usage_error_before_any_export(monkeypatch, capsys):

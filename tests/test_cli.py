@@ -297,6 +297,9 @@ def test_darboux_stall_names_entry_and_guard():
     assert str(exc.value).startswith(
         "classical chart, even entry 0, cap 2 = order 2 + guard 0: ")
     assert "stalled" in str(exc.value)
+    # the residual order after each pass, the stalled one last
+    assert str(exc.value).endswith(
+        "; residual orders by pass: 1 at hbar^0, 2 at hbar^0, 2 at hbar^0")
 
 
 # SHA-256 of the check report per bundled algebra: pins the grading, the
@@ -345,9 +348,9 @@ def test_walgebra_reruns_byte_identical(capsys, name, order, alt):
 
 
 # SHA-256 of the report per command line, at the orders and subcommands the
-# cases above leave out.  The last three equal the benchmark's reference
-# digests (perfbench/workloads.GOLDEN_SHA256), so a plain test run checks
-# them too.
+# cases above leave out.  The three of walgebra sl21 at 10, its Whittaker
+# route at 12 and suite equal the benchmark's reference digests
+# (perfbench/workloads.GOLDEN_SHA256), so a plain test run checks them too.
 ARGV_DIGESTS = {
     ("darboux", "--algebra", "sl21", "--order", "8"):
         "658fb8dedeb74d3d67c6a571cdaf4e6fe4bf167024bb881eb32774f20d1d901d",
@@ -361,6 +364,12 @@ ARGV_DIGESTS = {
         "53784c3f5fcd07cdceaf69fec5ce13c18283426527f21f9df836d99316a5e71f",
     ("suite", "--order", "4", "--seed", "0"):
         "d76fc882d092c626b5e8a656e71393b8cdc2d4ff1c6888f3119f042b7ae53eef",
+    # guards other than the default: the Taylor sums' precision budget
+    # depends on cap - order
+    ("walgebra", "--algebra", "sl21", "--order", "8", "--guard", "2"):
+        "91bcb488f40428594dbe8db2cb0cdf632f06d12229856aa777e226379b9b4e09",
+    ("darboux", "--algebra", "osp12", "--order", "6", "--guard", "3"):
+        "d7aea2e4011f88c12c0e100aba9f45d587f0148fa81f9567387ae0a89267fe7f",
 }
 
 

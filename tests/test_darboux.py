@@ -639,15 +639,6 @@ def test_even_project_matches_double_sum(name, alt):
     assert all(moved.values()) == (name != "gl11"), moved
 
 
-def test_even_project_matches_double_sum_curved_pair():
-    alg, P = curved_pair()
-    rng = random.Random("even-project:curved")
-    for order in (2, 3, 5):
-        B = PoissonBackend(P, order, 4)
-        f = alg.gen("x").truncate(B.cap)
-        g = even_correct(B, f, alg.gen("y").truncate(B.cap))
-        assert _assert_projections_match(B, f, g, rng, 6)
-
 
 # -- projection residuals at the certified order ---------------------------
 #
@@ -707,6 +698,94 @@ def test_odd_self_projection_through_a_curved_self_fails():
     assert odd_self_project(B, th, alg.gen("x"))[0] == alg.gen("x")
     with pytest.raises(DarbouxError, match="odd projection residual too large"):
         odd_self_project(B, th, th)
+
+# -- the precision budget of the Taylor sums ------------------------------
+#
+# ``_taylor`` computes D_y^k a only through the order that x^k leaves below
+# the cap.  The report digests cannot see a budget that is too short (its
+# error lands above the certified order), so the charts are compared, series
+# by series, with the ones built by the Taylor sum that keeps every bracket
+# at the cap.
+
+
+def _full_cap_taylor(B, x, y, a, sign):
+    """sum_k sign^k/k! x^k D_y^k a with every bracket at the cap."""
+    out = u = a
+    xk = B.alg.one(B.cap)
+    for k in range(1, B.cap + 1):
+        u = B.div(B.bracket(y, u)) * Fraction(sign, k)
+        if u.is_zero():
+            break
+        xk = B.mul(xk, x)
+        if xk.is_zero():
+            break
+        out = out + B.mul(xk, u)
+    return out
+
+
+def _chart_series(ctx, order, guard):
+    """(den, nums) of every chart variable and center generator of both
+    charts."""
+    cc = ctx.classical_chart(order, guard)
+    qc = quantum_darboux(ctx.star, cc)
+    return [(s.den, s.nums) for c in (cc, qc) for s in c.chart_vars() + c.center_gens]
+
+
+@pytest.mark.parametrize("alt", (False, True))
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_taylor_budget_keeps_every_chart_series(name, alt, monkeypatch):
+    ctx = slice_setup(load_algebra(name), alt=alt)
+    for guard in (2, 3, 4):
+        for order in range(1, 7):
+            got = _chart_series(ctx, order, guard)
+            with monkeypatch.context() as m:
+                m.setattr(darboux, "_taylor", _full_cap_taylor)
+                want = _chart_series(ctx, order, guard)
+            assert got == want, (order, guard)
+
+
+TAYLOR_CASES = {
+    # {x, y} = 1 + x: the table drop is 2, so D_y lowers orders by 1
+    "curved": (curved_pair, False),
+    # curved self and cross brackets of an odd pair, both brackets
+    "twisted": (_twisted_odd, False),
+    "twisted-hbar": (_twisted_odd, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAYLOR_CASES))
+def test_taylor_budget_matches_the_full_cap_sum(case):
+    make, hbar = TAYLOR_CASES[case]
+    alg, P = make(hbar) if hbar else make()
+    u, v = (alg.gen(alg.variables[i].name) for i in (0, 1))
+    rng = random.Random("taylor-budget:%s" % case)
+    # the last pair has a constant in y, so its bound on the loss of D_y
+    # exceeds eff(x) and every bracket stays at the cap
+    pairs = ((u, v), (v, u), (u + u * v, v), (u, v + 1))
+    for order in (1, 3, 5):
+        for guard in (2, 4):
+            B = (StarBackend(StarAlgebra(alg, P.table), P, order, guard) if hbar
+                 else PoissonBackend(P, order, guard))
+            for x, y in pairs:
+                x, y = x.truncate(B.cap), y.truncate(B.cap)
+                for _ in range(3):
+                    a = _random_polynomial(rng, alg, rng.randrange(2, 6))
+                    a = a.truncate(B.cap)
+                    for sign in (-1, 1):
+                        got = darboux._taylor(B, x, y, a, sign)
+                        want = _full_cap_taylor(B, x, y, a, sign)
+                        assert (got.den, got.nums) == (want.den, want.nums), (
+                            order, guard, sign)
+
+
+def test_even_project_matches_double_sum_curved_pair():
+    alg, P = curved_pair()
+    rng = random.Random("even-project:curved")
+    for order in (2, 3, 5):
+        B = PoissonBackend(P, order, 4)
+        f = alg.gen("x").truncate(B.cap)
+        g = even_correct(B, f, alg.gen("y").truncate(B.cap))
+        assert _assert_projections_match(B, f, g, rng, 6)
 
 
 # -- the odd-pair flattening against its earlier body ---------------------

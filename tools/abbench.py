@@ -12,9 +12,10 @@ the tree and the stash list as they are.  Pair K
 gives both runs seed K; odd pairs run the base first, even pairs the change
 first, so a drift of the machine's speed falls on both sides.  For every
 end-to-end metric of ``BENCHMARK.json`` it prints the median and quartiles
-on each side, the change of the medians, how many pairs the change won and
-a verdict against the metric's relative ``bound`` (see ``verdict``), then
-one JSON line with the same summary.  A pair with a failed run is left
+on each side, the change of the medians, how many pairs the change won, a
+verdict against the metric's relative ``bound`` (see ``verdict``) and
+whether the change shows a gain (see ``gain``), then one JSON line with the
+same summary.  A pair with a failed run is left
 out of the summary and counted.  The temporary copies are removed at the end.
 A workload that perfbench does not run, or ``--seconds`` outside the 1 to
 120 that perfbench accepts, is a usage error (exit 2) before anything is
@@ -38,6 +39,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the fewest pairs on which a gain can be claimed
+GAIN_PAIRS = 10
 
 
 def perfbench_workloads():
@@ -84,6 +87,20 @@ def verdict(base, change, better, bound):
     return "within bound"
 
 
+def gain(base, change, better):
+    """True when the change's runs, paired with the base's, show a gain: at
+    least ``GAIN_PAIRS`` pairs, the change strictly better in at least 9 of
+    every 10 of them, and the change's median better than the base's by
+    more than the base's quartile spread."""
+    n = len(base)
+    if n < GAIN_PAIRS:
+        return False
+    sign = 1 if better == "lower" else -1
+    wins = sum(1 for b, c in zip(base, change) if sign * (c - b) < 0)
+    q1, median, q3 = _quartiles(base)
+    return 10 * wins >= 9 * n and sign * (median - _quartiles(change)[1]) > q3 - q1
+
+
 def summarize(pairs, metrics):
     """Summarize ``pairs``, a list of ``(base, change)`` result dicts.
 
@@ -92,8 +109,8 @@ def summarize(pairs, metrics):
     Returns ``{"pairs", "failed_pairs", "metrics"}``; each metric entry
     holds the base and change quartiles ``[q1, median, q3]``, the relative
     change of the medians, ``wins``, the pairs where the change was
-    strictly better, and the ``bound`` with its ``verdict`` (both None
-    when the metric declares no bound).
+    strictly better, the ``bound`` with its ``verdict`` (both None
+    when the metric declares no bound), and ``gain``.
     """
     good = [(b, c) for b, c in pairs
             if b and c and b.get("correct") and c.get("correct")]
@@ -103,8 +120,8 @@ def summarize(pairs, metrics):
                 for b, c in good if name in b["metrics"] and name in c["metrics"]]
         if not both:
             continue
-        base = _quartiles([b for b, _ in both])
-        change = _quartiles([c for _, c in both])
+        base_runs, change_runs = [b for b, _ in both], [c for _, c in both]
+        base, change = _quartiles(base_runs), _quartiles(change_runs)
         sign = 1 if better == "lower" else -1
         out["metrics"][name] = {
             "unit": unit,
@@ -116,7 +133,8 @@ def summarize(pairs, metrics):
             "n": len(both),
             "bound": bound,
             "verdict": None if bound is None else verdict(
-                [b for b, _ in both], [c for _, c in both], better, bound),
+                base_runs, change_runs, better, bound),
+            "gain": gain(base_runs, change_runs, better),
         }
     return out
 
@@ -136,6 +154,7 @@ def format_summary(summary):
                 m["wins"], m["n"], m["better"]))
         if m["verdict"] is not None:
             line += ": %s (bound %g %%)" % (m["verdict"], 100 * m["bound"])
+        line += "; gain" if m["gain"] else "; no gain"
         lines.append(line)
     return lines
 
