@@ -6,6 +6,11 @@ distinguished sl2-triple.  Everything is validated on load -- antisymmetry
 conventions, the graded Jacobi identity, form invariance and nondegeneracy --
 so the downstream machinery can assume a genuine Lie superalgebra.
 
+The loader turns a file into one sparse integer table (:class:`LieSuperData`)
+after the shape and parity checks; validation, the grading, the character
+and ``wslice.slice_setup`` compute on that table's integers.  ``Fraction``
+is left only where JSON is parsed (``_rat``) and where a value is reported.
+
 From a validated algebra we derive the eigenvalue grading of the triple's
 semisimple element, the centralizer of its nilpotent element, the character
 built from the form, and a basis-aligned Lagrangian inside the degree -1
@@ -19,6 +24,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import gcd, lcm
 
 from .linalg import Echelon
 from .supercore import EVEN, ODD
@@ -32,6 +38,7 @@ __all__ = [
     "dynkin_grading",
     "build_chi",
     "catalog_names",
+    "extract_even_subalgebra",
 ]
 
 BUNDLED = ("sl2", "gl11", "osp12", "sl21")
@@ -43,8 +50,11 @@ class AlgebraError(ValueError):
 
 
 def _rat(x, what):
-    """x, a string or integer rational, or an AlgebraError naming ``what``."""
+    """x, a string or integer rational, as a Fraction (the int 0 for "0"), or
+    an AlgebraError naming ``what``."""
     if isinstance(x, str) or type(x) is int:  # bool is an int subclass
+        if x == "0":  # most entries of a catalog file; Fraction parses by regex
+            return 0
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -55,173 +65,183 @@ def _rat(x, what):
 
 @dataclass(frozen=True)
 class LieSuperData:
-    """A validated Lie superalgebra with an even invariant form."""
+    """A validated Lie superalgebra with an even invariant form, as one
+    sparse integer table.
+
+    A sparse row is a tuple of ``(k, numerator)`` pairs, k ascending and no
+    numerator zero.  ``ad[i][j]`` is the row of [x_i, x_j] over ``den`` for
+    every ordered pair: the catalog's upper triangle, and below it the same
+    rows times the swap sign, [x_j, x_i] = -(-1)^(|i||j|) [x_i, x_j].
+    ``form[i]`` is the row of (x_i, x_j) over ``form_den``, and ``triple``
+    is (e, h, f), three rows over ``triple_den``; three empty rows mean no
+    triple.  Each denominator is the least one its rows allow.
+    """
 
     name: str
     names: tuple
     parities: tuple
-    table: dict  # (i, j) with i <= j  ->  tuple of Fractions
-    form: tuple  # tuple of tuples of Fractions
-    triple: tuple  # (e, h, f) coefficient vectors; all-zero means "no triple"
+    den: int
+    ad: tuple  # ad[i][j]: the row of [x_i, x_j] over den
+    form_den: int
+    form: tuple  # form[i]: the row of (x_i, .) over form_den
+    triple_den: int
+    triple: tuple  # (e, h, f), rows over triple_den
 
     @property
     def dim(self):
         return len(self.names)
 
-    def zero_vec(self):
-        return (Fraction(0),) * self.dim
-
-    def pair_bracket(self, i, j):
-        """[x_i, x_j] as a coefficient vector, any index order."""
-        if i <= j:
-            row = self.table.get((i, j))
-            if row is None:
-                return self.zero_vec()
-            return row
-        row = self.table.get((j, i))
-        if row is None:
-            return self.zero_vec()
-        sgn = -1 if (self.parities[i] and self.parities[j]) else 1
-        # [x_i, x_j] = -(-1)^{|i||j|} [x_j, x_i]
-        return tuple(-sgn * c for c in row)
-
-    def bracket_vec(self, u, v):
-        """Bracket of two coefficient vectors, extended bilinearly."""
-        out = [Fraction(0)] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                for k, c in enumerate(self.pair_bracket(i, j)):
-                    if c:
-                        out[k] += a * b * c
-        return tuple(out)
-
-    def form_value(self, u, v):
-        tot = Fraction(0)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if b and self.form[i][j]:
-                    tot += a * b * self.form[i][j]
-        return tot
+    def bracket(self, i, j):
+        """[x_i, x_j] as a sparse row over ``den``, for any index order."""
+        return self.ad[i][j]
 
     def has_triple(self):
-        return any(any(c for c in vec) for vec in self.triple)
+        return any(self.triple)
 
 
-def _basis_vec(n, i):
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
+def _lowest_rows(rows, den=1):
+    """Rows of ``(k, c)`` pairs, each the value c / den for an int or
+    Fraction c, as ``(d, rows)``: the nonzero values as integer numerators
+    over their least common denominator d."""
+    rows = [[(k, c) for k, c in row if c] for row in rows]
+    scale = lcm(*(c.denominator for row in rows for _, c in row))
+    rows = [[(k, c.numerator * (scale // c.denominator)) for k, c in row]
+            for row in rows]
+    d = scale * den
+    g = gcd(d, *(v for row in rows for _, v in row))
+    return d // g, tuple(tuple((k, v // g) for k, v in row) for row in rows)
 
 
-def _sparse_brackets(data):
-    """[x_i, x_j] for every ordered pair, as ad[i][j] = [(k, c), ...] over
-    its nonzero coefficients."""
-    n = data.dim
-    return [[[(k, c) for k, c in enumerate(data.pair_bracket(i, j)) if c]
-             for j in range(n)] for i in range(n)]
+def _ad_column(ad, u, i):
+    """{k: numerator} of [u, x_i], for a sparse vector u, over its
+    denominator times the table's; no numerator is zero."""
+    out = {}
+    for a, x in u:
+        for k, c in ad[a][i]:
+            out[k] = out.get(k, 0) + x * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _image(ad, u, v):
+    """{k: numerator} of [u, v], for sparse vectors u and v, over their
+    denominators times the table's; no numerator is zero."""
+    out = {}
+    for b, y in v:
+        for k, c in _ad_column(ad, u, b).items():
+            out[k] = out.get(k, 0) + y * c
+    return {k: c for k, c in out.items() if c}
 
 
 def _validate(data: LieSuperData):
-    n = data.dim
-    par = data.parities
+    """Graded Jacobi, the form's laws and the triple relations, on the
+    integer table.  Every sum compared below has all its terms over one
+    denominator, so numerators are compared."""
+    n, par, ad = data.dim, data.parities, data.ad
 
-    for (i, j), row in data.table.items():
-        if len(row) != n:
-            raise AlgebraError(
-                "%s: bracket (%d,%d) has %d coefficients for a %d-dimensional algebra"
-                % (data.name, i, j, len(row), n)
-            )
-        want = (par[i] + par[j]) % 2
-        for k, c in enumerate(row):
-            if c and par[k] != want:
-                raise AlgebraError(
-                    "%s: parity violated in [%s,%s]: component %s has parity %d, expected %d"
-                    % (data.name, data.names[i], data.names[j], data.names[k], par[k], want)
-                )
-        if i == j and par[i] == EVEN and any(row):
-            raise AlgebraError(
-                "%s: super-antisymmetry violated: [%s,%s] must vanish for even %s"
-                % (data.name, data.names[i], data.names[i], data.names[i])
-            )
-
-    # graded Jacobi on all basis triples, through sparse structure constants
-    ad = _sparse_brackets(data)
+    # graded Jacobi on all basis triples
     for i in range(n):
+        adi = ad[i]
         for j in range(i, n):
+            adj = ad[j]
+            s2 = -1 if (par[j] and par[i]) else 1
             for k in range(j, n):
                 s1 = -1 if (par[i] and par[k]) else 1
-                s2 = -1 if (par[j] and par[i]) else 1
                 s3 = -1 if (par[k] and par[j]) else 1
                 tot = {}
-                for s, a, inner in ((s1, i, ad[j][k]), (s2, j, ad[k][i]),
-                                    (s3, k, ad[i][j])):
-                    outer = ad[a]
+                for s, outer, inner in ((s1, adi, adj[k]), (s2, adj, ad[k][i]),
+                                        (s3, ad[k], adi[j])):
                     for m, c in inner:
+                        c *= s
                         for t, d in outer[m]:
-                            tot[t] = tot.get(t, 0) + s * c * d
+                            tot[t] = tot.get(t, 0) + c * d
                 if any(tot.values()):
                     raise AlgebraError(
                         "%s: Jacobi identity violated on (%s, %s, %s)"
                         % (data.name, data.names[i], data.names[j], data.names[k])
                     )
 
+    # the form: even and supersymmetric, scanned in row-major order over the
+    # entries that are nonzero or whose transpose is
     F = data.form
-    if len(F) != n or any(len(r) != n for r in F):
-        raise AlgebraError("%s: form must be a %d x %d matrix" % (data.name, n, n))
-    for i in range(n):
-        for j in range(n):
-            if par[i] != par[j] and F[i][j]:
-                raise AlgebraError(
-                    "%s: form is not even: (%s, %s) != 0 across parities"
-                    % (data.name, data.names[i], data.names[j])
-                )
-            sgn = -1 if (par[i] and par[j]) else 1
-            if F[j][i] != sgn * F[i][j]:
-                raise AlgebraError(
-                    "%s: form symmetry violated at (%s, %s)"
-                    % (data.name, data.names[i], data.names[j])
-                )
-    rank = len(Echelon(dict(enumerate(row)) for row in F))
+    entry = {(i, j): f for i, row in enumerate(F) for j, f in row}
+    for i, j in sorted(entry.keys() | {(j, i) for i, j in entry}):
+        f = entry.get((i, j), 0)
+        if par[i] != par[j] and f:
+            raise AlgebraError(
+                "%s: form is not even: (%s, %s) != 0 across parities"
+                % (data.name, data.names[i], data.names[j])
+            )
+        sgn = -1 if (par[i] and par[j]) else 1
+        if entry.get((j, i), 0) != sgn * f:
+            raise AlgebraError(
+                "%s: form symmetry violated at (%s, %s)"
+                % (data.name, data.names[i], data.names[j])
+            )
+    rank = len(Echelon(dict(row) for row in F))
     if rank != n:
         raise AlgebraError("%s: form is degenerate (rank %d < %d)" % (data.name, rank, n))
 
-    # invariance ([x,y], z) = (x, [y,z]) on basis triples
-    form_rows = [[(k, f) for k, f in enumerate(row) if f] for row in F]
+    # invariance ([x_i, x_j], x_k) = (x_i, [x_j, x_k]) on basis triples: both
+    # sides as {k: numerator} over den * form_den
     for i in range(n):
-        Fi = F[i]
+        Fi = dict(F[i])
+        adi = ad[i]
         for j in range(n):
             lhs = {}
-            for m, c in ad[i][j]:
-                for k, f in form_rows[m]:
+            for m, c in adi[j]:
+                for k, f in F[m]:
                     lhs[k] = lhs.get(k, 0) + c * f
-            adj = ad[j]
-            for k in range(n):
-                if lhs.get(k, 0) != sum(Fi[m] * c for m, c in adj[k]):
-                    raise AlgebraError(
-                        "%s: form invariance violated on (%s, %s, %s)"
-                        % (data.name, data.names[i], data.names[j], data.names[k])
-                    )
-
-    ev, hv, fv = data.triple
-    for vec, which in ((ev, "e"), (hv, "h"), (fv, "f")):
-        if len(vec) != n:
-            raise AlgebraError("%s: triple vector %s has wrong length" % (data.name, which))
-        for k, c in enumerate(vec):
-            if c and par[k] != EVEN:
+            rhs = {}
+            for k, row in enumerate(ad[j]):
+                if row:
+                    v = sum(Fi.get(m, 0) * c for m, c in row)
+                    if v:
+                        rhs[k] = v
+            lhs = {k: v for k, v in lhs.items() if v}
+            if lhs != rhs:
+                k = min(k for k in lhs.keys() | rhs.keys()
+                        if lhs.get(k) != rhs.get(k))
                 raise AlgebraError(
-                    "%s: triple vector %s has an odd component" % (data.name, which)
+                    "%s: form invariance violated on (%s, %s, %s)"
+                    % (data.name, data.names[i], data.names[j], data.names[k])
                 )
+
+    for vec, which in zip(data.triple, "ehf"):
+        if any(par[k] != EVEN for k, _ in vec):
+            raise AlgebraError(
+                "%s: triple vector %s has an odd component" % (data.name, which)
+            )
     if data.has_triple():
-        if data.bracket_vec(ev, fv) != hv:
-            raise AlgebraError("%s: triple relation [e,f] = h fails" % data.name)
-        if data.bracket_vec(hv, ev) != tuple(2 * c for c in ev):
-            raise AlgebraError("%s: triple relation [h,e] = 2e fails" % data.name)
-        if data.bracket_vec(hv, fv) != tuple(-2 * c for c in fv):
-            raise AlgebraError("%s: triple relation [h,f] = -2f fails" % data.name)
+        # [u, v] is over triple_den^2 * den and each vector over triple_den
+        ev, hv, fv = data.triple
+        scale = data.triple_den * data.den
+        for u, v, w, c, law in ((ev, fv, hv, 1, "[e,f] = h"),
+                                (hv, ev, ev, 2, "[h,e] = 2e"),
+                                (hv, fv, fv, -2, "[h,f] = -2f")):
+            if _image(ad, u, v) != {k: c * scale * x for k, x in w}:
+                raise AlgebraError("%s: triple relation %s fails" % (data.name, law))
+
+
+def extract_even_subalgebra(data: LieSuperData) -> LieSuperData:
+    """The even part, revalidated as an algebra in its own right."""
+    keep = [i for i in range(data.dim) if data.parities[i] == EVEN]
+    pos = {i: k for k, i in enumerate(keep)}
+
+    def restrict(rows, den):
+        # the rows at even indices, in lowest terms over the even part
+        return _lowest_rows([tuple((pos[k], c) for k, c in row if k in pos)
+                             for row in rows], den)
+
+    n = len(keep)
+    den, ad = restrict([data.bracket(i, j) for i in keep for j in keep], data.den)
+    sub = LieSuperData(
+        data.name + "_even", tuple(data.names[i] for i in keep), (EVEN,) * n,
+        den, tuple(ad[a * n:(a + 1) * n] for a in range(n)),
+        *restrict([data.form[i] for i in keep], data.form_den),
+        *restrict(data.triple, data.triple_den),
+    )
+    _validate(sub)
+    return sub
 
 
 def _catalog_dir():
@@ -327,7 +347,7 @@ def _array(value, what):
 
 
 def _rationals(value, what):
-    """value, a JSON array of rationals, as a tuple of Fractions."""
+    """value, a JSON array of rationals, as a tuple of Fractions (0 for "0")."""
     return tuple(_rat(x, what) for x in _array(value, what))
 
 
@@ -357,7 +377,7 @@ def _from_json(raw) -> LieSuperData:
         raise AlgebraError("%s: parities must be 0 or 1" % name)
     n = len(names)
 
-    table = {}
+    rows = {}
     for k, ent in enumerate(brackets):
         where = "%s: bracket entry %d" % (name, k)
         i, j = _int_field(ent, "i", where), _int_field(ent, "j", where)
@@ -367,24 +387,57 @@ def _from_json(raw) -> LieSuperData:
             raise AlgebraError(
                 "%s: store brackets with i <= j (got %d > %d)" % (name, i, j)
             )
-        if (i, j) in table:
+        if (i, j) in rows:
             raise AlgebraError("%s: duplicate bracket entry (%d,%d)" % (name, i, j))
-        table[(i, j)] = _rationals(_field(ent, "coeffs", where),
-                                   "%s field 'coeffs'" % where)
+        rows[(i, j)] = _rationals(_field(ent, "coeffs", where),
+                                  "%s field 'coeffs'" % where)
 
     fm = tuple(_rationals(row, "%s: form row %d" % (name, k))
                for k, row in enumerate(form))
 
-    zero = (Fraction(0),) * n
     if "sl2_triple" in raw and raw["sl2_triple"] is not None:
         t = raw["sl2_triple"]
         where = "%s: sl2_triple" % name
         triple = tuple(_rationals(_field(t, w, where), "%s field %r" % (where, w))
                        for w in ("e", "h", "f"))
     else:
-        triple = (zero, zero, zero)
+        triple = ((0,) * n,) * 3
 
-    data = LieSuperData(name, names, parities, table, fm, triple)
+    # the shape and parity checks, then the integer table
+    for (i, j), row in rows.items():
+        if len(row) != n:
+            raise AlgebraError(
+                "%s: bracket (%d,%d) has %d coefficients for a %d-dimensional algebra"
+                % (name, i, j, len(row), n)
+            )
+        want = (parities[i] + parities[j]) % 2
+        for k, c in enumerate(row):
+            if c and parities[k] != want:
+                raise AlgebraError(
+                    "%s: parity violated in [%s,%s]: component %s has parity %d, expected %d"
+                    % (name, names[i], names[j], names[k], parities[k], want)
+                )
+        if i == j and parities[i] == EVEN and any(row):
+            raise AlgebraError(
+                "%s: super-antisymmetry violated: [%s,%s] must vanish for even %s"
+                % (name, names[i], names[i], names[i])
+            )
+    if len(fm) != n or any(len(r) != n for r in fm):
+        raise AlgebraError("%s: form must be a %d x %d matrix" % (name, n, n))
+    for vec, which in zip(triple, "ehf"):
+        if len(vec) != n:
+            raise AlgebraError("%s: triple vector %s has wrong length" % (name, which))
+
+    den, upper = _lowest_rows(map(enumerate, rows.values()))
+    ad = [[()] * n for _ in range(n)]
+    for (i, j), row in zip(rows, upper):
+        ad[i][j] = row
+        if i != j:  # [x_j, x_i] = -(-1)^(|i||j|) [x_i, x_j]
+            ad[j][i] = row if parities[i] and parities[j] else tuple(
+                (k, -v) for k, v in row)
+    data = LieSuperData(name, names, parities, den, tuple(map(tuple, ad)),
+                        *_lowest_rows(map(enumerate, fm)),
+                        *_lowest_rows(map(enumerate, triple)))
     _validate(data)
     return data
 
@@ -409,43 +462,45 @@ def dynkin_grading(data: LieSuperData) -> GradingData:
     diagonally; anything else is rejected.  A zero triple is allowed and gives
     the trivial grading with every direction central.
     """
-    n = data.dim
-    ev, hv, fv = data.triple
+    n, ad = data.dim, data.ad
+    ev, hv, _ = data.triple
 
     if not data.has_triple():
         grades = (0,) * n
         ge = tuple((0, p) for p in data.parities)
         return GradingData(grades, tuple(g + 2 for g in grades), ge)
 
+    # [h, x_i] is over triple_den * den
+    den = data.triple_den * data.den
     grades = []
     for i in range(n):
-        img = data.bracket_vec(hv, _basis_vec(n, i))
-        lam = img[i]
-        probe = tuple(lam * c for c in _basis_vec(n, i))
-        if img != probe:
+        img = _ad_column(ad, hv, i)
+        if any(k != i for k in img):
             raise AlgebraError(
                 "%s: basis vector %s is not an ad(h) eigenvector"
                 % (data.name, data.names[i])
             )
-        if lam.denominator != 1:
+        lam, r = divmod(img.get(i, 0), den)
+        if r:
             raise AlgebraError(
                 "%s: ad(h) eigenvalue %s on %s is not an integer"
-                % (data.name, lam, data.names[i])
+                % (data.name, Fraction(img[i], den), data.names[i])
             )
-        grades.append(int(lam))
+        grades.append(lam)
     grades = tuple(grades)
 
     # bracket respects the grading
-    for (i, j), row in data.table.items():
-        for k, c in enumerate(row):
-            if c and grades[k] != grades[i] + grades[j]:
-                raise AlgebraError(
-                    "%s: grading violated: [%s,%s] meets %s"
-                    % (data.name, data.names[i], data.names[j], data.names[k])
-                )
+    for i in range(n):
+        for j in range(i, n):
+            for k, _ in ad[i][j]:
+                if grades[k] != grades[i] + grades[j]:
+                    raise AlgebraError(
+                        "%s: grading violated: [%s,%s] meets %s"
+                        % (data.name, data.names[i], data.names[j], data.names[k])
+                    )
 
-    for i, c in enumerate(ev):
-        if c and grades[i] != 2:
+    for k, _ in ev:
+        if grades[k] != 2:
             raise AlgebraError("%s: e is not concentrated in degree 2" % data.name)
 
     # centralizer of e, one block of one grade and parity at a time.  Once
@@ -462,8 +517,7 @@ def dynkin_grading(data: LieSuperData) -> GradingData:
         rank = 0
         for p in (EVEN, ODD):
             block = [i for i in by_grade[g] if data.parities[i] == p]
-            r = len(Echelon(dict(enumerate(data.bracket_vec(ev, _basis_vec(n, i))))
-                            for i in block))
+            r = len(Echelon(_ad_column(ad, ev, i) for i in block))
             ge.extend([(g, p)] * (len(block) - r))
             rank += r
         # the triple is good: ad e injective below grade 0, onto above grade -2
@@ -480,7 +534,8 @@ def dynkin_grading(data: LieSuperData) -> GradingData:
 class ChiData:
     """The character chi = (e, .), a Lagrangian in degree -1, and the shift space."""
 
-    chi: tuple  # Fraction per basis vector
+    chi: tuple  # integer numerator per basis vector, over den
+    den: int  # in lowest terms with chi
     g1_indices: tuple  # basis indices in degree -1
     l_indices: tuple  # chosen isotropic subset of g1_indices
     m_indices: tuple  # degree <= -2 indices plus l_indices, ascending
@@ -496,8 +551,14 @@ def build_chi(data: LieSuperData, grading: GradingData, alt: bool = False) -> Ch
     self-paired direction, which becomes the theta generator.
     """
     n = data.dim
-    ev = data.triple[0]
-    chi = tuple(data.form_value(ev, _basis_vec(n, i)) for i in range(n))
+    # chi(x_i) = (e, x_i), over triple_den * form_den
+    nums = [0] * n
+    for a, x in data.triple[0]:
+        for k, f in data.form[a]:
+            nums[k] += x * f
+    den = data.triple_den * data.form_den
+    g = gcd(den, *nums)
+    chi, den = tuple(v // g for v in nums), den // g
     for i in range(n):
         if chi[i] and data.parities[i] == ODD:
             raise AlgebraError("%s: character does not vanish on odd directions" % data.name)
@@ -510,10 +571,9 @@ def build_chi(data: LieSuperData, grading: GradingData, alt: bool = False) -> Ch
     g1 = tuple(i for i in range(n) if grading.grades[i] == -1)
 
     def pair(i, j):
-        return sum(
-            (c * chi[k] for k, c in enumerate(data.pair_bracket(i, j)) if c),
-            Fraction(0),
-        )
+        # chi([x_i, x_j]) times den * chi's denominator: only its zeros and
+        # the rank it gives are read
+        return sum(c * chi[k] for k, c in data.bracket(i, j))
 
     gram = {(i, j): pair(i, j) for i in g1 for j in g1}
     if len(Echelon({j: gram[(i, j)] for j in g1} for i in g1)) != len(g1):
@@ -555,4 +615,4 @@ def build_chi(data: LieSuperData, grading: GradingData, alt: bool = False) -> Ch
         theta = j
 
     m = sorted([i for i in range(n) if grading.grades[i] <= -2] + chosen)
-    return ChiData(chi, g1, tuple(chosen), tuple(m), theta)
+    return ChiData(chi, den, g1, tuple(chosen), tuple(m), theta)

@@ -102,7 +102,7 @@ def check_report(algebra, alt=False):
         "grades": {n: g for n, g in zip(data.names, grading.grades)},
         "weights": {n: w for n, w in zip(data.names, grading.weights)},
         "centralizer_signature": [list(t) for t in grading.ge_weight_signature()],
-        "chi": {data.names[i]: str(v) for i, v in enumerate(chi.chi) if v},
+        "chi": {data.names[i]: str(Fraction(v, chi.den)) for i, v in enumerate(chi.chi) if v},
         "lagrangian": [data.names[i] for i in chi.l_indices],
         "shift_directions": [data.names[i] for i in chi.m_indices],
         "theta": None if chi.theta_index is None else data.names[chi.theta_index],

@@ -108,8 +108,10 @@ class PoissonBackend:
         return self._bracket(a, b, order=self.cap if order is None else order)
 
     def div(self, r):
-        """Divide by the unit."""
-        return r.divide_hbar(self.unit_level)
+        """Divide by the unit.  A quotient by hbar^s is exact through s
+        orders less than r, and its order label says so."""
+        q = r.divide_hbar(self.unit_level)
+        return q if r.order is None else q.truncate(r.order - self.unit_level)
 
     def levels(self, r):
         """{s: hbar-free coefficient of hbar^s} of r; all of r is level 0 in

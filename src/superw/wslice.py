@@ -36,9 +36,9 @@ from .algebras import (
     ChiData,
     GradingData,
     LieSuperData,
-    _validate,
     build_chi,
     dynkin_grading,
+    extract_even_subalgebra,
 )
 from .darboux import DEFAULT_GUARD, equivariant_darboux
 from .linalg import Echelon, FilteredFamily, TaggedEchelon, expand_filtered
@@ -165,21 +165,18 @@ def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
     vs.append(Variable(data.dim, HBAR, EVEN, 1, adic=False, hbar=True))
     alg = Algebra(vs)
 
+    # [x_a, x_b] + chi([x_a, x_b]) over den * chi.den, read from the table
+    mono = {old: alg.gen_mono[new] for new, old in enumerate(orig_of)}
+    unit, den = alg.monomial({}), data.den * chi.den
     entries = {}
     for i in range(data.dim):
         for j in range(i, data.dim):
-            a, b = orig_of[i], orig_of[j]
-            row = data.pair_bracket(a, b)
-            cst = sum((c * chi.chi[k] for k, c in enumerate(row) if c), Fraction(0))
-            if not any(row) and not cst:
+            row = data.bracket(orig_of[i], orig_of[j])
+            if not row:
                 continue
-            s = alg.zero()
-            for k, c in enumerate(row):
-                if c:
-                    s = s + alg.gen(data.names[k]) * c
-            if cst:
-                s = s + alg.const(cst)
-            entries[(i, j)] = s
+            nums = {mono[k]: c * chi.den for k, c in row}
+            nums[unit] = sum(c * chi.chi[k] for k, c in row)
+            entries[(i, j)] = Series.over(alg, nums, den)
     table = BracketTable(alg, entries)
     poisson = PoissonAlgebra(alg, table)
     star = StarAlgebra(alg, table)
@@ -196,7 +193,7 @@ def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
 def _check_m_abelian(ctx: SliceContext):
     for a in ctx.chi.m_indices:
         for b in ctx.chi.m_indices:
-            if any(ctx.data.pair_bracket(a, b)):
+            if ctx.data.bracket(a, b):
                 raise AlgebraError(
                     "%s: shift directions do not commute; monomial reduction "
                     "would not be exact" % ctx.data.name
@@ -652,28 +649,6 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
         checked=len(targets),
         coeff_failures=coeff_failures, recon_failures=recon_failures,
     )
-
-
-def extract_even_subalgebra(data: LieSuperData) -> LieSuperData:
-    """The even part, revalidated as an algebra in its own right."""
-    keep = [i for i in range(data.dim) if data.parities[i] == EVEN]
-    pos = {i: k for k, i in enumerate(keep)}
-    table = {}
-    for (i, j), row in data.table.items():
-        if i in pos and j in pos:
-            sub = tuple(row[k] for k in keep)
-            if any(sub):
-                table[(pos[i], pos[j])] = sub
-    form = tuple(tuple(data.form[i][j] for j in keep) for i in keep)
-    triple = tuple(tuple(vec[k] for k in keep) for vec in data.triple)
-    sub = LieSuperData(
-        name=data.name + "_even",
-        names=tuple(data.names[i] for i in keep),
-        parities=(EVEN,) * len(keep),
-        table=table, form=form, triple=triple,
-    )
-    _validate(sub)
-    return sub
 
 
 def _transport(s: Series, dst: Algebra) -> Series:

@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 import pytest
 
@@ -13,15 +14,16 @@ from superw import algebras
 from superw.algebras import (
     BUNDLED,
     AlgebraError,
-    _basis_vec,
     _from_json,
     build_chi,
     catalog_names,
     dynkin_grading,
+    extract_even_subalgebra,
     load_algebra,
 )
 from superw.linalg import nullspace, rref
 from superw.supercore import EVEN, ODD
+from superw.wslice import slice_setup
 from test_supermatrix import E12_CASES, E12_TRIPLE, centralizer_signature, gl_json
 
 SL2 = {
@@ -49,11 +51,124 @@ SL2 = {
 }
 
 
-# -- the dense validation, kept verbatim as an oracle ----------------------
+# -- dense Fraction vectors, the oracle of the integer table ----------------
+
+
+def _basis_vec(n, i):
+    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
+
+
+def _dense_row(row, den, n):
+    """A sparse integer row over ``den`` as a dense Fraction vector."""
+    out = [Fraction(0)] * n
+    for k, v in row:
+        out[k] = Fraction(v, den)
+    return tuple(out)
+
+
+class _Dense:
+    """An algebra as dense Fraction vectors, the way the loader kept it
+    before the integer table: ``table`` maps (i, j), i <= j, to the
+    coefficients of [x_i, x_j], ``form`` is the form's matrix and ``triple``
+    its three vectors, all zero for no triple."""
+
+    def __init__(self, name, names, parities, table, form, triple):
+        self.name, self.names, self.parities = name, names, parities
+        self.table, self.form, self.triple = table, form, triple
+
+    @classmethod
+    def of_doc(cls, doc):
+        """A catalog document, parsed here on its own."""
+        def vec(v):
+            return tuple(Fraction(c) for c in v)
+
+        n = len(doc["basis"])
+        t = doc.get("sl2_triple")
+        return cls(doc["name"], tuple(b["name"] for b in doc["basis"]),
+                   tuple(b["parity"] for b in doc["basis"]),
+                   {(b["i"], b["j"]): vec(b["coeffs"]) for b in doc["brackets"]},
+                   tuple(vec(row) for row in doc["form"]),
+                   tuple(vec(t[w]) for w in "ehf") if t else ((Fraction(0),) * n,) * 3)
+
+    @classmethod
+    def of_data(cls, data):
+        """A loaded algebra, read off its integer table's upper triangle."""
+        n = data.dim
+        return cls(data.name, data.names, data.parities,
+                   {(i, j): _dense_row(data.bracket(i, j), data.den, n)
+                    for i in range(n) for j in range(i, n) if data.bracket(i, j)},
+                   tuple(_dense_row(row, data.form_den, n) for row in data.form),
+                   tuple(_dense_row(v, data.triple_den, n) for v in data.triple))
+
+    @property
+    def dim(self):
+        return len(self.names)
+
+    def pair_bracket(self, i, j):
+        """[x_i, x_j] as a coefficient vector, any index order."""
+        zero = (Fraction(0),) * self.dim
+        if i <= j:
+            return self.table.get((i, j), zero)
+        sgn = -1 if (self.parities[i] and self.parities[j]) else 1
+        # [x_i, x_j] = -(-1)^{|i||j|} [x_j, x_i]
+        return tuple(-sgn * c for c in self.table.get((j, i), zero))
+
+    def bracket_vec(self, u, v):
+        """Bracket of two coefficient vectors, extended bilinearly."""
+        out = [Fraction(0)] * self.dim
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, b in enumerate(v):
+                if not b:
+                    continue
+                for k, c in enumerate(self.pair_bracket(i, j)):
+                    if c:
+                        out[k] += a * b * c
+        return tuple(out)
+
+    def form_value(self, u, v):
+        tot = Fraction(0)
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, b in enumerate(v):
+                if b and self.form[i][j]:
+                    tot += a * b * self.form[i][j]
+        return tot
+
+    def has_triple(self):
+        return any(any(c for c in vec) for vec in self.triple)
+
+    def even(self):
+        """The even part, restricted as ``extract_even_subalgebra`` did on
+        dense vectors."""
+        keep = [i for i in range(self.dim) if self.parities[i] == EVEN]
+        pos = {i: k for k, i in enumerate(keep)}
+        table = {}
+        for (i, j), row in self.table.items():
+            if i in pos and j in pos:
+                sub = tuple(row[k] for k in keep)
+                if any(sub):
+                    table[(pos[i], pos[j])] = sub
+        return _Dense(self.name + "_even", tuple(self.names[i] for i in keep),
+                      (EVEN,) * len(keep), table,
+                      tuple(tuple(self.form[i][j] for j in keep) for i in keep),
+                      tuple(tuple(vec[k] for k in keep) for vec in self.triple))
+
+    def chi(self):
+        n = self.dim
+        return tuple(self.form_value(self.triple[0], _basis_vec(n, i)) for i in range(n))
+
+
+# -- the dense validation, kept as an oracle ---------------------------------
 #
-# ``algebras._validate`` checks Jacobi and invariance through sparse
-# structure constants.  This is the dense version it replaced, which builds
-# full coefficient vectors for every basis triple.
+# ``algebras._validate`` checks Jacobi, the form and the triple on the
+# integer table.  This is the dense version it replaced, which builds full
+# coefficient vectors for every basis triple, run on dense vectors rebuilt
+# from the table.  Its shape checks left with it: the loader makes them
+# before it builds the table, and rebuilt vectors always have the right
+# length.
 
 
 def _dense_validate(data):
@@ -61,11 +176,6 @@ def _dense_validate(data):
     par = data.parities
 
     for (i, j), row in data.table.items():
-        if len(row) != n:
-            raise AlgebraError(
-                "%s: bracket (%d,%d) has %d coefficients for a %d-dimensional algebra"
-                % (data.name, i, j, len(row), n)
-            )
         want = (par[i] + par[j]) % 2
         for k, c in enumerate(row):
             if c and par[k] != want:
@@ -97,8 +207,6 @@ def _dense_validate(data):
                     )
 
     F = data.form
-    if len(F) != n or any(len(r) != n for r in F):
-        raise AlgebraError("%s: form must be a %d x %d matrix" % (data.name, n, n))
     for i in range(n):
         for j in range(n):
             if par[i] != par[j] and F[i][j]:
@@ -132,8 +240,6 @@ def _dense_validate(data):
 
     ev, hv, fv = data.triple
     for vec, which in ((ev, "e"), (hv, "h"), (fv, "f")):
-        if len(vec) != n:
-            raise AlgebraError("%s: triple vector %s has wrong length" % (data.name, which))
         for k, c in enumerate(vec):
             if c and par[k] != EVEN:
                 raise AlgebraError(
@@ -157,9 +263,9 @@ def _both_validators(verdicts):
 
     def validate(data):
         got = []
-        for check in (_dense_validate, real):
+        for check, arg in ((_dense_validate, _Dense.of_data(data)), (real, data)):
             try:
-                check(data)
+                check(arg)
                 got.append(None)
             except AlgebraError as exc:
                 got.append(str(exc))
@@ -380,7 +486,8 @@ def test_centralizer_signature_matches_the_jordan_blocks(m, n, blocks):
 
 def _nullspace_signature(data, grades):
     """(weight, parity) of each kernel vector of the dense ad e matrix from
-    grade g to grade g + 2, grade by grade, each vector of one parity."""
+    grade g to grade g + 2, grade by grade, each vector of one parity, for a
+    :class:`_Dense` algebra."""
     n, ev = data.dim, data.triple[0]
     sig = []
     for g in sorted(set(grades)):
@@ -398,7 +505,8 @@ def _nullspace_signature(data, grades):
 def test_centralizer_signature_matches_a_nullspace_per_grade(name):
     data = load_algebra(name)
     g = dynkin_grading(data)
-    assert g.ge_weight_signature() == _nullspace_signature(data, g.grades)
+    assert g.ge_weight_signature() == _nullspace_signature(
+        _Dense.of_doc(_bundled_raw(name)), g.grades)
 
 
 def test_chi_sl2():
@@ -440,9 +548,71 @@ def test_pair_bracket_swap_sign():
     for i in range(data.dim):
         for j in range(data.dim):
             sgn = -1 if (data.parities[i] and data.parities[j]) else 1
-            lhs = data.pair_bracket(i, j)
-            rhs = tuple(-sgn * c for c in data.pair_bracket(j, i))
+            lhs = data.bracket(i, j)
+            rhs = tuple((k, -sgn * c) for k, c in data.bracket(j, i))
             assert lhs == rhs
+
+
+# -- the integer table against dense Fractions ------------------------------
+
+# sl2-thirds has e/3 and 3f, so its character has denominator 3
+TABLE_DOCS = [(name, lambda name=name: _bundled_raw(name)) for name in BUNDLED] + [
+    ("gl%d%d" % mn, lambda mn=mn: gl_json(*mn, E12_TRIPLE)) for mn in ((2, 1), (3, 2))] + [
+    ("sl2-thirds", lambda: _thirds_sl2())]
+
+
+def _dense_slice_table(ctx, dense, chi):
+    """``slice_setup``'s bracket table as it was built term by term: each
+    entry a sum of ``alg.gen(name) * c`` and ``alg.const`` of its character
+    value, as ``{(i, j): (den, nums)}``."""
+    alg, n = ctx.alg, dense.dim
+    out = {}
+    for i in range(n):
+        for j in range(i, n):
+            row = dense.pair_bracket(ctx.orig_of[i], ctx.orig_of[j])
+            cst = sum((c * chi[k] for k, c in enumerate(row) if c), Fraction(0))
+            if not any(row) and not cst:
+                continue
+            s = alg.zero()
+            for k, c in enumerate(row):
+                if c:
+                    s = s + alg.gen(dense.names[k]) * c
+            if cst:
+                s = s + alg.const(cst)
+            out[(i, j)] = (s.den, s.nums)
+    return out
+
+
+@pytest.mark.parametrize("part", ["all", "even"])
+@pytest.mark.parametrize("name, doc", TABLE_DOCS, ids=[name for name, _ in TABLE_DOCS])
+def test_integer_table_matches_dense_fractions(name, doc, part):
+    doc = doc()
+    data, dense = _from_json(doc), _Dense.of_doc(doc)
+    if part == "even":
+        data, dense = extract_even_subalgebra(data), dense.even()
+    n = data.dim
+    for i in range(n):
+        for j in range(n):
+            assert _dense_row(data.bracket(i, j), data.den, n) == dense.pair_bracket(i, j)
+    assert tuple(_dense_row(row, data.form_den, n) for row in data.form) == dense.form
+    assert tuple(_dense_row(v, data.triple_den, n) for v in data.triple) == dense.triple
+    # each denominator is the least one
+    for den, rows in ((data.den, [r for row in data.ad for r in row]),
+                      (data.form_den, data.form), (data.triple_den, data.triple)):
+        assert gcd(den, *(v for row in rows for _, v in row)) == 1
+
+    grading = dynkin_grading(data)
+    hv = dense.triple[1]
+    assert grading.grades == tuple(dense.bracket_vec(hv, _basis_vec(n, i))[i]
+                                   for i in range(n))
+    assert grading.ge_weight_signature() == _nullspace_signature(dense, grading.grades)
+
+    chi = build_chi(data, grading)
+    assert tuple(Fraction(v, chi.den) for v in chi.chi) == dense.chi()
+    assert gcd(chi.den, *chi.chi) == 1
+    ctx = slice_setup(data)
+    got = {key: (s.den, s.nums) for key, s in ctx.poisson.table.entries.items()}
+    assert got == _dense_slice_table(ctx, dense, dense.chi())
 
 
 # -- seeded loader fuzzing ---------------------------------------------
@@ -604,6 +774,33 @@ def _invariance_fault():
     return doc
 
 
+def _thirds_sl2():
+    doc = copy.deepcopy(SL2)
+    # e/3 with 3f: the same triple relations over a triple denominator of 3
+    doc["sl2_triple"]["e"] = ["1/3", "0", "0"]
+    doc["sl2_triple"]["f"] = ["0", "0", "3"]
+    return doc
+
+
+def _thirds_jacobi_fault():
+    doc = copy.deepcopy(SL2)
+    doc["brackets"][2]["coeffs"][2] = "-5/3"  # [h, f] = -(2 - 1/3) f
+    return doc
+
+
+def _thirds_invariance_fault():
+    doc = copy.deepcopy(SL2)
+    doc["form"][1][1] = "1/3"  # still symmetric and nondegenerate
+    return doc
+
+
+def _thirds_triple_fault():
+    doc = _sl2_pair()
+    # e + e2/3: [e, f] = h still holds, [h, e] = 2e misses 2/3 e2
+    doc["sl2_triple"]["e"][3] = "1/3"
+    return doc
+
+
 GL31_PRINCIPAL = {"e": {(0, 1): 1, (1, 2): 1}, "h": {(0, 0): 2, (2, 2): -2},
                   "f": {(1, 0): 2, (2, 1): 2}}
 
@@ -613,9 +810,14 @@ GL31_PRINCIPAL = {"e": {(0, 1): 1, (1, 2): 1}, "h": {(0, 0): 2, (2, 2): -2},
     (_late_jacobi_fault(), "sl2pair: Jacobi identity violated on (e2, h2, f2)"),
     (_odd_square_fault(), "osp12: Jacobi identity violated on (e, xm, xm)"),
     (_invariance_fault(), "sl2x: form invariance violated on (e, f, h)"),
+    (_thirds_sl2(), None),
+    (_thirds_jacobi_fault(), "sl2x: Jacobi identity violated on (e, h, f)"),
+    (_thirds_invariance_fault(), "sl2x: form invariance violated on (e, f, h)"),
+    (_thirds_triple_fault(), "sl2pair: triple relation [h,e] = 2e fails"),
 ] + [(gl_json(m, n, E12_TRIPLE), None) for m, n, _, _ in E12_CASES] + [
     (gl_json(3, 1, GL31_PRINCIPAL), None),
-], ids=["sl2pair", "late-jacobi", "odd-square", "invariance", "gl21", "gl22", "gl31",
+], ids=["sl2pair", "late-jacobi", "odd-square", "invariance", "thirds",
+        "thirds-jacobi", "thirds-invariance", "thirds-triple", "gl21", "gl22", "gl31",
         "gl31-principal"])
 def test_sparse_validation_matches_dense_oracle(monkeypatch, doc, want):
     verdicts = []

@@ -874,3 +874,19 @@ def test_chart_keeps_the_certificate_it_was_built_with(name):
             assert chart.report == certify(chart), (chart.backend.kind, order)
             assert chart.report["ok"]
 
+
+
+def test_star_division_labels_the_order_it_is_exact_through():
+    # a star commutator through the cap is hbar^2 times a bracket exact only
+    # through cap - 2, and the quotient's order label says so
+    qc = slice_setup(load_algebra("sl21")).quantum_chart(4)
+    B = qc.backend
+    assert qc.cap == 8
+    y = next(e for e in qc.entries if e.kind == "odd").a
+    a = qc.center_gens[0]
+    exact = B.div(B.S.commutator(y, a, order=10))
+    q = B.div(B.bracket(y, a))
+    assert q.order == 6
+    assert q == exact.truncate(6)
+    # the exact quotient has terms between cap - 2 and the cap
+    assert exact.truncate(8) != exact.truncate(6)
