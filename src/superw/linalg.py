@@ -2,21 +2,28 @@
 
 One incremental integer echelon, ``Echelon``, sits behind every
 elimination.  It keeps a growing basis of sparse primitive integer rows
-(dict col -> int, scaled by the lcm of its denominators and divided by its
-content) keyed by any sortable column values; a row's pivot is its smallest
-key.  A new row is reduced against the pivots from its smallest key upward,
-clearing column c of a row r against the pivot row s by cross-multiplication,
-r <- (p/g) r - (q/g) s with p = s[c], q = r[c] and g = gcd(p, q), after
-which r is divided by its content again.  This is Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968) with content division in place of his
-exact division by the previous pivot; each step touches only the nonzero
-entries of the two rows.  The remainder of a row depends only on the span
-and the column order, and one back-substitution gives the unique reduced
-row echelon form (``rref``).  Every kernel and every solve goes through
-``TaggedEchelon``, which gives each candidate row a tag column: ``nullspace``
-and ``solve`` on dense lists are thin adapters over it, like the Whittaker
-kernel and the slice products of ``wslice``.  Fractions appear only at the
-boundary, and arithmetic stays exact throughout.
+(dict col -> int with no common factor) keyed by any sortable column
+values; a row's pivot is its smallest key.  A new row is scaled by the lcm
+of its denominators and reduced against the pivots from its smallest key
+upward, clearing column c of a row r against the pivot row s by
+cross-multiplication, r <- (p/g) r - (q/g) s with p = s[c], q = r[c] and
+g = gcd(p, q).  This is Bareiss's fraction-free elimination (Math. Comp.
+22, 1968) with content division in place of his exact division by the
+previous pivot; each step touches only the nonzero entries of the two rows.
+A row is divided by its content once, when it is stored.  Dividing after
+every step instead would change the working row only by a positive
+rational factor, and a rational vector has one primitive integer multiple
+of each sign, so the stored rows are the same; a row that lies in the span,
+and a target, make no gcd pass at all.  Growth stays linear in the number
+of steps: against a primitive pivot row s a step adds at most
+1 + log2 max|s| bits to the working row.  The remainder of a row depends
+only on the span and the column order, and one back-substitution gives the
+unique reduced row echelon form (``rref``).  Every kernel and every solve
+goes through ``TaggedEchelon``, which gives each candidate row a tag
+column: ``nullspace`` and ``solve`` on dense lists are thin adapters over
+it, like the Whittaker kernel and the slice products of ``wslice``.
+Fractions appear only at the boundary, and arithmetic stays exact
+throughout.
 """
 
 from __future__ import annotations
@@ -46,21 +53,23 @@ def _divide_content(row):
 
 
 def _integer_row(items):
-    """(col, int or Fraction) pairs as a primitive integer row: a dict
-    col -> int over the nonzero entries, with no common factor.  A row of
+    """(col, int or Fraction) pairs as an integer row: a dict col -> int
+    over the nonzero entries, scaled by the lcm of the denominators.  Its
+    content is not divided out: ``Echelon.store`` does that once.  A row of
     ints skips the scan for denominators."""
     row = {c: x for c, x in items if x}
     if not all(type(x) is int for x in row.values()):
         den = lcm(*(x.denominator for x in row.values()))
         row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-    _divide_content(row)
     return row
 
 
 def _eliminate(row, col, prow):
     """Clear column col of row against prow, in place, in integers:
     row <- (p/g) row - (q/g) prow with p = prow[col], q = row[col] and
-    g = gcd(p, q), then row is divided by its content."""
+    g = gcd(p, q).  Only scales and subtracts: the step on a positive
+    multiple of a row is a positive multiple of the step on the row, so
+    the content is left for ``Echelon.store`` to divide once."""
     p, q = prow[col], row[col]
     g = gcd(p, q)
     a, b = p // g, q // g
@@ -73,7 +82,6 @@ def _eliminate(row, col, prow):
             row[k] = x
         else:
             del row[k]
-    _divide_content(row)
 
 
 class Echelon:
@@ -89,7 +97,10 @@ class Echelon:
         self.rows = {}  # pivot -> primitive integer row
         self.pivots = []  # sorted
         for row in rows:
-            self.add(row)
+            row = _integer_row(row.items())
+            self.remainder(row)
+            if row:
+                self.store(row)
 
     def __len__(self):
         return len(self.pivots)
@@ -107,7 +118,11 @@ class Echelon:
                     return
 
     def store(self, row):
-        """Keep a nonzero reduced row as a new row; return its pivot."""
+        """Keep a nonzero reduced row as a new row, divided by its content in
+        place; return its pivot.  This is the one content division of the
+        row: the remainder is a positive multiple of the primitive row that
+        division after every step would give, so this gives that row."""
+        _divide_content(row)
         p = min(row)
         self.rows[p] = row
         insort(self.pivots, p)
@@ -129,12 +144,14 @@ class Echelon:
         """Clear every pivot column from the rows of the other pivots, in
         place: the rows become the reduced row echelon form.  Walking the
         pivots from last to first, the rows of later pivots are already
-        reduced, so clearing one of their columns brings no pivot back."""
+        reduced, so clearing one of their columns brings no pivot back.
+        Each row is divided by its content once, after its last step."""
         rows = self.rows
         for p in reversed(self.pivots):
             row = rows[p]
             for q in [k for k in row if k != p and k in rows]:
                 _eliminate(row, q, rows[q])
+            _divide_content(row)
 
 
 def _over(nums, den):
@@ -168,7 +185,10 @@ class TaggedEchelon:
 
     def add(self, row, tag):
         """Push a candidate: None when it is stored, else its kernel vector
-        ``{tag: nums[tag] / den}`` as ``(nums, den)``, 1 on its own tag."""
+        ``{tag: nums[tag] / den}`` as ``(nums, den)``, 1 on its own tag.
+        A row that is not stored is never divided by its content, so
+        ``(nums, den)`` is not in lowest terms: read it through
+        ``Series.over`` or ``Fraction``."""
         row, tags_only = self._remainder(row, tag)
         self.tags.add(tag)
         if tags_only:
@@ -179,7 +199,7 @@ class TaggedEchelon:
     def express(self, row, tag):
         """A target's coefficients ``{tag: nums[tag] / den}`` over the
         candidates as ``(nums, den)``, zeros left out; None outside their
-        span."""
+        span.  As in ``add``, ``(nums, den)`` is not in lowest terms."""
         row, tags_only = self._remainder(row, tag)
         return _over(row, -row.pop(tag)) if tags_only else None
 
@@ -193,11 +213,7 @@ def rref(rows):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    ech = Echelon()
-    for row in sorted((_integer_row(enumerate(r)) for r in rows), key=len):
-        ech.remainder(row)
-        if row:
-            ech.store(row)
+    ech = Echelon(sorted(({c: x for c, x in enumerate(r) if x} for r in rows), key=len))
     ech.reduce()
     zero = Fraction(0)
     out = []

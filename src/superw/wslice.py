@@ -267,10 +267,12 @@ def _monomials(alg, ids, wmax, amax=None):
     exponent <= amax when given), sorted by (weight, monomial)."""
     ids = sorted(ids)
     vs = [alg.by_id[i] for i in ids]
-    words = pbw_words([v.weight for v in vs], [v.parity for v in vs], wmax, amax)
-    out = [alg.monomial(dict(zip(ids, word))) for word in words]
-    out.sort(key=lambda m: (alg.mono_weight(m), alg.mono_key(m)))
-    return out
+    weights = [v.weight for v in vs]
+    words = pbw_words(weights, [v.parity for v in vs], wmax, amax)
+    # (mono_weight, mono_key) of each word's monomial, read off the word
+    words.sort(key=lambda word: (sum(e * w for e, w in zip(word, weights)),
+                                 tuple((i, e) for i, e in zip(ids, word) if e)))
+    return [alg.monomial(dict(zip(ids, word))) for word in words]
 
 
 def _words_by_weight(weights, parities, n_max):

@@ -2,12 +2,15 @@
 
 import ast
 import random
+from bisect import bisect_left, insort
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 from superw import linalg, wslice
 from superw.algebras import load_algebra
 from superw.linalg import (
+    Echelon,
     FilteredFamily,
     TaggedEchelon,
     expand_filtered,
@@ -521,6 +524,151 @@ def test_tagged_echelon_with_tuple_keys_matches_fraction_elimination():
             row[(1, ncols)] = 1
             targets.append((dict(row), (1, ncols), tagged.express(row, (1, ncols))))
         _assert_tagged_matches_fraction_elimination(candidates, targets)
+
+
+# -- the per-step content division, kept as an oracle ------------------
+#
+# ``Echelon.store`` divides a row by its content once.  Before, the row was
+# made primitive when it was read and again after every elimination step;
+# the functions below are those steps as they were, and the stored rows of
+# both must be the same integers with the same signs.
+
+
+def _per_step_integer_row(items):
+    """(col, int or Fraction) pairs as a primitive integer row."""
+    row = {c: x for c, x in items if x}
+    if not all(type(x) is int for x in row.values()):
+        den = lcm(*(x.denominator for x in row.values()))
+        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    _divide_content(row)
+    return row
+
+
+def _per_step_eliminate(row, col, prow):
+    """row <- (p/g) row - (q/g) prow, then row divided by its content."""
+    p, q = prow[col], row[col]
+    g = gcd(p, q)
+    a, b = p // g, q // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, v in prow.items():
+        x = row.get(k, 0) - b * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    _divide_content(row)
+
+
+def _divide_content(row):
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
+class _PerStepEchelon:
+    """The echelon with its content divided after every step: ``push``
+    reduces a row, stores it when ``keep`` says so and returns the
+    remainder; ``reduce`` is the back-substitution."""
+
+    def __init__(self):
+        self.rows, self.pivots = {}, []
+
+    def push(self, row, keep=bool):
+        row = _per_step_integer_row(row.items())
+        for p in self.pivots[bisect_left(self.pivots, min(row)):] if row else ():
+            if p in row:
+                _per_step_eliminate(row, p, self.rows[p])
+                if not row:
+                    break
+        if keep(row):
+            self.rows[min(row)] = row
+            insort(self.pivots, min(row))
+        return row
+
+    def reduce(self):
+        for p in reversed(self.pivots):
+            row = self.rows[p]
+            for q in [k for k in row if k != p and k in self.rows]:
+                _per_step_eliminate(row, q, self.rows[q])
+
+
+def _assert_same_stored_rows(echelon, reference):
+    assert echelon.pivots == reference.pivots
+    assert echelon.rows == reference.rows
+    assert all(gcd(*row.values()) == 1 for row in echelon.rows.values())
+
+
+def _as_fractions(result):
+    """A tagged result ``(nums, den)`` as ``{tag: Fraction}``, or None."""
+    return None if result is None else {t: Fraction(v, result[1])
+                                        for t, v in result[0].items()}
+
+
+def _assert_tagged_stores_per_step_rows(candidates, targets):
+    """Push ``(row, tag, ...)`` candidates and targets into a TaggedEchelon
+    and into the per-step oracle: the same kernel vectors, the same target
+    coefficients and the same stored rows."""
+    tagged, reference = TaggedEchelon(), _PerStepEchelon()
+    tags = set()
+    for row, tag, *_ in candidates:
+        tags.add(tag)
+        rem = reference.push(row, lambda r: min(r) not in tags)
+        want = (rem, rem[tag]) if min(rem) in tags else None
+        assert _as_fractions(tagged.add(dict(row), tag)) == _as_fractions(want)
+    for row, tag, *_ in targets:
+        rem = reference.push(row, lambda r: False)
+        want = (rem, -rem.pop(tag)) if min(rem) in tags | {tag} else None
+        assert _as_fractions(tagged.express(dict(row), tag)) == _as_fractions(want)
+    _assert_same_stored_rows(tagged.echelon, reference)
+
+
+def test_stored_rows_match_per_step_division_on_awkward_matrices():
+    rng = random.Random(19680703)
+    stored = 0
+    for rows, ncols in _awkward_matrices(rng):
+        dicts = [{c: x for c, x in enumerate(r) if x} for r in rows]
+        echelon, reference = Echelon(), _PerStepEchelon()
+        for row in dicts:
+            echelon.add(row)
+            reference.push(row)
+        _assert_same_stored_rows(echelon, reference)
+        built = Echelon(dicts)
+        _assert_same_stored_rows(built, reference)
+        built.reduce()
+        reference.reduce()
+        _assert_same_stored_rows(built, reference)
+        stored += len(built)
+        # the columns as tagged candidates, each over a random scale, and a
+        # random and a consistent target
+        candidates = []
+        for j in range(ncols):
+            row = {(0, r): a[j] for r, a in enumerate(rows) if a[j]}
+            row[(1, j)] = _big_entry(rng)
+            candidates.append((row, (1, j)))
+        x0 = [_big_entry(rng) for _ in range(ncols)]
+        targets = []
+        for rhs in ([_big_entry(rng) if rng.random() < 0.5 else 0 for _ in rows],
+                    [sum((Fraction(v) * w for v, w in zip(a, x0)), Fraction(0))
+                     for a in rows]):
+            row = {(0, r): b for r, b in enumerate(rhs)}
+            row[(1, ncols)] = 1
+            targets.append((row, (1, ncols)))
+        _assert_tagged_stores_per_step_rows(candidates, targets)
+    assert stored > 200
+
+
+def test_stored_rows_match_per_step_division_on_whittaker_kernels(monkeypatch):
+    # the two TaggedEchelons of the sl21 Whittaker kernels at order 12, as
+    # recorded from the pipeline
+    kernels = []
+    monkeypatch.setattr(wslice, "TaggedEchelon", _recording_tagged(kernels))
+    wslice.whittaker_walgebra(wslice.slice_setup(load_algebra("sl21")), 12)
+    assert len(kernels) == 2 and sum(len(c) for c, _ in kernels) > 150
+    for candidates, targets in kernels:
+        _assert_tagged_stores_per_step_rows(candidates, targets)
 
 
 def test_no_dense_system_left_in_wslice():

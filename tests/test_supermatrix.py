@@ -179,7 +179,7 @@ def test_gl22_two_block_walgebra_report_digest(gl22_e12_e34_walgebra):
 # SHA-256 of the walgebra report (stdout, UTF-8) of gl(m|n) with e = E12 at
 # order 6, --method both.  Many variables make the order of monomials matter
 # most, so these pin report bytes past the four bundled algebras; gl(3|2)
-# (dim 25) has the largest Whittaker kernels and slice-product systems.
+# (dim 25) has the largest slice-product systems.
 E12_DIGESTS = {
     (2, 1): "5b323d5798ce53f320e7e1dc4107bc0be1d8988f905b8dfce0eb8b0941479738",
     (2, 2): "a24f8dca047add85912a0066a491d19b84b662953f898de2c0e5554e75645353",
@@ -195,6 +195,24 @@ def test_walgebra_report_digest(tmp_path, capsys, m, n):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == E12_DIGESTS[(m, n)]
+
+
+# gl(3|3) with e = E12 on the Whittaker route alone, at order 6, which has
+# the largest Whittaker kernels of the pinned reports: its dims and the
+# SHA-256 of its walgebra report, --method whittaker
+GL33_WHITTAKER_DIMS = [1, 1, 18, 26, 174, 310, 1224]
+GL33_WHITTAKER_DIGEST = "e000cd573f9f7abbad358d57c56168b1929e370e704416ec4403be31832b9869"
+
+
+def test_gl33_whittaker_report_digest(tmp_path, capsys):
+    path = tmp_path / "gl33.json"
+    path.write_text(json.dumps(gl_json(3, 3, E12_TRIPLE)), encoding="utf-8")
+    code = main(["walgebra", "--algebra", str(path), "--method", "whittaker",
+                 "--order", "6"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["whittaker"]["dims"] == GL33_WHITTAKER_DIMS
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GL33_WHITTAKER_DIGEST
 
 
 # SHA-256 of the check report of gl(m|n) with e = E12: its centralizer

@@ -748,6 +748,33 @@ def test_pbw_words_match_brute_force():
     assert pbw_words((1,), (EVEN,), -1) == []
 
 
+def _monomials_reference(alg, ids, wmax, amax=None):
+    """``_monomials`` as it was: the monomials sorted by the Algebra's own
+    (mono_weight, mono_key), each read back from its packed fields."""
+    ids = sorted(ids)
+    vs = [alg.by_id[i] for i in ids]
+    words = pbw_words([v.weight for v in vs], [v.parity for v in vs], wmax, amax)
+    out = [alg.monomial(dict(zip(ids, word))) for word in words]
+    out.sort(key=lambda m: (alg.mono_weight(m), alg.mono_key(m)))
+    return out
+
+
+def test_monomials_sort_by_weight_then_mono_key(tmp_path):
+    # the candidate order fixes the Whittaker kernel vectors, so the key
+    # read off each word must give the same order as the monomials' own
+    sl21 = _ctx("sl21")
+    gl32 = slice_setup(_catalog_algebra(tmp_path, "gl32", (3, 2, E12_TRIPLE)))
+    non_hbar = [v.ident for v in sl21.alg.variables if not v.hbar]
+    for ctx, ids, wmax, amax, size in (
+        (sl21, sl21.complement_ids, 12, None, 192),
+        (sl21, non_hbar, 5, 5, 143),
+        (gl32, gl32.complement_ids, 6, None, 1310),
+    ):
+        got = _monomials(ctx.alg, ids, wmax, amax)
+        assert got == _monomials_reference(ctx.alg, ids, wmax, amax)
+        assert len(got) == size
+
+
 def test_word_table_matches_naive_products_once_each():
     ctx = _ctx("sl21")
     qc = ctx.quantum_chart(4)
@@ -996,14 +1023,20 @@ class _ReferenceSpan:
 
 
 class _MirroredEchelon(Echelon):
-    """An Echelon that repeats every add on the Fraction reference span and
-    checks that both give the same remainder and the same rank."""
+    """An Echelon that repeats every row it is built from and every add on
+    the Fraction reference span, and checks that both give the same
+    remainder, the same stored rows and the same rank."""
 
     adds = 0
 
     def __init__(self, rows=()):
-        self.reference = _ReferenceSpan()
+        rows = list(rows)
+        self.reference = _ReferenceSpan(Series(None, row) for row in rows)
         super().__init__(rows)
+        assert sorted(self.rows) == self.reference.pivots
+        for p, row in self.rows.items():
+            assert {k: Fraction(v, row[p]) for k, v in row.items()} == self.reference.rows[p]
+        _MirroredEchelon.adds += len(rows)
 
     def add(self, row):
         got = super().add(row)
