@@ -7,8 +7,9 @@ bracket recurses once per factor.  Brackets of monomials are memoized, so
 repeated normalization passes stay cheap.  The memo holds each bracket as
 integer numerators over one denominator, the denominators of the table
 entries, read straight off the entries' ``nums`` and ``den``.  ``bracket``
-passes it to :func:`superw.supercore.pair_sum`, the truncated term-pair loop
-shared with the supercommutative and star products, which accumulates
+passes the kernel and its memo to :func:`superw.supercore.pair_sum`, the
+truncated term-pair loop shared with the supercommutative and star products,
+which reads a memoized bracket without a call and accumulates
 Python ints over the inputs' numerators and builds the result Series from
 integers, with no ``Fraction`` on the way.
 """
@@ -149,7 +150,7 @@ class PoissonAlgebra:
             order = f._join_order(g)
             if order is not None:
                 order -= drop
-        return pair_sum(f, g, order, self.mono_bracket, drop)
+        return pair_sum(f, g, order, self.mono_bracket, drop, self._memo)
 
     # -- consistency checks -------------------------------------------
 

@@ -14,9 +14,11 @@ on the shift factors it is the product of the Whittaker module Q_chi^(k)
 The actions of generators and the monomial products are memoized as integer
 numerators over one denominator.  Nearly all of them are integer (the
 denominators come only from the table entries and the halving of an odd
-square).  ``star`` passes the monomial products to
+square).  ``star`` passes the monomial products and their memo to
 :func:`superw.supercore.pair_sum`, the truncated term-pair loop shared with
-the supercommutative product and the Poisson bracket, which multiplies and
+the supercommutative product and the Poisson bracket, which reads a
+memoized product without a call (a one-factor word is an action, read from
+the action memo through ``_word``, so no value is kept twice), multiplies and
 adds Python ints, grouped by that denominator, over the inputs' numerators
 and builds the result Series from integers, with no ``Fraction`` on the
 way.  A monomial product ma * mb is x·(ma' * mb), with x the first factor of
@@ -143,13 +145,12 @@ class LeftAction:
 
     def _act_sum(self, nums, v, sign=1):
         """Integer numerator groups of sign times sum_n nums[n]·(v·n)."""
-        if sign < 0:
-            nums = {n: -c for n, c in nums.items()}
         act = self.act
         ones = {}  # the group of 1, nearly every action's, filled in place
         get = ones.get
         groups = {1: ones}
         for n, c in nums.items():
+            c *= sign
             an, d = act(v, n)
             if d == 1:
                 for m, a in an.items():
@@ -205,7 +206,7 @@ class StarAlgebra(LeftAction):
             raise ValueError("series from a different universe")
         if order == "auto":
             order = f._join_order(g)
-        return pair_sum(f, g, order, self._word)
+        return pair_sum(f, g, order, self._word, memo=self._word_memo)
 
     def commutator(self, f, g, order="auto"):
         """Graded commutator f*g -+ g*f, split over parity components."""

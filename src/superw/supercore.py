@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
@@ -33,6 +34,7 @@ EVEN = 0
 ODD = 1
 
 _ZERO = Fraction(0)  # the coefficient of an absent monomial; Fraction is immutable
+_NO_MEMO = {}  # the memo of a pair_sum kernel that keeps none; never written
 
 # bits per exponent field of a monomial: the top one is the guard bit, so an
 # exponent stays below _CAP
@@ -86,8 +88,10 @@ class Algebra:
         self._odd = sum(1 << k * _W for k, v in enumerate(vs) if v.parity)
         self._guard = sum(1 << (k * _W + _W - 1) for k in range(len(vs)))
         # per-monomial caches: the product kernels ask for the same
-        # monomials' completion order over and over, and sorts their keys
+        # monomials' completion order over and over, the certificates their
+        # weight, and sorts their keys
         self._mono_eff = {}
+        self._mono_weight = {}
         self._mono_key = {}
         # frozenset of ids -> (the mask of their exponent fields, the fields' shifts)
         self._masks = {}
@@ -211,7 +215,11 @@ class Algebra:
         return (m & self._odd).bit_count() & 1
 
     def mono_weight(self, m):
-        return sum(w * ((m >> sh) & _MASK) for _, sh, w, _ in self._fields)
+        w = self._mono_weight.get(m)
+        if w is None:
+            w = self._mono_weight[m] = sum(wt * ((m >> sh) & _MASK)
+                                           for _, sh, wt, _ in self._fields)
+        return w
 
     def mono_eff(self, m):
         d = self._mono_eff.get(m)
@@ -275,13 +283,16 @@ class Series:
     monomial over one positive denominator, always in lowest terms (no zero
     numerator, and ``gcd(den, *nums.values()) == 1``), so equality of
     elements is literal equality of ``den`` and ``nums``.  A Series is never
-    changed once built, so Series may share one ``nums`` dict.  ``terms`` is
-    a read-only ``{mono: Fraction}`` copy of the coefficients, built anew on
-    each access (a kept copy would cost memory on every long-lived Series);
-    the arithmetic never builds it.
+    changed once built, and no code writes into its ``nums`` after
+    construction, so Series may share one ``nums`` dict and a view of it
+    stays valid.  ``terms`` is a read-only ``{mono: Fraction}`` copy of the
+    coefficients, built anew on each access (a kept copy would cost memory
+    on every long-lived Series); the arithmetic never builds it.
+    :meth:`by_order` is kept: it holds integers only, and only a Series that
+    is a factor of a truncated product builds it.
     """
 
-    __slots__ = ("alg", "nums", "den", "order")
+    __slots__ = ("alg", "nums", "den", "order", "_by_order")
 
     def __init__(self, alg, terms, order=None):
         """The Series of ``terms``, a dict ``{mono: Fraction or int}``; zero
@@ -294,6 +305,7 @@ class Series:
         self.alg = alg
         self.order = order
         self.nums, self.den = numerators(terms)
+        self._by_order = None
 
     @classmethod
     def over(cls, alg, nums, den=1, order=None):
@@ -308,6 +320,17 @@ class Series:
         built on each access: bind it once to read many coefficients."""
         den = self.den
         return MappingProxyType({m: Fraction(v, den) for m, v in self.nums.items()})
+
+    def by_order(self):
+        """The terms as ``(mono, numerator, completion order)`` triples
+        sorted stably by completion order, built on first use and kept: the
+        view that :func:`pair_sum` walks both factors through."""
+        view = self._by_order
+        if view is None:
+            eff = self.alg.mono_eff
+            view = self._by_order = sorted(
+                ((m, v, eff(m)) for m, v in self.nums.items()), key=itemgetter(2))
+        return view
 
     # -- basic queries ------------------------------------------------
 
@@ -516,6 +539,7 @@ def _make(alg, nums, den, order):
     s.nums = nums
     s.den = den
     s.order = order
+    s._by_order = None
     return s
 
 
@@ -609,35 +633,46 @@ def merge_numerators(groups, scale=1):
     return _lowest({m: v for m, v in nums.items() if v}, d * scale)
 
 
-def pair_sum(f, g, order, kernel, drop=0):
+def pair_sum(f, g, order, kernel, drop=0, memo=None):
     """The Series sum of ``ca * cb * kernel(ma, mb)`` over the term pairs of
     f and g, exact through ``order`` (None: untruncated).
 
-    ``kernel`` gives its value in ``(nums, den)`` form.  A pair is skipped
-    when ``eff(ma) + eff(mb) > order + drop``: the kernel never lowers the
-    completion order of a pair by more than ``drop``.  The terms of g are
-    sorted once by completion order (stably, so pairs of equal order keep
-    the order of g), and the loop over them stops at the first that is past
-    the budget ``order + drop - eff(ma)``.
+    ``kernel`` gives its value in ``(nums, den)`` form; ``memo``, the
+    kernel's own memo keyed by ``(ma, mb)`` if it has one, is probed inline
+    and the kernel is called only on a miss.  A pair is skipped when
+    ``eff(ma) + eff(mb) > order + drop``: the kernel never lowers the
+    completion order of a pair by more than ``drop``.  A truncated call walks
+    both factors through :meth:`Series.by_order`, so the inner loop stops at
+    the first term of g past the budget ``order + drop - eff(ma)``, and the
+    outer loop stops once that budget falls below g's lowest order: no
+    skipped pair is visited.  An untruncated call visits every pair in the
+    order of ``nums``, with no sort.
     """
     alg = f.alg
-    eff = alg.mono_eff
-    if order is None:
-        g_items = [(mb, cb, 0) for mb, cb in g.nums.items()]
+    if not (f.nums and g.nums):
+        return alg.zero(order)
+    if order is None:  # every effective order read as 0, so neither stop fires
+        top = 0
+        fs = zip(f.nums, f.nums.values(), repeat(0))
+        gs = list(zip(g.nums, g.nums.values(), repeat(0)))
     else:
-        g_items = sorted(((mb, cb, eff(mb)) for mb, cb in g.nums.items()),
-                         key=itemgetter(2))
+        top = order + drop
+        fs, gs = f.by_order(), g.by_order()
+    low = gs[0][2]
+    probe = _NO_MEMO.get if memo is None else memo.get
     # products grouped by the denominator of their kernel value; the group
     # of 1, which takes nearly all of them, is filled in place
     ones = {}
     get = ones.get
     groups = {1: ones}
-    for ma, ca in f.nums.items():
-        budget = None if order is None else order + drop - eff(ma)
-        for mb, cb, eb in g_items:
-            if budget is not None and eb > budget:
+    for ma, ca, ea in fs:
+        budget = top - ea
+        if budget < low:
+            break
+        for mb, cb, eb in gs:
+            if eb > budget:
                 break
-            kn, kd = kernel(ma, mb)
+            kn, kd = probe((ma, mb)) or kernel(ma, mb)
             if not kn:
                 continue
             c = ca * cb

@@ -136,7 +136,7 @@ class QuotientModule(LeftAction):
         free = self.alg.free_of(t.nums, self.m_ids, self.k)
         if len(free) < len(t.nums):
             t = Series.over(self.alg, free, t.den)
-        return pair_sum(s, t, None, self._word)
+        return pair_sum(s, t, None, self._word, memo=self._word_memo)
 
 
 def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:

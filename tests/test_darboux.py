@@ -10,6 +10,7 @@ import pytest
 from superw import darboux
 from superw.algebras import load_algebra
 from superw.darboux import (
+    DEFAULT_GUARD,
     ChartEntry,
     DarbouxError,
     PoissonBackend,
@@ -890,3 +891,61 @@ def test_star_division_labels_the_order_it_is_exact_through():
     assert q == exact.truncate(6)
     # the exact quotient has terms between cap - 2 and the cap
     assert exact.truncate(8) != exact.truncate(6)
+
+
+# -- the odd-pair projection's last product -------------------------------
+#
+# ``odd_pair_project`` takes b00 = a - f b10 - g b01 - f(g b11).  Its
+# earlier body formed (fg) b11; both backends' products are exact through
+# the cap and lower no order, so the two agree on every chart series.
+
+
+def _product_first_odd_pair_project(B, f, g, a):
+    """``odd_pair_project`` with the earlier (fg) b11 product."""
+    a = a.truncate(B.cap)
+    adf = B.div(B.bracket(f, a))
+    b11 = -B.div(B.bracket(g, adf))
+    b01 = adf + B.mul(f, b11)
+    b10 = B.div(B.bracket(g, a)) - B.mul(g, b11)
+    b00 = a - B.mul(f, b10) - B.mul(g, b01) - B.mul(B.mul(f, g), b11)
+    for x, b in ((f, b00), (g, b00), (f, b11), (g, b11)):
+        if not clean_mod(B.bracket(x, b, B.order), B.order):
+            raise DarbouxError("odd pair projection residual too large")
+    return b00, b10, b01, b11
+
+
+@pytest.mark.parametrize("name", ("sl2", "osp12", "sl21"))
+def test_odd_pair_projection_keeps_every_chart_series(name, monkeypatch):
+    ctx = slice_setup(load_algebra(name))
+    calls = []
+
+    def reference(*args):
+        calls.append(args[0].kind)
+        return _product_first_odd_pair_project(*args)
+
+    for order in range(2, 7):
+        got = _chart_series(ctx, order, DEFAULT_GUARD)
+        with monkeypatch.context() as m:
+            m.setattr(darboux, "odd_pair_project", reference)
+            want = _chart_series(ctx, order, DEFAULT_GUARD)
+        assert got == want, order
+    # of the three, only sl21's charts have an odd pair
+    assert set(calls) == ({"classical", "quantum"} if name == "sl21" else set())
+
+
+def test_odd_pair_projection_matches_product_first_on_random_series():
+    ctx = slice_setup(load_algebra("sl21"))
+    rng = random.Random("odd-pair-project")
+    nonzero = 0
+    for order in (2, 4, 6):
+        cc = ctx.classical_chart(order)
+        for chart in (cc, quantum_darboux(ctx.star, cc)):
+            B = chart.backend
+            (f, g), = [e.variables() for e in chart.entries if e.kind == "odd"]
+            for _ in range(4):
+                a = _random_polynomial(rng, ctx.alg, rng.randrange(2, 8))
+                got = darboux.odd_pair_project(B, f, g, a)
+                want = _product_first_odd_pair_project(B, f, g, a)
+                assert [(b.den, b.nums) for b in got] == [(b.den, b.nums) for b in want]
+                nonzero += not got[3].is_zero()
+    assert nonzero  # some b11 is not 0, so the last product is not trivially 0

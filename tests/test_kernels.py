@@ -614,3 +614,65 @@ def test_star_words_of_1500_factors_run_without_deep_recursion(contexts):
     assert _word_series(long_right) == f_times_e_power(1500).terms
     assert _word_series(long_left) == f_power_times_e(1500).terms
     assert _word_series(long_module) == (e ** 1500 * h + 3000 * e ** 1500).terms
+
+
+# -- the ordered walk of pair_sum ----------------------------------------
+#
+# ``pair_sum`` walks both factors in completion order and stops the inner
+# loop past the budget and the outer loop once the budget is below g's
+# lowest order.  The reference visits every pair with the same kernel and
+# truncates afterwards, so a stop that skips a pair it must visit shows.
+
+
+def _pair_kernel(ctx, which):
+    """``(kernel, memo, drop)`` of a fresh product, bracket or star kernel."""
+    alg, table = ctx.alg, ctx.poisson.table
+    if which == "product":
+        return alg.mono_product, None, 0
+    if which == "bracket":
+        P = PoissonAlgebra(alg, table)
+        return P.mono_bracket, P._memo, table.drop
+    S = StarAlgebra(alg, table)
+    return S._word, S._word_memo, 0
+
+
+def _every_pair(f, g, order, kernel):
+    """The sum over every term pair of f and g, truncated afterwards."""
+    acc = {}
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            kn, kd = kernel(ma, mb)
+            for m, v in kn.items():
+                acc[m] = acc.get(m, 0) + ca * cb * Fraction(v, kd)
+    return Series(f.alg, acc, order)
+
+
+@pytest.mark.parametrize("which", ("product", "bracket", "star"))
+@pytest.mark.parametrize("name", ("sl21", "osp12"))
+def test_ordered_walk_matches_every_pair_then_truncate(contexts, name, which):
+    ctx = contexts[name]
+    eff = ctx.alg.mono_eff
+    rng = random.Random("walk:%s:%s" % (name, which))
+    fired = set()
+    for _ in range(5):
+        f = rand_series(rng, ctx.alg, rng.randrange(3, 9))
+        g = rand_series(rng, ctx.alg, rng.randrange(3, 9))
+        for a, b in ((f, g), (g, f)):
+            for order in (None, 1, 2, 3, 4, 5):
+                kernel, memo, drop = _pair_kernel(ctx, which)
+                want = _every_pair(a, b, order, _pair_kernel(ctx, which)[0])
+                # cold, then with the kernel's memo warm
+                for _ in range(2):
+                    assert_same(supercore.pair_sum(a, b, order, kernel, drop, memo), want)
+                if order is None:
+                    continue
+                top = order + drop
+                ea = [eff(m) for m in a.nums]
+                eb = [eff(m) for m in b.nums]
+                if any(min(eb) <= top - e < max(eb) for e in ea):
+                    fired.add("inner stop")
+                if any(top - e < min(eb) for e in ea):
+                    fired.add("outer stop")
+                if any(top - e == min(eb) for e in ea):
+                    fired.add("budget at g's lowest order")
+    assert fired == {"inner stop", "outer stop", "budget at g's lowest order"}

@@ -463,7 +463,7 @@ SOURCES = Path(__file__).resolve().parent.parent / "src" / "superw"
 MONOMIAL_BITS = re.compile(
     r"\b(m|ma|mb|mono)\s*(<<|>>|&|\|)|(<<|>>|&|\|)\s*(m|ma|mb|mono)\b"
     r"|\b(m|ma|mb|mono)\.bit_(length|count)\b"
-    r"|\._(fields|shift|hshift|odd|guard|mono_key|mono_eff)\b|\b_(W|CAP|MASK)\b")
+    r"|\._(fields|shift|hshift|odd|guard|mono_key|mono_eff|mono_weight)\b|\b_(W|CAP|MASK)\b")
 # reads or builds of ((id, exponent), ...) tuples as monomials: indexing a
 # monomial, turning it into a dict, iterating its pairs, a literal generator
 # monomial, re-sorting exponents into a tuple
@@ -478,6 +478,13 @@ MONOMIAL_ARITH = re.compile(
     r"|[-+*]\s*(\w+\.)*gen_mono\[|gen_mono\[[^\]]*\]\s*[-+*]")
 # the pair-skip rule of the one truncated term-pair loop, pair_sum
 PAIR_SKIP = re.compile(r"\bbudget\b")
+# a write into the numerators of an existing Series: an item assignment,
+# a mutating dict method or a del.  Series share ``nums`` dicts and keep a
+# sorted view of them (``Series.by_order``), so no module writes into one
+NUMS_WRITE = re.compile(
+    r"\.nums\s*\[[^\]]*\]\s*([-+*/%&|^@]|//|<<|>>|\*\*)?=(?!=)"
+    r"|\.nums\.(pop|popitem|update|setdefault|clear)\("
+    r"|\bdel\b.*\.nums\b")
 # a read of a bracket table entry: the Poisson bracket and the one
 # normal-ordering rule of the star product and Q_chi take them
 TABLE_ENTRY = re.compile(r"\btable\.entry\(")
@@ -497,6 +504,20 @@ def test_only_supercore_reads_monomials_and_skips_pairs():
         assert list(hits) == ["supercore.py"], (rule.pattern, hits)
     # no module, supercore included, builds tuple monomials any more
     assert _hits(texts, MONOMIAL_TUPLE) == {}
+
+
+def test_no_module_writes_into_series_numerators():
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SOURCES.glob("*.py"))}
+    assert len(texts) > 1 and _hits(texts, NUMS_WRITE) == {}
+    writes = ("s.nums[m] = 1", "t.nums[m] += c", "x.a.nums[(m)]-=1", "out.nums.pop(m)",
+              "s.nums.popitem()", "s.nums.update(d)", "s.nums.setdefault(m, 0)",
+              "a.nums.clear()", "del s.nums[m]", "del s.nums")
+    reads = ("s.nums[m] == 1", "v = s.nums[m]", "s.nums[m] <= 1", "nums = dict(s.nums)",
+             "s.nums.get(m)", "f(s.nums[m]) != 0", "s.nums = nums")
+    for line in writes:
+        assert _hits({"planted.py": line}, NUMS_WRITE), line
+    for line in reads:
+        assert not _hits({"planted.py": line}, NUMS_WRITE), line
 
 
 def test_only_the_bracket_and_the_left_action_read_table_entries():
