@@ -298,8 +298,8 @@ def odd_pair_project(B, f, g, a):
     b11 = -B.div(B.bracket(g, adf))
     b01 = adf + B.mul(f, b11)
     b10 = B.div(B.bracket(g, a)) - B.mul(g, b11)
-    # f(g b11), not (fg)b11: each product is exact through the cap and
-    # lowers no order, so the two agree there, and both vanish with b11
+    # f(g b11) equals (fg)b11 because both products are exact through the
+    # cap and lower no order
     b00 = a - B.mul(f, b10) - B.mul(g, b01) - B.mul(f, B.mul(g, b11))
     for x, b in ((f, b00), (g, b00), (f, b11), (g, b11)):
         if not clean_mod(B.bracket(x, b, B.order), B.order):

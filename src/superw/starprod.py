@@ -145,12 +145,13 @@ class LeftAction:
 
     def _act_sum(self, nums, v, sign=1):
         """Integer numerator groups of sign times sum_n nums[n]·(v·n)."""
+        if sign < 0:
+            nums = {n: -c for n, c in nums.items()}
         act = self.act
         ones = {}  # the group of 1, nearly every action's, filled in place
         get = ones.get
         groups = {1: ones}
         for n, c in nums.items():
-            c *= sign
             an, d = act(v, n)
             if d == 1:
                 for m, a in an.items():

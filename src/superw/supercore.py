@@ -88,10 +88,8 @@ class Algebra:
         self._odd = sum(1 << k * _W for k, v in enumerate(vs) if v.parity)
         self._guard = sum(1 << (k * _W + _W - 1) for k in range(len(vs)))
         # per-monomial caches: the product kernels ask for the same
-        # monomials' completion order over and over, the certificates their
-        # weight, and sorts their keys
+        # monomials' completion order over and over, and sorts their keys
         self._mono_eff = {}
-        self._mono_weight = {}
         self._mono_key = {}
         # frozenset of ids -> (the mask of their exponent fields, the fields' shifts)
         self._masks = {}
@@ -215,11 +213,7 @@ class Algebra:
         return (m & self._odd).bit_count() & 1
 
     def mono_weight(self, m):
-        w = self._mono_weight.get(m)
-        if w is None:
-            w = self._mono_weight[m] = sum(wt * ((m >> sh) & _MASK)
-                                           for _, sh, wt, _ in self._fields)
-        return w
+        return sum(w * ((m >> sh) & _MASK) for _, sh, w, _ in self._fields)
 
     def mono_eff(self, m):
         d = self._mono_eff.get(m)

@@ -463,7 +463,7 @@ SOURCES = Path(__file__).resolve().parent.parent / "src" / "superw"
 MONOMIAL_BITS = re.compile(
     r"\b(m|ma|mb|mono)\s*(<<|>>|&|\|)|(<<|>>|&|\|)\s*(m|ma|mb|mono)\b"
     r"|\b(m|ma|mb|mono)\.bit_(length|count)\b"
-    r"|\._(fields|shift|hshift|odd|guard|mono_key|mono_eff|mono_weight)\b|\b_(W|CAP|MASK)\b")
+    r"|\._(fields|shift|hshift|odd|guard|mono_key|mono_eff)\b|\b_(W|CAP|MASK)\b")
 # reads or builds of ((id, exponent), ...) tuples as monomials: indexing a
 # monomial, turning it into a dict, iterating its pairs, a literal generator
 # monomial, re-sorting exponents into a tuple
