@@ -58,9 +58,9 @@ class LeftAction:
     - v > x: v·(x·m') = ±x·(v·m') + hbar^s [v, x]·m', minus for two odd
       factors.
 
-    s is ``unit_level``, and hbar, being central, acts by multiplication.  A
-    linear term y of a table entry gives y·(hbar^s m') by the same rules, any
-    other term its monomial product with hbar^s m'.  Given shift ids
+    s is ``unit_level``, and hbar, being central, acts by multiplication.
+    Each term of a table entry gives its monomial product with hbar^s m'
+    (``_word``, the action itself for a linear term).  Given shift ids
     ``m_ids`` and a bound ``k``, a shift generator that would make k shift
     factors gives 0.  Values are ``(nums, den)`` in lowest terms, the form
     of ``Series.nums`` and ``Series.den``.
@@ -77,26 +77,19 @@ class LeftAction:
         self._brackets = {}
 
     def _add_bracket(self, groups, v, x, rest, c):
-        """Add c times hbar^s [v, x]·rest to ``groups``.  [v, x] is kept as
-        ``(terms, den)``, a term ``(y, mono, b)`` for b/den times mono, with
-        y its generator when mono is one, else None."""
+        """Add c times hbar^s [v, x]·rest to ``groups``: each monomial of the
+        table entry [v, x], kept per (v, x), is a word that ``_word`` puts
+        in front of hbar^s rest."""
         entry = self._brackets.get((v, x))
         if entry is None:
-            s = self.table.entry(v, x)
-            entry = self._brackets[(v, x)] = (
-                [(self.alg.gen_of.get(mono), mono, b) for mono, b in s.nums.items()], s.den)
+            entry = self._brackets[(v, x)] = self.table.entry(v, x)
         if self.unit_level:
             alg = self.alg
             rest, e = alg.split_hbar(rest)
             rest = alg.join_hbar(rest, e + self.unit_level)
-        terms, bden = entry
-        for y, mono, b in terms:
-            if y is not None:
-                yn, yd = self.act(y, rest)
-            elif mono:
-                yn, yd = self._word(mono, rest)
-            else:
-                yn, yd = {rest: 1}, 1
+        word, bden = self._word, entry.den
+        for mono, b in entry.nums.items():
+            yn, yd = word(mono, rest)
             add_numerators(groups, yn, yd * bden, b * c)
 
     def act(self, v, m):
@@ -289,7 +282,7 @@ def quantum_darboux(S, classical):
             d = q - c.truncate(qc.cap)
             for m in d.nums:
                 rest, k = alg.split_hbar(m)
-                adeg = alg.mono_degree(rest)
+                adeg = alg.mono_eff(rest)
                 if adeg == 0 or (adeg == 1 and not k):
                     raise DarbouxError(
                         "quantum correction drifted the linear part: "

@@ -1,8 +1,8 @@
 """Exact supercommutative polynomials and truncated power series.
 
-Variables carry a parity, an integer weight and an adic flag; coefficients
-are exact rationals, stored as integer numerators over one denominator per
-Series in lowest terms.  Monomials are stored in a canonical form (odd
+Variables carry a parity and an integer weight; coefficients are exact
+rationals, stored as integer numerators over one denominator per Series in
+lowest terms.  Monomials are stored in a canonical form (odd
 exponents at most one, the Koszul sign absorbed into the coefficient), so
 equality of elements is literal equality of the numerators and the
 denominator.  Sums, scalar multiples and the product loop shared by every
@@ -16,9 +16,9 @@ monomials is keyed by ``Algebra.mono_key``, the exponent tuple.
 
 A Series with ``order=None`` is an exact polynomial.  With ``order=N`` it is
 exact modulo terms of completion order > N, where the completion order of a
-monomial is its adic order plus its hbar exponent.  For universes without
-hbar the two notions coincide; with hbar this is the grading in which the
-star-product rewrite rules never lower the order of a term.
+monomial is its total degree, hbar counting 1 like every other variable:
+the grading in which the star-product rewrite rules never lower the order of
+a term.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class Variable:
     name: str
     parity: int = EVEN
     weight: int = 0
-    adic: bool = True
     hbar: bool = False
 
 
@@ -80,9 +79,9 @@ class Algebra:
         self.variables = tuple(vs)
         self.by_id = {v.ident: v for v in vs}
         self.by_name = {v.name: v for v in vs}
-        # the fields in order: (id, shift, weight, counts toward completion order)
-        self._fields = tuple((v.ident, k * _W, v.weight, v.adic or v.hbar)
-                             for k, v in enumerate(vs))
+        # the fields in order: (id, shift, weight); every field, hbar's
+        # too, counts 1 toward the completion order
+        self._fields = tuple((v.ident, k * _W, v.weight) for k, v in enumerate(vs))
         self._shift = {v.ident: k * _W for k, v in enumerate(vs)}
         # the unit bit of every odd field, and the guard bit of every field
         self._odd = sum(1 << k * _W for k, v in enumerate(vs) if v.parity)
@@ -91,7 +90,7 @@ class Algebra:
         # monomials' completion order over and over, and sorts their keys
         self._mono_eff = {}
         self._mono_key = {}
-        # frozenset of ids -> (the mask of their exponent fields, the fields' shifts)
+        # frozenset of ids -> the mask of their exponent fields
         self._masks = {}
         hs = [v for v in vs if v.hbar]
         if len(hs) > 1:
@@ -140,7 +139,7 @@ class Algebra:
         key = self._mono_key.get(m)
         if key is None:
             key = self._mono_key[m] = tuple(
-                (i, e) for i, sh, _, _ in self._fields if (e := (m >> sh) & _MASK))
+                (i, e) for i, sh, _ in self._fields if (e := (m >> sh) & _MASK))
         return key
 
     def mono_vars(self, m):
@@ -148,27 +147,23 @@ class Algebra:
         :meth:`monomial`."""
         return dict(self.mono_key(m))
 
-    def mono_degree(self, m, ids=None):
-        """Total exponent of m, counting only the variables in ``ids`` if given."""
-        if ids is None:
-            return sum(e for _, e in self.mono_key(m))
+    def mono_degree(self, m, ids):
+        """The number of factors of m among the variables ``ids``; the total
+        degree is :meth:`mono_eff`."""
         return sum(e for i, e in self.mono_key(m) if i in ids)
 
     def free_of(self, nums, ids, k=1):
         """The terms of ``nums`` (``{mono: coefficient}``) whose monomials
         have fewer than k factors among the variables ``ids``, a frozenset:
-        for k = 1 one mask test per monomial, the mask kept per set of ids;
-        for k > 1 the fields of ``ids`` are summed in a monomial the mask
-        meets."""
-        masks = self._masks.get(ids)
-        if masks is None:
-            shifts = tuple(self._shift[i] for i in ids)
-            masks = self._masks[ids] = (sum(_MASK << sh for sh in shifts), shifts)
-        mask, shifts = masks
+        one mask test per monomial, the mask kept per set of ids, and for
+        k > 1 :meth:`mono_degree` of a monomial the mask meets."""
+        mask = self._masks.get(ids)
+        if mask is None:
+            mask = self._masks[ids] = sum(_MASK << self._shift[i] for i in ids)
         if k == 1:
             return {m: v for m, v in nums.items() if not m & mask}
         return {m: v for m, v in nums.items()
-                if not m & mask or sum((m >> sh) & _MASK for sh in shifts) < k}
+                if not m & mask or self.mono_degree(m, ids) < k}
 
     def split_first(self, m):
         """``(i, rest)`` with m = x_i * rest and i the smallest id in m (m not the unit)."""
@@ -213,13 +208,13 @@ class Algebra:
         return (m & self._odd).bit_count() & 1
 
     def mono_weight(self, m):
-        return sum(w * ((m >> sh) & _MASK) for _, sh, w, _ in self._fields)
+        return sum(w * ((m >> sh) & _MASK) for _, sh, w in self._fields)
 
     def mono_eff(self, m):
+        """The completion order of m: its total degree, hbar included."""
         d = self._mono_eff.get(m)
         if d is None:
-            d = self._mono_eff[m] = sum((m >> sh) & _MASK
-                                        for _, sh, _, eff in self._fields if eff)
+            d = self._mono_eff[m] = sum((m >> sh) & _MASK for _, sh, _ in self._fields)
         return d
 
     def mono_mul(self, a, b):

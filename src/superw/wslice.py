@@ -162,7 +162,7 @@ def slice_setup(data: LieSuperData, alt: bool = False) -> SliceContext:
                 "%s: negative filtration weight on %s" % (data.name, data.names[old])
             )
         vs.append(Variable(new, data.names[old], data.parities[old], w))
-    vs.append(Variable(data.dim, HBAR, EVEN, 1, adic=False, hbar=True))
+    vs.append(Variable(data.dim, HBAR, EVEN, 1, hbar=True))
     alg = Algebra(vs)
 
     # [x_a, x_b] + chi([x_a, x_b]) over den * chi.den, read from the table
@@ -624,7 +624,7 @@ def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
     coeff_failures = []
     recon_failures = []
     # weight -> (words, family of hbar-padded chart words); amax = cap because
-    # every factor adds at least 1 to the adic degree
+    # every factor adds at least 1 to the completion order, the total degree
     families = {}
     for m in targets:
         W = alg.mono_weight(m)

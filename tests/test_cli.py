@@ -13,7 +13,8 @@ from superw import cli, wslice
 from superw.algebras import load_algebra
 from superw.cli import build_report, main, truncate_report
 from superw.darboux import Chart, DarbouxError, equivariant_darboux
-from superw.starprod import QuantumChart
+from superw.poisson import PoissonAlgebra
+from superw.starprod import QuantumChart, StarAlgebra
 from superw.wslice import slice_setup
 
 CATALOG_SL2 = {
@@ -364,6 +365,8 @@ ARGV_DIGESTS = {
         "53784c3f5fcd07cdceaf69fec5ce13c18283426527f21f9df836d99316a5e71f",
     ("suite", "--order", "4", "--seed", "0"):
         "d76fc882d092c626b5e8a656e71393b8cdc2d4ff1c6888f3119f042b7ae53eef",
+    ("suite", "--order", "3", "--seed", "7"):
+        "4d845b9118a5d8241e3cb7d09ab4d13caa6583d2ba7d81b0508ea6ac5704b550",
     # guards other than the default: the Taylor sums' precision budget
     # depends on cap - order
     ("walgebra", "--algebra", "sl21", "--order", "8", "--guard", "2"):
@@ -502,6 +505,85 @@ def test_suite_records_a_chart_failure_under_its_own_name(monkeypatch, planted,
         want["classical_chart:sl21"] = error
     assert bad == want
     assert rep["ok"] is False
+
+
+# -- negative controls for the suite's randomized checks ----------------
+#
+# A healthy suite reports bad 0 on every randomized check, so a trial loop
+# that skipped every draw would print the same report.  Each plant below
+# breaks what one check tests, and the check must then count the draws it
+# fails on.
+
+
+RANDOMIZED = ("poisson_jacobi_random", "semiclassical_limit", "star_associativity",
+              "rees_roundtrip")
+
+
+def _outside_charts(monkeypatch, cls, name, fake):
+    """Plant ``fake`` as ``cls.name`` except while a quantum chart is built,
+    so that the charts stay certified and only the checks after them see
+    the defect."""
+    real = getattr(cls, name)
+    build = cli.quantum_darboux
+
+    def quantum_darboux(S, classical):
+        setattr(cls, name, real)
+        try:
+            return build(S, classical)
+        finally:
+            setattr(cls, name, fake)
+    monkeypatch.setattr(cls, name, fake)
+    monkeypatch.setattr(cli, "quantum_darboux", quantum_darboux)
+
+
+def _plant_jacobiator(monkeypatch):
+    monkeypatch.setattr(PoissonAlgebra, "jacobiator", lambda self, a, b, c: a)
+
+
+def _plant_commutator(monkeypatch):
+    # the product for the commutator: its hbar^0 part makes the division by
+    # hbar^2 raise, which counts as bad
+    _outside_charts(monkeypatch, StarAlgebra, "commutator",
+                    lambda self, f, g, order="auto": self.star(f, g, order))
+
+
+def _plant_star(monkeypatch):
+    # a*b + a is not associative; the commutator, a difference of star
+    # products, breaks with it
+    star = StarAlgebra.star
+    _outside_charts(monkeypatch, StarAlgebra, "star",
+                    lambda self, f, g, order="auto": star(self, f, g, order) + f)
+
+
+def _plant_rees_inverse(monkeypatch):
+    monkeypatch.setattr(cli, "rees_inverse", lambda s: s)
+
+
+# The bad counts of ``suite --order 1 --seed 102`` (five trials per check,
+# on sl2, gl11, osp12 and sl21 in turn) under each plant; every randomized
+# check not listed keeps bad 0 on all four algebras.  At this seed the Rees
+# check skips one draw on osp12, a zero series, which must count neither as
+# bad nor as good.
+@pytest.mark.parametrize("plant,planted_bad", [
+    (None, {}),
+    (_plant_jacobiator, {"poisson_jacobi_random": [3, 5, 5, 5]}),
+    (_plant_commutator, {"semiclassical_limit": [3, 5, 4, 5]}),
+    (_plant_star, {"semiclassical_limit": [3, 5, 4, 5],
+                   "star_associativity": [5, 5, 5, 5]}),
+    (_plant_rees_inverse, {"rees_roundtrip": [5, 5, 4, 5]}),
+], ids=("healthy", "jacobiator", "commutator", "star", "rees_inverse"))
+def test_suite_randomized_checks_count_planted_defects(monkeypatch, plant, planted_bad):
+    if plant is not None:
+        plant(monkeypatch)
+    rep = build_report("suite", order=1, seed=102)
+    got = {}
+    for c in rep["checks"]:
+        check = c["name"].split(":")[0]
+        if check in RANDOMIZED:
+            assert c["detail"]["trials"] == 5
+            assert c["ok"] is (c["detail"]["bad"] == 0)
+            got.setdefault(check, []).append(c["detail"]["bad"])
+    assert got == {check: planted_bad.get(check, [0, 0, 0, 0]) for check in RANDOMIZED}
 
 
 def test_console_script_installed():

@@ -52,7 +52,7 @@ def odd_pair_algebra(hbar=False):
         Variable(2, "x", EVEN, weight=2),
     ]
     if hbar:
-        variables.append(Variable(3, "hb", EVEN, weight=1, adic=False, hbar=True))
+        variables.append(Variable(3, "hb", EVEN, weight=1, hbar=True))
     return Algebra(variables)
 
 
@@ -229,10 +229,17 @@ def _untruncated_residuals(chart):
     B = chart.backend
     full = B.S.commutator if B.kind == "quantum" else B.P.bracket
     vs = [Series(v.alg, v.terms) for v in chart.chart_vars()]
+    # the flat model from each variable's entry, the entry's kind and the
+    # variable's position in it: the unit between the two members of a pair
+    # and on a self entry's square, 0 everywhere else
+    place = [(k, e.kind, pos) for k, e in enumerate(chart.entries)
+             for pos in range(len(e.variables()))]
     out = []
     for i in range(len(vs)):
         for j in range(i, len(vs)):
-            r = full(vs[i], vs[j], order=None) - chart.expected_bracket(i, j)
+            (ki, kind, pi), (kj, _, pj) = place[i], place[j]
+            unit = ki == kj and (kind == "self" or pi != pj)
+            r = full(vs[i], vs[j], order=None) - (B.unit if unit else 0)
             out.append(("chart", i, j, r))
     for k, c in enumerate(chart.center_gens):
         c = Series(c.alg, c.terms)

@@ -554,11 +554,11 @@ def test_star_words_with_shared_prefixes(contexts, name, mode):
     # factor, whose product is the memoized action of that factor
     for ma, mb in S._word_memo:
         rest = alg.split_first(ma)[1]
-        if alg.mono_degree(rest) > 1:
+        if alg.mono_eff(rest) > 1:
             assert (rest, mb) in S._word_memo
         else:
             assert (alg.split_first(rest)[0], mb) in S._act_memo
-    longest = max(alg.mono_degree(ma) for ma, _ in S._word_memo)
+    longest = max(alg.mono_eff(ma) for ma, _ in S._word_memo)
     assert longest == 7  # e^6 h, a left word of the reversed pairs
     for (ma, mb), (nums, den) in S._word_memo.items():
         # in unit mode the h2 words are compared with the U(g) ones at hbar = 1

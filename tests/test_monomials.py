@@ -41,8 +41,6 @@ class TupleMonomials:
         vs = alg.variables
         self._parity = {v.ident: v.parity for v in vs}
         self._weight = {v.ident: v.weight for v in vs}
-        # completion-order unit: adic variables and hbar count 1, others 0
-        self._eff = {v.ident: (1 if (v.adic or v.hbar) else 0) for v in vs}
         self.hbar_id = alg.hbar_id
         self.gen_mono = {v.ident: ((v.ident, 1),) for v in vs}
 
@@ -91,7 +89,8 @@ class TupleMonomials:
         return sum(self._weight[i] * e for i, e in m)
 
     def mono_eff(self, m):
-        return sum(e for i, e in m if self._eff[i])
+        # the completion order is the total degree, hbar counting 1
+        return sum(e for _, e in m)
 
     def mono_mul(self, a, b):
         if not a:
@@ -330,8 +329,8 @@ def test_rewrites_without_hbar_raise_like_reference():
 
 def test_hbar_must_have_the_largest_id():
     with pytest.raises(ValueError, match="hbar must have the largest variable id"):
-        Algebra([Variable(0, "hb", EVEN, 1, adic=False, hbar=True), Variable(1, "x")])
-    alg = Algebra([Variable(0, "x"), Variable(5, "hb", EVEN, 1, adic=False, hbar=True)])
+        Algebra([Variable(0, "hb", EVEN, 1, hbar=True), Variable(1, "x")])
+    alg = Algebra([Variable(0, "x"), Variable(5, "hb", EVEN, 1, hbar=True)])
     assert alg.hbar_id == 5
 
 
@@ -342,10 +341,12 @@ def test_monomial_helpers_peel_and_rebuild():
     monos = {m for _ in range(40)
              for m in _random_series(rng, alg, 8, 5, 4, with_hbar=True).terms}
     assert len(monos) > 60
+    assert sum(h in alg.mono_vars(m) for m in monos) > 10
     for m in monos:
         exps = alg.mono_vars(m)
         assert alg.monomial(exps) == m
-        assert alg.mono_degree(m) == sum(exps.values())
+        # the completion order is the total degree, hbar counting 1
+        assert alg.mono_eff(m) == sum(exps.values())
         ids = {i for i in exps if i % 2}
         assert alg.mono_degree(m, ids) == sum(e for i, e in exps.items() if i in ids)
         rest, k = alg.split_hbar(m)
@@ -375,6 +376,28 @@ def test_monomial_helpers_peel_and_rebuild():
     assert alg.mono_key(alg.gen_mono[0]) == ((0, 1),)
     odd = next(v.ident for v in alg.variables if v.parity == ODD)
     assert alg.times_last(alg.gen_mono[odd], odd) is None
+
+
+def test_free_of_counts_shift_factors_as_mono_degree():
+    # free_of's mask test and its k > 1 count, against the factor count
+    # that LeftAction's bound k reads
+    ctx = slice_setup(load_algebra("sl21"))
+    alg, ids = ctx.alg, ctx.m_ids
+    rng = random.Random(21)
+    # random monomials with hbar, times f^a um^b for every a <= 4 and b <= 1
+    shifts = [alg.monomial(dict(zip(sorted(ids), e)))
+              for e in itertools.product(range(5), range(2))]
+    nums = {}
+    for _ in range(10):
+        for m in _random_series(rng, alg, 8, 5, 4, with_hbar=True).nums:
+            for t in shifts:
+                prod = alg.mono_mul(m, t)
+                if prod is not None:
+                    nums[prod[0]] = rng.randrange(1, 7)
+    assert {0, 1, 2, 3, 4} <= {alg.mono_degree(m, ids) for m in nums}
+    for k in (1, 2, 3):
+        want = {m: v for m, v in nums.items() if alg.mono_degree(m, ids) < k}
+        assert alg.free_of(nums, ids, k) == want
 
 
 BUNDLED = ("sl2", "gl11", "osp12", "sl21")

@@ -21,7 +21,7 @@ def make_algebra(with_hbar=False):
         Variable(4, "ps", ODD, weight=2),
     ]
     if with_hbar:
-        vs.append(Variable(9, "hb", EVEN, weight=1, adic=False, hbar=True))
+        vs.append(Variable(9, "hb", EVEN, weight=1, hbar=True))
     return Algebra(vs)
 
 
@@ -280,8 +280,7 @@ def _ref_series(rng, alg, nterms):
 
 
 def _ref_eff(alg, m):
-    return sum(e for i, e in alg.mono_vars(m).items()
-               if alg.by_id[i].adic or alg.by_id[i].hbar)
+    return sum(alg.mono_vars(m).values())
 
 
 def _ref_cut(alg, terms, order):
