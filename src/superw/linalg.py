@@ -22,6 +22,9 @@ unique reduced row echelon form (``rref``).  Every kernel and every solve
 goes through ``TaggedEchelon``, which gives each candidate row a tag
 column: ``nullspace`` and ``solve`` on dense lists are thin adapters over
 it, like the Whittaker kernel and the slice products of ``wslice``.
+``solve`` takes a memo that its caller owns, matrix -> TaggedEchelon of its
+columns, so a matrix asked about again pushes no column: ``express`` never
+changes the echelon, and each ``FilteredFamily`` keeps one such memo.
 Fractions appear only at the boundary, and arithmetic stays exact
 throughout.
 """
@@ -262,15 +265,24 @@ def nullspace(rows, ncols=None):
     return [_dense(*r, len(rows), ncols) for r in relations if r is not None]
 
 
-def solve(rows, rhs):
+def solve(rows, rhs, memo=None):
     """One solution of A x = b, or None if inconsistent.
 
-    Free coordinates are set to zero, so the answer is deterministic.
+    Free coordinates are set to zero, so the answer is deterministic.  A
+    caller that asks about one matrix many times passes a dict ``memo`` that
+    it owns: it keeps the TaggedEchelon of each matrix, keyed by its rows, and
+    a hit pushes no column.  ``express`` changes only the target row, never
+    the echelon, so a stored factorization holds for every right-hand side.
     """
     if not rows:
         return None if any(rhs) else []
     n, ncols = len(rows), len(rows[0])
-    tagged, _ = _tagged_columns(rows, ncols)
+    if memo is None:
+        memo = {}
+    key = tuple(map(tuple, rows))
+    tagged = memo.get(key)
+    if tagged is None:
+        tagged = memo[key] = _tagged_columns(rows, ncols)[0]
     target = dict(zip(range(n), rhs))
     target[n + ncols] = 1
     sol = tagged.express(target, n + ncols)
@@ -294,12 +306,15 @@ class FilteredFamily:
     monomial keyed by it, with one cell per candidate (an int when the
     coefficient is integral, int 0 for a missing monomial); and those candidates
     truncated at ``cap``.  Only the rows of the remainder's extra monomials,
-    all zero, and the right-hand side depend on the target.
+    all zero, and the right-hand side depend on the target.  ``memo`` is the
+    family's ``solve`` memo, kept for its lifetime: a level system met again,
+    by any target, is not factored again.
     """
 
     def __init__(self, candidates, cap):
         self.candidates = list(candidates)
         self.cap = cap
+        self.memo = {}
         by_level = {}
         for idx, c in enumerate(self.candidates):
             d = c.eff_deg()
@@ -352,7 +367,7 @@ def expand_filtered(target, family):
             monos = sorted(rem_d.keys() | rows.keys(), key=alg.mono_key)
         zero = [0] * len(idxs)
         sol = solve([rows.get(m, zero) for m in monos],
-                    [rem_d.get(m, 0) for m in monos])
+                    [rem_d.get(m, 0) for m in monos], memo=family.memo)
         if sol is None:
             return None
         for i, c, x in zip(idxs, truncated, sol):

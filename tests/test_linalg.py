@@ -361,6 +361,42 @@ def test_rref_nullspace_solve_match_dense_reference():
         assert all(type(x) is type(y) for r, s in zip(a, before) for x, y in zip(r, s))
 
 
+def test_solve_memo_gives_the_answers_of_no_memo(monkeypatch):
+    # one memo for every oracle matrix, each asked consistent and arbitrary
+    # right-hand sides in an order interleaved across the matrices: the
+    # answers of no memo, one entry per distinct matrix, no column pushed on
+    # a hit
+    rng, cases = _oracle_cases()
+    jobs = []
+    for a, _ in cases:
+        for _ in range(2):
+            x0 = [_random_entry(rng) if rng.random() < 0.5 else 0 for _ in a[0]]
+            jobs.append((a, [sum((Fraction(v) * w for v, w in zip(r, x0)), Fraction(0))
+                             for r in a]))
+            jobs.append((a, [_random_entry(rng) if rng.random() < 0.3 else 0 for _ in a]))
+    rng.shuffle(jobs)
+    factored = []
+
+    def counting_columns(rows, ncols, _columns=linalg._tagged_columns):
+        factored.append(len(rows))
+        return _columns(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_tagged_columns", counting_columns)
+    memo, seen, answers = {}, set(), []
+    for a, rhs in jobs:
+        key = tuple(map(tuple, a))
+        before = len(factored)
+        got = solve(a, rhs, memo)
+        assert len(factored) - before == (key not in seen)
+        seen.add(key)
+        assert got == solve(a, rhs)
+        answers.append(got)
+    # fewer entries than cases: [[0, 0, 0]] and [[Fraction(0)] * 3] are one matrix
+    assert len(memo) == len(seen) < len(cases)
+    assert len(factored) == len(seen) + len(jobs)
+    assert any(x is None for x in answers) and any(x is not None for x in answers)
+
+
 def _assert_same_as_fraction_elimination(rows, ncols, rhs_list):
     """rref, nullspace and solve equal the Fraction oracle exactly, with
     Fraction entries everywhere, and leave their input untouched."""
@@ -481,9 +517,9 @@ def test_integer_rows_match_fraction_elimination_on_pipeline_systems(monkeypatch
     # the pipeline solves them
     kernels, products, systems = [], [], []
 
-    def recording_solve(rows, rhs, _solve=solve):
+    def recording_solve(rows, rhs, memo=None, _solve=solve):
         systems.append(([list(r) for r in rows], list(rhs)))
-        return _solve(rows, rhs)
+        return _solve(rows, rhs, memo)
 
     ctx = wslice.slice_setup(load_algebra("sl21"))
     monkeypatch.setattr(wslice, "TaggedEchelon", _recording_tagged(kernels))
@@ -808,37 +844,51 @@ def _expand_filtered_reference(target, candidates, cap):
 
 
 def test_filtered_family_matches_per_target_reference(monkeypatch):
-    # every target of splitting_check(sl21, 4) and of the random roundtrip,
-    # plus targets that fail: the same coefficients and the same sequence
-    # of solve systems as the per-target reference
-    cases = []
+    # every target of splitting_check(sl21, 4) on one family per weight,
+    # reused as splitting_check reuses it, with targets that fail interleaved
+    # on one family of their own, and the random roundtrip on a family each:
+    # the same coefficients and the same sequence of solve systems as the
+    # per-target reference, so a memo hit changes no answer
+    cases, families = [], {}
 
     def recording_expand(target, family, _expand=expand_filtered):
-        cases.append((target, family.candidates, family.cap))
+        if id(family) not in families:
+            families[id(family)] = FilteredFamily(family.candidates, family.cap)
+        cases.append((target, families[id(family)]))
         return _expand(target, family)
 
     monkeypatch.setattr(wslice, "expand_filtered", recording_expand)
     assert wslice.splitting_check(wslice.slice_setup(load_algebra("sl21")), 4).ok
     monkeypatch.undo()
-    assert len(cases) > 50
-    cases.extend(_random_roundtrip_cases())
+    assert len(families) < 10 and len(cases) > 50
     alg = _poly_universe()
     u, v = alg.gen("u"), alg.gen("v")
-    cases += [(v.truncate(3), [u], 3), ((u + v ** 3).truncate(3), [u], 3),
-              ((u + u * v * Fraction(1, 3)).truncate(4), [u + u * v, v, u * v], 4)]
+    failing = FilteredFamily([u], 3)
+    for k, target in enumerate((v.truncate(3), (u + v ** 3).truncate(3)) * 5):
+        cases.insert(7 * k + 3, (target, failing))
+    cases += [(t, FilteredFamily(base, cap)) for t, base, cap in _random_roundtrip_cases()]
+    cases.append(((u + u * v * Fraction(1, 3)).truncate(4),
+                  FilteredFamily([u + u * v, v, u * v], 4)))
 
     calls = []
 
-    def recording_solve(rows, rhs, _solve=solve):
+    def recording_solve(rows, rhs, memo=None, _solve=solve):
         calls.append(([list(r) for r in rows], list(rhs)))
-        return _solve(rows, rhs)
+        return _solve(rows, rhs, memo)
 
     monkeypatch.setattr(linalg, "solve", recording_solve)
-    for target, candidates, cap in cases:
+    fails = solves = 0
+    for target, family in cases:
         calls.clear()
-        want = _expand_filtered_reference(target, candidates, cap)
+        want = _expand_filtered_reference(target, family.candidates, family.cap)
         want_calls = list(calls)
         calls.clear()
-        got = expand_filtered(target, FilteredFamily(candidates, cap))
+        got = expand_filtered(target, family)
         assert got == want
         assert calls == want_calls
+        fails += got is None
+        solves += len(calls)
+    assert fails == 10
+    # the shared families factor far fewer systems than are solved
+    factored = sum(len(f.memo) for f in (failing, *families.values()))
+    assert 0 < 10 * factored < solves
