@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
 from math import gcd, lcm
 
 from .linalg import Echelon
@@ -63,8 +62,8 @@ def _rat(x, what):
                        % (what, x))
 
 
-@dataclass(frozen=True)
-class LieSuperData:
+class LieSuperData(namedtuple("LieSuperData", "name names parities den ad "
+                              "form_den form triple_den triple")):
     """A validated Lie superalgebra with an even invariant form, as one
     sparse integer table.
 
@@ -77,15 +76,7 @@ class LieSuperData:
     triple.  Each denominator is the least one its rows allow.
     """
 
-    name: str
-    names: tuple
-    parities: tuple
-    den: int
-    ad: tuple  # ad[i][j]: the row of [x_i, x_j] over den
-    form_den: int
-    form: tuple  # form[i]: the row of (x_i, .) over form_den
-    triple_den: int
-    triple: tuple  # (e, h, f), rows over triple_den
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -308,8 +299,8 @@ def load_algebra(spec: str) -> LieSuperData:
                 raise AlgebraError(
                     "unknown algebra %r; bundled: %s" % (spec, ", ".join(BUNDLED))
                 )
-            ref = resources.files("superw").joinpath("catalog", spec + ".json")
-            raw = json.loads(ref.read_text(encoding="utf-8"))
+            raw = _read_json(os.path.join(os.path.dirname(__file__), "catalog",
+                                          spec + ".json"))
     return _from_json(raw)
 
 
@@ -442,13 +433,15 @@ def _from_json(raw) -> LieSuperData:
     return data
 
 
-@dataclass(frozen=True)
-class GradingData:
-    """Eigenvalue grading of ad(h) together with the centralizer of e."""
+class GradingData(namedtuple("GradingData", "grades weights ge_basis")):
+    """Eigenvalue grading of ad(h) together with the centralizer of e.
 
-    grades: tuple  # int per basis vector
-    weights: tuple  # grade + 2, the filtration weight per basis vector
-    ge_basis: tuple  # (grade, parity) per centralizer direction
+    ``grades`` is the int grade of each basis vector, ``weights`` the
+    filtration weight grade + 2 of each, and ``ge_basis`` one (grade,
+    parity) pair per centralizer direction.
+    """
+
+    __slots__ = ()
 
     def ge_weight_signature(self):
         """Sorted (weight, parity) pairs of the centralizer basis."""
@@ -530,16 +523,18 @@ def dynkin_grading(data: LieSuperData) -> GradingData:
     return GradingData(grades, tuple(g + 2 for g in grades), tuple(ge))
 
 
-@dataclass(frozen=True)
-class ChiData:
-    """The character chi = (e, .), a Lagrangian in degree -1, and the shift space."""
+class ChiData(namedtuple("ChiData", "chi den g1_indices l_indices m_indices "
+                         "theta_index")):
+    """The character chi = (e, .), a Lagrangian in degree -1, and the shift space.
 
-    chi: tuple  # integer numerator per basis vector, over den
-    den: int  # in lowest terms with chi
-    g1_indices: tuple  # basis indices in degree -1
-    l_indices: tuple  # chosen isotropic subset of g1_indices
-    m_indices: tuple  # degree <= -2 indices plus l_indices, ascending
-    theta_index: int | None  # leftover self-paired odd direction, if any
+    ``chi`` is an integer numerator per basis vector over ``den``, in lowest
+    terms; ``g1_indices`` are the basis indices in degree -1, ``l_indices``
+    the chosen isotropic subset of them, ``m_indices`` the degree <= -2
+    indices plus ``l_indices``, ascending, and ``theta_index`` the leftover
+    self-paired odd direction, or None.
+    """
+
+    __slots__ = ()
 
 
 def build_chi(data: LieSuperData, grading: GradingData, alt: bool = False) -> ChiData:

@@ -9,7 +9,6 @@ down for comparison against a lower-order run of the same pipeline.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -28,7 +27,7 @@ from .wslice import (
     whittaker_walgebra,
 )
 
-__all__ = ["main", "build_report", "truncate_report"]
+__all__ = ["main", "build_report"]
 
 
 # -- serialization ------------------------------------------------------
@@ -62,15 +61,6 @@ def _ser_chart(chart, order):
         "weight_homogeneous": chart.report["weight_homogeneous"],
         "ok": chart.report["ok"],
     }
-
-
-def _truncate_chart(section, n):
-    def cut(terms):
-        return [t for t in terms if t[2] <= n]
-    return dict(section,
-                entries=[dict(e, vars=[cut(v) for v in e["vars"]])
-                         for e in section["entries"]],
-                center_generators=[cut(c) for c in section["center_generators"]])
 
 
 def _ser_gens(gens):
@@ -173,7 +163,7 @@ def walgebra_report(algebra, order, guard=DEFAULT_GUARD, method="both", alt=Fals
         ok = ok and sl.ok
     if method == "both":
         cm = compare_realizations(ctx, order, slice_result=sl, whittaker_result=wh)
-        rep["compare"] = dataclasses.asdict(cm)
+        rep["compare"] = cm._asdict()
         ok = ok and cm.ok
     rep["ok"] = ok
     return rep
@@ -187,43 +177,6 @@ def build_report(kind, **kw):
     if kind not in builders:
         raise ValueError("unknown report kind %r" % kind)
     return builders[kind](**kw)
-
-
-def truncate_report(report, n):
-    """Project a report down to order ``n`` for rerun comparisons."""
-    kind = report.get("kind")
-    out = json.loads(json.dumps(report))  # deep copy, JSON-clean
-    if kind == "check":
-        return out
-    if kind == "darboux":
-        out["order"] = n
-        out["classical"] = _truncate_chart(report["classical"], n)
-        out["quantum"] = _truncate_chart(report["quantum"], n)
-        return out
-    if kind == "walgebra":
-        out["order"] = n
-
-        def cut(section):
-            wts = [g["weight"] for g in section.get("generators", [])]
-            for key in ("dims", "expected_dims"):
-                if key in section:
-                    section[key] = section[key][: n + 1]
-            if "generators" in section:
-                section["generators"] = [g for g in section["generators"]
-                                         if g["weight"] <= n]
-            if "products" in section:
-                section["products"] = {
-                    key: rows for key, rows in section["products"].items()
-                    if sum(wts[int(t)] for t in key.split(",")) <= n}
-            for key in ("new_counts", "expected_counts"):
-                if key in section:
-                    section[key] = {w: c for w, c in section[key].items() if int(w) <= n}
-        if "whittaker" in out:
-            cut(out["whittaker"])
-        if "slice" in out:
-            cut(out["slice"])
-        return out
-    return out
 
 
 # -- the property suite -------------------------------------------------

@@ -41,11 +41,11 @@ under the one stopping rule: :func:`odd_self_normalize` on its element and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .poisson import linear_split
-from .supercore import Series, pair_sum
+from .supercore import pair_sum
 
 # orders past the certified one at which the correction loops work
 DEFAULT_GUARD = 4
@@ -310,24 +310,25 @@ def odd_pair_project(B, f, g, a):
 # -- the full chart ----------------------------------------------------
 
 
-@dataclass
-class ChartEntry:
-    kind: str          # "even", "odd" (flat pair) or "self"
-    a: Series
-    b: Series = None
+class ChartEntry(namedtuple("ChartEntry", "kind a b", defaults=(None,))):
+    """One entry of a chart: ``kind`` is "even", "odd" (a flat pair) or
+    "self"; ``a`` and ``b`` are the pair's Series, ``b`` None for a self
+    entry."""
+
+    __slots__ = ()
 
     def variables(self):
         return (self.a,) if self.b is None else (self.a, self.b)
 
 
-@dataclass
 class Chart:
-    backend: object
-    order: int
-    cap: int
-    entries: list = field(default_factory=list)
-    center_gens: list = field(default_factory=list)
-    report: dict = None  # the certificate of build_chart
+    """A chart over ``backend``, certified through ``order`` and worked at
+    ``cap``: its entries, its centralizer generators and, once built, the
+    certificate of :func:`build_chart` as ``report``."""
+
+    def __init__(self, backend, order, cap):
+        self.backend, self.order, self.cap = backend, order, cap
+        self.entries, self.center_gens, self.report = [], [], None
 
     def chart_vars(self):
         return [v for e in self.entries for v in e.variables()]

@@ -16,7 +16,6 @@ integers, with no ``Fraction`` on the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import AlgebraError
@@ -184,14 +183,11 @@ class PoissonAlgebra:
         return bad
 
 
-@dataclass
 class SymplecticSplit:
     """Linear-level normal form of the constant part of the bracket."""
 
-    even_pairs: list = field(default_factory=list)
-    odd_pairs: list = field(default_factory=list)
-    selfs: list = field(default_factory=list)
-    radical: list = field(default_factory=list)
+    def __init__(self):
+        self.even_pairs, self.odd_pairs, self.selfs, self.radical = [], [], [], []
 
 
 def linear_split(poisson, vectors, seeds=None):

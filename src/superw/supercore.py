@@ -23,7 +23,6 @@ a term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -45,13 +44,14 @@ _MASK = _CAP - 1
 EXPONENT_LIMIT = _CAP
 
 
-@dataclass(frozen=True)
 class Variable:
-    ident: int
-    name: str
-    parity: int = EVEN
-    weight: int = 0
-    hbar: bool = False
+    """A generator of an Algebra: id, name, parity, weight, and the hbar flag."""
+
+    __slots__ = ("ident", "name", "parity", "weight", "hbar")
+
+    def __init__(self, ident, name, parity=EVEN, weight=0, hbar=False):
+        self.ident, self.name, self.parity = ident, name, parity
+        self.weight, self.hbar = weight, hbar
 
 
 class Algebra:

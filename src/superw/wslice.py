@@ -25,16 +25,13 @@ comparisons meaningful.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import lcm
 
 from .algebras import (
     HBAR,
     AlgebraError,
-    ChiData,
-    GradingData,
     LieSuperData,
     build_chi,
     dynkin_grading,
@@ -68,20 +65,16 @@ __all__ = [
 ]
 
 
-@dataclass
-class SliceContext:
-    """Shared universe for both W-algebra routes over one algebra."""
+class SliceContext(namedtuple("SliceContext", "data grading chi alg poisson star "
+                              "orig_of m_ids complement_ids quotient")):
+    """Shared universe for both W-algebra routes over one algebra.
 
-    data: LieSuperData
-    grading: GradingData
-    chi: ChiData
-    alg: Algebra
-    poisson: PoissonAlgebra
-    star: StarAlgebra  # hbar-squared deformation; U(g) is its fibre at hbar = 1
-    orig_of: tuple  # universe id -> original basis index
-    m_ids: frozenset
-    complement_ids: tuple
-    quotient: QuotientModule  # the left action on Q_chi, memoized per context
+    ``star`` is the hbar-squared deformation, U(g) its fibre at hbar = 1;
+    ``orig_of`` maps a universe id to its original basis index, and
+    ``quotient`` is the left action on Q_chi, memoized per context.
+    """
+
+    __slots__ = ()
 
     def m_gens(self):
         return [self.alg.gen(self.data.names[self.orig_of[i]])
@@ -304,18 +297,10 @@ def _word_basis(value, weights, parities, n_max):
     return words, basis, ranks
 
 
-@dataclass
-class WhittakerResult:
-    dims: list
-    gens: list  # (weight, parity, reduced Series)
-    new_counts: dict  # weight -> [even, odd]
-    expected_counts: dict
-    expected_dims: list
-    counts_ok: bool
-    dims_ok: bool
-    missing: list
-    invariants: list  # (weight, parity, Series), one per kernel vector
-    ok: bool
+# gens: (weight, parity, reduced Series); new_counts: weight -> [even, odd];
+# invariants: (weight, parity, Series), one per kernel vector
+WhittakerResult = namedtuple("WhittakerResult", "dims gens new_counts expected_counts "
+                             "expected_dims counts_ok dims_ok missing invariants ok")
 
 
 def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
@@ -425,16 +410,10 @@ def whittaker_walgebra(ctx: SliceContext, n_max: int) -> WhittakerResult:
     )
 
 
-@dataclass
-class SliceResult:
-    dims: list
-    gens: list  # (weight, parity, reduced Series)
-    products: dict  # (i, j) -> list of (sparse word, Fraction); word = ((k, e), ...)
-    chart_report: dict
-    invariance_ok: bool
-    products_ok: bool
-    ok: bool
-    qc: object = field(repr=False, default=None)
+# gens: (weight, parity, reduced Series); products: (i, j) -> list of
+# (sparse word, Fraction), a word ((k, e), ...); qc: the quantum chart
+SliceResult = namedtuple("SliceResult", "dims gens products chart_report invariance_ok "
+                         "products_ok ok qc", defaults=(None,))
 
 
 def _chart_wgens(qc):
@@ -521,14 +500,8 @@ def slice_walgebra(ctx: SliceContext, order: int, qc=None) -> SliceResult:
     )
 
 
-@dataclass
-class CompareResult:
-    dims_equal: bool
-    counts_equal: bool
-    invariance_ok: bool
-    span_ok: bool
-    blocks_ok: bool
-    ok: bool
+CompareResult = namedtuple("CompareResult", "dims_equal counts_equal invariance_ok "
+                           "span_ok blocks_ok ok")
 
 
 def compare_realizations(ctx: SliceContext, n_max: int, slice_result=None,
@@ -580,12 +553,7 @@ def compare_realizations(ctx: SliceContext, n_max: int, slice_result=None,
     )
 
 
-@dataclass
-class SplitResult:
-    ok: bool
-    checked: int
-    coeff_failures: list
-    recon_failures: list
+SplitResult = namedtuple("SplitResult", "ok checked coeff_failures recon_failures")
 
 
 def splitting_check(ctx: SliceContext, n_max: int, k: int = 2,
@@ -681,21 +649,9 @@ def _closure_ok(gen_words, weights, parities, order):
     return True
 
 
-@dataclass
-class CliffordResult:
-    signature: list
-    expected_signature: list
-    sig_ok: bool
-    dims: list
-    rank_ok: bool
-    even_vars_ok: bool
-    standalone_match: bool
-    sub_compare_ok: bool
-    closure_ok: bool
-    clifford_count: int
-    factor_sig_ok: bool
-    linear_span_ok: bool
-    ok: bool
+CliffordResult = namedtuple("CliffordResult", "signature expected_signature sig_ok dims "
+                            "rank_ok even_vars_ok standalone_match sub_compare_ok "
+                            "closure_ok clifford_count factor_sig_ok linear_span_ok ok")
 
 
 def clifford_factorization(ctx: SliceContext, order: int, qc=None) -> CliffordResult:

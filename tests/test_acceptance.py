@@ -4,7 +4,6 @@ Every comparison is exact -- rational arithmetic throughout, tolerance zero.
 Expected tables are frozen from independent derivations (direct counting,
 hand reduction in the rank-one cases) rather than from the code under test.
 """
-import dataclasses
 import itertools
 import json
 import random
@@ -12,7 +11,7 @@ import time
 from fractions import Fraction
 
 from superw.algebras import load_algebra
-from superw.cli import build_report, truncate_report
+from superw.cli import build_report
 from superw.darboux import equivariant_darboux
 from superw.starprod import quantum_darboux
 from superw.supercore import EVEN, ODD
@@ -26,6 +25,7 @@ from superw.wslice import (
     whittaker_walgebra,
 )
 from test_starprod import enveloping_product
+from truncation import truncate_report
 
 ALGEBRAS = ("sl2", "gl11", "osp12", "sl21")
 CHARTED = ("sl2", "osp12", "sl21")  # gl11 has a trivial grading, no chart run
@@ -222,7 +222,7 @@ def _perturbed(sl, idx, extra):
     gens = list(sl.gens)
     w, p, s = gens[idx]
     gens[idx] = (w, p, s + extra)
-    return dataclasses.replace(sl, gens=gens)
+    return sl._replace(gens=gens)
 
 
 def test_criterion_05_cross_validation():

@@ -1,21 +1,24 @@
 """Command-line interface: exit codes, determinism, truncation stability."""
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from superw import cli, wslice
 from superw.algebras import load_algebra
-from superw.cli import build_report, main, truncate_report
+from superw.cli import build_report, main
 from superw.darboux import Chart, DarbouxError, equivariant_darboux
 from superw.poisson import PoissonAlgebra
 from superw.starprod import QuantumChart, StarAlgebra
 from superw.wslice import slice_setup
+from truncation import truncate_report
 
 CATALOG_SL2 = {
     "name": "sl2x",
@@ -219,6 +222,36 @@ def test_env_catalog_replaces_bundled(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SUPERW_CATALOG")
     code, _ = run_main(capsys, "check", "--algebra", "sl2")
     assert code == 0
+
+
+def _superw_from(cwd, *argv):
+    """``python -S -m superw.cli *argv`` run in ``cwd``, so the package
+    imported is the one there: no site packages, no PYTHONPATH and no
+    catalog override."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "SUPERW_CATALOG")}
+    return subprocess.run([sys.executable, "-S", "-m", "superw.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_bundled_catalog_is_read_next_to_the_package(tmp_path):
+    # a copy of the package outside the checkout, as a non-editable install
+    # has, reads its own catalog files
+    package = Path(cli.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "superw",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    here = _superw_from(package.parent, "check", "--algebra", "sl21")
+    there = _superw_from(tmp_path, "check", "--algebra", "sl21")
+    assert here.returncode == there.returncode == 0, there.stderr
+    assert there.stdout == here.stdout
+    # a bundled file missing from the copy is error JSON naming the file
+    missing = tmp_path.resolve() / "superw" / "catalog" / "sl2.json"
+    missing.unlink()
+    proc = _superw_from(tmp_path, "check", "--algebra", "sl2")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    rep = json.loads(proc.stdout)
+    assert rep["ok"] is False
+    assert rep["error"].startswith("cannot read algebra file %s: " % missing)
 
 
 @pytest.mark.parametrize("make", ["missing", "empty"])

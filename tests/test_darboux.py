@@ -1,7 +1,7 @@
 """Classical normalization: pair flattening, projections, full charts."""
 
+import copy
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -253,6 +253,13 @@ def _reference(residuals, level):
     failures = [(tag, i, j, r.eff_deg()) for tag, i, j, r in residuals
                 if r.eff_deg() is not None and r.eff_deg() <= level]
     return not failures, failures
+
+
+def replace(chart, **changes):
+    """A shallow copy of ``chart``, of its class, with ``changes`` set."""
+    out = copy.copy(chart)
+    vars(out).update(changes)
+    return out
 
 
 def _certificate(chart, level):

@@ -1,6 +1,9 @@
 """The package is exact and stdlib-only: every import of a module of
-``superw`` is relative or from the standard library, and no float appears."""
+``superw`` is relative or from the standard library, and no float appears;
+importing it loads no standard-library machinery that no command uses."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +33,14 @@ def test_module_is_exact_and_stdlib_only(path):
             assert node.id != "float", (path.name, node.lineno)
         if isinstance(node, ast.Constant):
             assert not isinstance(node.value, (float, complex)), (path.name, node.lineno)
+
+
+def test_import_loads_no_dataclasses_inspect_or_resources():
+    # -S keeps site .pth files from importing these before superw does
+    code = ("import sys, superw.cli; print([m for m in ('dataclasses', 'inspect', "
+            "'importlib.resources') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -18,8 +18,9 @@ import json
 import pytest
 
 from superw.algebras import load_algebra
-from superw.cli import build_report, main, truncate_report
+from superw.cli import build_report, main
 from superw.wslice import slice_setup, splitting_check
+from truncation import truncate_report
 
 
 def gl_json(m, n, triple):

@@ -6,7 +6,7 @@ and solving the invariance conditions in exact rational arithmetic; the
 tests require byte-exact agreement.
 """
 import contextlib
-import dataclasses
+import copy
 import inspect
 import io
 import itertools
@@ -181,7 +181,7 @@ def _perturbed(ctx, sl, idx, extra):
     w, p, s = gens[idx]
     gens[idx] = (w, p, s + extra)
     invariant = wslice._m_invariant(ctx, [g for _, _, g in gens])
-    return dataclasses.replace(sl, gens=gens, invariance_ok=invariant)
+    return sl._replace(gens=gens, invariance_ok=invariant)
 
 
 def test_compare_detects_noninvariant_perturbation():
@@ -289,10 +289,10 @@ def test_clifford_linear_span_check_compares_spans():
     (pair,) = [e for e in qc.entries if e.kind == "odd"]
 
     def with_odd_pair(a, b):
-        entries = [dataclasses.replace(e, a=a, b=b) if e is pair else e
-                   for e in qc.entries]
-        return clifford_factorization(ctx, order,
-                                      qc=dataclasses.replace(qc, entries=entries))
+        chart = copy.copy(qc)
+        chart.entries = [e._replace(a=a, b=b) if e is pair else e
+                         for e in qc.entries]
+        return clifford_factorization(ctx, order, qc=chart)
 
     # another basis of the same span passes
     same = with_odd_pair(pair.a + pair.b, pair.b)
