@@ -414,15 +414,16 @@ def equivariant_darboux(P, order, seeds=None, guard=DEFAULT_GUARD, plan=None):
     """Build a Darboux chart: even pairs, then odd pairs, then odd square
     roots; everything left over is projected into the centralizer.
 
-    With ``seeds`` the chart is built only around those directions and the
-    rest of the space becomes centralizer generators; without seeds the
-    whole constant symplectic part is flattened.  A precomputed ``plan``
-    (a :func:`superw.poisson.linear_split` result) replaces the internal
-    linear splitting.
+    The chart is built around the ``seeds`` directions, each flattened with
+    a partner, and the rest of the space becomes self entries and
+    centralizer generators; a precomputed ``plan`` (a
+    :func:`superw.poisson.linear_split` result) replaces that splitting.
     """
     if plan is None:
+        if seeds is None:
+            raise TypeError("equivariant_darboux needs seeds or a plan")
         vectors = [P.alg.gen(v.name) for v in P.alg.variables if not v.hbar]
-        plan = linear_split(P, vectors, seeds=seeds)
+        plan = linear_split(P, vectors, seeds)
     entries = ([("even", p) for p in plan.even_pairs]
                + [("odd", p) for p in plan.odd_pairs]
                + [("self", (u,)) for u in plan.selfs])

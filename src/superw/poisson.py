@@ -24,16 +24,17 @@ from .supercore import EVEN, ODD, merge_numerators, pair_sum
 
 
 class BracketTable:
-    """Brackets of generators, stored for i <= j and extended by symmetry.
+    """Brackets of generators, given for i <= j and extended by symmetry.
 
-    ``entries[(i, j)]`` is the bracket of generator i with generator j.  The
-    (i, i) diagonal is only allowed for odd generators (for an even x the
-    bracket of x with itself vanishes identically).
+    ``entries[(i, j)]`` is the bracket of generator i with generator j, for
+    i <= j; ``entry`` reads either order, the swapped one stored once with
+    its sign.  The (i, i) diagonal is only allowed for odd generators (for
+    an even x the bracket of x with itself vanishes identically).
     """
 
     def __init__(self, alg, entries):
         self.alg = alg
-        self.entries = {}
+        self.entries, self._signed = {}, {}
         for (i, j), s in entries.items():
             if i > j:
                 raise ValueError("store entries with i <= j")
@@ -46,7 +47,9 @@ class BracketTable:
                 want = pi ^ pj
                 if s.parity() not in (None, want):
                     raise ValueError(f"entry ({i},{j}) has wrong parity")
-                self.entries[(i, j)] = s
+                self.entries[(i, j)] = self._signed[(i, j)] = s
+                self._signed[(j, i)] = s if pi and pj else -s
+        self._zero = alg.zero()
         effs = [s.eff_deg() for s in self.entries.values() if not s.is_zero()]
         self.min_entry_eff = min(effs) if effs else None
         # a bracket replaces two generators by a table entry, so it can lower
@@ -55,14 +58,7 @@ class BracketTable:
 
     def entry(self, i, j):
         """Bracket of generator i with generator j, any order of arguments."""
-        if i <= j:
-            return self.entries.get((i, j), self.alg.zero())
-        s = self.entries.get((j, i))
-        if s is None:
-            return self.alg.zero()
-        pi = self.alg.by_id[i].parity
-        pj = self.alg.by_id[j].parity
-        return s if (pi and pj) else -s
+        return self._signed.get((i, j), self._zero)
 
     def check_weights(self, shift):
         """Entries breaking weight additivity (expected shift included)."""
@@ -190,66 +186,40 @@ class SymplecticSplit:
         self.even_pairs, self.odd_pairs, self.selfs, self.radical = [], [], [], []
 
 
-def linear_split(poisson, vectors, seeds=None):
+def linear_split(poisson, vectors, seeds):
     """Darboux normal form of the pairing <u,v> = {u,v}(0) on a list of
-    linear elements.
+    linear elements, around the seed vectors.
 
-    Pairs are formed for the seed vectors, or for every vector in order
-    when no seeds are given; each takes the first available partner among
-    the rest.  Every seed must be isotropic and find a partner.  In an
-    unseeded run a vector with nonzero self-pairing (necessarily odd) is
-    not paired: the rest is projected orthogonal to it and it is left
-    unpaired.  If its self-pairing is not a rational square, the first
-    remaining odd vector whose self-pairing is one is taken in its place.
-    The vectors left unpaired (the non-seeds left over, in a seeded run)
-    are then classified by one rule: an odd vector with nonzero
-    self-pairing is orthogonalized against the earlier self-paired ones and
-    scaled to pairing 1, anything else goes to the radical if it adds to
-    the span of the radical so far, so the radical is a basis.  In an
-    unseeded run the unpaired vectors are already mutually orthogonal.
+    Each seed takes the first available partner among the non-seeds; every
+    seed must be isotropic and find a partner.  The non-seeds left over are
+    then classified by one rule: an odd vector with nonzero self-pairing is
+    orthogonalized against the earlier self-paired ones and scaled to
+    pairing 1, anything else goes to the radical if it adds to the span of
+    the radical so far, so the radical is a basis.
     """
 
     def pair(u, v):
         return poisson.bracket(u, v).constant_term()
 
+    todo = list(seeds)
     work = []
     for v in vectors:
         if v.parity() == "mixed":
             raise ValueError("linear_split needs parity-homogeneous vectors")
-        if not v.is_zero():
+        if not v.is_zero() and v not in todo:
             work.append(v)
-    todo = work
-    if seeds is not None:
-        todo = list(seeds)
-        work = [w for w in work if w not in todo]
 
     out = SymplecticSplit()
-    unpaired = []
     while todo:
         u = todo.pop(0)
         if u.is_zero():
             continue
         row = [pair(u, w) for w in work]
-        hits = [k for k, c in enumerate(row) if c]
-        if not hits:
-            if todo is not work:
-                raise AlgebraError("seed vector has no symplectic partner")
-            unpaired.append(u)
-            continue
-        c = pair(u, u)
-        if c:
-            if todo is not work:
-                raise AlgebraError("cannot seed a pair with a non-isotropic vector")
-            if rational_sqrt(c) is None:
-                for k, w in enumerate(work):
-                    d = pair(w, w)
-                    if d and rational_sqrt(d) is not None:
-                        u, work[k], c = w, u, d
-                        break
-            work[:] = [w - u * (pair(u, w) / c) for w in work]
-            unpaired.append(u)
-            continue
-        k = hits[0]
+        k = next((k for k, c in enumerate(row) if c), None)
+        if k is None:
+            raise AlgebraError("seed vector has no symplectic partner")
+        if pair(u, u):
+            raise AlgebraError("cannot seed a pair with a non-isotropic vector")
         v = work.pop(k) * (Fraction(1) / row[k])
         if u.parity() == ODD:
             v = v - u * (pair(v, v) / 2)
@@ -258,12 +228,11 @@ def linear_split(poisson, vectors, seeds=None):
         else:
             out.even_pairs.append((u, v))
             project = lambda w: w - v * pair(u, w) + u * pair(v, w)
-        work[:] = map(project, work)
-        if todo is not work:
-            todo[:] = map(project, todo)
+        work = list(map(project, work))
+        todo = list(map(project, todo))
 
     radical = Echelon()
-    for w in unpaired + work:
+    for w in work:
         if w.is_zero():
             continue
         if w.parity() == ODD and pair(w, w):

@@ -74,15 +74,12 @@ class LeftAction:
         self.k = k
         self._act_memo = {}
         self._word_memo = {}
-        self._brackets = {}
 
     def _add_bracket(self, groups, v, x, rest, c):
         """Add c times hbar^s [v, x]·rest to ``groups``: each monomial of the
-        table entry [v, x], kept per (v, x), is a word that ``_word`` puts
-        in front of hbar^s rest."""
-        entry = self._brackets.get((v, x))
-        if entry is None:
-            entry = self._brackets[(v, x)] = self.table.entry(v, x)
+        table entry [v, x] is a word that ``_word`` puts in front of hbar^s
+        rest."""
+        entry = self.table.entry(v, x)
         if self.unit_level:
             alg = self.alg
             rest, e = alg.split_hbar(rest)

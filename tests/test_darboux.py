@@ -167,22 +167,21 @@ def test_full_charts_catalog():
         # every shift direction is consumed by a flat pair
         npairs = sum(1 for e in chart.entries if e.kind in ("even", "odd"))
         assert npairs == len(ctx.m_gens())
-
-
-def test_full_flatten_unseeded_sl2():
-    ctx = slice_setup(load_algebra("sl2"))
-    chart = equivariant_darboux(ctx.poisson, 4)
-    assert chart.verify()["ok"]
-    assert len(chart.center_gens) == 1
-    # the surviving generator is the Casimir direction: weight 4
-    assert chart.center_gens[0].weights() == [4]
+        # one centralizer generator per direction of g^e
+        assert len(chart.center_gens) == len(ctx.grading.ge_basis)
+        if name == "sl2":
+            # the surviving generator is the Casimir direction: weight 4
+            assert chart.center_gens[0].weights() == [4]
+    # no default builds a chart around directions the caller did not name
+    with pytest.raises(TypeError, match="needs seeds or a plan"):
+        equivariant_darboux(ctx.poisson, 4)
 
 
 def test_chart_via_subspace():
     ctx = slice_setup(load_algebra("osp12"))
     P = ctx.poisson
     plan = linear_split(P, [P.alg.gen(v.name) for v in P.alg.variables
-                            if not v.hbar])
+                            if not v.hbar], ctx.m_gens())
     chart = equivariant_darboux(P, 3, plan=plan)
     assert chart.verify()["ok"]
     dims = (2 * len(plan.even_pairs), 2 * len(plan.odd_pairs) + len(plan.selfs))

@@ -178,7 +178,7 @@ def test_linear_split_sl2():
     ctx = get_ctx("sl2")
     P = ctx.poisson
     gens = [P.alg.gen(v.name) for v in P.alg.variables if not v.hbar]
-    sp = linear_split(P, gens)
+    sp = linear_split(P, gens, ctx.m_gens())
     assert len(sp.even_pairs) == 1
     assert sp.odd_pairs == [] and sp.selfs == []
     assert len(sp.radical) == 1
@@ -191,12 +191,33 @@ def test_linear_split_osp12():
     ctx = get_ctx("osp12")
     P = ctx.poisson
     gens = [P.alg.gen(v.name) for v in P.alg.variables if not v.hbar]
-    sp = linear_split(P, gens)
+    sp = linear_split(P, gens, ctx.m_gens())
     assert len(sp.even_pairs) == 1
     assert len(sp.selfs) == 1
     assert len(sp.radical) == 2
     th = sp.selfs[0]
     assert P.bracket(th, th).constant_term() == 1
+
+
+def test_seeded_split_flattens_the_whole_pairing(tmp_path):
+    # around the shift directions, as every command builds its chart, the
+    # split flattens all of the chi-pairing: a Darboux basis whose radical
+    # has the dimension of g^e
+    specs = list(ALGEBRAS)
+    for m, n in ((2, 1), (3, 2)):
+        path = tmp_path / ("gl%d%d.json" % (m, n))
+        path.write_text(json.dumps(gl_json(m, n, E12_TRIPLE)), encoding="utf-8")
+        specs.append(str(path))
+    for spec in specs:
+        ctx = slice_setup(load_algebra(spec))
+        P, alg = ctx.poisson, ctx.alg
+        gens = [alg.gen(v.name) for v in alg.variables if not v.hbar]
+        sp = linear_split(P, gens, ctx.m_gens())
+        ge = len(ctx.grading.ge_basis)
+        pairs = len(sp.even_pairs) + len(sp.odd_pairs)
+        assert 2 * pairs + len(sp.selfs) == ctx.data.dim - ge, spec
+        assert len(sp.radical) == ge, spec
+        _assert_darboux_basis(P, gens, [sp.even_pairs, sp.odd_pairs, sp.selfs, sp.radical])
 
 
 def test_linear_split_seeded():
@@ -207,7 +228,6 @@ def test_linear_split_seeded():
                       seeds=list(mbar))
     assert len(sp.even_pairs) == 1
     assert sp.even_pairs[0][0] == mbar[0]
-    # seeded and unseeded runs agree on sizes here
     assert len(sp.radical) == 1
 
 
@@ -236,33 +256,12 @@ def test_linear_split_nonisotropic_seed():
         linear_split(P, [alg.gen("a"), alg.gen("b")], seeds=[alg.gen("a")])
 
 
-def test_linear_split_unseeded_self_paired_vectors_split_off():
-    # {a,a} = 1, {a,b} = 1, {b,b} = 2: x^2 + 2xy + 2y^2 = (x + y)^2 + y^2,
-    # so a and b - a are an orthonormal basis in either input order, though
-    # b alone has the non-square self-pairing 2
-    alg = Algebra([Variable(0, "a", ODD), Variable(1, "b", ODD)])
-    t = BracketTable(alg, {(0, 0): alg.one(), (0, 1): alg.one(), (1, 1): alg.const(2)})
-    P = PoissonAlgebra(alg, t)
-    a, b = alg.gen("a"), alg.gen("b")
-
-    def pair(u, v):
-        return P.bracket(u, v).constant_term()
-
-    for vectors in ([a, b], [b, a], [a, b - a]):
-        sp = linear_split(P, vectors)
-        assert not (sp.even_pairs or sp.odd_pairs or sp.radical)
-        assert len(sp.selfs) == 2
-        u, v = sp.selfs
-        assert pair(u, u) == pair(v, v) == 1 and pair(u, v) == 0
-        assert sp.selfs == [a, b - a]
-
-
 def test_linear_split_radical_is_a_basis(tmp_path):
     # dependent inputs used to leave a repeated radical: [e, e] on sl2
     ctx = get_ctx("sl2")
     alg = ctx.alg
     e, h, f = (alg.gen(n) for n in ("e", "h", "f"))
-    assert linear_split(ctx.poisson, [e, h, f, e + 2 * h]).radical == [e]
+    assert linear_split(ctx.poisson, [e, h, f, e + 2 * h], ctx.m_gens()).radical == [e]
 
     rng = random.Random(29)
     checked = 0
@@ -271,16 +270,16 @@ def test_linear_split_radical_is_a_basis(tmp_path):
         gens = [alg.gen(v.name) for v in alg.variables if not v.hbar]
         for _ in range(4):
             vectors = _recombine(rng, alg, gens) + _recombine(rng, alg, gens)
-            for seeds in (None, ctx.m_gens()):
-                try:
-                    sp = linear_split(P, vectors, seeds=seeds)
-                except AlgebraError:
-                    continue
-                pairs = len(sp.even_pairs) + len(sp.odd_pairs)
-                rank = _rank(vectors + (seeds or []))
-                assert len(sp.radical) == rank - 2 * pairs - len(sp.selfs)
-                assert _rank(sp.radical) == len(sp.radical)
-                checked += 1
+            seeds = ctx.m_gens()
+            try:
+                sp = linear_split(P, vectors, seeds=seeds)
+            except AlgebraError:
+                continue
+            pairs = len(sp.even_pairs) + len(sp.odd_pairs)
+            rank = _rank(vectors + seeds)
+            assert len(sp.radical) == rank - 2 * pairs - len(sp.selfs)
+            assert _rank(sp.radical) == len(sp.radical)
+            checked += 1
     assert checked >= 50
 
 
@@ -289,14 +288,14 @@ def test_linear_split_irrational_self_pairing():
     t = BracketTable(alg, {(0, 0): alg.const(3)})
     P = PoissonAlgebra(alg, t)
     with pytest.raises(ValueError):
-        linear_split(P, [alg.gen("a")])
+        linear_split(P, [alg.gen("a")], seeds=[])
 
 
 def test_linear_split_mixed_parity_rejected():
     alg = _toy_universe()
     P = PoissonAlgebra(alg, BracketTable(alg, {(0, 1): alg.one()}))
     with pytest.raises(ValueError):
-        linear_split(P, [alg.gen("p") + alg.gen("t1")])
+        linear_split(P, [alg.gen("p") + alg.gen("t1")], seeds=[])
 
 
 def test_split_takes_first_partner():
@@ -308,7 +307,7 @@ def test_split_takes_first_partner():
     t = BracketTable(alg, {(0, 1): alg.one(), (0, 2): alg.one()})
     P = PoissonAlgebra(alg, t)
     gens = [alg.gen("u"), alg.gen("v1"), alg.gen("v2")]
-    sp = linear_split(P, gens)
+    sp = linear_split(P, gens, seeds=[alg.gen("u")])
     assert sp.even_pairs == [(alg.gen("u"), alg.gen("v1"))]
     assert sp.radical == [alg.gen("v2") - alg.gen("v1")]
 
@@ -362,16 +361,14 @@ def test_brackets_of_1500_factors_run_without_deep_recursion():
 # -- the split against the two-branch version it replaced -------------------
 
 
-def _reference_linear_split(poisson, vectors, seeds=None):
+def _reference_linear_split(poisson, vectors, seeds):
     """Darboux normal form of the pairing <u,v> = {u,v}(0) on a list of
     linear elements.
 
-    With ``seeds`` given, pairs are formed only for the seed vectors (each
-    seed must find a partner among the rest, and seeds must be isotropic);
-    everything left over is orthogonalized against the pairs and classified
-    as self-paired (odd, nonzero self-pairing, scaled to pairing 1) or
-    radical.  Without seeds every vector is processed in order, and each
-    takes the first available partner.
+    Pairs are formed only for the seed vectors (each seed must find a
+    partner among the rest, and seeds must be isotropic); everything left
+    over is orthogonalized against the pairs and classified as self-paired
+    (odd, nonzero self-pairing, scaled to pairing 1) or radical.
     """
 
     def pair(u, v):
@@ -383,23 +380,13 @@ def _reference_linear_split(poisson, vectors, seeds=None):
             raise ValueError("linear_split needs parity-homogeneous vectors")
         if not v.is_zero():
             work.append(v)
-    if seeds is None:
-        queue = None
-    else:
-        queue = list(seeds)
-        for s in queue:
-            work = [w for w in work if w != s]
+    queue = list(seeds)
+    for s in queue:
+        work = [w for w in work if w != s]
 
     out = SymplecticSplit()
-    while True:
-        if queue is not None:
-            if not queue:
-                break
-            u = queue.pop(0)
-        else:
-            if not work:
-                break
-            u = work.pop(0)
+    while queue:
+        u = queue.pop(0)
         if u.is_zero():
             continue
         odd = u.parity() == ODD
@@ -408,10 +395,8 @@ def _reference_linear_split(poisson, vectors, seeds=None):
         if not hits:
             if odd and pair(u, u):
                 out.selfs.append(u)
-            elif queue is not None:
-                raise AlgebraError("seed vector has no symplectic partner")
             else:
-                out.radical.append(u)
+                raise AlgebraError("seed vector has no symplectic partner")
             continue
         if pair(u, u):
             raise AlgebraError("cannot seed a pair with a non-isotropic vector")
@@ -421,51 +406,27 @@ def _reference_linear_split(poisson, vectors, seeds=None):
             v = v - u * (pair(v, v) / 2)
             out.odd_pairs.append((u, v))
             work = [w - u * pair(v, w) - v * pair(u, w) for w in work]
-            if queue is not None:
-                queue = [w - u * pair(v, w) - v * pair(u, w) for w in queue]
+            queue = [w - u * pair(v, w) - v * pair(u, w) for w in queue]
         else:
             out.even_pairs.append((u, v))
             work = [w - v * pair(u, w) + u * pair(v, w) for w in work]
-            if queue is not None:
-                queue = [w - v * pair(u, w) + u * pair(v, w) for w in queue]
+            queue = [w - v * pair(u, w) + u * pair(v, w) for w in queue]
 
     # classify whatever is left after seeded pairing
-    if queue is not None:
-        rest = []
-        for w in work:
-            if w.is_zero():
-                continue
-            if w.parity() == ODD and pair(w, w):
-                for t in out.selfs:
-                    w = w - t * pair(t, w)
-                c = pair(w, w)
-                if not c:
-                    rest.append(w)
-                    continue
+    for w in work:
+        if w.is_zero():
+            continue
+        if w.parity() == ODD and pair(w, w):
+            for t in out.selfs:
+                w = w - t * pair(t, w)
+            c = pair(w, w)
+            if c:
                 r = rational_sqrt(Fraction(1) / c)
                 if r is None:
                     raise AlgebraError("self-pairing is not a rational square")
                 out.selfs.append(w * r)
-            else:
-                rest.append(w)
-        out.radical.extend(rest)
-    else:
-        selfs = []
-        radical = []
-        for w in out.selfs + out.radical:
-            if w.parity() == ODD:
-                for t in selfs:
-                    w = w - t * pair(t, w)
-                c = pair(w, w)
-                if c:
-                    r = rational_sqrt(Fraction(1) / c)
-                    if r is None:
-                        raise AlgebraError("self-pairing is not a rational square")
-                    selfs.append(w * r)
-                    continue
-            radical.append(w)
-        out.selfs = selfs
-        out.radical = radical
+                continue
+        out.radical.append(w)
     return out
 
 
@@ -488,8 +449,6 @@ _KEEP_LINE = _reference_linear_split.__code__.co_firstlineno + next(
 def _reference_outcome(P, vectors, seeds):
     """The reference's outcome, and whether it kept a seed that paired with
     nothing as a self-paired vector (the case the one-path split rejects)."""
-    if seeds is None:
-        return _split_outcome(_reference_linear_split, P, vectors, seeds), False
     code = _reference_linear_split.__code__
     kept = []
 
@@ -575,22 +534,19 @@ def _oracle_universes(tmp_path):
 
 
 def test_linear_split_matches_reference(tmp_path):
-    # identical to the two-branch version everywhere, except that a seed
-    # pairing with nothing but itself now raises instead of being kept, and
-    # that an unseeded self-paired vector with a partner is split off
-    # instead of raising: the split is then a Darboux basis, or the only
-    # error left is a self-pairing that is not a rational square; the
+    # identical to the version it replaced everywhere, except that a seed
+    # pairing with nothing but itself now raises instead of being kept; the
     # reference's radical is compared as the basis it spans
     rng = random.Random(13)
-    cases = raised = rejected = mended = reduced = 0
+    cases = raised = rejected = reduced = 0
     for ctx in _oracle_universes(tmp_path):
         P, alg = ctx.poisson, ctx.alg
         gens = [alg.gen(v.name) for v in alg.variables if not v.hbar]
-        inputs = [(gens, None), (gens, ctx.m_gens()), (gens, ctx.even_m_gens())]
+        inputs = [(gens, ctx.m_gens()), (gens, ctx.even_m_gens()), (gens, [])]
         for trial in range(60):
             vectors = _recombine(rng, alg, gens)
             if trial % 2:
-                inputs.append((vectors, None))
+                inputs.append((vectors, ctx.m_gens() if trial % 4 == 1 else []))
             elif trial % 4:
                 inputs.append((vectors, rng.sample(vectors, rng.randint(1, 3))))
             else:
@@ -607,13 +563,8 @@ def test_linear_split_matches_reference(tmp_path):
             if kept:
                 rejected += want != got
                 assert got == (AlgebraError, "seed vector has no symplectic partner")
-            elif seeds is None and want == (
-                    AlgebraError, "cannot seed a pair with a non-isotropic vector"):
-                if got != (AlgebraError, "self-pairing is not a rational square"):
-                    mended += 1
-                    _assert_darboux_basis(P, vectors, got)
             else:
                 assert got == want, (ctx.data.name, vectors, seeds)
     assert cases == 14 * 63
     assert 0 < rejected < raised < cases
-    assert mended > 0 and reduced > 0
+    assert reduced > 0
