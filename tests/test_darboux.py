@@ -169,12 +169,18 @@ def test_full_charts_catalog():
         assert npairs == len(ctx.m_gens())
         # one centralizer generator per direction of g^e
         assert len(chart.center_gens) == len(ctx.grading.ge_basis)
-        if name == "sl2":
-            # the surviving generator is the Casimir direction: weight 4
-            assert chart.center_gens[0].weights() == [4]
+
+
+def test_full_flatten_unseeded_sl2():
+    ctx = slice_setup(load_algebra("sl2"))
     # no default builds a chart around directions the caller did not name
     with pytest.raises(TypeError, match="needs seeds or a plan"):
         equivariant_darboux(ctx.poisson, 4)
+    chart = equivariant_darboux(ctx.poisson, 4, seeds=ctx.m_gens())
+    assert chart.verify()["ok"]
+    assert len(chart.center_gens) == 1
+    # the surviving generator is the Casimir direction: weight 4
+    assert chart.center_gens[0].weights() == [4]
 
 
 def test_chart_via_subspace():
