@@ -235,20 +235,13 @@ def extract_even_subalgebra(data: LieSuperData) -> LieSuperData:
     return sub
 
 
-def _catalog_dir():
-    env = os.environ.get("SUPERW_CATALOG")
-    if env:
-        return env
-    return None
-
-
 def catalog_names():
     """Names resolvable without a path, honoring the SUPERW_CATALOG override.
 
     An override naming a directory that cannot be listed or holds no
     ``.json`` file raises AlgebraError naming the directory.
     """
-    env = _catalog_dir()
+    env = os.environ.get("SUPERW_CATALOG")
     if not env:
         return BUNDLED
     try:
@@ -288,7 +281,7 @@ def load_algebra(spec: str) -> LieSuperData:
     if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
         raw = _read_json(spec)
     else:
-        env = _catalog_dir()
+        env = os.environ.get("SUPERW_CATALOG")
         if env:
             path = os.path.join(env, spec + ".json")
             if not os.path.isfile(path):

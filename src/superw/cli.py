@@ -150,7 +150,7 @@ def walgebra_report(algebra, order, guard=DEFAULT_GUARD, method="both", alt=Fals
         }
         ok = ok and wh.ok
     if method in ("slice", "both"):
-        sl = slice_walgebra(ctx, order, qc=ctx.quantum_chart(order, guard))
+        sl = slice_walgebra(ctx, order, ctx.quantum_chart(order, guard))
         rep["slice"] = {
             "dims": sl.dims,
             "generators": _ser_gens(sl.gens),
@@ -162,7 +162,7 @@ def walgebra_report(algebra, order, guard=DEFAULT_GUARD, method="both", alt=Fals
         }
         ok = ok and sl.ok
     if method == "both":
-        cm = compare_realizations(ctx, order, slice_result=sl, whittaker_result=wh)
+        cm = compare_realizations(ctx, order, sl, wh)
         rep["compare"] = cm._asdict()
         ok = ok and cm.ok
     rep["ok"] = ok
@@ -271,13 +271,12 @@ def _suite_checks(order, seed):
                 add("%s:%s" % (label, name), chart.report["ok"])
 
         def semiclassical(a, b):
-            comm = S.commutator(a, b, order=cap)
+            # a and b are hbar-free polynomials, so both sides are exact
             try:
-                semi = comm.divide_hbar(2).set_hbar(0)
+                semi = S.commutator(a, b, order=None).divide_hbar(2).set_hbar(0)
             except ValueError:
                 return False
-            return (semi - P.bracket(a, b, order=cap - 2).set_hbar(0)).truncate(
-                cap - 2).is_zero()
+            return semi == P.bracket(a, b, order=None)
 
         def associative(a, b, c):
             lhs = S.star(S.star(a, b, order=cap), c, order=cap)
@@ -296,9 +295,8 @@ def _suite_checks(order, seed):
             add("splitting:%s" % name, False, error=error)
         elif order >= 2:
             wh = whittaker_walgebra(ctx, order)
-            sl = slice_walgebra(ctx, order, qc=qc)
-            cm = compare_realizations(ctx, order, slice_result=sl,
-                                      whittaker_result=wh)
+            sl = slice_walgebra(ctx, order, qc)
+            cm = compare_realizations(ctx, order, sl, wh)
             add("whittaker_vs_slice:%s" % name, cm.ok,
                 dims=wh.dims, slice_dims=sl.dims)
             sp = splitting_check(ctx, min(order, 4), k=2, qc=qc)

@@ -105,18 +105,14 @@ class Algebra:
 
     # -- constructors -------------------------------------------------
 
-    def series(self, terms, order=None):
-        return Series(self, terms, order)
+    def series(self, terms):
+        return Series(self, terms)
 
     def zero(self, order=None):
         return _make(self, {}, 1, order)
 
     def one(self, order=None):
         return Series.over(self, {0: 1}, 1, order)
-
-    def const(self, c, order=None):
-        c = Fraction(c)
-        return Series.over(self, {0: c.numerator}, c.denominator, order)
 
     def gen(self, name, order=None):
         return Series.over(self, {self.gen_mono[self.by_name[name].ident]: 1}, 1, order)
@@ -141,11 +137,6 @@ class Algebra:
             key = self._mono_key[m] = tuple(
                 (i, e) for i, sh, _ in self._fields if (e := (m >> sh) & _MASK))
         return key
-
-    def mono_vars(self, m):
-        """The exponents of m as ``{id: exponent}``, the inverse of
-        :meth:`monomial`."""
-        return dict(self.mono_key(m))
 
     def mono_degree(self, m, ids):
         """The number of factors of m among the variables ``ids``; the total
@@ -283,17 +274,12 @@ class Series:
 
     __slots__ = ("alg", "nums", "den", "order", "_by_order")
 
-    def __init__(self, alg, terms, order=None):
-        """The Series of ``terms``, a dict ``{mono: Fraction or int}``; zero
-        coefficients and terms above ``order`` are dropped."""
-        if order is None:
-            terms = {m: c for m, c in terms.items() if c}
-        else:
-            eff = alg.mono_eff
-            terms = {m: c for m, c in terms.items() if c and eff(m) <= order}
+    def __init__(self, alg, terms):
+        """The exact polynomial of ``terms``, a dict ``{mono: Fraction or
+        int}``; zero coefficients are dropped."""
         self.alg = alg
-        self.order = order
-        self.nums, self.den = numerators(terms)
+        self.order = None
+        self.nums, self.den = numerators({m: c for m, c in terms.items() if c})
         self._by_order = None
 
     @classmethod
@@ -398,35 +384,14 @@ class Series:
         other = self._coerce(other)
         return pair_sum(self, other, self._join_order(other), self.alg.mono_product)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = self.alg.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def _coerce(self, other):
         if isinstance(other, Series):
             if other.alg is not self.alg:
                 raise ValueError("mixed universes")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.alg.const(other)
         raise TypeError(f"cannot combine Series with {type(other)!r}")
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.alg.const(other)
         if not isinstance(other, Series):
             return NotImplemented
         return (self.alg is other.alg and self.den == other.den

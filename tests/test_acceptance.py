@@ -46,6 +46,10 @@ def _ctx(name, alt=False):
     return slice_setup(load_algebra(name), alt=alt)
 
 
+def _slice(ctx, order):
+    return slice_walgebra(ctx, order, ctx.quantum_chart(order))
+
+
 def _rand_series(rng, alg, wmax, nterms, parity=None):
     ids = [v.ident for v in alg.variables if not v.hbar]
     out = alg.zero()
@@ -228,17 +232,18 @@ def _perturbed(sl, idx, extra):
 def test_criterion_05_cross_validation():
     failures = []
     for name, order in (("sl2", 8), ("osp12", 6)):
-        cm = compare_realizations(_ctx(name), order)
+        ctx = _ctx(name)
+        cm = compare_realizations(ctx, order, _slice(ctx, order), whittaker_walgebra(ctx, order))
         if not cm.ok:
             failures.append("%s: clean comparison failed" % name)
     ctx = _ctx("sl2")
     h = ctx.alg.gen("h")
-    bad = _perturbed(slice_walgebra(ctx, 8), 0, h * h)
-    if compare_realizations(ctx, 8, slice_result=bad).ok:
+    bad = _perturbed(_slice(ctx, 8), 0, h * h)
+    if compare_realizations(ctx, 8, bad, whittaker_walgebra(ctx, 8)).ok:
         failures.append("sl2: perturbed generator not detected")
     ctx = _ctx("osp12")
-    bad = _perturbed(slice_walgebra(ctx, 6), 1, ctx.alg.gen("xm") * ctx.alg.gen("h"))
-    if compare_realizations(ctx, 6, slice_result=bad).ok:
+    bad = _perturbed(_slice(ctx, 6), 1, ctx.alg.gen("xm") * ctx.alg.gen("h"))
+    if compare_realizations(ctx, 6, bad, whittaker_walgebra(ctx, 6)).ok:
         failures.append("osp12: perturbed generator not detected")
     _report(5, "both routes agree (sl2 at 8, osp12 at 6); planted "
             "perturbations detected", failures)
@@ -311,7 +316,8 @@ def test_criterion_08_clifford_factor():
                  [1, 3, 5, 9, 16, 24], 2),
     }
     for name, (sig, dims, count) in frozen.items():
-        cf = clifford_factorization(_ctx(name), 5)
+        ctx = _ctx(name)
+        cf = clifford_factorization(ctx, 5, ctx.quantum_chart(5))
         if cf.signature != sig:
             failures.append("%s: signature %r" % (name, cf.signature))
         if cf.dims != dims:
@@ -350,8 +356,8 @@ def test_criterion_10_lagrangian_choice():
         wb = whittaker_walgebra(_ctx(name, alt=True), 5)
         if wa.dims != wb.dims:
             failures.append("%s: invariant tables differ" % name)
-        sa = slice_walgebra(_ctx(name), 5)
-        sb = slice_walgebra(_ctx(name, alt=True), 5)
+        sa = _slice(_ctx(name), 5)
+        sb = _slice(_ctx(name, alt=True), 5)
         if sa.dims != sb.dims:
             failures.append("%s: chart-route tables differ" % name)
         if sorted((w, p) for w, p, _ in sa.gens) != sorted(

@@ -578,7 +578,7 @@ def _dense_slice_table(ctx, dense, chi):
                 if c:
                     s = s + alg.gen(dense.names[k]) * c
             if cst:
-                s = s + alg.const(cst)
+                s = s + alg.one() * cst
             out[(i, j)] = (s.den, s.nums)
     return out
 

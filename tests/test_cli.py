@@ -600,7 +600,7 @@ def _plant_rees_inverse(monkeypatch):
 @pytest.mark.parametrize("plant,planted_bad", [
     (None, {}),
     (_plant_jacobiator, {"poisson_jacobi_random": [5, 5, 5, 5]}),
-    (_plant_commutator, {"semiclassical_limit": [5, 5, 5, 3]}),
+    (_plant_commutator, {"semiclassical_limit": [5, 5, 5, 5]}),
     (_plant_star, {"semiclassical_limit": [5, 5, 5, 5],
                    "star_associativity": [5, 5, 5, 5]}),
     (_plant_rees_inverse, {"rees_roundtrip": [5, 5, 5, 5]}),

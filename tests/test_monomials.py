@@ -142,7 +142,7 @@ def ref_mul_hbar(self, k):
         d = dict(alg.mono_key(m))
         d[h] = d.get(h, 0) + k
         out[alg.monomial(d)] = c
-    return Series(self.alg, out, self.order)
+    return Series(self.alg, out).truncate(self.order)
 
 
 def ref_divide_hbar(self, k):
@@ -163,7 +163,7 @@ def ref_divide_hbar(self, k):
             d[h] = e - k
         out[alg.monomial(d)] = c
     # dividing by hbar can only lower completion orders, the bound stays valid
-    return Series(self.alg, out, self.order)
+    return Series(self.alg, out).truncate(self.order)
 
 
 def ref_hbar_levels(self):
@@ -175,7 +175,7 @@ def ref_hbar_levels(self):
         d = dict(alg.mono_key(m))
         s = d.pop(h, 0)
         out.setdefault(s, {})[alg.monomial(d)] = c
-    return {s: Series(self.alg, t, self.order) for s, t in sorted(out.items())}
+    return {s: Series(self.alg, t).truncate(self.order) for s, t in sorted(out.items())}
 
 
 def ref_set_hbar(self, value):
@@ -192,7 +192,7 @@ def ref_set_hbar(self, value):
             continue
         mono = alg.monomial(d)
         out[mono] = out.get(mono, Fraction(0)) + c
-    return Series(self.alg, {m: c for m, c in out.items() if c}, None)
+    return Series(self.alg, {m: c for m, c in out.items() if c})
 
 
 def ref_rees_map(s):
@@ -213,7 +213,7 @@ def ref_rees_map(s):
         else:
             mono = mm
         out[mono] = out.get(mono, Fraction(0)) + c
-    return Series(alg, out, s.order)
+    return Series(alg, out).truncate(s.order)
 
 
 def ref_rees_inverse(s):
@@ -236,7 +236,7 @@ def ref_rees_inverse(s):
             mono[h] = k - w
         mono = alg.monomial(mono)
         out[mono] = out.get(mono, Fraction(0)) + c
-    return Series(alg, out, s.order)
+    return Series(alg, out).truncate(s.order)
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -341,16 +341,16 @@ def test_monomial_helpers_peel_and_rebuild():
     monos = {m for _ in range(40)
              for m in _random_series(rng, alg, 8, 5, 4, with_hbar=True).terms}
     assert len(monos) > 60
-    assert sum(h in alg.mono_vars(m) for m in monos) > 10
+    assert sum(h in dict(alg.mono_key(m)) for m in monos) > 10
     for m in monos:
-        exps = alg.mono_vars(m)
+        exps = dict(alg.mono_key(m))
         assert alg.monomial(exps) == m
         # the completion order is the total degree, hbar counting 1
         assert alg.mono_eff(m) == sum(exps.values())
         ids = {i for i in exps if i % 2}
         assert alg.mono_degree(m, ids) == sum(e for i, e in exps.items() if i in ids)
         rest, k = alg.split_hbar(m)
-        assert k == exps.get(h, 0) and h not in alg.mono_vars(rest)
+        assert k == exps.get(h, 0) and h not in dict(alg.mono_key(rest))
         assert alg.join_hbar(rest, k) == m
         if not m:
             continue

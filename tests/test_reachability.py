@@ -25,7 +25,6 @@ EXEMPT = ("__repr__", "__hash__")
 _CLIFFORD = ("the Clifford certificate: only acceptance criterion 8 and the tests call "
              "it, and no command reports it")
 _DENSE = "dense elimination adapters kept until the filtered families replace them"
-_TESTS = "the tests build values with it; no command does"
 
 ALLOWED = {
     "wslice.clifford_factorization": _CLIFFORD,
@@ -36,10 +35,6 @@ ALLOWED = {
     "linalg.rref": _DENSE,
     "linalg.nullspace": _DENSE,
     "linalg.Echelon.reduce": _DENSE,
-    "supercore.Algebra.const": _TESTS,
-    "supercore.Algebra.mono_vars": _TESTS,
-    "supercore.Series.__rmul__": _TESTS,
-    "supercore.Series.__pow__": _TESTS,
 }
 
 

@@ -34,7 +34,7 @@ def enveloping_product(ctx, a, b):
 def rand_series(rng, alg, nterms=3, parity=None, order=None):
     out = alg.zero(order)
     for _ in range(nterms * 3):
-        t = alg.const(Fraction(rng.randrange(-5, 6), rng.randrange(1, 3)), order)
+        t = alg.one(order) * Fraction(rng.randrange(-5, 6), rng.randrange(1, 3))
         for v in alg.variables:
             if v.hbar:
                 continue
@@ -139,12 +139,12 @@ def test_flat_commutation_relations():
     qc = ctx.quantum_chart(4)
     S = ctx.star
     (entry,) = [e for e in qc.entries if e.kind == "even"]
-    f = Series(S.alg, entry.a.terms, None)
-    g = Series(S.alg, entry.b.terms, None)
+    f = Series(S.alg, entry.a.terms)
+    g = Series(S.alg, entry.b.terms)
     h2 = S.alg.one().mul_hbar(2)
     assert (S.commutator(f, g, order=4) - h2).truncate(4).is_zero()
     for c in qc.center_gens:
-        ce = Series(S.alg, c.terms, None)
+        ce = Series(S.alg, c.terms)
         assert S.commutator(f, ce, order=4).truncate(4).is_zero()
         assert S.commutator(g, ce, order=4).truncate(4).is_zero()
 

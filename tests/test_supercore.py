@@ -36,7 +36,7 @@ def rand_series(rng, alg, nterms=4, maxexp=3, order=None, parity=None):
     """Random polynomial built from generator products (canonical by construction)."""
     out = alg.zero(order)
     for _ in range(nterms):
-        t = alg.const(Fraction(rng.randrange(-8, 9), rng.randrange(1, 5)), order)
+        t = alg.one(order) * Fraction(rng.randrange(-8, 9), rng.randrange(1, 5))
         for v in alg.variables:
             if v.hbar:
                 continue
@@ -56,7 +56,7 @@ def test_odd_square_vanishes():
     s = alg.gen("x") + th
     # (x + th)^2 = x^2 + 2*x*th
     sq = s * s
-    assert sq == alg.gen("x") ** 2 + 2 * alg.gen("x") * th
+    assert sq == alg.gen("x") * alg.gen("x") + alg.gen("x") * th * 2
 
 
 def test_koszul_sign():
@@ -81,7 +81,7 @@ def test_supercommutativity_random():
         if a.is_zero() or b.is_zero():
             continue
         sign = -1 if (a.parity() == ODD and b.parity() == ODD) else 1
-        assert a * b == sign * (b * a)
+        assert a * b == (b * a) * sign
 
 
 def test_ring_axioms_random():
@@ -97,17 +97,6 @@ def test_ring_axioms_random():
         assert a + alg.zero() == a
         assert a * alg.one() == a
         assert (a - a).is_zero()
-
-
-def test_pow_matches_repeated_product():
-    alg = make_algebra()
-    rng = random.Random(5)
-    for _ in range(20):
-        a = rand_series(rng, alg, nterms=3, maxexp=2)
-        p = alg.one()
-        for k in range(5):
-            assert a ** k == p
-            p = p * a
 
 
 def test_parity_and_weight_bookkeeping():
@@ -206,7 +195,7 @@ def test_hbar_specialization():
     x, y = alg.gen("x"), alg.gen("y")
     s = x + y.mul_hbar(2) + x.mul_hbar(1)
     assert s.set_hbar(0) == x
-    assert s.set_hbar(1) == 2 * x + y
+    assert s.set_hbar(1) == x * 2 + y
     levels = s.hbar_levels()
     assert sorted(levels) == [0, 1, 2]
     assert levels[0] == x and levels[1] == x and levels[2] == y
@@ -251,12 +240,26 @@ def test_universe_safety():
 def test_scalar_coercion_and_equality():
     alg = make_algebra()
     x = alg.gen("x")
-    assert x * 2 == 2 * x
+    assert x * 2 == x + x
     assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
-    assert alg.const(3) == 3
-    assert (x - x) == 0
+    assert (x - x).is_zero()
     with pytest.raises(TypeError):
         hash(x)
+
+
+def test_scalars_multiply_on_the_right_only():
+    alg = make_algebra()
+    s = alg.gen("x") + alg.gen("y")
+    with pytest.raises(TypeError):
+        s + 1
+    with pytest.raises(TypeError):
+        s - Fraction(1, 2)
+    with pytest.raises(TypeError):
+        2 * s
+    with pytest.raises(TypeError):
+        s ** 2
+    half = s * Fraction(1, 2)
+    assert half + half == s and half.den == 2
 
 
 # -- integer numerators over one denominator ------------------------------
@@ -280,7 +283,7 @@ def _ref_series(rng, alg, nterms):
 
 
 def _ref_eff(alg, m):
-    return sum(alg.mono_vars(m).values())
+    return sum(e for _, e in alg.mono_key(m))
 
 
 def _ref_cut(alg, terms, order):
@@ -295,7 +298,7 @@ def _ref_join(a, b):
 
 def _ref_hbar(alg, m):
     """(the monomial without hbar, its hbar exponent)."""
-    exps = alg.mono_vars(m)
+    exps = dict(alg.mono_key(m))
     k = exps.pop(alg.hbar_id, 0)
     return alg.monomial(exps), k
 
@@ -321,7 +324,7 @@ def test_integer_form_matches_fraction_reference():
         ta, oa = _ref_series(rng, alg, rng.randrange(0, 7))
         tb, ob = _ref_series(rng, alg, rng.randrange(0, 7))
         ta, tb = _ref_cut(alg, ta, oa), _ref_cut(alg, tb, ob)
-        a, b = Series(alg, ta, oa), Series(alg, tb, ob)
+        a, b = Series(alg, ta).truncate(oa), Series(alg, tb).truncate(ob)
         _assert_lowest(a, ta, oa)
         oj = _ref_join(oa, ob)
 
@@ -332,7 +335,6 @@ def test_integer_form_matches_fraction_reference():
         _assert_lowest(-a, {m: -c for m, c in ta.items()}, oa)
         for c in (0, 1, -2, 3, Fraction(1, 2), Fraction(-4, 9), rng.randrange(1, 30)):
             _assert_lowest(a * c, _ref_cut(alg, {m: c * v for m, v in ta.items()}, None), oa)
-            _assert_lowest(c * a, _ref_cut(alg, {m: c * v for m, v in ta.items()}, None), oa)
 
         prod = {}
         for ma, ca in ta.items():
@@ -351,13 +353,13 @@ def test_integer_form_matches_fraction_reference():
                        {m: c for m, c in ta.items() if _ref_eff(alg, m) == d}, oa)
 
         k = rng.randrange(1, 3)
-        up = {alg.monomial({**alg.mono_vars(m), hb: _ref_hbar(alg, m)[1] + k}): c
+        up = {alg.monomial({**dict(alg.mono_key(m)), hb: _ref_hbar(alg, m)[1] + k}): c
               for m, c in ta.items()}
         _assert_lowest(a.mul_hbar(k), _ref_cut(alg, up, oa), oa)
         divisible = {m: c for m, c in ta.items() if _ref_hbar(alg, m)[1] >= k}
-        down = {alg.monomial({**alg.mono_vars(m), hb: _ref_hbar(alg, m)[1] - k}): c
+        down = {alg.monomial({**dict(alg.mono_key(m)), hb: _ref_hbar(alg, m)[1] - k}): c
                 for m, c in divisible.items()}
-        _assert_lowest(Series(alg, divisible, oa).divide_hbar(k), down, oa)
+        _assert_lowest(Series(alg, divisible).truncate(oa).divide_hbar(k), down, oa)
 
         levels = {}
         for m, c in ta.items():

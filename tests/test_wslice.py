@@ -72,7 +72,13 @@ def _whittaker(name, order, alt=False):
 
 @lru_cache(maxsize=None)
 def _slice(name, order, alt=False):
-    return slice_walgebra(_ctx(name, alt), order)
+    ctx = _ctx(name, alt)
+    return slice_walgebra(ctx, order, ctx.quantum_chart(order))
+
+
+def _clifford(name, order):
+    ctx = _ctx(name)
+    return clifford_factorization(ctx, order, ctx.quantum_chart(order))
 
 
 def _sig(gens):
@@ -164,11 +170,8 @@ def test_slice_low_order_reports_only_certified_generators():
 
 def test_compare_realizations_all_bundled():
     for name, (order, dims, sig) in FROZEN.items():
-        cm = compare_realizations(
-            _ctx(name), order,
-            slice_result=_slice(name, order),
-            whittaker_result=_whittaker(name, order),
-        )
+        cm = compare_realizations(_ctx(name), order, _slice(name, order),
+                                  _whittaker(name, order))
         assert cm.dims_equal and cm.counts_equal, name
         assert cm.invariance_ok and cm.span_ok and cm.blocks_ok, name
         assert cm.ok, name
@@ -187,8 +190,8 @@ def _perturbed(ctx, sl, idx, extra):
 def test_compare_detects_noninvariant_perturbation():
     ctx = _ctx("sl2")
     h = ctx.alg.gen("h")
-    cm = compare_realizations(ctx, 8, slice_result=_perturbed(ctx, _slice("sl2", 8), 0, h * h),
-                              whittaker_result=_whittaker("sl2", 8))
+    cm = compare_realizations(ctx, 8, _perturbed(ctx, _slice("sl2", 8), 0, h * h),
+                              _whittaker("sl2", 8))
     assert not cm.invariance_ok
     assert not cm.span_ok
     assert not cm.ok
@@ -198,9 +201,8 @@ def test_compare_tolerates_constant_shift():
     # adding a constant produces another valid generator of the same
     # weight, so the cross-check accepts it -- by design
     ctx = _ctx("sl2")
-    cm = compare_realizations(ctx, 8,
-                              slice_result=_perturbed(ctx, _slice("sl2", 8), 0, ctx.alg.one()),
-                              whittaker_result=_whittaker("sl2", 8))
+    cm = compare_realizations(ctx, 8, _perturbed(ctx, _slice("sl2", 8), 0, ctx.alg.one()),
+                              _whittaker("sl2", 8))
     assert cm.ok
 
 
@@ -218,7 +220,7 @@ def test_splitting_certificates():
 
 
 def test_clifford_factorization_osp12():
-    cf = clifford_factorization(_ctx("osp12"), 4)
+    cf = _clifford("osp12", 4)
     assert cf.signature == [[1, 1], [3, 1], [4, 0]]
     assert cf.dims == [1, 2, 2, 3, 5]
     assert cf.clifford_count == 1
@@ -228,7 +230,7 @@ def test_clifford_factorization_osp12():
 
 
 def test_clifford_factorization_sl21():
-    cf = clifford_factorization(_ctx("sl21"), 4)
+    cf = _clifford("sl21", 4)
     assert cf.signature == [[1, 1], [1, 1], [2, 0], [3, 1], [3, 1], [4, 0]]
     assert cf.dims == [1, 3, 5, 9, 16]
     assert cf.clifford_count == 2
@@ -239,7 +241,7 @@ def test_clifford_factorization_sl21():
 def test_clifford_closure_stops_at_the_certified_order(order):
     # a product above the order, or a term past it, is beyond what the chart
     # certifies; expanding those made osp12's closure fail at orders 1 to 3
-    cf = clifford_factorization(_ctx("osp12"), order)
+    cf = _clifford("osp12", order)
     assert cf.closure_ok and cf.ok
 
 
@@ -249,7 +251,7 @@ def test_clifford_closure_catches_a_non_closing_generator(monkeypatch):
     monkeypatch.setattr(wslice, "_closure_ok",
                         lambda *args: seen.append(args) or closure_ok(*args))
     ctx, order = _ctx("osp12"), 4
-    assert clifford_factorization(ctx, order).closure_ok
+    assert clifford_factorization(ctx, order, ctx.quantum_chart(order)).closure_ok
     gen_words, weights, parities, _ = seen[0]
     n = len(weights)
     gens = [gen_words(tuple(int(k == i) for k in range(n))) for i in range(n)]
@@ -277,7 +279,7 @@ def test_clifford_compares_even_part_at_the_requested_order(monkeypatch):
         return compare_realizations(ctx, n_max, *args, **kwargs)
 
     monkeypatch.setattr(wslice, "compare_realizations", spy)
-    cf = clifford_factorization(_ctx("osp12"), 5)
+    cf = _clifford("osp12", 5)
     assert orders == [5]
     assert cf.sub_compare_ok and cf.ok
 
@@ -313,7 +315,7 @@ def test_clifford_builds_the_even_part_chart_once(monkeypatch, name):
         return quantum_darboux(*args, **kwargs)
 
     monkeypatch.setattr(wslice, "quantum_darboux", counting)
-    assert clifford_factorization(_ctx(name), 5).ok
+    assert _clifford(name, 5).ok
     assert calls == [5, 5, 5]
 
 
@@ -327,16 +329,6 @@ def test_quantum_chart_reads_order_and_guard_off_its_classical_chart():
     for fn in (slice_walgebra, compare_realizations, splitting_check,
                clifford_factorization):
         assert "guard" not in inspect.signature(fn).parameters, fn.__name__
-
-
-@pytest.mark.parametrize("name", ["osp12", "sl21"])
-def test_slice_route_builds_the_context_quantum_chart(name):
-    ctx = _ctx(name)
-    qc = ctx.quantum_chart(4)
-    built = slice_walgebra(ctx, 4).qc
-    assert (built.order, built.cap) == (qc.order, qc.cap)
-    assert built.entries == qc.entries
-    assert built.center_gens == qc.center_gens
 
 
 def test_even_subalgebra_extraction():
@@ -396,7 +388,7 @@ def test_reduce_mod_chi_matches_the_shift_degree_count():
         assert {_m_degree(ctx, m) for m in shifted} == {1, 2, 3}
         for _ in range(30):
             s = alg.series({m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                            for m in rng.sample(monos, 6)}, order=rng.choice([None, 4]))
+                            for m in rng.sample(monos, 6)}).truncate(rng.choice([None, 4]))
             got, want = reduce_mod_chi(ctx, s), _reduce_mod_mk(ctx, s, 1)
             assert got == want and got.order == want.order == s.order
             for k in (1, 2, 3, 4):
@@ -495,7 +487,7 @@ def test_generator_words_match_the_reduced_product(monkeypatch, tmp_path, name, 
     monkeypatch.setattr(wslice, "word_table", recording)
     assert whittaker_walgebra(ctx, order).ok
     whittaker = len(seen)
-    assert slice_walgebra(ctx, order).ok
+    assert slice_walgebra(ctx, order, ctx.quantum_chart(order)).ok
     assert (whittaker, len(seen) - whittaker) == products
 
 
@@ -519,7 +511,7 @@ def test_quotient_mul_matches_the_reduced_product_on_random_pairs(tmp_path, name
     for _ in range(25):
         s = alg.series({m: coeff() for m in rng.sample(every, 3) + rng.sample(shifted, 1)})
         t = alg.series({m: coeff() for m in rng.sample(every, 3) + rng.sample(shifted, 2)})
-        t = t + alg.const(coeff())
+        t = t + alg.one() * coeff()
         assert any(_m_degree(ctx, m) for m in s.nums) and t.constant_term()
         got = ctx.quotient.mul(s, t)
         assert got == qmul(s, t)
@@ -582,7 +574,7 @@ def test_quotient_mul_mod_m_squared_matches_the_reduced_product(tmp_path, name, 
                         + rng.sample(twice, 1)})
         t = alg.series({m: coeff() for m in rng.sample(every, 3) + rng.sample(once, 2)
                         + rng.sample(twice, 1)})
-        t = t + alg.const(coeff())
+        t = t + alg.one() * coeff()
         got = module.mul(s, t)
         assert got == oracle(s, t)
         shifted += any(_m_degree(ctx, m) for m in got.nums)
@@ -690,7 +682,7 @@ def test_whittaker_rows_build_no_enveloping_product(monkeypatch):
     monkeypatch.setattr(StarAlgebra, "star", counted)
     assert whittaker_walgebra(ctx, 12).ok
     assert calls["exact"] == 0
-    assert slice_walgebra(ctx, 6, qc=qc).ok
+    assert slice_walgebra(ctx, 6, qc).ok
     assert calls["exact"] == 0 and calls["truncated"] > 0  # the slice certificate
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["walgebra", "--algebra", "sl21", "--order", "6",
@@ -945,7 +937,7 @@ def test_a_product_only_in_the_span_of_heavier_words_fails(monkeypatch):
         return lambda e: value(heavy if tuple(e) == square else e)
 
     monkeypatch.setattr(wslice, "word_table", heavier_square)
-    got = slice_walgebra(_ctx("sl21"), order, qc=base.qc)
+    got = slice_walgebra(_ctx("sl21"), order, base.qc)
     assert not got.products_ok and not got.ok
     assert got.products == {k: v for k, v in base.products.items() if k != (i, i)}
 
@@ -1063,7 +1055,10 @@ def test_echelon_adds_match_the_fraction_span(monkeypatch, tmp_path, name, order
     monkeypatch.setattr(wslice, "Echelon", _MirroredEchelon)
     monkeypatch.setattr(wslice, "TaggedEchelon", _recording_tagged(tagged))
     _MirroredEchelon.adds = 0
-    cmp = compare_realizations(slice_setup(load_algebra(name)), order)
+    ctx = slice_setup(load_algebra(name))
+    wh = whittaker_walgebra(ctx, order)
+    sl = slice_walgebra(ctx, order, ctx.quantum_chart(order))
+    cmp = compare_realizations(ctx, order, sl, wh)
     assert cmp.ok
     assert _MirroredEchelon.adds >= 8
     assert len(tagged) == 3 and tagged[-1][0]
