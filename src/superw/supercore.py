@@ -392,6 +392,10 @@ class Series:
         raise TypeError(f"cannot combine Series with {type(other)!r}")
 
     def __eq__(self, other):
+        # a scalar is no Series, as in the arithmetic: s == 0 raises rather
+        # than read False
+        if isinstance(other, (int, Fraction)):
+            self._coerce(other)
         if not isinstance(other, Series):
             return NotImplemented
         return (self.alg is other.alg and self.den == other.den

@@ -12,11 +12,11 @@ from fractions import Fraction
 
 from superw.algebras import load_algebra
 from superw.cli import build_report
+from superw.clifford import clifford_factorization
 from superw.darboux import equivariant_darboux
 from superw.starprod import quantum_darboux
 from superw.supercore import EVEN, ODD
 from superw.wslice import (
-    clifford_factorization,
     compare_realizations,
     reduce_mod_chi,
     slice_setup,

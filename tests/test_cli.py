@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from superw import cli, wslice
+from superw import cli, suite, wslice
 from superw.algebras import load_algebra
 from superw.cli import build_report, main
 from superw.darboux import Chart, DarbouxError, equivariant_darboux
@@ -519,10 +519,10 @@ def _plant(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("planted,failed", [
-    ([(cli, "quantum_darboux")], "quantum_darboux"),
-    ([(cli, "quantum_darboux"), (wslice, "quantum_darboux")], "quantum_darboux"),
+    ([(suite, "quantum_darboux")], "quantum_darboux"),
+    ([(suite, "quantum_darboux"), (wslice, "quantum_darboux")], "quantum_darboux"),
     ([(wslice, "equivariant_darboux")], "equivariant_darboux"),
-], ids=("cli", "cli+wslice", "classical"))
+], ids=("suite", "suite+wslice", "classical"))
 def test_suite_records_a_chart_failure_under_its_own_name(monkeypatch, planted,
                                                           failed):
     for module, name in planted:
@@ -557,7 +557,7 @@ def _outside_charts(monkeypatch, cls, name, fake):
     so that the charts stay certified and only the checks after them see
     the defect."""
     real = getattr(cls, name)
-    build = cli.quantum_darboux
+    build = suite.quantum_darboux
 
     def quantum_darboux(S, classical):
         setattr(cls, name, real)
@@ -566,7 +566,7 @@ def _outside_charts(monkeypatch, cls, name, fake):
         finally:
             setattr(cls, name, fake)
     monkeypatch.setattr(cls, name, fake)
-    monkeypatch.setattr(cli, "quantum_darboux", quantum_darboux)
+    monkeypatch.setattr(suite, "quantum_darboux", quantum_darboux)
 
 
 def _plant_jacobiator(monkeypatch):
@@ -589,7 +589,7 @@ def _plant_star(monkeypatch):
 
 
 def _plant_rees_inverse(monkeypatch):
-    monkeypatch.setattr(cli, "rees_inverse", lambda s: s)
+    monkeypatch.setattr(suite, "rees_inverse", lambda s: s)
 
 
 # The bad counts of ``suite --order 1 --seed 102`` (five trials per check,
@@ -623,7 +623,7 @@ def test_suite_skipped_draw_counts_neither_bad_nor_good(monkeypatch):
     # at this seed the last Rees draw on gl11 is a zero series: it is
     # skipped, so a Rees inverse that fails on every series, zero included,
     # counts 4 bad of 5 there
-    monkeypatch.setattr(cli, "rees_inverse", lambda s: s + s.alg.one())
+    monkeypatch.setattr(suite, "rees_inverse", lambda s: s + s.alg.one())
     rep = build_report("suite", order=1, seed=11)
     assert [c["detail"] for c in rep["checks"] if c["name"].startswith("rees_roundtrip")] \
         == [{"bad": bad, "trials": 5} for bad in (5, 4, 5, 5)]

@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from superw.algebras import load_algebra
-from superw.cli import _random_series
 from superw.starprod import rees_inverse, rees_map
+from superw.suite import _random_series
 from superw.supercore import EVEN, ODD, Algebra, Series, Variable
 from superw.wslice import slice_setup
 

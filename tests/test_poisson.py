@@ -10,7 +10,7 @@ from math import prod
 import pytest
 
 from superw.algebras import AlgebraError, load_algebra
-from superw.cli import _random_series
+from superw.clifford import even_m_gens
 from superw.linalg import Echelon, rational_sqrt
 from superw.poisson import (
     BracketTable,
@@ -18,6 +18,7 @@ from superw.poisson import (
     SymplecticSplit,
     linear_split,
 )
+from superw.suite import _random_series
 from superw.supercore import EVEN, ODD, Algebra, Variable
 from superw.wslice import slice_setup
 from test_supermatrix import E12_TRIPLE, gl_json
@@ -544,7 +545,7 @@ def test_linear_split_matches_reference(tmp_path):
     for ctx in _oracle_universes(tmp_path):
         P, alg = ctx.poisson, ctx.alg
         gens = [alg.gen(v.name) for v in alg.variables if not v.hbar]
-        inputs = [(gens, ctx.m_gens()), (gens, ctx.even_m_gens()), (gens, [])]
+        inputs = [(gens, ctx.m_gens()), (gens, even_m_gens(ctx)), (gens, [])]
         for trial in range(60):
             vectors = _recombine(rng, alg, gens)
             if trial % 2:

@@ -27,11 +27,11 @@ _CLIFFORD = ("the Clifford certificate: only acceptance criterion 8 and the test
 _DENSE = "dense elimination adapters kept until the filtered families replace them"
 
 ALLOWED = {
-    "wslice.clifford_factorization": _CLIFFORD,
-    "wslice._closure_ok": _CLIFFORD,
-    "wslice._transport": _CLIFFORD,
+    "clifford.clifford_factorization": _CLIFFORD,
+    "clifford._closure_ok": _CLIFFORD,
+    "clifford._transport": _CLIFFORD,
     "algebras.extract_even_subalgebra": _CLIFFORD,
-    "wslice.SliceContext.even_m_gens": _CLIFFORD,
+    "clifford.even_m_gens": _CLIFFORD,
     "linalg.rref": _DENSE,
     "linalg.nullspace": _DENSE,
     "linalg.Echelon.reduce": _DENSE,

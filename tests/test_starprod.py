@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from superw.algebras import load_algebra
-from superw.cli import _random_series
 from superw.darboux import equivariant_darboux
 from superw.starprod import (
     filtration_dims,
@@ -14,6 +13,7 @@ from superw.starprod import (
     rees_inverse,
     rees_map,
 )
+from superw.suite import _random_series
 from superw.supercore import EVEN, ODD, Series
 from superw.wslice import slice_setup
 

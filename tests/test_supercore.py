@@ -258,6 +258,12 @@ def test_scalars_multiply_on_the_right_only():
         2 * s
     with pytest.raises(TypeError):
         s ** 2
+    # a comparison with a scalar raises too, rather than read False
+    with pytest.raises(TypeError, match="cannot combine Series"):
+        s == 0
+    with pytest.raises(TypeError, match="cannot combine Series"):
+        s != Fraction(1, 2)
+    assert (s == None) is False  # noqa: E711 -- any other type is unequal
     half = s * Fraction(1, 2)
     assert half + half == s and half.den == 2
 
@@ -267,7 +273,7 @@ def test_scalars_multiply_on_the_right_only():
 
 def _ref_series(rng, alg, nterms):
     """A random ``{mono: Fraction}`` mixing parities and hbar powers, as
-    ``cli._random_series`` builds them, and its order."""
+    ``suite._random_series`` builds them, and its order."""
     ids = [v.ident for v in alg.variables]
     out = {}
     for _ in range(nterms):

@@ -20,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from superw import wslice
-from superw.algebras import load_algebra
+from superw import clifford, wslice
+from superw.algebras import extract_even_subalgebra, load_algebra
+from superw.clifford import clifford_factorization
 from superw.darboux import equivariant_darboux
 from superw.linalg import Echelon, nullspace, rref, solve
 from superw.cli import main
@@ -30,9 +31,7 @@ from superw.supercore import EVEN, ODD, Series
 from superw.wslice import (
     _monomials,
     _word_basis,
-    clifford_factorization,
     compare_realizations,
-    extract_even_subalgebra,
     pbw_words,
     reduce_mod_chi,
     slice_setup,
@@ -247,8 +246,8 @@ def test_clifford_closure_stops_at_the_certified_order(order):
 
 def test_clifford_closure_catches_a_non_closing_generator(monkeypatch):
     seen = []
-    closure_ok = wslice._closure_ok
-    monkeypatch.setattr(wslice, "_closure_ok",
+    closure_ok = clifford._closure_ok
+    monkeypatch.setattr(clifford, "_closure_ok",
                         lambda *args: seen.append(args) or closure_ok(*args))
     ctx, order = _ctx("osp12"), 4
     assert clifford_factorization(ctx, order, ctx.quantum_chart(order)).closure_ok
@@ -278,7 +277,7 @@ def test_clifford_compares_even_part_at_the_requested_order(monkeypatch):
         orders.append(n_max)
         return compare_realizations(ctx, n_max, *args, **kwargs)
 
-    monkeypatch.setattr(wslice, "compare_realizations", spy)
+    monkeypatch.setattr(clifford, "compare_realizations", spy)
     cf = _clifford("osp12", 5)
     assert orders == [5]
     assert cf.sub_compare_ok and cf.ok
@@ -314,7 +313,9 @@ def test_clifford_builds_the_even_part_chart_once(monkeypatch, name):
         calls.append(args[1].order)
         return quantum_darboux(*args, **kwargs)
 
+    # the even-flattened chart is built in clifford, the other two in wslice
     monkeypatch.setattr(wslice, "quantum_darboux", counting)
+    monkeypatch.setattr(clifford, "quantum_darboux", counting)
     assert _clifford(name, 5).ok
     assert calls == [5, 5, 5]
 
