@@ -300,15 +300,14 @@ class FilteredFamily:
     ``cap``.
 
     ``levels`` maps each order d <= cap at which some candidate starts to
-    ``(idxs, monos, rows, truncated)``: the indices of the candidates whose
-    minimal order is d; the monomials of their order-d leading parts, sorted
-    by ``mono_key``; the rows of the order-d system, one dense row per
-    monomial keyed by it, with one cell per candidate (an int when the
-    coefficient is integral, int 0 for a missing monomial); and those candidates
-    truncated at ``cap``.  Only the rows of the remainder's extra monomials,
-    all zero, and the right-hand side depend on the target.  ``memo`` is the
-    family's ``solve`` memo, kept for its lifetime: a level system met again,
-    by any target, is not factored again.
+    ``(idxs, rows, truncated)``: the indices of the candidates whose minimal
+    order is d; the rows of the order-d system, one dense row per monomial of
+    their order-d leading parts, keyed by it in ``mono_key`` order, with one
+    cell per candidate (an int when the coefficient is integral, int 0 for a
+    missing monomial); and those candidates truncated at ``cap``.  Only the
+    right-hand side depends on the target, so each level's system is fixed.  ``memo`` is the family's ``solve``
+    memo, kept for its lifetime: a level system met again, by any target, is
+    not factored again.
     """
 
     def __init__(self, candidates, cap):
@@ -329,7 +328,7 @@ class FilteredFamily:
                     for c in cands]
             monos = sorted(set().union(*lead), key=alg.mono_key)
             rows = {m: [cells.get(m, 0) for cells in lead] for m in monos}
-            self.levels[d] = (idxs, monos, rows, [c.truncate(cap) for c in cands])
+            self.levels[d] = (idxs, rows, [c.truncate(cap) for c in cands])
 
 
 def expand_filtered(target, family):
@@ -341,33 +340,29 @@ def expand_filtered(target, family):
     running remainder against the order-d leading terms of the candidates
     whose minimal order is d, subtract the chosen combination in full, and
     move on.  Returns a list of coefficients aligned with the candidates or
-    None if the remainder fails to vanish through order cap.
+    None if the remainder fails to vanish through order cap.  A remainder
+    monomial of order d that no order-d leading part has cannot be matched,
+    so it gives None at once, with no ``solve``; every system solved is a
+    level's own, fixed by the family.
 
     This is sound whenever the candidates are "triangular" in the sense that
     a combination whose order-d leading parts cancel has all its leading
     orders > d -- which holds for the generator-monomial families used here.
     """
-    alg = target.alg
-    eff = alg.mono_eff
+    eff = target.alg.mono_eff
     cap = family.cap
     coeffs = [Fraction(0)] * len(family.candidates)
     rem = target.truncate(cap)
     for d in range(0, cap + 1):
         den = rem.den
         rem_d = {m: _cell(v, den) for m, v in rem.nums.items() if eff(m) == d}
-        level = family.levels.get(d)
-        if level is None:
-            if rem_d:
-                return None
-            continue
-        idxs, monos, rows, truncated = level
+        idxs, rows, truncated = family.levels.get(d, ((), {}, ()))
         if rem_d.keys() - rows.keys():
-            # a monomial no leading part has: a zero row, whose nonzero
-            # right-hand side leaves the system inconsistent
-            monos = sorted(rem_d.keys() | rows.keys(), key=alg.mono_key)
-        zero = [0] * len(idxs)
-        sol = solve([rows.get(m, zero) for m in monos],
-                    [rem_d.get(m, 0) for m in monos], memo=family.memo)
+            # a monomial no leading part has: no combination reaches it
+            return None
+        if not rows:
+            continue
+        sol = solve(list(rows.values()), [rem_d.get(m, 0) for m in rows], memo=family.memo)
         if sol is None:
             return None
         for i, c, x in zip(idxs, truncated, sol):

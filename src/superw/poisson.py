@@ -7,11 +7,11 @@ bracket recurses once per factor.  Brackets of monomials are memoized, so
 repeated normalization passes stay cheap.  The memo holds each bracket as
 integer numerators over one denominator, the denominators of the table
 entries, read straight off the entries' ``nums`` and ``den``.  ``bracket``
-passes the kernel and its memo to :func:`superw.supercore.pair_sum`, the
-truncated term-pair loop shared with the supercommutative and star products,
-which reads a memoized bracket without a call and accumulates
-Python ints over the inputs' numerators and builds the result Series from
-integers, with no ``Fraction`` on the way.
+passes the kernel, its memo and the order its caller names (there is no
+default) to :func:`superw.supercore.pair_sum`, the truncated term-pair loop
+shared with the supercommutative and star products, which reads a memoized
+bracket without a call, accumulates Python ints over the inputs' numerators
+and builds the result Series from integers, with no ``Fraction`` on the way.
 """
 
 from __future__ import annotations
@@ -128,24 +128,18 @@ class PoissonAlgebra:
 
     # -- the bracket on series ----------------------------------------
 
-    def bracket(self, f, g, order="auto"):
-        """Poisson bracket of two series.
+    def bracket(self, f, g, order):
+        """Poisson bracket of two series, read as polynomials, exactly
+        through ``order`` (None: the exact bracket of two polynomials).
 
-        By default the result order is the interval-safe one: the joint
-        input order lowered by the table drop.  An explicit ``order`` treats
-        the inputs as polynomials and gives their bracket exactly through
-        that order: a monomial pair is skipped only when the table drop
-        cannot bring its terms down to it.  The normalization loops pass
-        their cap, and the chart certificates the certified order.
+        A monomial pair is skipped only when the table drop cannot bring its
+        terms down to ``order``.  The normalization loops pass their cap, the
+        chart certificates the certified order, and the Jacobi check and
+        ``linear_split`` None.
         """
         if f.alg is not self.alg or g.alg is not self.alg:
             raise ValueError("series from a different universe")
-        drop = self.table.drop
-        if order == "auto":
-            order = f._join_order(g)
-            if order is not None:
-                order -= drop
-        return pair_sum(f, g, order, self.mono_bracket, drop, self._memo)
+        return pair_sum(f, g, order, self.mono_bracket, self.table.drop, self._memo)
 
     # -- consistency checks -------------------------------------------
 
@@ -154,9 +148,9 @@ class PoissonAlgebra:
         if "mixed" in (pa, pb, pc):
             raise ValueError("jacobiator needs parity-homogeneous arguments")
         pa, pb, pc = pa or 0, pb or 0, pc or 0
-        t1 = self.bracket(a, self.bracket(b, c))
-        t2 = self.bracket(b, self.bracket(c, a))
-        t3 = self.bracket(c, self.bracket(a, b))
+        t1 = self.bracket(a, self.bracket(b, c, None), None)
+        t2 = self.bracket(b, self.bracket(c, a, None), None)
+        t3 = self.bracket(c, self.bracket(a, b, None), None)
         if pa and pc:
             t1 = -t1
         if pb and pa:
@@ -199,7 +193,7 @@ def linear_split(poisson, vectors, seeds):
     """
 
     def pair(u, v):
-        return poisson.bracket(u, v).constant_term()
+        return poisson.bracket(u, v, None).constant_term()
 
     todo = list(seeds)
     work = []

@@ -36,14 +36,7 @@ filtration dimension count.
 from __future__ import annotations
 
 from .darboux import Chart, DarbouxError, PoissonBackend, build_chart, certify
-from .supercore import (
-    EVEN,
-    ODD,
-    Series,
-    add_numerators,
-    merge_numerators,
-    pair_sum,
-)
+from .supercore import Series, add_numerators, merge_numerators, pair_sum
 
 
 class LeftAction:
@@ -192,35 +185,23 @@ class StarAlgebra(LeftAction):
 
     # -- products and commutators -------------------------------------
 
-    def star(self, f, g, order="auto"):
+    def star(self, f, g, order):
+        """Star product of two series, read as polynomials, exactly through
+        ``order`` (None: the exact product)."""
         if f.alg is not self.alg or g.alg is not self.alg:
             raise ValueError("series from a different universe")
-        if order == "auto":
-            order = f._join_order(g)
         return pair_sum(f, g, order, self._word, memo=self._word_memo)
 
-    def commutator(self, f, g, order="auto"):
-        """Graded commutator f*g -+ g*f, split over parity components."""
-        out = None
-        for pf, fc in _parity_parts(f):
-            for pg, gc in _parity_parts(g):
-                t = self.star(fc, gc, order)
-                u = self.star(gc, fc, order)
-                t = t + u if (pf and pg) else t - u
-                out = t if out is None else out + t
-        return self.alg.zero() if out is None else out
-
-
-def _parity_parts(s):
-    p = s.parity()
-    if p != "mixed":
-        return [] if p is None else [(p, s)]
-    alg = s.alg
-    ev, od = {}, {}
-    for m, v in s.nums.items():
-        (od if alg.mono_parity(m) else ev)[m] = v
-    return [(EVEN, Series.over(alg, ev, s.den, s.order)),
-            (ODD, Series.over(alg, od, s.den, s.order))]
+    def commutator(self, f, g, order):
+        """Graded commutator f*g -+ g*f of parity-homogeneous series, exactly
+        through ``order``; zero when either is zero."""
+        pf, pg = f.parity(), g.parity()
+        if "mixed" in (pf, pg):
+            raise ValueError("commutator needs parity-homogeneous arguments")
+        if pf is None or pg is None:
+            return self.alg.zero()
+        t, u = self.star(f, g, order), self.star(g, f, order)
+        return t + u if pf and pg else t - u
 
 
 # -- the quantum backend of the chart engine ----------------------------

@@ -117,12 +117,10 @@ class QuotientModule(LeftAction):
         super().__init__(alg, table, 0, m_ids, k)
 
     def mul(self, s, t):
-        """s·t in Q_chi^(k) for hbar-free s and t: each monomial of s acts,
-        its last factor first, on each monomial of the class of t (its terms
-        with fewer than k shift factors), which is all s·t depends on."""
-        free = self.alg.free_of(t.nums, self.m_ids, self.k)
-        if len(free) < len(t.nums):
-            t = Series.over(self.alg, free, t.den)
+        """s·t in Q_chi^(k) for an hbar-free s and a class t in Q_chi^(k),
+        that is, an hbar-free t whose every term has fewer than k shift
+        factors: each monomial of s acts, its last factor first, on each
+        monomial of t."""
         return pair_sum(s, t, None, self._word, memo=self._word_memo)
 
 

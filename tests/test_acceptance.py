@@ -96,12 +96,12 @@ def test_criterion_01_poisson_axioms():
             if a.is_zero() or b.is_zero() or c.is_zero():
                 continue
             triples += 1
-            anti = P.bracket(a, b) + P.bracket(b, a) * ((-1) ** (pa * pb))
+            anti = P.bracket(a, b, None) + P.bracket(b, a, None) * ((-1) ** (pa * pb))
             if not anti.is_zero():
                 failures.append("%s: antisymmetry #%d" % (name, triples))
-            lhs = P.bracket(a, b * c)
-            rhs = (P.bracket(a, b) * c
-                   + b * P.bracket(a, c) * ((-1) ** (pa * pb)))
+            lhs = P.bracket(a, b * c, None)
+            rhs = (P.bracket(a, b, None) * c
+                   + b * P.bracket(a, c, None) * ((-1) ** (pa * pb)))
             if not (lhs - rhs).is_zero():
                 failures.append("%s: Leibniz #%d" % (name, triples))
             if not P.jacobiator(a, b, c).is_zero():

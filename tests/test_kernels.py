@@ -164,16 +164,9 @@ class _ReferenceStar:
 
     # -- products and commutators -------------------------------------
 
-    def star(self, f, g, order="auto"):
+    def star(self, f, g, order):
         if f.alg is not self.alg or g.alg is not self.alg:
             raise ValueError("series from a different universe")
-        if order == "auto":
-            if f.order is None:
-                order = g.order
-            elif g.order is None:
-                order = f.order
-            else:
-                order = min(f.order, g.order)
         if self.hbar_mode == "unit" and order is not None:
             raise ValueError("unit mode is exact; truncated input makes no sense")
         alg = self.alg
@@ -253,28 +246,13 @@ class _ReferencePoisson:
 
     # -- the bracket on series ----------------------------------------
 
-    def bracket(self, f, g, order="auto"):
-        """Poisson bracket of two series.
-
-        By default the result order is the interval-safe one: the joint
-        input order lowered by the table drop.  An explicit ``order`` treats
-        the inputs as polynomials and gives their bracket exactly through
-        that order: a monomial pair is skipped only when the table drop
-        cannot bring its terms down to it.  The normalization loops pass
-        their cap, and the chart certificates the certified order.
-        """
+    def bracket(self, f, g, order):
+        """Poisson bracket of two series, read as polynomials, exactly
+        through ``order`` (None: exact): a monomial pair is skipped only
+        when the table drop cannot bring its terms down to it."""
         if f.alg is not self.alg or g.alg is not self.alg:
             raise ValueError("series from a different universe")
         drop = self.table.drop
-        if order == "auto":
-            if f.order is None:
-                order = g.order
-            elif g.order is None:
-                order = f.order
-            else:
-                order = min(f.order, g.order)
-            if order is not None:
-                order -= drop
         alg = self.alg
         key, eff = alg.mono_key, self.ref.mono_eff
         acc = {}
@@ -360,7 +338,7 @@ def assert_integer_memo(memo):
         assert gcd(den, *nums.values()) == 1
 
 
-ORDERS = (None, "auto", 0, 1, 2, 3, 4, 5, 6)
+ORDERS = (None, 0, 1, 2, 3, 4, 5, 6)
 
 
 def star_pair(alg, table, mode):
@@ -374,7 +352,7 @@ def star_pair(alg, table, mode):
     """
     S, R = StarAlgebra(alg, table), _ReferenceStar(alg, table, mode)
     if mode == "h2":
-        return S, R, lambda a, b, order="auto": (S.star(a, b, order), R.star(a, b, order))
+        return S, R, lambda a, b, order=None: (S.star(a, b, order), R.star(a, b, order))
     return S, R, lambda a, b, order=None: (S.star(a, b, order).set_hbar(1),
                                            R.star(a, b, order).set_hbar(1))
 
@@ -388,9 +366,8 @@ def test_product_matches_fraction_reference(contexts, name):
         g = rand_series(rng, alg, rng.randrange(1, 6))
         for order in ORDERS:
             if order is None:
-                pairs = [(f, g)]
-            elif order == "auto":
-                pairs = [(f.truncate(rng.randrange(7)), g.truncate(rng.randrange(7)))]
+                # untruncated, and truncated at two independent orders
+                pairs = [(f, g), (f.truncate(rng.randrange(7)), g.truncate(rng.randrange(7)))]
             else:
                 pairs = [(f.truncate(order), g), (f, g.truncate(order)),
                          (f.truncate(order), g.truncate(order + 1))]
@@ -434,12 +411,8 @@ def test_star_matches_fraction_reference(contexts, name, mode):
         f = rand_series(rng, alg, rng.randrange(1, 5))
         g = rand_series(rng, alg, rng.randrange(1, 5))
         for order in orders:
-            if order == "auto":
-                a, b = f.truncate(rng.randrange(7)), g.truncate(rng.randrange(7))
-            else:
-                a, b = f, g
-            assert_same(*both(a, b, order))
-            assert_same(*both(b, a, order))
+            assert_same(*both(f, g, order))
+            assert_same(*both(g, f, order))
     for a, b in generator_pairs(rng, alg):
         assert_same(*both(a, b))
         assert_same(*both(b, a))
@@ -462,15 +435,11 @@ def test_bracket_matches_fraction_reference(contexts, name):
         f = rand_series(rng, alg, rng.randrange(1, 5))
         g = rand_series(rng, alg, rng.randrange(1, 5))
         for order in ORDERS:
-            if order == "auto":
-                a, b = f.truncate(rng.randrange(7)), g.truncate(rng.randrange(7))
-            else:
-                a, b = f, g
-            assert_same(P.bracket(a, b, order), R.bracket(a, b, order))
-            assert_same(P.bracket(b, a, order), R.bracket(b, a, order))
+            assert_same(P.bracket(f, g, order), R.bracket(f, g, order))
+            assert_same(P.bracket(g, f, order), R.bracket(g, f, order))
     for a, b in generator_pairs(rng, alg):
-        assert_same(P.bracket(a, b), R.bracket(a, b))
-        assert_same(P.bracket(b, a), R.bracket(b, a))
+        assert_same(P.bracket(a, b, None), R.bracket(a, b, None))
+        assert_same(P.bracket(b, a, None), R.bracket(b, a, None))
     assert_integer_memo(P._memo)
 
 
@@ -565,7 +534,7 @@ def test_star_words_with_shared_prefixes(contexts, name, mode):
     for (ma, mb), (nums, den) in S._word_memo.items():
         # in unit mode the h2 words are compared with the U(g) ones at hbar = 1
         got = Series.over(alg, nums, den)
-        want = R.star(Series.over(alg, {ma: 1}, 1), Series.over(alg, {mb: 1}, 1))
+        want = R.star(Series.over(alg, {ma: 1}, 1), Series.over(alg, {mb: 1}, 1), None)
         if mode == "unit":
             got, want = got.set_hbar(1), want.set_hbar(1)
         assert got.terms == want.terms
@@ -606,8 +575,8 @@ def test_star_words_of_1500_factors_run_without_deep_recursion(contexts):
 
     R = _ReferenceStar(alg, table)
     for n in range(1, 41):
-        assert R.star(f, e_pow[n]) == f_times_e_power(n)
-        assert R.star(f_pow[n], e) == f_power_times_e(n)
+        assert R.star(f, e_pow[n], None) == f_times_e_power(n)
+        assert R.star(f_pow[n], e, None) == f_power_times_e(n)
     ei, fi = alg.by_name["e"].ident, alg.by_name["f"].ident
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter default

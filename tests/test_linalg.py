@@ -804,7 +804,9 @@ def test_expand_filtered_random_roundtrip():
 def _expand_filtered_reference(target, candidates, cap):
     """The per-target expansion that FilteredFamily factors: every target
     groups the candidates by level and builds each level's system from
-    ``Series.terms``, with a Fraction in every cell."""
+    ``Series.terms``, with a Fraction in every cell, one row per monomial of
+    the level's leading parts; a remainder monomial outside them gives None
+    with no solve."""
     alg = target.alg
     by_level = {}
     for idx, c in enumerate(candidates):
@@ -821,13 +823,13 @@ def _expand_filtered_reference(target, candidates, cap):
             if not rem_d.is_zero():
                 return None
             continue
-        monos = set(rem_d.nums)
+        monos = set()
         lead = [eff_component(candidates[i], d) for i in idxs]
         for L in lead:
             monos.update(L.nums)
+        if rem_d.nums.keys() - monos:
+            return None
         monos = sorted(monos, key=alg.mono_key)
-        if not monos:
-            continue
         zero = Fraction(0)
         lead = [L.terms for L in lead]
         rows = [[t.get(m, zero) for t in lead] for m in monos]
@@ -843,6 +845,27 @@ def _expand_filtered_reference(target, candidates, cap):
     if not rem.is_zero():
         return None
     return coeffs
+
+
+def test_filtered_family_gives_none_without_solve_for_a_monomial_no_leading_part_has(
+        monkeypatch):
+    # v at level 1, where only u leads, and v^2 at level 2, where only u v
+    # leads: no combination reaches them, so no system is solved for them
+    alg = _poly_universe()
+    u, v = alg.gen("u"), alg.gen("v")
+    calls = []
+
+    def counting_solve(rows, rhs, memo=None, _solve=solve):
+        calls.append(rows)
+        return _solve(rows, rhs, memo)
+
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    family = FilteredFamily([u, u * v], 3)
+    for target, want, solves in ((v + u * v, None, 0), (u + v * v, None, 1),
+                                 (u * 2 + u * v, [2, 1], 2)):
+        calls.clear()
+        assert expand_filtered(target.truncate(3), family) == want
+        assert len(calls) == solves, target
 
 
 def test_filtered_family_matches_per_target_reference(monkeypatch):

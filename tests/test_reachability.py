@@ -9,6 +9,12 @@ only once its enclosing function is reached.  Protocol methods that Python
 calls implicitly (``__repr__``, ``__hash__``) are exempt.  A new function
 that no command reaches fails the test, and so does a listed one that a
 command starts to reach.
+
+The same matrix checks the preconditions of two kernels that keep no second
+path for other input: every argument of ``StarAlgebra.commutator`` is
+parity-homogeneous or zero, and every right factor of
+``QuotientModule.mul`` is a class in its module, with no monomial of k or
+more shift factors.
 """
 
 import importlib
@@ -19,6 +25,8 @@ import types
 
 import superw
 from superw import cli
+from superw.starprod import StarAlgebra
+from superw.wslice import QuotientModule
 
 EXEMPT = ("__repr__", "__hash__")
 
@@ -100,9 +108,22 @@ def _matrix(tmp_path):
     ]
 
 
-def test_every_function_is_reached_by_a_command_or_allowed(tmp_path, capsys):
+def _recording(method, calls):
+    """``method`` with the receiver and two first arguments of each call
+    appended to ``calls``."""
+    def recorded(self, a, b, *rest, **kwargs):
+        calls.append((self, a, b))
+        return method(self, a, b, *rest, **kwargs)
+    return recorded
+
+
+def test_every_function_is_reached_by_a_command_or_allowed(tmp_path, capsys, monkeypatch):
     functions = _functions()
     seen = set()
+    commutators, products = [], []
+    monkeypatch.setattr(StarAlgebra, "commutator",
+                        _recording(StarAlgebra.commutator, commutators))
+    monkeypatch.setattr(QuotientModule, "mul", _recording(QuotientModule.mul, products))
 
     def profile(frame, event, arg):
         if event == "call":
@@ -127,3 +148,10 @@ def test_every_function_is_reached_by_a_command_or_allowed(tmp_path, capsys):
                  and name.rpartition(".")[2] not in EXEMPT}
     assert unreached == set(ALLOWED), {"unreached, not allowed": unreached - set(ALLOWED),
                                        "allowed, but reached": set(ALLOWED) - unreached}
+
+    # checked after the runs, so that the checks reach nothing themselves
+    assert commutators and products
+    for _, f, g in commutators:
+        assert "mixed" not in (f.parity(), g.parity())
+    for module, _, t in products:
+        assert len(module.alg.free_of(t.nums, module.m_ids, module.k)) == len(t.nums)

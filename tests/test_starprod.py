@@ -8,6 +8,7 @@ import pytest
 from superw.algebras import load_algebra
 from superw.darboux import equivariant_darboux
 from superw.starprod import (
+    StarAlgebra,
     filtration_dims,
     quantum_darboux,
     rees_inverse,
@@ -28,7 +29,7 @@ def enveloping_product(ctx, a, b):
     """a * b in U(g): the hbar^2 star product of exact inputs is a
     polynomial in hbar, and its value at hbar = 1 is the product in U(g)."""
     assert a.order is None and b.order is None, "U(g) products take exact input"
-    return ctx.star.star(a, b).set_hbar(1)
+    return ctx.star.star(a, b, None).set_hbar(1)
 
 
 def rand_series(rng, alg, nterms=3, parity=None, order=None):
@@ -58,7 +59,8 @@ def test_generator_associativity_catalog():
         for x in gens:
             for y in gens:
                 for z in gens:
-                    assert S.star(S.star(x, y), z) == S.star(x, S.star(y, z))
+                    assert (S.star(S.star(x, y, None), z, None)
+                            == S.star(x, S.star(y, z, None), None))
 
 
 def test_associativity_random():
@@ -87,9 +89,9 @@ def test_commutator_is_hbar2_times_bracket_to_leading_order():
             b = rand_series(rng, S.alg, parity=rng.choice((EVEN, ODD)))
             if a.is_zero() or b.is_zero():
                 continue
-            comm = S.commutator(a, b)
+            comm = S.commutator(a, b, None)
             semi = comm.divide_hbar(2).set_hbar(0)
-            assert semi == P.bracket(a, b)
+            assert semi == P.bracket(a, b, None)
 
 
 def test_dop_matches_bracket_for_linear_elements():
@@ -99,7 +101,7 @@ def test_dop_matches_bracket_for_linear_elements():
     for x in gens:
         for y in gens:
             # for generators the star commutator has no higher corrections
-            assert S.commutator(x, y).divide_hbar(2) == P.bracket(x, y)
+            assert S.commutator(x, y, None).divide_hbar(2) == P.bracket(x, y, None)
 
 
 def test_quantum_chart_catalog():
@@ -174,8 +176,8 @@ def test_rees_multiplicative_for_plain_product_only():
     names = [v.name for v in alg.variables if not v.hbar]
     x = alg.gen(names[1])
     y = alg.gen(names[0])
-    assert not (S.star(x, y) - x * y).is_zero()
-    assert rees_map(S.star(x, y)) != S.star(rees_map(x), rees_map(y))
+    assert not (S.star(x, y, None) - x * y).is_zero()
+    assert rees_map(S.star(x, y, None)) != S.star(rees_map(x), rees_map(y), None)
 
 
 def test_filtration_dims_brute_force():
@@ -221,7 +223,7 @@ def test_star_and_commutator_at_an_order_truncate_the_exact_result():
     for name in ALGEBRAS:
         S = get_ctx(name).star
         odd = any(v.parity == ODD for v in S.alg.variables)
-        parities = (None, EVEN, ODD) if odd else (None, EVEN)
+        parities = (EVEN, ODD) if odd else (EVEN,)
         for _ in range(4):
             a, b = (_random_series(rng, S.alg, 6, 4, 5,
                                    parity=rng.choice(parities),
@@ -231,3 +233,29 @@ def test_star_and_commutator_at_an_order_truncate_the_exact_result():
                 got = S.star(a, b, order=n)
                 assert got == star.truncate(n) and got.order == n, (name, n)
                 assert S.commutator(a, b, order=n) == comm.truncate(n), (name, n)
+
+
+def test_commutator_takes_graded_arguments_and_a_zero_one_makes_no_product(monkeypatch):
+    # a mixed argument has no one graded sign, so the commutator refuses it,
+    # as the jacobiator does; a zero argument gives the exact zero at once
+    ctx = get_ctx("sl21")
+    S, alg = ctx.star, ctx.alg
+    even, odd = alg.gen("h"), alg.gen("up")
+    for a, b in ((even + odd, even), (odd, even + odd * odd + odd)):
+        for order in (None, 3):
+            with pytest.raises(ValueError):
+                S.commutator(a, b, order)
+    calls = []
+    real = StarAlgebra.star
+
+    def counting_star(self, f, g, order):
+        calls.append(order)
+        return real(self, f, g, order)
+
+    monkeypatch.setattr(StarAlgebra, "star", counting_star)
+    for order in (None, 3):
+        for a, b in ((alg.zero(), odd), (even.truncate(4), alg.zero(4))):
+            got = S.commutator(a, b, order)
+            assert got.is_zero() and got.order is None
+    assert calls == []
+    assert not S.commutator(even, odd, 3).is_zero() and calls == [3, 3]
