@@ -241,7 +241,7 @@ def test_commutator_takes_graded_arguments_and_a_zero_one_makes_no_product(monke
     ctx = get_ctx("sl21")
     S, alg = ctx.star, ctx.alg
     even, odd = alg.gen("h"), alg.gen("up")
-    for a, b in ((even + odd, even), (odd, even + odd * odd + odd)):
+    for a, b in ((even + odd, even), (odd, odd * even + even)):
         for order in (None, 3):
             with pytest.raises(ValueError):
                 S.commutator(a, b, order)
